@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import linregress
 
 from .cayley import GrowthProfile
 
@@ -32,6 +31,8 @@ def _linear_fit(kind: str, x: np.ndarray, y: np.ndarray, fit_range,
                 flags=()) -> ExponentFit:
     if len(x) < 3:
         raise ValueError(f"{kind}: need at least 3 points, got {len(x)}")
+    from scipy.stats import linregress  # slow to import; only fits need it
+
     res = linregress(x, y)
     return ExponentFit(kind=kind, slope=float(res.slope),
                        intercept=float(res.intercept),

@@ -379,6 +379,11 @@ class FiniteSubgraph:
     order for line graphs, ascending otherwise); ``edges`` are parent-index
     pairs.  ``induced`` records whether the edges are exactly the parent
     edges between the members.
+
+    Construction locates every edge endpoint once, by ``np.searchsorted``
+    on the members sorted with an ``argsort`` sorter, which also rejects
+    duplicate members and edges leaving the member set.  The resulting
+    positions are kept and returned by :meth:`local_edges`.
     """
 
     parent: CayleyBall
@@ -390,30 +395,33 @@ class FiniteSubgraph:
         self.vertex_indices = np.asarray(self.vertex_indices, dtype=np.int64)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self._connected = None
-        members = set(self.vertex_indices.tolist())
-        if len(members) != len(self.vertex_indices):
+        sorter = np.argsort(self.vertex_indices, kind="stable")
+        members = self.vertex_indices[sorter]
+        if np.any(members[1:] == members[:-1]):
             raise ValueError("vertex_indices contains duplicates")
-        for u, v in self.edges:
-            if int(u) not in members or int(v) not in members:
-                raise ValueError(f"edge ({u}, {v}) leaves the vertex subset")
+        ends = self.edges.ravel()
+        at = np.searchsorted(members, ends)
+        found = at < len(members)
+        found[found] = members[at[found]] == ends[found]
+        inside = found.reshape(-1, 2).all(axis=1)
+        if not inside.all():
+            u, v = self.edges[np.argmin(inside)]
+            raise ValueError(f"edge ({u}, {v}) leaves the vertex subset")
+        self._local_edges = sorter[at].reshape(-1, 2)
+        self._local_edges.flags.writeable = False
 
     @property
     def size(self) -> int:
         return len(self.vertex_indices)
 
     def local_edges(self) -> np.ndarray:
-        """Edges as positions into ``vertex_indices``."""
-        pos = {int(p): i for i, p in enumerate(self.vertex_indices)}
-        if not len(self.edges):
-            return np.zeros((0, 2), dtype=np.int64)
-        return np.array([[pos[int(u)], pos[int(v)]] for u, v in self.edges],
-                        dtype=np.int64)
+        """Edges as positions into ``vertex_indices`` (read-only, cached)."""
+        return self._local_edges
 
     def degrees(self) -> np.ndarray:
         """Degree of each vertex within the subgraph, aligned with vertex order."""
-        loc = self.local_edges()
-        return np.bincount(loc.ravel(), minlength=self.size).astype(np.int64) \
-            if len(loc) else np.zeros(self.size, dtype=np.int64)
+        return np.bincount(self._local_edges.ravel(),
+                           minlength=self.size).astype(np.int64)
 
     @property
     def connected(self) -> bool:
@@ -421,13 +429,10 @@ class FiniteSubgraph:
             if self.size == 0:
                 self._connected = False
             else:
-                loc = self.local_edges()
+                loc = self._local_edges
                 n = self.size
-                if len(loc):
-                    g = sparse.csr_matrix(
-                        (np.ones(len(loc)), (loc[:, 0], loc[:, 1])), shape=(n, n))
-                else:
-                    g = sparse.csr_matrix((n, n))
+                g = sparse.csr_matrix(
+                    (np.ones(len(loc)), (loc[:, 0], loc[:, 1])), shape=(n, n))
                 ncomp = csgraph.connected_components(g, directed=False)[0]
                 self._connected = bool(ncomp == 1)
         return self._connected

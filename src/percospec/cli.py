@@ -121,7 +121,8 @@ def validate_config(raw: dict, subcommand: str) -> dict:
                         raise ValidationError(
                             "energy_grid needs values or min/max/points")
         if "n_samples" in sp:
-            _as_int(sp["n_samples"], "spectra.n_samples", minimum=1)
+            _as_int(sp["n_samples"], "spectra.n_samples",
+                    minimum=spectra.MIN_IDS_SAMPLES if subcommand == "ids" else 1)
         if "dense_cap" in sp:
             _as_int(sp["dense_cap"], "spectra.dense_cap", minimum=1)
     if "fits" in cfg:
@@ -550,7 +551,11 @@ def main(argv=None) -> int:
             raw["output_dir"] = args.out
         env_budget = os.environ.get(ENV_BUDGET)
         if env_budget is not None:
-            raw["budget_vertices"] = int(env_budget)
+            try:
+                raw["budget_vertices"] = int(env_budget)
+            except ValueError:
+                raise ValidationError(
+                    f"{ENV_BUDGET} must be an integer, got {env_budget!r}")
         cfg = validate_config(raw, args.subcommand)
         out = Path(cfg["output_dir"])
         out.mkdir(parents=True, exist_ok=True)

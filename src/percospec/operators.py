@@ -58,12 +58,15 @@ class LabeledOperator:
 
     def local_of(self, window_indices) -> np.ndarray:
         """Positions of the given window indices inside ``index_set``."""
-        pos = {int(w): r for r, w in enumerate(self.index_set)}
-        try:
-            return np.array([pos[int(w)] for w in np.atleast_1d(window_indices)],
-                            dtype=np.int64)
-        except KeyError as err:
-            raise ValueError(f"window index {err} not in the operator index set")
+        wanted = np.atleast_1d(np.asarray(window_indices, dtype=np.int64))
+        sorter = np.argsort(self.index_set, kind="stable")
+        at = np.searchsorted(self.index_set, wanted, sorter=sorter)
+        found = at < self.dim
+        found[found] = self.index_set[sorter[at[found]]] == wanted[found]
+        if not found.all():
+            raise ValueError(f"window index {wanted[np.argmin(found)]} not in "
+                             "the operator index set")
+        return sorter[at]
 
 
 def _assemble(n: int, local_edges: np.ndarray, diag: np.ndarray) -> sparse.csr_matrix:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
-from scipy.stats import linregress
 
 from ._parallel import run_indexed
 from .cayley import CayleyBall, FiniteSubgraph, enumerate_ball
@@ -203,6 +202,8 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
 
     usable = (hits >= 30) & (tail > 0)
     if usable.sum() >= 2:
+        from scipy.stats import linregress  # slow to import; only fits need it
+
         res = linregress(tail_grid[usable], np.log(tail[usable]))
         fit = TailFit(tau=-float(res.slope), r2=float(res.rvalue ** 2),
                       n_points=int(usable.sum()),

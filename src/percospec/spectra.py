@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, linalg, sparse
+from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
@@ -31,6 +31,7 @@ from .percolation import SITE, PercolationModel, PercolationSample, sample
 KERNEL_TOL = 1e-8
 COUNT_TOL = 1e-9
 DENSE_CAP = 4000
+MIN_IDS_SAMPLES = 10
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +80,12 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     """All eigenvalues via per-connected-component dense solves.
 
     Percolation operators decompose over clusters, so in the subcritical
-    regime components stay small even when the window is large.  Components
-    are batched by size for vectorised LAPACK calls.
+    regime components stay small even when the window is large.  One pass
+    scatters the operator's stored entries into zero-filled dense blocks,
+    one ``(count, size, size)`` stack per component size, with each vertex
+    at its rank by index inside its component; duplicate entries sum as in
+    ``toarray``.  Each stack then takes one batched LAPACK call, and a
+    size-1 component is just its diagonal entry.
     """
     n = op.dim
     if n == 0:
@@ -92,24 +97,34 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
                 f"connected component of dimension {n} exceeds the dense cap "
                 f"{dense_cap}")
         return np.sort(linalg.eigvalsh(op.to_dense()))
-    order = np.argsort(labels, kind="stable")
-    permuted = op.matrix[order][:, order].tocsr()
     sizes = np.bincount(labels)
     if sizes.max() > dense_cap:
         raise BudgetError(
             f"connected component of dimension {int(sizes.max())} exceeds the "
             f"dense cap {dense_cap}")
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    buckets: dict[int, list[np.ndarray]] = {}
-    for c in range(ncomp):
-        a, b = offsets[c], offsets[c + 1]
-        buckets.setdefault(int(b - a), []).append(permuted[a:b, a:b].toarray())
+    order = np.argsort(labels, kind="stable")
+    local = np.empty(n, dtype=np.int64)
+    local[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[labels[order]]
+    # blocks ordered by size, then by component label, in one flat buffer
+    by_size = np.argsort(sizes, kind="stable")
+    block_len = sizes[by_size] ** 2
+    base = np.empty(ncomp, dtype=np.int64)
+    base[by_size] = np.cumsum(block_len) - block_len
+    flat = np.zeros(int(block_len.sum()))
+    coo = op.matrix.tocoo()
+    # connected_components counts every stored entry, explicit zeros too,
+    # so both ends of an entry lie in the same component
+    comp = labels[coo.row]
+    np.add.at(flat, base[comp] + local[coo.row] * sizes[comp] + local[coo.col],
+              coo.data)
     out = []
-    for size, blocks in buckets.items():
-        if size == 1:
-            out.append(np.concatenate([blk.ravel() for blk in blocks]))
-        else:
-            out.append(np.linalg.eigvalsh(np.stack(blocks)).ravel())
+    start = 0
+    for size, count in zip(*np.unique(sizes, return_counts=True)):
+        stop = start + count * size * size
+        stack = flat[start:stop].reshape(count, size, size)
+        out.append(stack.ravel() if size == 1
+                   else np.linalg.eigvalsh(stack).ravel())
+        start = stop
     return np.sort(np.concatenate(out))
 
 
@@ -229,27 +244,6 @@ class IDSEstimate:
     params: dict
 
 
-def _window_subsample(s: PercolationSample, window_mask: np.ndarray):
-    """Active set and open adjacency of the window-induced sub-configuration."""
-    ball = s.window
-    if s.model.kind == SITE:
-        act_mask = np.zeros(len(ball), dtype=bool)
-        act_mask[np.flatnonzero(s.open_marks)] = True
-        act_mask &= window_mask
-        edges = ball.edges
-        keep = act_mask[edges[:, 0]] & act_mask[edges[:, 1]] if len(edges) \
-            else np.zeros(0, dtype=bool)
-        open_edges = edges[keep]
-        active = np.flatnonzero(act_mask)
-    else:
-        open_edges = ball.edges[s.open_marks]
-        keep = window_mask[open_edges[:, 0]] & window_mask[open_edges[:, 1]] \
-            if len(open_edges) else np.zeros(0, dtype=bool)
-        open_edges = open_edges[keep]
-        active = np.unique(open_edges)
-    return active, open_edges
-
-
 def _ids_sample_task(ctx, i):
     ball = ctx["ball"]
     window_mask = ctx["window_mask"]
@@ -260,9 +254,15 @@ def _ids_sample_task(ctx, i):
     dense_cap = ctx["dense_cap"]
 
     s = sample(model, ball, i)
+    full = s.subgraph()
 
     # intrinsic operator of the window-induced percolation subgraph
-    active_w, open_w = _window_subsample(s, window_mask)
+    edges = full.edges
+    open_w = edges[window_mask[edges[:, 0]] & window_mask[edges[:, 1]]]
+    if model.kind == SITE:
+        active_w = full.vertex_indices[window_mask[full.vertex_indices]]
+    else:
+        active_w = np.unique(open_w)
     sub = FiniteSubgraph(parent=ball, vertex_indices=active_w, edges=open_w,
                          induced=model.kind == SITE)
     op_int = subgraph_laplacian(sub, bc, tag=f"perc:{bc}")
@@ -272,7 +272,7 @@ def _ids_sample_task(ctx, i):
     kern = _kernel_count(vals_int, op_int.inf_norm())
 
     # compression of the full-sample operator onto the window
-    op_big = subgraph_laplacian(s.subgraph(), bc, tag=f"perc:{bc}")
+    op_big = subgraph_laplacian(full, bc, tag=f"perc:{bc}")
     subset = op_big.index_set[window_mask[op_big.index_set]]
     op_comp = restrict(op_big, subset)
     vals_comp = block_eigenvalues(op_comp, dense_cap)
@@ -296,8 +296,8 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
     which monitors the finite-window boundary bias.  ``n_at_zero`` is the
     normalized kernel mass of the intrinsic operator.
     """
-    if n_samples < 10:
-        raise ValueError("need n_samples >= 10")
+    if n_samples < MIN_IDS_SAMPLES:
+        raise ValueError(f"need n_samples >= {MIN_IDS_SAMPLES}")
     if (radius is None) == (depth is None):
         raise ValueError("specify exactly one of radius or depth")
     grid = np.asarray(energy_grid, dtype=np.float64)
@@ -416,6 +416,8 @@ def free_ids_zd(d: int, energy: float, mc_samples: int = 400_000,
         return FreeIDSValue(float(np.arccos(1.0 - energy / 2.0) / np.pi),
                             1e-12, False, "closed-form")
     if d == 2:
+        from scipy import integrate  # slow to import; only d == 2 needs it
+
         theta_max = np.arccos(np.clip(1.0 - energy / 2.0, -1.0, 1.0))
 
         def slice_measure(t):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from percospec import cayley
 from percospec.cayley import (
+    FiniteSubgraph,
     GroupSpec,
     enumerate_ball,
     export_edge_list,
@@ -250,6 +251,69 @@ def test_line_too_long():
     ball = enumerate_ball(GroupSpec.free_abelian(1), 2)
     with pytest.raises(ValueError, match="does not contain"):
         line_subgraph(ball, 9)
+
+
+# ---------------------------------------------------------------------------
+# finite subgraphs
+# ---------------------------------------------------------------------------
+
+def test_subgraph_local_edges_match_dict_reference():
+    rng = np.random.Generator(np.random.Philox(key=np.array([11, 0],
+                                                            dtype=np.uint64)))
+    ball = enumerate_ball(GroupSpec.free_abelian(2), 6)
+    for _ in range(50):
+        members = rng.permutation(len(ball))[:int(rng.integers(0, len(ball)))]
+        inside = np.zeros(len(ball), dtype=bool)
+        inside[members] = True
+        edges = ball.edges[inside[ball.edges[:, 0]] & inside[ball.edges[:, 1]]]
+        edges = rng.permutation(edges)
+        sub = FiniteSubgraph(parent=ball, vertex_indices=members, edges=edges,
+                             induced=True)
+        pos = {int(p): i for i, p in enumerate(members)}
+        expect = [[pos[int(u)], pos[int(v)]] for u, v in edges]
+        assert sub.local_edges().tolist() == expect
+        degrees = np.zeros(len(members), dtype=np.int64)
+        for u, v in expect:
+            degrees[u] += 1
+            degrees[v] += 1
+        assert sub.degrees().tolist() == degrees.tolist()
+
+
+def test_subgraph_local_edges_in_path_order():
+    ball = enumerate_ball(GroupSpec.free_abelian(1), 6)
+    line = line_subgraph(ball, 9)
+    assert not np.all(np.diff(line.vertex_indices) > 0)
+    assert sorted(map(sorted, line.local_edges().tolist())) == \
+        [[i, i + 1] for i in range(8)]
+    assert line.degrees().tolist() == [1] + [2] * 7 + [1]
+    assert line.connected
+
+
+def test_empty_subgraph():
+    ball = enumerate_ball(GroupSpec.free_abelian(2), 2)
+    sub = FiniteSubgraph(parent=ball, vertex_indices=[], edges=[], induced=True)
+    assert sub.size == 0
+    assert sub.local_edges().shape == (0, 2)
+    assert sub.degrees().shape == (0,)
+    assert not sub.connected
+
+
+def test_subgraph_rejects_duplicate_vertices():
+    ball = enumerate_ball(GroupSpec.free_abelian(1), 3)
+    with pytest.raises(ValueError, match="vertex_indices contains duplicates"):
+        FiniteSubgraph(parent=ball, vertex_indices=[4, 1, 2, 1],
+                       edges=[[1, 2]], induced=False)
+
+
+def test_subgraph_rejects_escaping_edge():
+    ball = enumerate_ball(GroupSpec.free_abelian(1), 3)
+    with pytest.raises(ValueError,
+                       match=r"^edge \(2, 6\) leaves the vertex subset$"):
+        FiniteSubgraph(parent=ball, vertex_indices=[0, 1, 2],
+                       edges=[[0, 1], [2, 6], [5, 1]], induced=False)
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) leaves"):
+        FiniteSubgraph(parent=ball, vertex_indices=[], edges=[[0, 1]],
+                       induced=False)
 
 
 # ---------------------------------------------------------------------------

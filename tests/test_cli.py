@@ -1,7 +1,11 @@
 """CLI: validation, exit codes, artifact content, byte-level determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
+import percospec
 from percospec.cli import main
 
 
@@ -88,6 +92,38 @@ def test_chain_requires_radius(tmp_path):
                                "energy_grid": {"values": [1.0]}})
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["chain", "--config", path]) == 1
+
+
+def test_ids_too_few_samples_is_validation_error(tmp_path, capsys):
+    cfg = base_config(tmp_path / "o", group={"kind": "free_abelian", "rank": 1},
+                      percolation={"kind": "site", "p": 0.5},
+                      window={"radius": 10},
+                      spectra={"n_samples": 5,
+                               "energy_grid": {"values": [1.0]}})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["ids", "--config", path]) == 1
+    assert "spectra.n_samples must be >= 10" in capsys.readouterr().err
+
+
+def test_non_integer_budget_env_is_validation_error(tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.setenv("PERCOSPEC_BUDGET_VERTICES", "abc")
+    cfg = base_config(tmp_path / "o", group={"kind": "free_abelian", "rank": 1},
+                      window={"radius": 10})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["growth", "--config", path]) == 1
+    assert "PERCOSPEC_BUDGET_VERTICES must be an integer" \
+        in capsys.readouterr().err
+
+
+def test_cli_import_skips_stats_and_integrate():
+    src = str(Path(percospec.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import percospec.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

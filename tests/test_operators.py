@@ -4,6 +4,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from percospec.cayley import (
     GroupSpec,
@@ -17,6 +18,7 @@ from percospec.operators import (
     ADJACENCY,
     DIRICHLET,
     NEUMANN,
+    LabeledOperator,
     anderson,
     bipartite_conjugate,
     boundary_potential,
@@ -255,6 +257,34 @@ def test_restrict_outside_raises(z_ball):
     op = percolation_laplacian(s, ADJACENCY)
     with pytest.raises(ValueError):
         restrict(op, [z_ball.index_of((3,))])
+
+
+def test_local_of_matches_dict_reference():
+    rng = np.random.Generator(np.random.Philox(key=np.array([12, 0],
+                                                            dtype=np.uint64)))
+    for n in (1, 2, 17, 300):
+        index_set = rng.permutation(3 * n)[:n]
+        op = LabeledOperator(index_set=index_set, matrix=sparse.eye(n, format="csr"),
+                             tag="synthetic", k=2)
+        pos = {int(w): r for r, w in enumerate(index_set)}
+        wanted = rng.choice(index_set, size=2 * n)
+        assert op.local_of(wanted).tolist() == [pos[int(w)] for w in wanted]
+        assert op.local_of(int(index_set[-1])).tolist() == [n - 1]
+
+
+def test_local_of_names_missing_index():
+    op = LabeledOperator(index_set=[7, 3, 5], matrix=sparse.eye(3, format="csr"),
+                         tag="synthetic", k=2)
+    for wanted, missing in (([3, 4, 9], 4), ([9], 9), ([-1], -1)):
+        with pytest.raises(ValueError,
+                           match=f"^window index {missing} not in the operator "
+                                 "index set$"):
+            op.local_of(wanted)
+    empty = LabeledOperator(index_set=[], matrix=sparse.csr_matrix((0, 0)),
+                            tag="synthetic", k=2)
+    assert empty.local_of([]).tolist() == []
+    with pytest.raises(ValueError, match="window index 0 not in"):
+        empty.local_of([0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy import linalg, sparse
+from scipy.sparse import csgraph
 
 from percospec.cayley import GroupSpec, enumerate_ball
 from percospec.errors import BudgetError, DegenerateSpectrumError
@@ -9,8 +11,10 @@ from percospec.operators import (
     ADJACENCY,
     DIRICHLET,
     NEUMANN,
+    LabeledOperator,
     free_laplacian,
     percolation_laplacian,
+    restrict,
 )
 from percospec.percolation import PercolationModel, sample
 from percospec.spectra import (
@@ -143,6 +147,83 @@ def test_block_eigenvalues_bond_all_bcs():
             op = percolation_laplacian(s, bc)
             assert np.allclose(block_eigenvalues(op),
                                eigenvalues_dense(op).eigenvalues, atol=1e-10)
+
+
+def _block_eigenvalues_reference(op):
+    """Slow reference: slice one dense block per connected component."""
+    ncomp, labels = csgraph.connected_components(op.matrix, directed=False)
+    if ncomp == 1:
+        return np.sort(linalg.eigvalsh(op.to_dense()))
+    order = np.argsort(labels, kind="stable")
+    permuted = op.matrix[order][:, order].tocsr()
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(labels))])
+    buckets = {}
+    for c in range(ncomp):
+        a, b = offsets[c], offsets[c + 1]
+        buckets.setdefault(b - a, []).append(permuted[a:b, a:b].toarray())
+    out = []
+    for size, blocks in buckets.items():
+        if size == 1:
+            out.append(np.concatenate([blk.ravel() for blk in blocks]))
+        else:
+            out.append(np.linalg.eigvalsh(np.stack(blocks)).ravel())
+    return np.sort(np.concatenate(out))
+
+
+def _split_entries(op):
+    """Same operator with every stored entry stored twice, as two halves."""
+    m = op.matrix
+    counts = np.diff(m.indptr)
+    indptr = np.concatenate([[0], np.cumsum(2 * counts)])
+    mat = sparse.csr_matrix((np.repeat(m.data / 2, 2), np.repeat(m.indices, 2),
+                             indptr), shape=m.shape)
+    return LabeledOperator(index_set=op.index_set, matrix=mat, tag="split",
+                           k=op.k, bc=op.bc)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(1), 80),
+    (GroupSpec.free_abelian(2), 6),
+    (GroupSpec.free_abelian(3), 3),
+    (GroupSpec.heisenberg(), 4),
+])
+def test_block_eigenvalues_bit_identical_to_reference(spec, radius):
+    rng = np.random.Generator(np.random.Philox(key=np.array([31, radius],
+                                                            dtype=np.uint64)))
+    ball = enumerate_ball(spec, radius)
+    window = ball.ball_indices(radius - 1)
+    seen_singletons = seen_blocks = 0
+    for i in range(12):
+        kind = ("site", "bond")[i % 2]
+        model = PercolationModel(kind, float(rng.uniform(0.15, 0.85)),
+                                 int(rng.integers(1 << 30)))
+        s = sample(model, ball, i)
+        for bc in (NEUMANN, ADJACENCY, DIRICHLET):
+            op = percolation_laplacian(s, bc)
+            compressed = restrict(op, op.index_set[op.index_set < len(window)])
+            for o in (op, compressed, _split_entries(op)):
+                assert np.array_equal(block_eigenvalues(o),
+                                      _block_eigenvalues_reference(o))
+                if o.dim:
+                    sizes = np.bincount(csgraph.connected_components(
+                        o.matrix, directed=False)[1])
+                    seen_singletons += int((sizes == 1).sum())
+                    seen_blocks += int((sizes > 1).sum())
+    assert seen_singletons and seen_blocks
+
+
+def test_block_eigenvalues_dense_cap_applies_per_component():
+    ball = enumerate_ball(GroupSpec.free_abelian(1), 6)
+    # clusters of sizes 3, 1 and 5 (the last one is the whole right end)
+    s = make_site_sample(ball, [(-6,), (-5,), (-4,), (-2,),
+                                (2,), (3,), (4,), (5,), (6,)])
+    op = percolation_laplacian(s, NEUMANN)
+    assert np.array_equal(block_eigenvalues(op, dense_cap=5),
+                          _block_eigenvalues_reference(op))
+    with pytest.raises(BudgetError, match="dimension 5 exceeds the dense cap 4"):
+        block_eigenvalues(op, dense_cap=4)
+    with pytest.raises(BudgetError, match="dimension 13 exceeds"):
+        block_eigenvalues(free_laplacian(ball), dense_cap=12)
 
 
 def test_count_below_inertia_retries_past_exact_shift():
