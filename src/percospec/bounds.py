@@ -228,9 +228,7 @@ def tetrahedron_checks(m: int, n: int, ball: CayleyBall | None = None,
             f"{target}: nearest at distance {gap}")
     sel = np.abs(vals - target) <= tol
     space = vecs[:, sel]
-    boundary = inner_vertex_boundary(tet)
-    pos = {int(w): r for r, w in enumerate(tet.vertex_indices)}
-    rows = np.array([pos[int(b)] for b in boundary], dtype=np.int64)
+    rows = op.local_of(inner_vertex_boundary(tet))
     # the flattest direction of the eigenspace on the boundary rows
     _, _, vt = np.linalg.svd(space[rows, :], full_matrices=True)
     vec = space @ vt[-1]

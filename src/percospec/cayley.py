@@ -394,7 +394,7 @@ class FiniteSubgraph:
     def __post_init__(self):
         self.vertex_indices = np.asarray(self.vertex_indices, dtype=np.int64)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        self._connected = None
+        self._components = None
         sorter = np.argsort(self.vertex_indices, kind="stable")
         members = self.vertex_indices[sorter]
         if np.any(members[1:] == members[:-1]):
@@ -423,19 +423,25 @@ class FiniteSubgraph:
         return np.bincount(self._local_edges.ravel(),
                            minlength=self.size).astype(np.int64)
 
+    def components(self) -> tuple:
+        """``(count, labels)`` of the connected components (cached, read-only).
+
+        ``labels[i]`` is the component of ``vertex_indices[i]``; an empty
+        subgraph has no components.
+        """
+        if self._components is None:
+            n = self.size
+            loc = self._local_edges
+            g = sparse.csr_matrix(
+                (np.ones(len(loc)), (loc[:, 0], loc[:, 1])), shape=(n, n))
+            count, labels = csgraph.connected_components(g, directed=False)
+            labels.flags.writeable = False
+            self._components = (int(count), labels)
+        return self._components
+
     @property
     def connected(self) -> bool:
-        if self._connected is None:
-            if self.size == 0:
-                self._connected = False
-            else:
-                loc = self._local_edges
-                n = self.size
-                g = sparse.csr_matrix(
-                    (np.ones(len(loc)), (loc[:, 0], loc[:, 1])), shape=(n, n))
-                ncomp = csgraph.connected_components(g, directed=False)[0]
-                self._connected = bool(ncomp == 1)
-        return self._connected
+        return self.size > 0 and self.components()[0] == 1
 
 
 def induced_subgraph(parent: CayleyBall, vertex_indices) -> FiniteSubgraph:
@@ -487,8 +493,11 @@ def tetrahedron(m: int, n: int, ball: CayleyBall) -> FiniteSubgraph:
     """Depth-n tetrahedron of the lamplighter graph Z_m wr Z.
 
     Vertex set: pairs (lamps, x) with 0 <= x <= n and lamp support inside
-    {1, ..., n}; edges induced from the Cayley graph.  Contains exactly
-    (n+1) * m^n vertices.
+    {1, ..., n}; contains exactly (n+1) * m^n vertices.  The subgraph is
+    induced by the ball, so its edges are the ball's own edges between
+    members.  Every member lies in B(2n), and balls share their index
+    prefixes, so any ball of radius >= 2n gives the same vertex indices
+    and edges.
     """
     if ball.spec.kind != LAMPLIGHTER or ball.spec.modulus != m:
         raise ValueError("ball does not belong to the requested lamplighter group")
@@ -501,24 +510,12 @@ def tetrahedron(m: int, n: int, ball: CayleyBall) -> FiniteSubgraph:
             members.append((lamps, x))
     index = ball.index
     try:
-        idx = sorted(index[el] for el in members)
+        idx = [index[el] for el in members]
     except KeyError:
         raise ValueError(
             f"ball of radius {ball.radius} too small for the depth-{n} tetrahedron "
             f"(radius >= {2 * n} suffices)")
-    member_set = set(idx)
-    spec = ball.spec
-    edge_list = set()
-    for i in idx:
-        u = ball.vertices[i]
-        for g in spec.generators:
-            j = index.get(multiply(spec, u, g))
-            if j is not None and j in member_set and j > i:
-                edge_list.add((i, j))
-    edges = np.array(sorted(edge_list), dtype=np.int64) if edge_list \
-        else np.zeros((0, 2), dtype=np.int64)
-    return FiniteSubgraph(parent=ball, vertex_indices=np.array(idx, dtype=np.int64),
-                          edges=edges, induced=True)
+    return induced_subgraph(ball, idx)
 
 
 def thicken_subgraph(sub: FiniteSubgraph, radius: int) -> FiniteSubgraph:

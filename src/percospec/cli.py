@@ -96,14 +96,21 @@ def validate_config(raw: dict, subcommand: str) -> dict:
         p = _as_float(pc.get("p", -1), "percolation.p")
         if not 0.0 <= p <= 1.0:
             raise ValidationError("percolation.p must lie in [0, 1]")
+        if "n_samples" in pc:
+            _as_int(pc["n_samples"], "percolation.n_samples",
+                    minimum=percolation.MIN_STATS_SAMPLES
+                    if subcommand == "percolate" else 1)
     if "window" in cfg:
         w = cfg["window"]
         _check_keys(w, ("radius", "depth", "depths", "return_max"), "window")
         for key in ("radius", "depth", "return_max"):
             if key in w:
                 _as_int(w[key], f"window.{key}", minimum=1)
-        if "depths" in w and not all(isinstance(d, int) for d in w["depths"]):
-            raise ValidationError("window.depths must be a list of integers")
+        if "depths" in w:
+            if not isinstance(w["depths"], list):
+                raise ValidationError("window.depths must be a list of integers")
+            for d in w["depths"]:
+                _as_int(d, "window.depths", minimum=1)
     if "spectra" in cfg:
         sp = cfg["spectra"]
         _check_keys(sp, ("boundary_conditions", "energy_grid", "n_samples",
@@ -120,11 +127,23 @@ def validate_config(raw: dict, subcommand: str) -> dict:
                     if key not in eg:
                         raise ValidationError(
                             "energy_grid needs values or min/max/points")
+                _as_int(eg["points"], "spectra.energy_grid.points", minimum=0)
+                for key in ("min", "max"):
+                    x = _as_float(eg[key], f"spectra.energy_grid.{key}")
+                    if eg.get("scale") == "log" and x <= 0:
+                        raise ValidationError(
+                            f"spectra.energy_grid.{key} must be > 0 on a log scale")
         if "n_samples" in sp:
             _as_int(sp["n_samples"], "spectra.n_samples",
                     minimum=spectra.MIN_IDS_SAMPLES if subcommand == "ids" else 1)
         if "dense_cap" in sp:
             _as_int(sp["dense_cap"], "spectra.dense_cap", minimum=1)
+        if "couplings" in sp:
+            if not isinstance(sp["couplings"], list):
+                raise ValidationError("spectra.couplings must be a list of numbers")
+            for c in sp["couplings"]:
+                if _as_float(c, "spectra.couplings") < 0:
+                    raise ValidationError("spectra.couplings must be >= 0")
     if "fits" in cfg:
         _check_keys(cfg["fits"], ("growth_n_min", "growth_n_max",
                                   "van_hove_range", "lifshitz_range",
@@ -330,6 +349,19 @@ def run_free_ids(cfg: dict, out: Path) -> list:
     return outputs
 
 
+def _tetrahedron_reports(group: cayley.GroupSpec, cfg: dict) -> dict:
+    """Tetrahedron checks at each of ``window.depths``, all cut from one
+    enumerated ball B(2 * max depth)."""
+    depths = cfg.get("window", {}).get("depths", [2, 3, 4, 5])
+    if not depths:
+        return {}
+    ball = cayley.enumerate_ball(group, 2 * max(depths),
+                                 cfg.get("budget_vertices"))
+    return {str(d): vars(bounds_mod.tetrahedron_checks(group.modulus, d,
+                                                        ball=ball))
+            for d in depths}
+
+
 def run_bounds(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     fits = cfg.get("fits", {})
@@ -358,13 +390,7 @@ def run_bounds(cfg: dict, out: Path) -> list:
             bounds_mod.upper_bound_check_dirichlet(group, range(2, n_max + 1),
                                                    budget))
     else:
-        depths = cfg.get("window", {}).get("depths", [2, 3, 4, 5])
-        tets = {}
-        for depth in depths:
-            rep = bounds_mod.tetrahedron_checks(group.modulus, depth,
-                                                budget=budget)
-            tets[str(depth)] = vars(rep)
-        reports["tetrahedron"] = tets
+        reports["tetrahedron"] = _tetrahedron_reports(group, cfg)
     write_json(out / "bounds_report.json", reports)
     return ["bounds_report.json"]
 
@@ -483,14 +509,9 @@ def run_lamplighter(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     if group.kind != "lamplighter":
         raise ValidationError("lamplighter subcommand needs a lamplighter group")
-    window = cfg.get("window", {})
-    depths = window.get("depths", [2, 3, 4, 5])
-    return_max = window.get("return_max", 8)
+    return_max = cfg.get("window", {}).get("return_max", 8)
     budget = cfg.get("budget_vertices")
-    tets = {}
-    for depth in depths:
-        rep = bounds_mod.tetrahedron_checks(group.modulus, depth, budget=budget)
-        tets[str(depth)] = vars(rep)
+    tets = _tetrahedron_reports(group, cfg)
     values = []
     for n in range(1, return_max + 1):
         rp = spectra.return_probability(group, n, budget)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .cayley import CayleyBall, FiniteSubgraph
+from .cayley import CayleyBall, FiniteSubgraph, induced_subgraph
 from .errors import UnsupportedModelError
 from .percolation import SITE, PercolationSample
 
@@ -105,16 +105,14 @@ def subgraph_laplacian(sub: FiniteSubgraph, bc: str,
 
 
 def free_laplacian(window: CayleyBall) -> LabeledOperator:
-    """k*I - A on the window's induced subgraph.
+    """k*I - A on the whole window, tagged ``free``.
 
-    Coincides with the compression of the full-graph Laplacian to the
-    window, and with the adjacency Laplacian of the induced subgraph.
+    The adjacency Laplacian of the subgraph the window induces on all of
+    its vertices, which is also the compression of the full-graph
+    Laplacian to the window.
     """
-    n = len(window)
-    diag = np.full(n, window.k, dtype=np.float64)
-    mat = _assemble(n, window.edges, diag)
-    return LabeledOperator(index_set=np.arange(n, dtype=np.int64), matrix=mat,
-                           tag="free", k=window.k, bc=ADJACENCY)
+    whole = induced_subgraph(window, np.arange(len(window)))
+    return subgraph_laplacian(whole, ADJACENCY, tag="free")
 
 
 def percolation_laplacian(sample: PercolationSample, bc: str) -> LabeledOperator:

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
 from .cayley import CayleyBall, FiniteSubgraph, enumerate_ball
@@ -21,6 +19,7 @@ SITE = "site"
 BOND = "bond"
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+MIN_STATS_SAMPLES = 100
 
 
 @dataclass(frozen=True)
@@ -116,29 +115,15 @@ def decompose(sample: PercolationSample) -> ClusterDecomposition:
     0 when the origin is inactive.  ``origin_touches_boundary`` flags
     possible truncation of the origin cluster by the window edge.
     """
-    active = sample.active_vertices()
-    n = len(active)
-    if n == 0:
-        return ClusterDecomposition(active=active,
-                                    labels=np.zeros(0, dtype=np.int64),
-                                    sizes=np.zeros(0, dtype=np.int64),
-                                    cluster_count=0, origin_cluster_size=0,
-                                    origin_touches_boundary=False)
-    local = np.full(len(sample.window), -1, dtype=np.int64)
-    local[active] = np.arange(n)
-    edges = sample.open_edges()
-    if len(edges):
-        g = sparse.csr_matrix(
-            (np.ones(len(edges)), (local[edges[:, 0]], local[edges[:, 1]])),
-            shape=(n, n))
-    else:
-        g = sparse.csr_matrix((n, n))
-    ncomp, labels = csgraph.connected_components(g, directed=False)
+    sub = sample.subgraph()
+    active = sub.vertex_indices
+    ncomp, labels = sub.components()
     sizes = np.bincount(labels, minlength=ncomp).astype(np.int64)
     origin_size = 0
     touches = False
-    if local[0] >= 0:
-        lab = labels[local[0]]
+    # active is sorted, so the origin (index 0) is active iff it comes first
+    if len(active) and active[0] == 0:
+        lab = labels[0]
         origin_size = int(sizes[lab])
         wl = sample.window.word_length[active]
         touches = bool(np.any(wl[labels == lab] == sample.window.radius))
@@ -188,8 +173,8 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
     through (n, log tail(n)), restricted to grid points backed by at least
     30 hits; with fewer than two usable points the fit is marked invalid.
     """
-    if n_samples < 100:
-        raise ValueError("need n_samples >= 100")
+    if n_samples < MIN_STATS_SAMPLES:
+        raise ValueError(f"need n_samples >= {MIN_STATS_SAMPLES}")
     tail_grid = np.asarray(tail_grid, dtype=np.int64)
     rows = run_indexed(_stats_task, range(n_samples), workers, (model, window))
     origin = np.array([r[0] for r in rows], dtype=np.int64)
@@ -239,11 +224,11 @@ def deleted_density_expected(model: PercolationModel, k: int) -> float:
 # critical-parameter bracketing
 # ---------------------------------------------------------------------------
 
-def _touch_fraction(kind, p, seed, window, n_samples, index_offset):
+def _touch_fraction(kind, p, seed, window, n_samples):
     model = PercolationModel(kind, p, seed)
     hits = 0
     for j in range(n_samples):
-        dec = decompose(sample(model, window, index_offset + j))
+        dec = decompose(sample(model, window, j))
         if dec.origin_touches_boundary:
             hits += 1
     return hits / n_samples
@@ -255,16 +240,18 @@ def critical_bracket(kind: str, spec, radius: int, seed: int,
     """Bracket the critical parameter by bisection on the probability that the
     origin cluster touches the window boundary.
 
-    Returns (lo, hi): at lo the touch fraction stays below ``threshold``, at
-    hi it does not.  This is a desk-scale estimate; experiments that need a
-    subcritical parameter should use p <= 0.8 * lo.
+    Every step reuses samples 0 .. n_samples - 1, so by the monotone
+    coupling the touch fraction is non-decreasing in p and the bisection
+    brackets its one crossing.  Returns (lo, hi): at lo the touch fraction
+    stays below ``threshold``, at hi it does not.  This is a desk-scale
+    estimate; experiments that need a subcritical parameter should use
+    p <= 0.8 * lo.
     """
     window = enumerate_ball(spec, radius, budget)
     lo, hi = 0.0, 1.0
-    for it in range(iterations):
+    for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        frac = _touch_fraction(kind, mid, seed, window, n_samples,
-                               index_offset=it * n_samples)
+        frac = _touch_fraction(kind, mid, seed, window, n_samples)
         if frac < threshold:
             lo = mid
         else:

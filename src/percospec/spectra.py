@@ -11,11 +11,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg, sparse
+from scipy import linalg
 from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
-from .cayley import FiniteSubgraph, GroupSpec, enumerate_ball, tetrahedron
+from .cayley import (
+    FiniteSubgraph,
+    GroupSpec,
+    enumerate_ball,
+    induced_subgraph,
+    tetrahedron,
+)
 from .errors import BudgetError, DegenerateSpectrumError
 from .operators import (
     ADJACENCY,
@@ -160,21 +166,20 @@ def _inertia_count(dense: np.ndarray, shift: float, scale: float) -> int:
     return neg
 
 
-def count_below(op: LabeledOperator, energy: float, method: str = "auto",
+def count_below(op: LabeledOperator, energy: float,
                 dense_cap: int = DENSE_CAP) -> int:
     """Number of eigenvalues <= energy + count_tol.
 
-    Small operators go through the dense eigensolve; larger ones through
-    the inertia of a symmetric triangular (LDL^T) factorisation of
-    H - (E + tol) * I.  A factorisation breakdown at a near-eigenvalue
-    shift triggers one retry at E + 2 * tol, then an error.
+    Operators of dimension <= ``dense_cap`` go through the dense
+    eigensolve; larger ones through the inertia of a symmetric triangular
+    (LDL^T) factorisation of H - (E + tol) * I.  A factorisation breakdown
+    at a near-eigenvalue shift triggers one retry at E + 2 * tol, then an
+    error.
     """
-    if method not in ("auto", "dense", "inertia"):
-        raise ValueError(f"unknown method {method!r}")
     if op.dim == 0:
         return 0
-    if method == "dense" or (method == "auto" and op.dim <= dense_cap):
-        vals = block_eigenvalues(op, dense_cap=max(dense_cap, op.dim))
+    if op.dim <= dense_cap:
+        vals = block_eigenvalues(op, dense_cap)
         return int(np.searchsorted(vals, energy + COUNT_TOL, side="right"))
     dense = op.to_dense()
     scale = op.inf_norm()
@@ -362,25 +367,28 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     ordering makes these counting functions pointwise decreasing along
     that list, sample by sample.
     """
-    from .operators import anderson, extend, percolation_laplacian
+    from .operators import anderson, extend
 
     grid = np.asarray(energy_grid, dtype=np.float64)
     window = s.window
     norm = float(len(window))
+    sub = s.subgraph()
 
     def counts(op):
         vals = block_eigenvalues(op, dense_cap)
         return np.searchsorted(vals, grid + COUNT_TOL, side="right") / norm
 
+    def perc(bc):
+        return subgraph_laplacian(sub, bc, tag=f"perc:{bc}")
+
     out = {}
-    n_op = percolation_laplacian(s, NEUMANN)
-    out["neumann_extended"] = counts(extend(n_op, window, 0.0,
+    out["neumann_extended"] = counts(extend(perc(NEUMANN), window, 0.0,
                                             check_separation=False))
     out["free"] = counts(free_laplacian(window))
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))
-    out["adjacency"] = counts(percolation_laplacian(s, ADJACENCY))
-    out["dirichlet"] = counts(percolation_laplacian(s, DIRICHLET))
+    out["adjacency"] = counts(perc(ADJACENCY))
+    out["dirichlet"] = counts(perc(DIRICHLET))
     return out
 
 
@@ -470,15 +478,8 @@ def free_ids_ball(spec: GroupSpec, radius: int, energies,
         if nv > dense_cap:
             raise BudgetError(f"ball B({r}) has {nv} vertices, above the dense "
                               f"cap {dense_cap}")
-        keep = (ball.edges[:, 0] < nv) & (ball.edges[:, 1] < nv) \
-            if len(ball.edges) else np.zeros(0, dtype=bool)
-        edges = ball.edges[keep]
-        diag = np.full(nv, ball.k, dtype=np.float64)
-        rowsc = np.concatenate([edges[:, 0], edges[:, 1]]) if len(edges) else []
-        colsc = np.concatenate([edges[:, 1], edges[:, 0]]) if len(edges) else []
-        mat = sparse.csr_matrix((-np.ones(2 * len(edges)), (rowsc, colsc)),
-                                shape=(nv, nv)) + sparse.diags(diag)
-        vals, vecs = linalg.eigh(mat.toarray())
+        sub = induced_subgraph(ball, ball.ball_indices(r))
+        vals, vecs = linalg.eigh(subgraph_laplacian(sub, ADJACENCY).to_dense())
         overlap = vecs[0, :] ** 2
         vaux = np.array([overlap[vals <= e + COUNT_TOL].sum() for e in grid])
         trace.append((r, vaux))

@@ -1,6 +1,7 @@
 """Ball enumeration, growth tables, special subgraphs, bipartiteness."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -298,6 +299,28 @@ def test_empty_subgraph():
     assert not sub.connected
 
 
+def test_connected_and_components():
+    ball = enumerate_ball(GroupSpec.free_abelian(2), 3)
+    empty = FiniteSubgraph(parent=ball, vertex_indices=[], edges=[],
+                           induced=True)
+    assert empty.components()[0] == 0 and len(empty.components()[1]) == 0
+    assert not empty.connected
+    single = induced_subgraph(ball, [5])
+    assert single.components()[0] == 1
+    assert single.connected
+    a, b = ball.index_of((0, 0)), ball.index_of((1, 0))
+    c, d = ball.index_of((-3, 0)), ball.index_of((0, 3))
+    split = induced_subgraph(ball, [d, a, c, b])
+    count, labels = split.components()
+    assert count == 3
+    pos = {int(v): i for i, v in enumerate(split.vertex_indices)}
+    assert labels[pos[a]] == labels[pos[b]]
+    assert len({labels[pos[a]], labels[pos[c]], labels[pos[d]]}) == 3
+    assert not split.connected
+    assert split.components() is split.components()
+    assert induced_subgraph(ball, ball.ball_indices(2)).connected
+
+
 def test_subgraph_rejects_duplicate_vertices():
     ball = enumerate_ball(GroupSpec.free_abelian(1), 3)
     with pytest.raises(ValueError, match="vertex_indices contains duplicates"):
@@ -333,6 +356,42 @@ def test_tetrahedron_vertex_count(m, n):
 def test_tetrahedron_count_oracle(m, n):
     ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n)
     assert tetrahedron(m, n, ball).size == (n + 1) * m ** n
+
+
+def multiply_tetrahedron(m, n, ball):
+    """Slow reference: members by index lookup, edges by the product of
+    every member with every generator."""
+    members = [((tuple((pos, val) for pos, val in zip(range(1, n + 1), values)
+                       if val)), x)
+               for values in itertools.product(range(m), repeat=n)
+               for x in range(n + 1)]
+    idx = sorted(ball.index[el] for el in members)
+    inside = set(idx)
+    edges = set()
+    for i in idx:
+        for g in ball.spec.generators:
+            j = ball.index.get(multiply(ball.spec, ball.vertices[i], g))
+            if j is not None and j in inside and j > i:
+                edges.add((i, j))
+    return idx, [list(e) for e in sorted(edges)]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_tetrahedron_matches_multiply_reference(m):
+    # B(10) of Z_3 wr Z takes seconds to enumerate, so the (3, 4) case
+    # compares B(8) with B(9) instead of B(10)
+    radii = [2, 4, 6, 8, 10] if m == 2 else [2, 4, 6, 8, 9]
+    balls = {r: enumerate_ball(GroupSpec.lamplighter(m), r) for r in radii}
+    for n in (1, 2, 3, 4):
+        ball = balls[2 * n]
+        idx, edges = multiply_tetrahedron(m, n, ball)
+        tet = tetrahedron(m, n, ball)
+        assert tet.induced
+        assert tet.vertex_indices.tolist() == idx
+        assert tet.edges.tolist() == edges
+        bigger = tetrahedron(m, n, balls[radii[n]])
+        assert np.array_equal(bigger.vertex_indices, tet.vertex_indices)
+        assert np.array_equal(bigger.edges, tet.edges)
 
 
 def test_tetrahedron_ball_too_small():

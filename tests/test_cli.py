@@ -5,7 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import percospec
+from percospec import bounds, cayley
 from percospec.cli import main
 
 
@@ -114,6 +117,46 @@ def test_non_integer_budget_env_is_validation_error(tmp_path, monkeypatch,
     assert main(["growth", "--config", path]) == 1
     assert "PERCOSPEC_BUDGET_VERTICES must be an integer" \
         in capsys.readouterr().err
+
+
+_Z1 = {"kind": "free_abelian", "rank": 1}
+_SITE = {"kind": "site", "p": 0.5}
+
+
+@pytest.mark.parametrize("subcommand,body,key", [
+    ("percolate", {"group": _Z1, "window": {"radius": 10},
+                   "percolation": {**_SITE, "n_samples": 50}},
+     "percolation.n_samples"),
+    ("percolate", {"group": _Z1, "window": {"radius": 10},
+                   "percolation": {**_SITE, "n_samples": "x"}},
+     "percolation.n_samples"),
+    ("ids", {"group": _Z1, "window": {"radius": 10}, "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {
+                 "min": 0, "max": 4, "points": 5, "scale": "log"}}},
+     "spectra.energy_grid.min"),
+    ("ids", {"group": _Z1, "window": {"radius": 10}, "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {
+                 "min": 0, "max": 4, "points": "x"}}},
+     "spectra.energy_grid.points"),
+    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 2},
+                     "window": {"depths": [0]}},
+     "window.depths"),
+    ("bounds", {"group": {"kind": "lamplighter", "modulus": 2},
+                "window": {"depths": [2, 0]}},
+     "window.depths"),
+    ("chain", {"group": {"kind": "free_abelian", "rank": 2},
+               "window": {"radius": 3}, "percolation": _SITE,
+               "spectra": {"n_samples": 2, "couplings": [-1],
+                           "energy_grid": {"values": [1.0]}}},
+     "spectra.couplings"),
+])
+def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
+                                          key):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", base_config(out, **body))
+    assert main([subcommand, "--config", path]) == 1
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_skips_stats_and_integrate():
@@ -243,6 +286,42 @@ def test_lamplighter_artifacts(tmp_path):
     assert rep["return_probability"]["first_value"] == 0.25
     assert rep["return_probability"]["neg_log_increasing"]
     assert rep["tetrahedron"]["2"]["eigenvalue_gap"] <= 1e-8
+
+
+@pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
+def test_tetrahedra_share_one_ball(tmp_path, monkeypatch, subcommand):
+    radii = []
+    original = cayley.enumerate_ball
+
+    def counting(spec, n, budget=None):
+        radii.append(n)
+        return original(spec, n, budget)
+
+    monkeypatch.setattr(cayley, "enumerate_ball", counting)
+    monkeypatch.setattr(bounds, "enumerate_ball", counting)
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 2},
+                      window={"depths": [4, 2, 3], "return_max": 2})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([subcommand, "--config", path]) == 0
+    assert radii == [8]
+    name = ("lamplighter_report.json" if subcommand == "lamplighter"
+            else "bounds_report.json")
+    tets = json.loads((out / name).read_text())["tetrahedron"]
+    assert sorted(tets) == ["2", "3", "4"]
+    assert all(t["vertex_count"] == t["expected_count"] for t in tets.values())
+
+
+@pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
+def test_no_tetrahedron_depths(tmp_path, subcommand):
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 2},
+                      window={"depths": [], "return_max": 2})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([subcommand, "--config", path]) == 0
+    name = ("lamplighter_report.json" if subcommand == "lamplighter"
+            else "bounds_report.json")
+    assert json.loads((out / name).read_text())["tetrahedron"] == {}
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,25 @@ def test_free_laplacian_single_vertex_z2():
     assert op.to_dense().tolist() == [[4.0]]
 
 
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(1), 0), (GroupSpec.free_abelian(2), 4),
+    (GroupSpec.free_abelian(3), 2), (GroupSpec.heisenberg(), 3),
+    (GroupSpec.lamplighter(2), 4), (GroupSpec.lamplighter(3), 3)])
+def test_free_laplacian_matches_direct_assembly(spec, radius):
+    from percospec.operators import _assemble
+
+    ball = enumerate_ball(spec, radius)
+    n = len(ball)
+    expect = _assemble(n, ball.edges, np.full(n, ball.k, dtype=np.float64))
+    op = free_laplacian(ball)
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(op.matrix, attr), getattr(expect, attr)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert op.matrix.shape == (n, n)
+    assert np.array_equal(op.index_set, np.arange(n))
+    assert (op.tag, op.k, op.bc) == ("free", ball.k, ADJACENCY)
+
+
 def test_free_laplacian_row_sums(z2_ball):
     # row sum = k - number of neighbors inside the window
     op = free_laplacian(z2_ball)

@@ -5,8 +5,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from percospec.cayley import GroupSpec, enumerate_ball
+from percospec import percolation
 from percospec.percolation import (
     PercolationModel,
     cluster_stats,
@@ -182,7 +185,57 @@ def test_decompose_matches_bfs_oracle():
             bfs_cluster_sizes(s.active_vertices(), s.open_edges())
 
 
+def local_map_decompose(s):
+    """Slow reference: components labelled through a window-sized local map."""
+    active = s.active_vertices()
+    n = len(active)
+    if n == 0:
+        return (active, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                0, 0, False)
+    local = np.full(len(s.window), -1, dtype=np.int64)
+    local[active] = np.arange(n)
+    edges = s.open_edges()
+    g = sparse.csr_matrix(
+        (np.ones(len(edges)), (local[edges[:, 0]], local[edges[:, 1]])),
+        shape=(n, n))
+    ncomp, labels = csgraph.connected_components(g, directed=False)
+    sizes = np.bincount(labels, minlength=ncomp).astype(np.int64)
+    origin_size, touches = 0, False
+    if local[0] >= 0:
+        lab = labels[local[0]]
+        origin_size = int(sizes[lab])
+        wl = s.window.word_length[active]
+        touches = bool(np.any(wl[labels == lab] == s.window.radius))
+    return (active, labels.astype(np.int64), sizes, int(ncomp), origin_size,
+            touches)
+
+
+@pytest.mark.parametrize("kind", ["site", "bond"])
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(2), 6), (GroupSpec.heisenberg(), 3),
+    (GroupSpec.lamplighter(2), 5)])
+def test_decompose_matches_local_map_reference(kind, spec, radius):
+    w = enumerate_ball(spec, radius)
+    seen = set()
+    for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+        model = PercolationModel(kind, p, 2718)
+        for i in range(6):
+            s = sample(model, w, i)
+            dec = decompose(s)
+            got = (dec.active, dec.labels, dec.sizes, dec.cluster_count,
+                   dec.origin_cluster_size, dec.origin_touches_boundary)
+            want = local_map_decompose(s)
+            for a, b in zip(got[:3], want[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert got[3:] == want[3:]
+            seen.add("empty" if not len(dec.active)
+                     else "origin in" if dec.origin_cluster_size
+                     else "origin out")
+    assert seen == {"empty", "origin in", "origin out"}
+
+
 # ---------------------------------------------------------------------------
+# statistics# ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------
 
@@ -252,6 +305,23 @@ def test_critical_bracket_orders():
     lo, hi = critical_bracket("site", GroupSpec.free_abelian(2), radius=10,
                               seed=4, n_samples=60, iterations=6)
     assert 0.0 < lo < hi <= 1.0
+
+
+@pytest.mark.parametrize("kind", ["site", "bond"])
+def test_touch_fraction_monotone_in_p(kind):
+    w = z2_window(6)
+    fractions = [percolation._touch_fraction(kind, p, 8, w, 40)
+                 for p in np.linspace(0.0, 1.0, 21)]
+    assert fractions[0] == 0.0 and fractions[-1] == 1.0
+    assert all(a <= b for a, b in zip(fractions, fractions[1:]))
+
+
+def test_critical_bracket_straddles_threshold():
+    w = z2_window(6)
+    lo, hi = critical_bracket("site", GroupSpec.free_abelian(2), radius=6,
+                              seed=8, n_samples=40, iterations=6)
+    assert percolation._touch_fraction("site", lo, 8, w, 40) < 0.05
+    assert percolation._touch_fraction("site", hi, 8, w, 40) >= 0.05
 
 
 # ---------------------------------------------------------------------------

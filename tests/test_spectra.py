@@ -123,8 +123,8 @@ def test_count_below_inertia_matches_dense():
             vals = eigenvalues_dense(op).eigenvalues
             for e in rng.uniform(-1.0, 2 * ball.k + 1.0, size=2):
                 expect = int((vals <= e + COUNT_TOL).sum())
-                assert count_below(op, float(e), method="inertia") == expect
-                assert count_below(op, float(e), method="dense") == expect
+                assert count_below(op, float(e), dense_cap=0) == expect
+                assert count_below(op, float(e)) == expect
                 checked += 1
     assert checked >= 200
 
@@ -135,7 +135,7 @@ def test_count_below_auto_uses_inertia_above_cap():
     vals = eigenvalues_dense(op).eigenvalues
     for e in (0.5, 2.0, 3.7):
         expect = int((vals <= e + COUNT_TOL).sum())
-        assert count_below(op, e, method="auto", dense_cap=10) == expect
+        assert count_below(op, e, dense_cap=10) == expect
 
 
 def test_block_eigenvalues_bond_all_bcs():
@@ -235,7 +235,7 @@ def test_count_below_inertia_retries_past_exact_shift():
     op = LabeledOperator(index_set=np.arange(2),
                          matrix=sp.diags(diag, format="csr"), tag="synthetic",
                          k=2)
-    assert count_below(op, 1.0, method="inertia") == 1
+    assert count_below(op, 1.0, dense_cap=0) == 1
 
 
 def test_counting_function_right_continuous():
