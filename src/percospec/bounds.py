@@ -200,6 +200,11 @@ class TetrahedronReport:
     boundary_ratio: float
 
 
+# T_1 is K_{m,m}, whose adjacency Laplacian has spectrum {m, 2m, 3m}: the
+# eigenvalue fact 2m(1 - cos pi/n) = 4m fails at depth 1.
+MIN_TETRAHEDRON_DEPTH = 2
+
+
 def tetrahedron_checks(m: int, n: int, ball: CayleyBall | None = None,
                        budget: int | None = None,
                        tol: float = 1e-8) -> TetrahedronReport:
@@ -208,8 +213,11 @@ def tetrahedron_checks(m: int, n: int, ball: CayleyBall | None = None,
     (a) exactly (n+1) m^n vertices; (b) 2m(1 - cos pi/n) is an eigenvalue
     of the adjacency Laplacian; (c) the eigenspace contains a vector that
     vanishes on the inner vertex boundary (computed against the full
-    Cayley graph).
+    Cayley graph).  The facts hold from depth ``MIN_TETRAHEDRON_DEPTH`` on.
     """
+    if n < MIN_TETRAHEDRON_DEPTH:
+        raise ValueError(f"the tetrahedron facts need depth n >= "
+                         f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
     if ball is None:
         ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n, budget)
     tet = tetrahedron(m, n, ball)

@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -34,120 +36,164 @@ _BC_ALL = ("neumann", "adjacency", "dirichlet")
 # ---------------------------------------------------------------------------
 # config validation
 # ---------------------------------------------------------------------------
+# Every check of a config is here and runs before the output directory
+# exists; the run_* functions read ``cfg`` as validated.
 
-def _check_keys(section, allowed, path):
-    unknown = sorted(set(section) - set(allowed))
+_GROWTH_N_MIN = 4
+_EXPONENTS_RADIUS = 20
+
+
+def _int(minimum=None, **for_subcommand):
+    """An integer >= ``minimum``; ``for_subcommand`` raises the minimum for
+    a subcommand whose library call needs more, e.g. ``ids=10``."""
+    def check(value, path, subcommand):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{path} must be an integer")
+        low = for_subcommand.get(subcommand, minimum)
+        if low is not None and value < low:
+            raise ValidationError(f"{path} must be >= {low}")
+    return check
+
+
+def _num(lo=-math.inf, hi=math.inf):
+    def check(value, path, subcommand):
+        if not isinstance(value, (int, float)) or isinstance(value, bool) \
+                or not math.isfinite(value) or not lo <= value <= hi:
+            raise ValidationError(f"{path} must be a finite number in [{lo}, {hi}]")
+    return check
+
+
+def _one_of(*choices):
+    def check(value, path, subcommand):
+        if value not in choices:
+            raise ValidationError(f"{path} must be one of {list(choices)}")
+    return check
+
+
+def _list(item):
+    """A list of entries that pass ``item``."""
+    def check(value, path, subcommand):
+        if not isinstance(value, list):
+            raise ValidationError(f"{path} must be a list")
+        for i, entry in enumerate(value):
+            item(entry, f"{path}[{i}]", subcommand)
+    return check
+
+
+def _text(value, path, subcommand):
+    if not isinstance(value, str):
+        raise ValidationError(f"{path} must be a string")
+
+
+# every accepted key and the check its value must pass; dicts are sections
+_SCHEMA = {
+    "seed": _int(), "workers": _int(1), "output_dir": _text,
+    "budget_vertices": _int(1),
+    "group": {"kind": _one_of("free_abelian", "heisenberg", "lamplighter"),
+              "rank": _int(1), "modulus": _int(2),
+              "generators": _list(_list(_int()))},
+    "percolation": {"kind": _one_of("site", "bond"), "p": _num(0, 1),
+                    "tail_max": _int(1),
+                    "n_samples": _int(1, percolate=percolation.MIN_STATS_SAMPLES)},
+    "window": {"radius": _int(1), "depth": _int(1), "return_max": _int(1),
+               "depths": _list(_int(bounds_mod.MIN_TETRAHEDRON_DEPTH))},
+    "spectra": {"boundary_conditions": _list(_one_of(*_BC_ALL)),
+                "energy_grid": {"min": _num(), "max": _num(), "points": _int(1),
+                                "values": _list(_num()),
+                                "scale": _one_of("linear", "log")},
+                "n_samples": _int(1, ids=spectra.MIN_IDS_SAMPLES),
+                "dense_cap": _int(1), "couplings": _list(_num(0))},
+    "fits": {"growth_n_min": _int(0), "growth_n_max": _int(1),
+             "van_hove_range": _list(_num()), "lifshitz_range": _list(_num()),
+             "dirichlet_n_max": _int(2), "line_max": _int(2)},
+}
+
+# what each subcommand cannot run without
+_NEEDS = {
+    "growth": ("group", "window.radius"),
+    "percolate": ("group", "percolation", "window.radius"),
+    "ids": ("group", "percolation", "window", "spectra.energy_grid"),
+    "free-ids": ("group", "spectra.energy_grid"),
+    "bounds": ("group",),
+    "exponents": ("group",),
+    "chain": ("group", "percolation", "window.radius", "spectra.energy_grid"),
+    "lamplighter": ("group",),
+}
+
+
+def _walk(section, schema, path, subcommand):
+    """Check every key given in ``section`` against ``schema``."""
+    unknown = sorted(set(section) - set(schema))
     if unknown:
-        raise ValidationError(f"unknown keys {unknown} in {path}")
-
-
-def _require(cfg, key, subcommand):
-    if key not in cfg:
-        raise ValidationError(f"section {key!r} is required for {subcommand}")
-    return cfg[key]
-
-
-def _as_int(value, path, minimum=None):
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{path} must be an integer")
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{path} must be >= {minimum}")
-    return value
-
-
-def _as_float(value, path):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValidationError(f"{path} must be a number")
-    return float(value)
+        raise ValidationError(f"unknown keys {unknown} in {path or 'config'}")
+    for key, value in section.items():
+        rule, where = schema[key], f"{path}.{key}".lstrip(".")
+        if isinstance(rule, dict):
+            if not isinstance(value, dict):
+                raise ValidationError(f"{where} must be an object")
+            _walk(value, rule, where, subcommand)
+        else:
+            rule(value, where, subcommand)
 
 
 def validate_config(raw: dict, subcommand: str) -> dict:
-    """Validate the experiment configuration; unknown keys are rejected."""
-    if not isinstance(raw, dict):
-        raise ValidationError("config must be a JSON object")
-    _check_keys(raw, ("seed", "workers", "output_dir", "budget_vertices",
-                      "group", "percolation", "window", "spectra", "fits"),
-                "config")
-    cfg = dict(raw)
-    if "seed" not in cfg:
+    """Check a config for ``subcommand`` and return a copy with ``workers``
+    and ``output_dir`` defaulted; raise ValidationError on the first fault."""
+    if "seed" not in raw:
         raise ValidationError("seed is mandatory (config key or --seed)")
-    _as_int(cfg["seed"], "seed")
-    cfg.setdefault("workers", 1)
-    _as_int(cfg["workers"], "workers", minimum=1)
-    cfg.setdefault("output_dir", "out")
-    if "budget_vertices" in cfg:
-        _as_int(cfg["budget_vertices"], "budget_vertices", minimum=1)
-
-    if "group" in cfg:
-        g = cfg["group"]
-        _check_keys(g, ("kind", "rank", "modulus", "generators"), "group")
-        kind = g.get("kind")
-        if kind not in ("free_abelian", "heisenberg", "lamplighter"):
-            raise ValidationError(f"group.kind {kind!r} not recognised")
-        if kind == "free_abelian":
-            _as_int(g.get("rank", 0), "group.rank", minimum=1)
-        if kind == "lamplighter":
-            _as_int(g.get("modulus", 0), "group.modulus", minimum=2)
+    cfg = {"workers": 1, "output_dir": "out", **raw}
+    _walk(cfg, _SCHEMA, "", subcommand)
+    needs = _NEEDS[subcommand]
     if "percolation" in cfg:
-        pc = cfg["percolation"]
-        _check_keys(pc, ("kind", "p", "tail_max", "n_samples"), "percolation")
-        if pc.get("kind") not in ("site", "bond"):
-            raise ValidationError("percolation.kind must be site or bond")
-        p = _as_float(pc.get("p", -1), "percolation.p")
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError("percolation.p must lie in [0, 1]")
-        if "n_samples" in pc:
-            _as_int(pc["n_samples"], "percolation.n_samples",
-                    minimum=percolation.MIN_STATS_SAMPLES
-                    if subcommand == "percolate" else 1)
-    if "window" in cfg:
-        w = cfg["window"]
-        _check_keys(w, ("radius", "depth", "depths", "return_max"), "window")
-        for key in ("radius", "depth", "return_max"):
-            if key in w:
-                _as_int(w[key], f"window.{key}", minimum=1)
-        if "depths" in w:
-            if not isinstance(w["depths"], list):
-                raise ValidationError("window.depths must be a list of integers")
-            for d in w["depths"]:
-                _as_int(d, "window.depths", minimum=1)
-    if "spectra" in cfg:
-        sp = cfg["spectra"]
-        _check_keys(sp, ("boundary_conditions", "energy_grid", "n_samples",
-                         "dense_cap", "couplings"), "spectra")
-        for bc in sp.get("boundary_conditions", []):
-            if bc not in _BC_ALL:
-                raise ValidationError(f"unknown boundary condition {bc!r}")
-        if "energy_grid" in sp:
-            eg = sp["energy_grid"]
-            _check_keys(eg, ("min", "max", "points", "values", "scale"),
-                        "spectra.energy_grid")
-            if "values" not in eg:
-                for key in ("min", "max", "points"):
-                    if key not in eg:
-                        raise ValidationError(
-                            "energy_grid needs values or min/max/points")
-                _as_int(eg["points"], "spectra.energy_grid.points", minimum=0)
-                for key in ("min", "max"):
-                    x = _as_float(eg[key], f"spectra.energy_grid.{key}")
-                    if eg.get("scale") == "log" and x <= 0:
-                        raise ValidationError(
-                            f"spectra.energy_grid.{key} must be > 0 on a log scale")
-        if "n_samples" in sp:
-            _as_int(sp["n_samples"], "spectra.n_samples",
-                    minimum=spectra.MIN_IDS_SAMPLES if subcommand == "ids" else 1)
-        if "dense_cap" in sp:
-            _as_int(sp["dense_cap"], "spectra.dense_cap", minimum=1)
-        if "couplings" in sp:
-            if not isinstance(sp["couplings"], list):
-                raise ValidationError("spectra.couplings must be a list of numbers")
-            for c in sp["couplings"]:
-                if _as_float(c, "spectra.couplings") < 0:
-                    raise ValidationError("spectra.couplings must be >= 0")
-    if "fits" in cfg:
-        _check_keys(cfg["fits"], ("growth_n_min", "growth_n_max",
-                                  "van_hove_range", "lifshitz_range",
-                                  "dirichlet_n_max", "line_max"), "fits")
+        needs += ("percolation.kind", "percolation.p")
+    for path in needs:
+        section, _, key = path.partition(".")
+        if section not in cfg or key and key not in cfg[section]:
+            raise ValidationError(f"{path} is required for {subcommand}")
+    # the group is built as the run will build it, so its checks are the library's
+    try:
+        group = build_group(cfg)
+    except KeyError as err:
+        raise ValidationError(f"group.{err.args[0]} is required") from None
+    except ValueError as err:
+        raise ValidationError(f"group: {err}") from None
+
+    window, fits = cfg.get("window", {}), cfg.get("fits", {})
+    if "generators" in cfg["group"] and group.kind != "free_abelian":
+        raise ValidationError("group.generators needs group.kind free_abelian")
+    if subcommand == "ids" and ("radius" in window) == ("depth" in window):
+        raise ValidationError("ids needs exactly one of window.radius or window.depth")
+    if subcommand == "ids" and "depth" in window and group.kind != "lamplighter":
+        raise ValidationError("window.depth needs a lamplighter group")
+    if subcommand in ("growth", "exponents"):
+        radius = window.get("radius", _EXPONENTS_RADIUS)
+        n_min = fits.get("growth_n_min", _GROWTH_N_MIN)
+        # exponents fits up to its radius and does not read growth_n_max
+        n_max = fits.get("growth_n_max", radius) if subcommand == "growth" else radius
+        if not n_min + 4 <= n_max <= radius:
+            raise ValidationError(
+                f"growth fit needs fits.growth_n_min + 4 <= fits.growth_n_max <= "
+                f"window.radius, got {n_min}, {n_max}, {radius}")
+    eg = cfg.get("spectra", {}).get("energy_grid")
+    if eg is not None and eg.get("values") == []:
+        raise ValidationError("spectra.energy_grid.values must not be empty")
+    if eg is not None and "values" not in eg:
+        if not {"min", "max", "points"} <= eg.keys():
+            raise ValidationError("spectra.energy_grid needs values or min/max/points")
+        if eg.get("scale") == "log" and min(eg["min"], eg["max"]) <= 0:
+            raise ValidationError(
+                "spectra.energy_grid.min and .max must be > 0 on a log scale")
+    for key in ("van_hove_range", "lifshitz_range"):
+        span = fits.get(key)
+        if span is not None and (len(span) != 2 or not 0 < span[0] < span[1]):
+            raise ValidationError(f"fits.{key} must be [lo, hi] with 0 < lo < hi")
+    if subcommand == "free-ids" and "radius" not in window \
+            and not (group.kind == "free_abelian" and group.rank <= 4):
+        raise ValidationError("free-ids needs window.radius or Z^d with d <= 4")
+    if subcommand == "chain" and cfg["percolation"]["kind"] != "site":
+        raise ValidationError("chain needs percolation.kind site")
+    if subcommand == "lamplighter" and group.kind != "lamplighter":
+        raise ValidationError("lamplighter needs group.kind lamplighter")
     return cfg
 
 
@@ -155,9 +201,8 @@ def build_group(cfg: dict) -> cayley.GroupSpec:
     g = cfg["group"]
     kind = g["kind"]
     if kind == "free_abelian":
-        gens = g.get("generators")
-        gens = [tuple(v) for v in gens] if gens else None
-        return cayley.GroupSpec.free_abelian(g["rank"], generators=gens)
+        return cayley.GroupSpec.free_abelian(
+            g["rank"], generators=g.get("generators") or None)
     if kind == "heisenberg":
         return cayley.GroupSpec.heisenberg()
     return cayley.GroupSpec.lamplighter(g["modulus"])
@@ -241,16 +286,9 @@ def write_manifest(out: Path, subcommand: str, cfg: dict, outputs: list,
 
 def run_growth(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
-    window = _require(cfg, "window", "growth")
-    n_max = window.get("radius")
-    if n_max is None:
-        raise ValidationError("growth needs window.radius")
+    n_max = cfg["window"]["radius"]
     fits = cfg.get("fits", {})
-    n_min = fits.get("growth_n_min", 4)
-    if n_max - n_min + 1 < 5:
-        raise ValidationError(
-            f"growth fit needs at least 5 radii: radius {n_max} vs "
-            f"fits.growth_n_min {n_min}")
+    n_min = fits.get("growth_n_min", _GROWTH_N_MIN)
     profile = cayley.growth_profile(group, n_max, cfg.get("budget_vertices"))
     cls = asymptotics.fit_growth(profile, n_min=n_min,
                                  n_max=fits.get("growth_n_max"))
@@ -269,9 +307,7 @@ def run_growth(cfg: dict, out: Path) -> list:
 def run_percolate(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     model = build_model(cfg)
-    radius = _require(cfg, "window", "percolate").get("radius")
-    if radius is None:
-        raise ValidationError("percolate needs window.radius")
+    radius = cfg["window"]["radius"]
     pc = cfg["percolation"]
     n_samples = pc.get("n_samples", 500)
     tail_max = pc.get("tail_max", 12)
@@ -297,10 +333,8 @@ def run_percolate(cfg: dict, out: Path) -> list:
 def run_ids(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     model = build_model(cfg)
-    window = _require(cfg, "window", "ids")
-    if (window.get("radius") is None) == (window.get("depth") is None):
-        raise ValidationError("ids needs exactly one of window.radius or window.depth")
-    sp = _require(cfg, "spectra", "ids")
+    window = cfg["window"]
+    sp = cfg["spectra"]
     grid = energy_grid(cfg)
     bcs = sp.get("boundary_conditions", list(_BC_ALL))
     outputs = []
@@ -327,9 +361,7 @@ def run_free_ids(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     grid = energy_grid(cfg)
     outputs = []
-    if group.kind == "free_abelian":
-        if group.rank > 4:
-            raise ValidationError("torus evaluation supports rank <= 4")
+    if group.kind == "free_abelian" and group.rank <= 4:
         rows = []
         for e in grid:
             val = spectra.free_ids_zd(group.rank, float(e))
@@ -338,14 +370,13 @@ def run_free_ids(cfg: dict, out: Path) -> list:
         outputs.append("free_ids.csv")
     radius = cfg.get("window", {}).get("radius")
     if radius is not None:
-        trace = spectra.free_ids_ball(group, radius, grid,
-                                      budget=cfg.get("budget_vertices"))
+        trace = spectra.free_ids_ball(
+            group, radius, grid, budget=cfg.get("budget_vertices"),
+            dense_cap=cfg["spectra"].get("dense_cap", spectra.DENSE_CAP))
         rows = [(n, e, v) for n, vals in trace.trace
                 for e, v in zip(grid, vals)]
         write_csv(out / "free_ids_ball.csv", ["n", "E", "value"], rows)
         outputs.append("free_ids_ball.csv")
-    if not outputs:
-        raise ValidationError("free-ids needs a free_abelian group or window.radius")
     return outputs
 
 
@@ -402,9 +433,10 @@ def run_exponents(cfg: dict, out: Path) -> list:
     reports = []
 
     window = cfg.get("window", {})
-    n_max = window.get("radius", 20)
+    n_max = window.get("radius", _EXPONENTS_RADIUS)
     profile = cayley.growth_profile(group, n_max, cfg.get("budget_vertices"))
-    cls = asymptotics.fit_growth(profile, n_min=fits.get("growth_n_min", 4))
+    cls = asymptotics.fit_growth(profile,
+                                 n_min=fits.get("growth_n_min", _GROWTH_N_MIN))
     reports.append({"kind": "growth", "classification": cls.label,
                     "slope": cls.loglog.slope, "stderr": cls.loglog.stderr,
                     "r2": cls.loglog.r2, "range": cls.loglog.fit_range,
@@ -473,12 +505,8 @@ def run_chain(cfg: dict, out: Path) -> list:
     from ._parallel import run_indexed
     group = build_group(cfg)
     model = build_model(cfg)
-    if model.kind != "site":
-        raise ValidationError("chain compares site-model operators")
-    radius = _require(cfg, "window", "chain").get("radius")
-    if radius is None:
-        raise ValidationError("chain needs window.radius")
-    sp = _require(cfg, "spectra", "chain")
+    radius = cfg["window"]["radius"]
+    sp = cfg["spectra"]
     grid = energy_grid(cfg)
     couplings = [float(c) for c in sp.get("couplings", (1.0, 10.0, 100.0))]
     n_samples = sp.get("n_samples", 100)
@@ -507,8 +535,6 @@ def run_chain(cfg: dict, out: Path) -> list:
 
 def run_lamplighter(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
-    if group.kind != "lamplighter":
-        raise ValidationError("lamplighter subcommand needs a lamplighter group")
     return_max = cfg.get("window", {}).get("return_max", 8)
     budget = cfg.get("budget_vertices")
     tets = _tetrahedron_reports(group, cfg)
@@ -558,12 +584,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     started = time.time()
+    created = False
     try:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as err:
             raise ValidationError(f"cannot read config: {err}")
+        if not isinstance(raw, dict):
+            raise ValidationError("config must be a JSON object")
         if args.seed is not None:
             raw["seed"] = args.seed
         if args.workers is not None:
@@ -579,23 +608,23 @@ def main(argv=None) -> int:
                     f"{ENV_BUDGET} must be an integer, got {env_budget!r}")
         cfg = validate_config(raw, args.subcommand)
         out = Path(cfg["output_dir"])
+        created = not out.exists()
         out.mkdir(parents=True, exist_ok=True)
         outputs = _SUBCOMMANDS[args.subcommand](cfg, out)
         write_manifest(out, args.subcommand, cfg, outputs, started)
+        return 0
     except ValidationError as err:
-        print(f"percospec: validation error: {err}", file=sys.stderr)
-        return 1
+        code, message = 1, f"validation error: {err}"
     except BudgetError as err:
-        print(f"percospec: resource budget exceeded: {err}", file=sys.stderr)
-        return 2
+        code, message = 2, f"resource budget exceeded: {err}"
     except OracleViolationError as err:
-        print(f"percospec: oracle violation: {err}", file=sys.stderr)
-        return 3
+        code, message = 3, f"oracle violation: {err}"
     except Exception as err:  # noqa: BLE001
-        print(f"percospec: internal error: {type(err).__name__}: {err}",
-              file=sys.stderr)
-        return 4
-    return 0
+        code, message = 4, f"internal error: {type(err).__name__}: {err}"
+    print(f"percospec: {message}", file=sys.stderr)
+    if created:  # never a directory that was there before the run
+        shutil.rmtree(out, ignore_errors=True)
+    return code
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ from percospec.cayley import (
     growth_profile,
     induced_subgraph,
     line_subgraph,
+    tetrahedron,
 )
 from percospec.bounds import (
+    MIN_TETRAHEDRON_DEPTH,
     dirichlet_radial,
     lower_bound_check_adjacency,
     lower_bound_check_neumann,
@@ -195,6 +197,20 @@ def test_tetrahedron_target_values():
 def test_tetrahedron_depth2_count():
     rep = tetrahedron_checks(2, 2)
     assert rep.vertex_count == 12
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_depth_one_tetrahedron_lacks_the_eigenvalue(m):
+    # T_1 is K_{m,m}: the adjacency Laplacian has spectrum {m, 2m, 3m}, so
+    # 2m(1 - cos pi) = 4m is no eigenvalue and the facts start at depth 2
+    ball = enumerate_ball(GroupSpec.lamplighter(m), 2)
+    op = subgraph_laplacian(tetrahedron(m, 1, ball), ADJACENCY)
+    vals = np.linalg.eigvalsh(op.to_dense())
+    assert np.array_equal(np.unique(np.round(vals, 9)), [m, 2 * m, 3 * m])
+    assert MIN_TETRAHEDRON_DEPTH == 2
+    with pytest.raises(ValueError, match="depth n >= 2"):
+        tetrahedron_checks(m, 1, ball=ball)
+    assert tetrahedron_checks(m, MIN_TETRAHEDRON_DEPTH).eigenvalue_gap <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,21 @@
 """CLI: validation, exit codes, artifact content, byte-level determinism."""
 
+import contextlib
+import io
 import json
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import percospec
-from percospec import bounds, cayley
-from percospec.cli import main
+from percospec import bounds, cayley, cli
+from percospec.cli import main, validate_config
+from percospec.errors import BudgetError, ValidationError
 
 
 def write_config(tmp_path, name, cfg):
@@ -75,6 +81,12 @@ def test_bad_config_file(tmp_path):
     assert main(["growth", "--config", str(path)]) == 1
 
 
+def test_non_object_config_is_validation_error(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    assert main(["growth", "--config", str(path), "--seed", "7"]) == 1
+
+
 def test_ids_requires_exactly_one_window_kind(tmp_path):
     cfg = base_config(tmp_path / "o",
                       group={"kind": "lamplighter", "modulus": 2},
@@ -120,6 +132,7 @@ def test_non_integer_budget_env_is_validation_error(tmp_path, monkeypatch,
 
 
 _Z1 = {"kind": "free_abelian", "rank": 1}
+_Z2 = {"kind": "free_abelian", "rank": 2}
 _SITE = {"kind": "site", "p": 0.5}
 
 
@@ -149,6 +162,53 @@ _SITE = {"kind": "site", "p": 0.5}
                "spectra": {"n_samples": 2, "couplings": [-1],
                            "energy_grid": {"values": [1.0]}}},
      "spectra.couplings"),
+    ("percolate", {"group": _Z1, "window": {"radius": 5},
+                   "percolation": {**_SITE, "tail_max": "x"}},
+     "percolation.tail_max"),
+    ("ids", {"group": _Z1, "window": {"radius": 5}, "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {"values": ["a"]}}},
+     "spectra.energy_grid.values"),
+    ("ids", {"group": _Z1, "window": {"depth": 2}, "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {"values": [1.0]}}},
+     "window.depth"),
+    ("growth", {"group": {**_Z2, "generators": [[1, 0]]},
+                "window": {"radius": 10}},
+     "group:"),
+    ("exponents", {"group": _Z1, "window": {"radius": 3}}, "window.radius"),
+    ("exponents", {"group": _Z1, "fits": {"van_hove_range": [0.1]}},
+     "fits.van_hove_range"),
+    ("exponents", {"group": _Z1, "fits": {"van_hove_range": [0, 0.1]}},
+     "fits.van_hove_range"),
+    ("exponents", {"group": _Z1, "fits": {"van_hove_range": [0.1, 0.01]}},
+     "fits.van_hove_range"),
+    ("growth", {"group": _Z1, "window": {"radius": 10},
+                "fits": {"growth_n_min": "x"}},
+     "fits.growth_n_min"),
+    ("growth", {"group": _Z1, "window": {"radius": 10},
+                "fits": {"growth_n_max": 30}},
+     "fits.growth_n_max"),
+    ("growth", {"group": _Z1, "window": {"radius": 10},
+                "fits": {"growth_n_max": 6}},
+     "fits.growth_n_max"),
+    ("bounds", {"group": _Z2, "fits": {"dirichlet_n_max": 1}},
+     "fits.dirichlet_n_max"),
+    ("bounds", {"group": _Z2, "fits": {"line_max": 1}}, "fits.line_max"),
+    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 2},
+                     "window": {"depths": [1]}},
+     "window.depths"),
+    ("ids", {"group": _Z1, "window": {"radius": 5}, "percolation": _SITE},
+     "spectra"),
+    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 2,
+                               "generators": [[5]]},
+                     "window": {"depths": [2], "return_max": 2}},
+     "group.generators"),
+    ("growth", {"group": {"kind": "heisenberg", "generators": [[1, 0, 0]]},
+                "window": {"radius": 6}},
+     "group.generators"),
+    ("ids", {"group": _Z1, "window": {"radius": 5}, "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {
+                 "min": 0, "max": 4, "points": 5, "scale": "lin"}}},
+     "spectra.energy_grid.scale"),
 ])
 def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
                                           key):
@@ -157,6 +217,180 @@ def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
     assert main([subcommand, "--config", path]) == 1
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+# one small config per subcommand that runs in well under a second
+_BASES = {
+    "growth": {"group": _Z1, "window": {"radius": 8}},
+    "percolate": {"group": _Z1, "window": {"radius": 5},
+                  "percolation": {**_SITE, "n_samples": 100, "tail_max": 3}},
+    "ids": {"group": _Z1, "window": {"radius": 5}, "percolation": _SITE,
+            "spectra": {"n_samples": 10, "energy_grid": {"values": [1.0]}}},
+    "free-ids": {"group": _Z1, "window": {"radius": 3},
+                 "spectra": {"energy_grid": {"values": [1.0]}}},
+    "bounds": {"group": _Z1, "fits": {"dirichlet_n_max": 3, "line_max": 4}},
+    "exponents": {"group": _Z1, "percolation": _SITE, "window": {"radius": 8},
+                  "fits": {"line_max": 8}},
+    "chain": {"group": _Z2, "window": {"radius": 2}, "percolation": _SITE,
+              "spectra": {"n_samples": 2, "energy_grid": {"values": [1.0]}}},
+    "lamplighter": {"group": {"kind": "lamplighter", "modulus": 2},
+                    "window": {"depths": [2], "return_max": 2}},
+}
+
+# for every key in the schema, a value it must reject: out of range where the
+# key has a range, else of the wrong type
+_OUT_OF_RANGE = {
+    "seed": 1.5, "workers": 0, "output_dir": 5, "budget_vertices": 0,
+    "group.kind": "free", "group.rank": 0, "group.modulus": 1,
+    "group.generators": [[1.5]],
+    "percolation.kind": "mixed", "percolation.p": 1.5,
+    "percolation.tail_max": 0, "percolation.n_samples": 0,
+    "window.radius": 0, "window.depth": 0, "window.depths": [1],
+    "window.return_max": 0,
+    "spectra.boundary_conditions": ["periodic"],
+    "spectra.energy_grid.min": float("nan"),
+    "spectra.energy_grid.max": float("inf"),
+    "spectra.energy_grid.points": 0, "spectra.energy_grid.values": [],
+    "spectra.energy_grid.scale": "lin",
+    "spectra.n_samples": 0, "spectra.dense_cap": 0, "spectra.couplings": [-1],
+    "fits.growth_n_min": -1, "fits.growth_n_max": 0,
+    "fits.van_hove_range": [0.1], "fits.lifshitz_range": [0.1, 0.2, 0.3],
+    "fits.dirichlet_n_max": 1, "fits.line_max": 1,
+}
+
+# of the wrong type for every key; "x" is a fine output_dir
+_WRONG_TYPE = [None, True, "x", [None], {"x": 1}]
+
+
+def _schema_rules(schema, prefix=""):
+    for key, rule in schema.items():
+        yield prefix + key, rule
+        if isinstance(rule, dict):
+            yield from _schema_rules(rule, f"{prefix}{key}.")
+
+
+_RULES = dict(_schema_rules(cli._SCHEMA))
+_PATHS = sorted(_RULES)
+
+
+def test_out_of_range_table_covers_schema():
+    leaves = {p for p, rule in _RULES.items() if not isinstance(rule, dict)}
+    assert leaves == set(_OUT_OF_RANGE)
+
+
+def _with(body, path, value):
+    cfg = json.loads(json.dumps(body))
+    *sections, leaf = path.split(".")
+    node = cfg
+    for key in sections:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return cfg
+
+
+@pytest.mark.parametrize("subcommand", sorted(_BASES))
+def test_base_config_runs(tmp_path, subcommand):
+    path = write_config(tmp_path, "c.json",
+                        base_config(tmp_path / "o", **_BASES[subcommand]))
+    assert main([subcommand, "--config", path]) == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(subcommand=st.sampled_from(sorted(_BASES)),
+       path=st.sampled_from(_PATHS), data=st.data())
+def test_one_bad_key_is_validation_error(subcommand, path, data):
+    choices = list(_WRONG_TYPE)
+    if path in _OUT_OF_RANGE:
+        choices.append(_OUT_OF_RANGE[path])
+    value = data.draw(st.sampled_from(choices))
+    assume(not (path == "output_dir" and isinstance(value, str)))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        cfg = _with(base_config(out, **_BASES[subcommand]), path, value)
+        config = write_config(Path(tmp), "c.json", cfg)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", config])
+        assert code == 1, err.getvalue()
+        assert path in err.getvalue()
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(_OUT_OF_RANGE))
+def test_every_out_of_range_value_is_rejected(path):
+    for subcommand, body in _BASES.items():
+        cfg = _with(base_config("o", **body), path, _OUT_OF_RANGE[path])
+        with pytest.raises(ValidationError, match=re.escape(path)):
+            validate_config(cfg, subcommand)
+
+
+def test_readme_ids_example_validates():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = readme.read_text()
+    example = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    cfg = validate_config(example, "ids")
+    assert cfg["output_dir"] == example["output_dir"]
+    # and the README's key table names every key of the schema
+    for path in _PATHS:
+        assert f"`{path}`" in text, path
+
+
+def test_free_ids_respects_dense_cap(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = base_config(out, group=_Z2, window={"radius": 6},
+                      spectra={"dense_cap": 5,
+                               "energy_grid": {"values": [1.0]}})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["free-ids", "--config", path]) == 2
+    assert "dense cap 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _over_budget(monkeypatch, out):
+    monkeypatch.setenv("PERCOSPEC_BUDGET_VERTICES", "10")
+    return base_config(out, group=_Z2, window={"radius": 12})
+
+
+def test_failed_run_removes_the_directory_it_created(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", _over_budget(monkeypatch, out))
+    assert main(["growth", "--config", path]) == 2
+    assert not out.exists()
+    assert tmp_path.exists()
+
+
+def test_failed_run_keeps_what_another_run_wrote_beside_it(tmp_path,
+                                                           monkeypatch):
+    # the run creates sweep/ for sweep/r1; another run writes sweep/r2 meanwhile
+    out, other = tmp_path / "sweep" / "r1", tmp_path / "sweep" / "r2"
+
+    def other_run_then_budget(cfg, out):
+        other.mkdir()
+        (other / "keep.txt").write_text("theirs")
+        raise BudgetError("over budget")
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "growth", other_run_then_budget)
+    path = write_config(tmp_path, "c.json",
+                        base_config(out, group=_Z1, window={"radius": 8}))
+    assert main(["growth", "--config", path]) == 2
+    assert not out.exists()
+    assert (other / "keep.txt").read_text() == "theirs"
+
+
+def test_exponents_ignores_growth_n_max_and_depth():
+    # exponents fits up to window.radius and never reads either key
+    cfg = base_config("o", group=_Z1, window={"radius": 8, "depth": 2},
+                      fits={"growth_n_max": 25})
+    assert validate_config(cfg, "exponents")["fits"] == {"growth_n_max": 25}
+
+
+def test_failed_run_keeps_an_existing_directory(tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine")
+    path = write_config(tmp_path, "c.json", _over_budget(monkeypatch, out))
+    assert main(["growth", "--config", path]) == 2
+    assert (out / "keep.txt").read_text() == "mine"
 
 
 def test_cli_import_skips_stats_and_integrate():
