@@ -19,7 +19,6 @@ Element encodings:
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,15 +205,13 @@ class CayleyBall:
     def __post_init__(self):
         self._index = None
         self._adj = None
-        self._neighbors = None
-        self._edge_set = None
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for key in ("_index", "_adj", "_neighbors", "_edge_set"):
+        for key in ("_index", "_adj"):
             state[key] = None
         return state
 
@@ -249,22 +246,13 @@ class CayleyBall:
                 self._adj = sparse.csr_matrix((n, n))
         return self._adj
 
-    def neighbor_lists(self) -> list:
-        if self._neighbors is None:
-            adj = self.adjacency_matrix().tocsr()
-            self._neighbors = [adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
-                               for i in range(len(self.vertices))]
-        return self._neighbors
-
-    def edge_pair_set(self) -> set:
-        if self._edge_set is None:
-            self._edge_set = {(int(u), int(v)) for u, v in self.edges}
-        return self._edge_set
-
     def has_edge(self, u: int, v: int) -> bool:
+        """Binary search in the sorted edge list."""
         if u > v:
             u, v = v, u
-        return (u, v) in self.edge_pair_set()
+        lo, hi = np.searchsorted(self.edges[:, 0], [u, u + 1])
+        at = lo + np.searchsorted(self.edges[lo:hi, 1], v)
+        return bool(at < hi and self.edges[at, 1] == v)
 
 
 def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> CayleyBall:
@@ -371,6 +359,20 @@ def growth_profile(spec: GroupSpec, n_max: int, budget: int | None = None) -> Gr
 # finite subgraphs
 # ---------------------------------------------------------------------------
 
+def locate(members: np.ndarray, wanted: np.ndarray) -> tuple:
+    """Where each entry of ``wanted`` sits in ``members`` (distinct, any order).
+
+    A binary search through an ``argsort`` sorter.  Returns ``(found, at)``:
+    ``found`` flags the entries of ``wanted`` that are members, and ``at``
+    holds the position in ``members`` of each found entry, in order.
+    """
+    sorter = np.argsort(members, kind="stable")
+    at = np.searchsorted(members, wanted, sorter=sorter)
+    found = at < len(members)
+    found[found] = members[sorter[at[found]]] == wanted[found]
+    return found, sorter[at[found]]
+
+
 @dataclass(eq=False)
 class FiniteSubgraph:
     """A finite subgraph of an enumerated ball.
@@ -380,10 +382,10 @@ class FiniteSubgraph:
     pairs.  ``induced`` records whether the edges are exactly the parent
     edges between the members.
 
-    Construction locates every edge endpoint once, by ``np.searchsorted``
-    on the members sorted with an ``argsort`` sorter, which also rejects
-    duplicate members and edges leaving the member set.  The resulting
-    positions are kept and returned by :meth:`local_edges`.
+    Construction rejects duplicate members, then locates every edge
+    endpoint once with :func:`locate` and rejects an edge leaving the
+    member set.  The resulting positions are kept and returned by
+    :meth:`local_edges`.
     """
 
     parent: CayleyBall
@@ -395,19 +397,15 @@ class FiniteSubgraph:
         self.vertex_indices = np.asarray(self.vertex_indices, dtype=np.int64)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self._components = None
-        sorter = np.argsort(self.vertex_indices, kind="stable")
-        members = self.vertex_indices[sorter]
+        members = np.sort(self.vertex_indices)
         if np.any(members[1:] == members[:-1]):
             raise ValueError("vertex_indices contains duplicates")
-        ends = self.edges.ravel()
-        at = np.searchsorted(members, ends)
-        found = at < len(members)
-        found[found] = members[at[found]] == ends[found]
+        found, at = locate(self.vertex_indices, self.edges.ravel())
         inside = found.reshape(-1, 2).all(axis=1)
         if not inside.all():
             u, v = self.edges[np.argmin(inside)]
             raise ValueError(f"edge ({u}, {v}) leaves the vertex subset")
-        self._local_edges = sorter[at].reshape(-1, 2)
+        self._local_edges = at.reshape(-1, 2)
         self._local_edges.flags.writeable = False
 
     @property
@@ -525,19 +523,12 @@ def thicken_subgraph(sub: FiniteSubgraph, radius: int) -> FiniteSubgraph:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    neighbors = sub.parent.neighbor_lists()
-    reached = set(sub.vertex_indices.tolist())
-    frontier = list(reached)
+    edges = sub.parent.edges
+    reached = np.zeros(len(sub.parent), dtype=bool)
+    reached[sub.vertex_indices] = True
     for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for v in neighbors[u]:
-                v = int(v)
-                if v not in reached:
-                    reached.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return induced_subgraph(sub.parent, sorted(reached))
+        reached[edges[reached[edges[:, 0]] | reached[edges[:, 1]]]] = True
+    return induced_subgraph(sub.parent, np.flatnonzero(reached))
 
 
 def inner_vertex_boundary(sub: FiniteSubgraph) -> np.ndarray:
@@ -561,27 +552,26 @@ class BipartiteResult:
 
 
 def is_bipartite(ball: CayleyBall) -> BipartiteResult:
-    """BFS 2-coloring of the enumerated ball, or an odd-cycle witness."""
-    n = len(ball)
-    color = np.zeros(n, dtype=np.int8)
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.zeros(n, dtype=np.int64)
-    neighbors = ball.neighbor_lists()
-    color[0] = 1
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in neighbors[u]:
-            v = int(v)
-            if color[v] == 0:
-                color[v] = -color[u]
-                parent[v] = u
-                depth[v] = depth[u] + 1
-                queue.append(v)
-            elif color[v] == color[u]:
-                cycle = _odd_cycle(u, v, parent, depth)
-                return BipartiteResult(False, None, cycle)
-    return BipartiteResult(True, color, None)
+    """2-coloring of the enumerated ball, or an odd-cycle witness.
+
+    Word length is BFS depth from the identity, and an edge joins word
+    lengths that differ by at most one.  So the ball is bipartite iff no
+    edge joins two vertices of equal word length, and then the parity of
+    the word length is a proper coloring.  Otherwise the first such edge
+    closes an odd cycle through the BFS tree of the edges between layers.
+    """
+    depth = ball.word_length
+    u, v = ball.edges[:, 0], ball.edges[:, 1]
+    level = depth[u] == depth[v]
+    if not level.any():
+        return BipartiteResult(True, ((-1) ** depth).astype(np.int8), None)
+    # vertices are in BFS-layer order and u < v, so a non-level edge goes down
+    down = ~level
+    child, first = np.unique(v[down], return_index=True)
+    parent = np.full(len(ball), -1, dtype=np.int64)
+    parent[child] = u[down][first]
+    a, b = ball.edges[np.argmax(level)]
+    return BipartiteResult(False, None, _odd_cycle(int(a), int(b), parent, depth))
 
 
 def _odd_cycle(u: int, v: int, parent: np.ndarray, depth: np.ndarray) -> list:

@@ -41,6 +41,7 @@ _BC_ALL = ("neumann", "adjacency", "dirichlet")
 
 _GROWTH_N_MIN = 4
 _EXPONENTS_RADIUS = 20
+_RETURN_MAX = 8
 
 
 def _int(minimum=None, **for_subcommand):
@@ -168,8 +169,7 @@ def validate_config(raw: dict, subcommand: str) -> dict:
     if subcommand in ("growth", "exponents"):
         radius = window.get("radius", _EXPONENTS_RADIUS)
         n_min = fits.get("growth_n_min", _GROWTH_N_MIN)
-        # exponents fits up to its radius and does not read growth_n_max
-        n_max = fits.get("growth_n_max", radius) if subcommand == "growth" else radius
+        n_max = fits.get("growth_n_max", radius)
         if not n_min + 4 <= n_max <= radius:
             raise ValidationError(
                 f"growth fit needs fits.growth_n_min + 4 <= fits.growth_n_max <= "
@@ -192,8 +192,16 @@ def validate_config(raw: dict, subcommand: str) -> dict:
         raise ValidationError("free-ids needs window.radius or Z^d with d <= 4")
     if subcommand == "chain" and cfg["percolation"]["kind"] != "site":
         raise ValidationError("chain needs percolation.kind site")
-    if subcommand == "lamplighter" and group.kind != "lamplighter":
-        raise ValidationError("lamplighter needs group.kind lamplighter")
+    if subcommand == "lamplighter":
+        if group.kind != "lamplighter":
+            raise ValidationError("lamplighter needs group.kind lamplighter")
+        return_max = window.get("return_max", _RETURN_MAX)
+        limit = spectra.max_exact_return_n(group)
+        if return_max > limit:
+            default = "" if "return_max" in window else " (the default)"
+            raise ValidationError(
+                f"window.return_max is {return_max}{default}, but return "
+                f"probabilities on {group.label()} are exact only up to n = {limit}")
     return cfg
 
 
@@ -436,7 +444,8 @@ def run_exponents(cfg: dict, out: Path) -> list:
     n_max = window.get("radius", _EXPONENTS_RADIUS)
     profile = cayley.growth_profile(group, n_max, cfg.get("budget_vertices"))
     cls = asymptotics.fit_growth(profile,
-                                 n_min=fits.get("growth_n_min", _GROWTH_N_MIN))
+                                 n_min=fits.get("growth_n_min", _GROWTH_N_MIN),
+                                 n_max=fits.get("growth_n_max"))
     reports.append({"kind": "growth", "classification": cls.label,
                     "slope": cls.loglog.slope, "stderr": cls.loglog.stderr,
                     "r2": cls.loglog.r2, "range": cls.loglog.fit_range,
@@ -535,7 +544,7 @@ def run_chain(cfg: dict, out: Path) -> list:
 
 def run_lamplighter(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
-    return_max = cfg.get("window", {}).get("return_max", 8)
+    return_max = cfg.get("window", {}).get("return_max", _RETURN_MAX)
     budget = cfg.get("budget_vertices")
     tets = _tetrahedron_reports(group, cfg)
     values = []

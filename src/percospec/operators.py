@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .cayley import CayleyBall, FiniteSubgraph, induced_subgraph
+from .cayley import CayleyBall, FiniteSubgraph, induced_subgraph, locate
 from .errors import UnsupportedModelError
 from .percolation import SITE, PercolationSample
 
@@ -59,14 +59,11 @@ class LabeledOperator:
     def local_of(self, window_indices) -> np.ndarray:
         """Positions of the given window indices inside ``index_set``."""
         wanted = np.atleast_1d(np.asarray(window_indices, dtype=np.int64))
-        sorter = np.argsort(self.index_set, kind="stable")
-        at = np.searchsorted(self.index_set, wanted, sorter=sorter)
-        found = at < self.dim
-        found[found] = self.index_set[sorter[at[found]]] == wanted[found]
+        found, at = locate(self.index_set, wanted)
         if not found.all():
             raise ValueError(f"window index {wanted[np.argmin(found)]} not in "
                              "the operator index set")
-        return sorter[at]
+        return at
 
 
 def _assemble(n: int, local_edges: np.ndarray, diag: np.ndarray) -> sparse.csr_matrix:

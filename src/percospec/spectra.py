@@ -8,20 +8,15 @@ so at desk scale true eigenvalue gaps sit far above both tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import linalg
 from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
-from .cayley import (
-    FiniteSubgraph,
-    GroupSpec,
-    enumerate_ball,
-    induced_subgraph,
-    tetrahedron,
-)
+from .cayley import GroupSpec, enumerate_ball, induced_subgraph, tetrahedron
 from .errors import BudgetError, DegenerateSpectrumError
 from .operators import (
     ADJACENCY,
@@ -250,26 +245,17 @@ class IDSEstimate:
 
 
 def _ids_sample_task(ctx, i):
-    ball = ctx["ball"]
     window_mask = ctx["window_mask"]
     window_size = ctx["window_size"]
-    model = ctx["model"]
     bc = ctx["bc"]
     grid = ctx["grid"]
     dense_cap = ctx["dense_cap"]
 
-    s = sample(model, ball, i)
-    full = s.subgraph()
+    s = sample(ctx["model"], ctx["ball"], i)
 
-    # intrinsic operator of the window-induced percolation subgraph
-    edges = full.edges
-    open_w = edges[window_mask[edges[:, 0]] & window_mask[edges[:, 1]]]
-    if model.kind == SITE:
-        active_w = full.vertex_indices[window_mask[full.vertex_indices]]
-    else:
-        active_w = np.unique(open_w)
-    sub = FiniteSubgraph(parent=ball, vertex_indices=active_w, edges=open_w,
-                         induced=model.kind == SITE)
+    # intrinsic operator of the window-induced percolation subgraph: the
+    # sample with every item outside the window closed
+    sub = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
     op_int = subgraph_laplacian(sub, bc, tag=f"perc:{bc}")
     vals_int = block_eigenvalues(op_int, dense_cap)
     counts_int = np.searchsorted(vals_int, grid + COUNT_TOL, side="right")
@@ -277,7 +263,7 @@ def _ids_sample_task(ctx, i):
     kern = _kernel_count(vals_int, op_int.inf_norm())
 
     # compression of the full-sample operator onto the window
-    op_big = subgraph_laplacian(full, bc, tag=f"perc:{bc}")
+    op_big = subgraph_laplacian(s.subgraph(), bc, tag=f"perc:{bc}")
     subset = op_big.index_set[window_mask[op_big.index_set]]
     op_comp = restrict(op_big, subset)
     vals_comp = block_eigenvalues(op_comp, dense_cap)
@@ -321,9 +307,13 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
         window_mask[:ball.volume(radius)] = True
         window_size = ball.volume(radius)
         window_descr = {"radius": radius}
+    # the sample items inside the window: sites in it, or edges with both ends in it
+    item_mask = window_mask if model.kind == SITE \
+        else window_mask[ball.edges].all(axis=1)
 
-    ctx = {"ball": ball, "window_mask": window_mask, "window_size": window_size,
-           "model": model, "bc": bc, "grid": grid, "dense_cap": dense_cap}
+    ctx = {"ball": ball, "window_mask": window_mask, "item_mask": item_mask,
+           "window_size": window_size, "model": model, "bc": bc, "grid": grid,
+           "dense_cap": dense_cap}
     rows = np.vstack(run_indexed(_ids_sample_task, range(n_samples), workers, ctx))
 
     g = len(grid)
@@ -497,16 +487,27 @@ class ReturnProbability:
     value: float
 
 
+def max_exact_return_n(spec: GroupSpec) -> int | float:
+    """Largest n for which :func:`return_probability` is exact.
+
+    The walk counts, at most k^(2n), must stay within 2^52, so
+    2n * log2(k) <= 52.  A degree-1 generator set has no limit.
+    """
+    bits = math.log2(spec.k)
+    return math.floor(26 / bits) if bits else math.inf
+
+
 def return_probability(spec: GroupSpec, n: int, budget: int | None = None) -> ReturnProbability:
     """Exact return probability of the simple random walk after 2n steps.
 
     A closed walk of length 2n never leaves B(n), so the (identity,
     identity) entry of (A/k)^(2n) on the ball of radius n is exact.  Walk
-    counts stay below 2^53, so the float arithmetic is exact too.
+    counts stay below 2^53 for n <= :func:`max_exact_return_n`, so the
+    float arithmetic is exact too.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if (2 * n) * np.log2(spec.k) > 52:
+    if n > max_exact_return_n(spec):
         raise ValueError("walk count would overflow exact float range")
     ball = enumerate_ball(spec, n, budget)
     adj = ball.adjacency_matrix()

@@ -2,6 +2,7 @@
 
 import io
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -444,6 +445,118 @@ def test_thicken_subgraph():
 
 
 # ---------------------------------------------------------------------------
+# graph queries against neighbor-list references
+# ---------------------------------------------------------------------------
+
+def _neighbor_lists(ball):
+    adj = ball.adjacency_matrix().tocsr()
+    return [adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
+            for i in range(len(ball))]
+
+
+def bfs_is_bipartite_reference(ball):
+    """Queue BFS 2-coloring from the identity; None on a same-color edge."""
+    neighbors = _neighbor_lists(ball)
+    color = np.zeros(len(ball), dtype=np.int8)
+    color[0] = 1
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in neighbors[u]:
+            if color[v] == 0:
+                color[v] = -color[u]
+                queue.append(v)
+            elif color[v] == color[u]:
+                return None
+    return color
+
+
+def bfs_thicken_reference(sub, radius):
+    neighbors = _neighbor_lists(sub.parent)
+    reached = set(sub.vertex_indices.tolist())
+    frontier = list(reached)
+    for _ in range(radius):
+        nxt = []
+        for u in frontier:
+            for v in neighbors[u]:
+                v = int(v)
+                if v not in reached:
+                    reached.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return induced_subgraph(sub.parent, sorted(reached))
+
+
+_QUERY_BALLS = {
+    "Z": (GroupSpec.free_abelian(1), 6),
+    "Z2": (GroupSpec.free_abelian(2), 4),
+    "Z3": (GroupSpec.free_abelian(3), 3),
+    "heisenberg": (GroupSpec.heisenberg(), 3),
+    "lamplighter2": (GroupSpec.lamplighter(2), 4),
+    "lamplighter3": (GroupSpec.lamplighter(3), 3),
+    "Z-pm1-pm2": (GroupSpec.free_abelian(
+        1, generators=[(1,), (-1,), (2,), (-2,)]), 4),
+    "Z2-diagonal": (GroupSpec.free_abelian(2, generators=[
+        (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]), 3),
+    "radius0": (GroupSpec.free_abelian(2), 0),
+}
+
+
+def _query_ball(name):
+    spec, radius = _QUERY_BALLS[name]
+    return enumerate_ball(spec, radius)
+
+
+def assert_odd_closed_walk(ball, cycle):
+    assert len(cycle) % 2 == 1 and len(cycle) >= 3
+    edges = {(int(u), int(v)) for u, v in ball.edges}
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert (min(a, b), max(a, b)) in edges
+
+
+@pytest.mark.parametrize("name", sorted(_QUERY_BALLS))
+def test_is_bipartite_matches_bfs_reference(name):
+    ball = _query_ball(name)
+    res = is_bipartite(ball)
+    ref = bfs_is_bipartite_reference(ball)
+    assert res.bipartite == (ref is not None)
+    if ref is None:
+        assert res.coloring is None
+        assert_odd_closed_walk(ball, res.odd_cycle)
+    else:
+        assert res.coloring.dtype == np.int8
+        assert np.array_equal(res.coloring, ref)
+        assert res.odd_cycle is None
+
+
+@pytest.mark.parametrize("name", sorted(_QUERY_BALLS))
+def test_thicken_subgraph_matches_bfs_reference(name):
+    ball = _query_ball(name)
+    rng = np.random.Generator(np.random.Philox(key=np.array(
+        [17, len(ball)], dtype=np.uint64)))
+    tenth = rng.choice(len(ball), size=max(1, len(ball) // 10), replace=False)
+    for sub in (induced_subgraph(ball, [0]), induced_subgraph(ball, tenth)):
+        for radius in range(4):
+            got = thicken_subgraph(sub, radius)
+            ref = bfs_thicken_reference(sub, radius)
+            assert np.array_equal(got.vertex_indices, ref.vertex_indices)
+            assert np.array_equal(got.edges, ref.edges)
+            assert got.induced
+
+
+@pytest.mark.parametrize("name", sorted(_QUERY_BALLS))
+def test_has_edge_matches_set_reference(name):
+    ball = _query_ball(name)
+    edges = {(int(u), int(v)) for u, v in ball.edges}
+    for u, v in edges:
+        assert ball.has_edge(u, v) and ball.has_edge(v, u)
+    rng = np.random.Generator(np.random.Philox(key=np.array(
+        [23, len(ball)], dtype=np.uint64)))
+    for u, v in rng.integers(-1, len(ball) + 1, size=(300, 2)).tolist():
+        assert ball.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
+
+
+# ---------------------------------------------------------------------------
 # bipartiteness
 # ---------------------------------------------------------------------------
 
@@ -466,10 +579,10 @@ def test_lamplighter_bipartite():
 
 def test_z_with_doubled_generators_not_bipartite():
     spec = GroupSpec.free_abelian(1, generators=[(1,), (-1,), (2,), (-2,)])
-    res = is_bipartite(enumerate_ball(spec, 4))
+    ball = enumerate_ball(spec, 4)
+    res = is_bipartite(ball)
     assert not res.bipartite
-    cyc = res.odd_cycle
-    assert len(cyc) % 2 == 1 and len(cyc) >= 3
+    assert_odd_closed_walk(ball, res.odd_cycle)
 
 
 # ---------------------------------------------------------------------------

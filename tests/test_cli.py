@@ -209,6 +209,15 @@ _SITE = {"kind": "site", "p": 0.5}
              "spectra": {"n_samples": 10, "energy_grid": {
                  "min": 0, "max": 4, "points": 5, "scale": "lin"}}},
      "spectra.energy_grid.scale"),
+    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 2},
+                     "window": {"depths": [], "return_max": 14}},
+     "window.return_max"),
+    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 5},
+                     "window": {"depths": []}},
+     "window.return_max"),
+    ("exponents", {"group": _Z1, "window": {"radius": 8},
+                   "fits": {"growth_n_max": 25}},
+     "fits.growth_n_max"),
 ])
 def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
                                           key):
@@ -377,11 +386,35 @@ def test_failed_run_keeps_what_another_run_wrote_beside_it(tmp_path,
     assert (other / "keep.txt").read_text() == "theirs"
 
 
-def test_exponents_ignores_growth_n_max_and_depth():
-    # exponents fits up to window.radius and never reads either key
-    cfg = base_config("o", group=_Z1, window={"radius": 8, "depth": 2},
-                      fits={"growth_n_max": 25})
-    assert validate_config(cfg, "exponents")["fits"] == {"growth_n_max": 25}
+def test_exponents_reads_growth_n_max_and_ignores_depth(tmp_path):
+    # window.depth is an ids key; exponents never reads it
+    cfg = base_config("o", group=_Z1, window={"radius": 8, "depth": 2})
+    assert validate_config(cfg, "exponents")["window"] == {"radius": 8, "depth": 2}
+    # the growth fit stops at fits.growth_n_max, as it does for growth
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json",
+                        base_config(out, group=_Z2, window={"radius": 12},
+                                    fits={"growth_n_max": 9}))
+    assert main(["exponents", "--config", path]) == 0
+    growth = json.loads((out / "exponents.json").read_text())[0]
+    assert growth["kind"] == "growth" and growth["range"] == [4, 9]
+
+
+@pytest.mark.parametrize("modulus,largest", [(2, 13), (3, 10), (5, 7)])
+def test_return_max_limit_depends_on_modulus(modulus, largest):
+    group = {"kind": "lamplighter", "modulus": modulus}
+    for return_max in (1, largest):
+        validate_config(base_config("o", group=group, window={
+            "depths": [], "return_max": return_max}), "lamplighter")
+    with pytest.raises(ValidationError, match=rf"^window.return_max is "
+                                              rf"{largest + 1}, .* n = {largest}$"):
+        validate_config(base_config("o", group=group, window={
+            "depths": [], "return_max": largest + 1}), "lamplighter")
+    if largest < 8:
+        with pytest.raises(ValidationError,
+                           match=rf"window.return_max is 8 \(the default\), .* "
+                                 rf"n = {largest}$"):
+            validate_config(base_config("o", group=group), "lamplighter")
 
 
 def test_failed_run_keeps_an_existing_directory(tmp_path, monkeypatch):

@@ -5,7 +5,8 @@ import pytest
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
-from percospec.cayley import GroupSpec, enumerate_ball
+from percospec import spectra
+from percospec.cayley import FiniteSubgraph, GroupSpec, enumerate_ball, tetrahedron
 from percospec.errors import BudgetError, DegenerateSpectrumError
 from percospec.operators import (
     ADJACENCY,
@@ -351,6 +352,58 @@ def test_ids_tetrahedron_window():
                         depth=2, n_samples=12, energy_grid=grid)
     assert est.params["depth"] == 2
     assert np.all(np.diff(est.mean) >= -1e-12)
+
+
+def window_cut_reference(s, window_mask):
+    """The percolation subgraph of a sample cut to a window by masking the
+    vertices and edges of the full sample subgraph: site keeps the active
+    window vertices, bond the vertices touching an open window edge."""
+    full = s.subgraph()
+    edges = full.edges
+    open_w = edges[window_mask[edges[:, 0]] & window_mask[edges[:, 1]]]
+    if s.model.kind == "site":
+        active_w = full.vertex_indices[window_mask[full.vertex_indices]]
+    else:
+        active_w = np.unique(open_w)
+    return FiniteSubgraph(parent=s.window, vertex_indices=active_w,
+                          edges=open_w, induced=s.model.kind == "site")
+
+
+@pytest.mark.parametrize("window", ["radius", "depth"])
+@pytest.mark.parametrize("kind", ["site", "bond"])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 1.0])
+def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
+    seen = []
+    laplacian = spectra.subgraph_laplacian
+
+    def recording_laplacian(sub, bc, tag=None):
+        seen.append(sub)
+        return laplacian(sub, bc, tag)
+
+    monkeypatch.setattr(spectra, "subgraph_laplacian", recording_laplacian)
+    model = PercolationModel(kind, p, 31)
+    n = 15
+    if window == "radius":
+        empirical_ids(GroupSpec.free_abelian(2), model, NEUMANN, radius=3,
+                      n_samples=n, energy_grid=[1.0])
+    else:
+        empirical_ids(GroupSpec.lamplighter(2), model, NEUMANN, depth=2,
+                      n_samples=n, energy_grid=[1.0])
+    # each sample builds its intrinsic window operator first, then the full one
+    assert len(seen) == 2 * n
+    ball = seen[0].parent
+    window_mask = np.zeros(len(ball), dtype=bool)
+    if window == "radius":
+        window_mask[:ball.volume(3)] = True
+    else:
+        window_mask[tetrahedron(2, 2, ball).vertex_indices] = True
+    for i, got in enumerate(seen[::2]):
+        ref = window_cut_reference(sample(model, ball, i), window_mask)
+        assert got.vertex_indices.dtype == ref.vertex_indices.dtype
+        assert got.edges.dtype == ref.edges.dtype
+        assert np.array_equal(got.vertex_indices, ref.vertex_indices)
+        assert np.array_equal(got.edges, ref.edges)
+        assert got.induced == ref.induced
 
 
 # ---------------------------------------------------------------------------
