@@ -1,7 +1,10 @@
 """Ball enumeration, growth tables, special subgraphs, bipartiteness."""
 
+import functools
+import hashlib
 import io
 import itertools
+import pickle
 from collections import deque
 
 import numpy as np
@@ -26,6 +29,12 @@ from percospec.cayley import (
     thicken_subgraph,
 )
 from percospec.errors import BudgetError
+
+
+@functools.lru_cache(maxsize=None)
+def cached_ball(spec, n):
+    """One enumeration per (group, radius) for the module's read-only uses."""
+    return enumerate_ball(spec, n)
 
 
 def naive_ball(spec, n):
@@ -125,6 +134,198 @@ def test_ball_prefix_property():
     for r in range(5):
         assert ball.volume(r) == 2 * r * r + 2 * r + 1
         assert np.all(ball.word_length[:ball.volume(r)] <= r)
+
+
+# ---------------------------------------------------------------------------
+# ball enumeration against pinned digests and a tuple reference
+# ---------------------------------------------------------------------------
+
+def tuple_ball(spec, n):
+    """Reference enumeration on tuple encodings: BFS with a distance dict,
+    each layer in lexicographic tuple order, edges from ``multiply``."""
+    ident = identity_element(spec)
+    dist = {ident: 0}
+    frontier = [ident]
+    for layer in range(1, n + 1):
+        nxt = []
+        for u in frontier:
+            for g in spec.generators:
+                v = multiply(spec, u, g)
+                if v not in dist:
+                    dist[v] = layer
+                    nxt.append(v)
+        frontier = nxt
+    layers = [[] for _ in range(n + 1)]
+    for v, d in dist.items():
+        layers[d].append(v)
+    vertices = [v for layer in layers for v in sorted(layer)]
+    index = {v: i for i, v in enumerate(vertices)}
+    edges = sorted((i, index[w]) for i, u in enumerate(vertices)
+                   for w in (multiply(spec, u, g) for g in spec.generators)
+                   if index.get(w, -1) > i)
+    return tuple(vertices), [dist[v] for v in vertices], edges
+
+
+def ball_digest(ball):
+    h = hashlib.sha256()
+    h.update(repr(ball.vertices).encode())
+    h.update(repr(ball.word_length.tolist()).encode())
+    h.update(repr(ball.edges.tolist()).encode())
+    return h.hexdigest()
+
+
+_DIGEST_SPECS = {
+    "Z": GroupSpec.free_abelian(1),
+    "Z2": GroupSpec.free_abelian(2),
+    "Z3": GroupSpec.free_abelian(3),
+    "Z-pm1-pm2": GroupSpec.free_abelian(1, generators=[(1,), (-1,), (2,), (-2,)]),
+    "Z2-diagonal": GroupSpec.free_abelian(2, generators=[
+        (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]),
+    "heisenberg": GroupSpec.heisenberg(),
+    "lamplighter2": GroupSpec.lamplighter(2),
+    "lamplighter3": GroupSpec.lamplighter(3),
+    "lamplighter5": GroupSpec.lamplighter(5),
+}
+
+# sha256 of (vertices, word_length, edges), recorded from the tuple BFS
+_BALL_DIGESTS = {
+    ("Z", 0): "efe2318fed981722f605a8fbd90a33245a07b77b7fd209443c4d574a3131d74b",
+    ("Z", 1): "c87324d2635b9bad293a2f793c0a05c31ed3e3a1ebbe9db838c19967c8351f33",
+    ("Z", 5): "e59208c45a746ded04ba8f852192c795b08dfbc17c73f120bcd5deafb4192109",
+    ("Z", 40): "3e612d105b196e100ee88b24c8a473f538cd68c5236cfd3b64ab93550701e9de",
+    ("Z2", 0): "04dfcb8b374e927e2cdb855a4292bf967cd7a9e20303cdde5098659d4ff7547d",
+    ("Z2", 3): "e23bd3adf4e1f1f20598fcea06baee02564a6680c4606894fabf9c718cb658a3",
+    ("Z2", 8): "b984af3fe64d4ff3d9071f465b129e4fe5a91fb9695574df590c4a6bc8b8e22d",
+    ("Z3", 2): "0153ca464aa6fb5f1052d368fa605a0842db872440ae45670ceb82cda1bf94e4",
+    ("Z3", 5): "387de208d5dd1ac2d731e8c1e49897386e4a98be49a6ba0853d20abc3aa5f22b",
+    ("Z-pm1-pm2", 1): "8773e26b61f95efe8259f09b6689e270e6684a1556597c24ccbe062381c0b477",
+    ("Z-pm1-pm2", 4): "e602d5281d851459194265e3b0757b1439c8bdb7f66033349ac058d8b777899a",
+    ("Z-pm1-pm2", 9): "b2a1a0404ae9a7fcff7656338329ec656656ab4bc391bcb391aea567f861ea25",
+    ("Z2-diagonal", 2): "8acb01359a1748a2f88bfc95812ad4b6a7cc56916cdd042a319cd3f0dd0fcaba",
+    ("Z2-diagonal", 6): "0af03c77b01c1daf3be386752d4813de0cd3ebde525eb0b2b892b4f8626c9f31",
+    ("heisenberg", 1): "59000e7f2a785b499fd96fac7f457ad4df68c99ac734a1597a28d382a24fa52e",
+    ("heisenberg", 4): "edbd4588ebe9f6c2f865afd84dbcc3a18b0ec7af158a826be81a7f515d295054",
+    ("heisenberg", 7): "3403b974f1c453473dde504f4206da12f5803600d30d7345429e9ba30027968c",
+    ("lamplighter2", 1): "aeabaa25ee3132a111bbf0e2abc0ac0cb29da30e3cc4a1adf9556c6c99e13dd7",
+    ("lamplighter2", 4): "84fa3da099eb578f194d1dee1728f641f4123d16bad35f8d6ab80d472e9a1189",
+    ("lamplighter2", 8): "00a1ca5ba8d3dfdcbd18433ea29359291bce708995f578e1fcabb09898831075",
+    ("lamplighter3", 2): "7b63f182666766f351198622d362329df4b6fd59507f3f73849e1f110f0c4691",
+    ("lamplighter3", 5): "3ffbdb7cf1aaf3d992c2becfe1f64670d70ae170342634486b724e0324c11744",
+    ("lamplighter3", 10): "785206fc327080893a4e9d6a5b764be7851a84073666a8696b8d2a6775304150",
+    ("lamplighter5", 1): "ce715c25c710e086dd428702ccc395f15e99f26c2e8c0539f17fd670c17ed7b8",
+    ("lamplighter5", 3): "e3529d6d6af87d1e00e148ffb9719c4d4ce7908a3275df16174ef46fd6674642",
+    ("lamplighter5", 5): "c7b8aa44673398b617f7852bc01bd15966f5b0f28c6c63fc977aca1918350257",
+}
+
+
+@pytest.mark.parametrize("name,radius", sorted(_BALL_DIGESTS))
+def test_ball_matches_pinned_digest(name, radius):
+    ball = cached_ball(_DIGEST_SPECS[name], radius)
+    assert ball_digest(ball) == _BALL_DIGESTS[name, radius]
+
+
+def _random_specs(rng):
+    """Random generator sets on every family, with radii small enough for
+    the tuple reference; Z^41 with unit generators takes the byte keys."""
+    out = [(GroupSpec.free_abelian(41), 1), (GroupSpec.free_abelian(41), 2)]
+    for _ in range(8):
+        d = int(rng.integers(1, 5))
+        vecs = [tuple(int(x) for x in rng.integers(-2, 3, size=d))
+                for _ in range(int(rng.integers(1, 4)))]
+        vecs = [v for v in vecs if any(v)] or [(1,) + (0,) * (d - 1)]
+        gens = []
+        for v in vecs:
+            for h in (v, tuple(-x for x in v)):
+                if h not in gens:
+                    gens.append(h)
+        out.append((GroupSpec.free_abelian(d, generators=gens),
+                    int(rng.integers(1, {1: 12, 2: 7, 3: 5, 4: 4}[d]))))
+    heis = GroupSpec.heisenberg()
+    for _ in range(6):
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            g = tuple(int(x) for x in rng.integers(-1, 2, size=3))
+            for h in (g, inverse(heis, g)):
+                if any(h) and h not in gens:
+                    gens.append(h)
+        if gens:
+            out.append((GroupSpec(cayley.HEISENBERG, generators=tuple(gens)),
+                        int(rng.integers(1, 6))))
+    for _ in range(8):
+        m = int(rng.integers(2, 6))
+        probe = GroupSpec.lamplighter(m)
+        gens = []
+        for _ in range(int(rng.integers(1, 4))):
+            lamps = {int(p): int(rng.integers(1, m))
+                     for p in rng.integers(-1, 3, size=int(rng.integers(0, 3)))}
+            g = (tuple(sorted(lamps.items())), int(rng.integers(-2, 3)))
+            for h in (g, inverse(probe, g)):
+                if h != ((), 0) and h not in gens:
+                    gens.append(h)
+        if gens:
+            out.append((GroupSpec.lamplighter(m, generators=gens),
+                        int(rng.integers(1, 6))))
+    return out
+
+
+def test_enumerate_ball_matches_tuple_reference():
+    rng = np.random.Generator(np.random.Philox(key=np.array([29, 0],
+                                                            dtype=np.uint64)))
+    for spec, radius in _random_specs(rng):
+        ball = enumerate_ball(spec, radius)
+        vertices, word_length, edges = tuple_ball(spec, radius)
+        assert ball.vertices == vertices, (spec, radius)
+        assert ball.word_length.tolist() == word_length, (spec, radius)
+        assert ball.edges.tolist() == [list(e) for e in edges], (spec, radius)
+
+
+@pytest.mark.parametrize("name,radius", [("Z", 5), ("Z3", 2), ("heisenberg", 4),
+                                         ("lamplighter2", 4), ("lamplighter5", 3)])
+def test_vertices_index_of_round_trip(name, radius):
+    spec = _DIGEST_SPECS[name]
+    ball = enumerate_ball(spec, radius)
+    assert [ball.index_of(v) for v in ball.vertices] == list(range(len(ball)))
+    outside = tuple_ball(spec, radius + 1)[0][len(ball)]
+    with pytest.raises(KeyError):
+        ball.index_of(outside)
+
+
+def test_index_of_rejects_non_canonical_lamps():
+    ball = enumerate_ball(GroupSpec.lamplighter(3), 3)
+    assert ball.index_of((((0, 1),), 0)) > 0
+    for bad in ((((0, 0),), 0), (((0, 4),), 0), (((1, 1), (0, 1)), 0),
+                (((0, 1),), 9), (((40, 1),), 0)):
+        with pytest.raises(KeyError):
+            ball.index_of(bad)
+
+
+def test_line_subgraph_outside_lamplighter_ball():
+    ball = enumerate_ball(GroupSpec.lamplighter(2), 2)
+    with pytest.raises(ValueError, match="does not contain a line of 9 vertices"):
+        line_subgraph(ball, 9)
+
+
+@pytest.mark.parametrize("name,radius", [("Z2", 3), ("heisenberg", 4),
+                                         ("lamplighter3", 5)])
+def test_ball_pickle_round_trip(name, radius):
+    ball = enumerate_ball(_DIGEST_SPECS[name], radius)
+    ball.vertices, ball.adjacency_matrix()   # fill the caches
+    back = pickle.loads(pickle.dumps(ball))
+    assert back.vertices == ball.vertices
+    assert np.array_equal(back.word_length, ball.word_length)
+    assert np.array_equal(back.edges, ball.edges)
+    assert back.index_of(ball.vertices[-1]) == len(ball) - 1
+    assert (back.adjacency_matrix() != ball.adjacency_matrix()).nnz == 0
+
+
+@pytest.mark.parametrize("name,radius", [("Z", 4), ("Z2", 3), ("heisenberg", 3),
+                                         ("lamplighter3", 4)])
+def test_budget_is_the_ball_size(name, radius):
+    spec = _DIGEST_SPECS[name]
+    size = len(enumerate_ball(spec, radius))
+    assert len(enumerate_ball(spec, radius, budget=size)) == size
+    with pytest.raises(BudgetError, match=str(size - 1)):
+        enumerate_ball(spec, radius, budget=size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,12 +567,13 @@ def multiply_tetrahedron(m, n, ball):
                        if val)), x)
                for values in itertools.product(range(m), repeat=n)
                for x in range(n + 1)]
-    idx = sorted(ball.index[el] for el in members)
+    index = {v: i for i, v in enumerate(ball.vertices)}
+    idx = sorted(index[el] for el in members)
     inside = set(idx)
     edges = set()
     for i in idx:
         for g in ball.spec.generators:
-            j = ball.index.get(multiply(ball.spec, ball.vertices[i], g))
+            j = index.get(multiply(ball.spec, ball.vertices[i], g))
             if j is not None and j in inside and j > i:
                 edges.add((i, j))
     return idx, [list(e) for e in sorted(edges)]
@@ -379,10 +581,8 @@ def multiply_tetrahedron(m, n, ball):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_tetrahedron_matches_multiply_reference(m):
-    # B(10) of Z_3 wr Z takes seconds to enumerate, so the (3, 4) case
-    # compares B(8) with B(9) instead of B(10)
-    radii = [2, 4, 6, 8, 10] if m == 2 else [2, 4, 6, 8, 9]
-    balls = {r: enumerate_ball(GroupSpec.lamplighter(m), r) for r in radii}
+    radii = [2, 4, 6, 8, 10]
+    balls = {r: cached_ball(GroupSpec.lamplighter(m), r) for r in radii}
     for n in (1, 2, 3, 4):
         ball = balls[2 * n]
         idx, edges = multiply_tetrahedron(m, n, ball)
