@@ -6,7 +6,7 @@ Z_m wr Z.  Balls are enumerated breadth first from the identity; the vertex
 order (BFS layer, then lexicographic encoding) is the canonical order that
 every downstream matrix inherits, so results are reproducible bit for bit.
 
-Element encodings:
+Element encodings (``multiply``, ``inverse`` and ``CayleyBall.vertices``):
 
 * free abelian:  integer tuple of length d
 * Heisenberg:    integer triple (a, b, c) for the matrix with first row
@@ -14,12 +14,20 @@ Element encodings:
 * lamplighter:   pair (lamps, x) where lamps is a sorted tuple of
                  (position, value) pairs with value != 0 mod m, and x is the
                  walker position
+
+Inside a ball every element is one fixed-width int64 row: the coordinates
+(Z^d), (a, b, c) (Heisenberg), or the lamp values on the window of
+positions the ball's words can light, then x (lamplighter).  Each generator
+acts on a whole array of rows, and :class:`_Layout` turns rows into
+sortable keys, so enumeration runs no Python per vertex; the tuple
+encodings of ``CayleyBall.vertices`` are decoded only when asked for.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -182,6 +190,162 @@ class GroupSpec:
 
 
 # ---------------------------------------------------------------------------
+# element rows
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Row layout of the elements of B(n) and of their neighbours.
+
+    Column j of each row lies in [lo[j], hi[j]].  Lamplighter rows hold the
+    lamp value at position ``first_pos + j`` in column j and the walker in
+    the last column.
+    """
+
+    lo: np.ndarray
+    hi: np.ndarray
+    first_pos: int = 0
+
+    @cached_property
+    def strides(self):
+        """Mixed-radix place values (last column least significant), or
+        None when the product of the column ranges exceeds int64."""
+        span = [int(h - l) + 1 for l, h in zip(self.lo, self.hi)]
+        if math.prod(span) >= 2 ** 63:
+            return None
+        return np.array([math.prod(span[j + 1:]) for j in range(len(span))],
+                        dtype=np.int64)
+
+    @cached_property
+    def _origin(self) -> int:
+        return int(self.lo @ self.strides)
+
+    def keys(self, rows: np.ndarray) -> np.ndarray:
+        """Sortable keys of rows within the bounds: a packed int64 when the
+        column ranges fit, else a byte (void) view of each row.  Equal rows
+        give equal keys either way, and unique, argsort and searchsorted
+        treat both kinds alike."""
+        if self.strides is not None:
+            return rows @ self.strides - self._origin
+        rows = np.ascontiguousarray(rows)
+        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
+
+    def rows(self, keys: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`keys`."""
+        strides = self.strides
+        if strides is None:
+            return keys.view(np.int64).reshape(len(keys), len(self.lo))
+        rows = keys[:, None] // strides
+        np.remainder(rows, self.hi - self.lo + 1, out=rows)
+        rows += self.lo
+        return rows
+
+
+def _layout(spec: GroupSpec, n: int) -> _Layout:
+    """Column bounds covering B(n + 1): edges look up every neighbour of B(n)."""
+    t = n + 1
+    if spec.kind != LAMPLIGHTER:
+        reach = np.abs(np.array(spec.generators, dtype=np.int64)).max(axis=0)
+        if spec.kind == HEISENBERG:
+            # b gains b_g + a * c_g per step, with |a| <= t * max|a_g|
+            a, b, c = reach
+            reach = np.array([a, b + t * a * c, c])
+        return _Layout(lo=-t * reach, hi=t * reach)
+    shift = max(abs(x) for _, x in spec.generators)
+    pos = [p for lamps, _ in spec.generators for p, _ in lamps] or [0]
+    # lamps are lit at x + p by the first t steps, while |x| <= (t - 1) shift
+    first = min(pos) - (t - 1) * shift
+    width = max(pos) + (t - 1) * shift - first + 1
+    lo = np.zeros(width + 1, dtype=np.int64)
+    hi = np.full(width + 1, spec.modulus - 1, dtype=np.int64)
+    lo[-1], hi[-1] = -t * shift, t * shift
+    return _Layout(lo=lo, hi=hi, first_pos=first)
+
+
+def _neighbour_keys(spec: GroupSpec, layout: _Layout, rows: np.ndarray) -> np.ndarray:
+    """Keys of ``row * g`` for every row and generator, shape (rows, k)."""
+    gens = spec.generators
+    if spec.kind == FREE_ABELIAN:
+        out = rows[:, None, :] + np.array(gens, dtype=np.int64)
+    elif spec.kind == HEISENBERG:
+        ga, gb, gc = np.array(gens, dtype=np.int64).T
+        a, b, c = rows[:, :1], rows[:, 1:2], rows[:, 2:]
+        out = np.stack([a + ga, b + gb + a * gc, c + gc], axis=-1)
+    else:
+        # one generator at a time: lamplighter rows are wide
+        width = rows.shape[1]
+        # flat offset of each row's lamp column at the walker
+        at = np.arange(len(rows)) * width + rows[:, -1] - layout.first_pos
+        keys = []
+        for lamps, shift in gens:
+            moved = rows.copy()
+            flat = moved.reshape(-1)
+            for pos, val in lamps:
+                flat[at + pos] = (flat[at + pos] + val) % spec.modulus
+            moved[:, -1] += shift
+            keys.append(layout.keys(moved))
+        return np.stack(keys, axis=1)
+    return layout.keys(out.reshape(-1, rows.shape[1])).reshape(len(rows), len(gens))
+
+
+def _lamp_lists(layout: _Layout, rows: np.ndarray) -> tuple:
+    """Lit lamps of lamplighter rows as ``(pos, val, count)``: row i lights
+    ``count[i]`` lamps, at ``pos[i, :count[i]]`` (increasing) with values
+    ``val[i, :count[i]]``; the padding has position ``first_pos - 1``,
+    below every lamp, and value 0."""
+    digits = rows[:, :-1]
+    r, c = np.nonzero(digits)
+    count = np.bincount(r, minlength=len(rows))
+    slot = np.arange(len(r)) - np.repeat(np.cumsum(count) - count, count)
+    shape = (len(rows), int(count.max(initial=0)))
+    pos = np.full(shape, layout.first_pos - 1, dtype=np.int64)
+    val = np.zeros(shape, dtype=np.int64)
+    pos[r, slot] = c + layout.first_pos
+    val[r, slot] = digits[r, c]
+    return pos, val, count
+
+
+def _lexsort_keys(spec: GroupSpec, layout: _Layout, rows: np.ndarray) -> np.ndarray:
+    """``np.lexsort`` keys (primary last) for the lexicographic order of the
+    tuple encodings.  Lamplighter lamp tuples compare as their padded
+    (pos, val) lists, since the padding sorts a prefix first."""
+    if spec.kind != LAMPLIGHTER:
+        return rows.T[::-1]
+    pos, val, _ = _lamp_lists(layout, rows)
+    keys = np.empty((2 * pos.shape[1] + 1, len(rows)), dtype=np.int64)
+    keys[0] = rows[:, -1]
+    keys[1::2] = val.T[::-1]
+    keys[2::2] = pos.T[::-1]
+    return keys
+
+
+def _decode(spec: GroupSpec, layout: _Layout, rows: np.ndarray) -> tuple:
+    """Tuple encodings of element rows."""
+    if spec.kind != LAMPLIGHTER:
+        return tuple(map(tuple, rows.tolist()))
+    pos, val, count = _lamp_lists(layout, rows)
+    return tuple((tuple(zip(p[:c], v[:c])), x) for p, v, c, x in zip(
+        pos.tolist(), val.tolist(), count.tolist(), rows[:, -1].tolist()))
+
+
+def _encode(spec: GroupSpec, layout: _Layout, element) -> np.ndarray:
+    """Row of a tuple encoding; raises ValueError if it has no row here."""
+    if spec.kind != LAMPLIGHTER:
+        row = np.array(element, dtype=np.int64)
+    else:
+        lamps, x = element
+        row = np.zeros(len(layout.lo), dtype=np.int64)
+        for pos, val in lamps:
+            if not 0 <= pos - layout.first_pos < len(row) - 1:
+                raise ValueError(f"lamp position {pos} outside the ball's window")
+            row[pos - layout.first_pos] = val
+        row[-1] = x
+    if row.shape != layout.lo.shape:
+        raise ValueError(f"not an element of this group: {element!r}")
+    return row
+
+
+# ---------------------------------------------------------------------------
 # balls
 # ---------------------------------------------------------------------------
 
@@ -189,45 +353,78 @@ class GroupSpec:
 class CayleyBall:
     """Metric ball around the identity, with canonical vertex order.
 
-    ``vertices[i]`` is the encoding of vertex ``i``; vertex 0 is the
-    identity.  ``edges`` lists each undirected edge once as (u, v) with
-    u < v.  Vertices are sorted by word length first, so the sub-ball of
-    radius r <= radius is exactly the index prefix 0 .. volume(r) - 1.
+    ``rows[i]`` is vertex ``i`` as an element row (see the module
+    docstring) and ``vertices[i]`` its tuple encoding, decoded on first
+    use; vertex 0 is the identity.  ``edges`` lists each undirected edge
+    once as (u, v) with u < v.  Vertices are sorted by word length first,
+    so the sub-ball of radius r <= radius is exactly the index prefix
+    0 .. volume(r) - 1.
     """
 
     spec: GroupSpec
     radius: int
-    vertices: tuple
+    rows: np.ndarray
     word_length: np.ndarray
     edges: np.ndarray
     k: int
 
     def __post_init__(self):
-        self._index = None
+        self._vertices = None
+        self._lookup = None
         self._adj = None
 
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self.rows)
 
     def __getstate__(self):
         state = self.__dict__.copy()
-        for key in ("_index", "_adj"):
+        for key in ("_vertices", "_lookup", "_adj"):
             state[key] = None
         return state
 
     @property
-    def index(self) -> dict:
-        if self._index is None:
-            self._index = {v: i for i, v in enumerate(self.vertices)}
-        return self._index
+    def vertices(self) -> tuple:
+        if self._vertices is None:
+            self._vertices = _decode(self.spec, self._layout_keys()[0], self.rows)
+        return self._vertices
+
+    def _layout_keys(self) -> tuple:
+        """``(layout, keys, sorter)``: the row layout, the vertex keys, and
+        the ``argsort`` of the keys."""
+        if self._lookup is None:
+            layout = _layout(self.spec, self.radius)
+            keys = layout.keys(self.rows)
+            self._lookup = (layout, keys, np.argsort(keys, kind="stable"))
+        return self._lookup
+
+    def find_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Vertex index of each element row, -1 for rows not in the ball."""
+        layout, keys, sorter = self._layout_keys()
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(layout.lo))
+        out = np.full(len(rows), -1, dtype=np.int64)
+        # a row outside the columns' bounds could share a packed key
+        inside = np.flatnonzero(((rows >= layout.lo) & (rows <= layout.hi)).all(axis=1))
+        found, at = locate(keys, layout.keys(rows[inside]), sorter)
+        out[inside[found]] = at
+        return out
 
     def index_of(self, element) -> int:
-        return self.index[element]
+        """Vertex index of a tuple encoding; KeyError if not in the ball."""
+        layout = self._layout_keys()[0]
+        try:
+            row = _encode(self.spec, layout, element)
+        except (TypeError, ValueError):
+            raise KeyError(element) from None
+        i = int(self.find_rows(row)[0])
+        # a non-canonical encoding can share a row with a vertex
+        if i < 0 or _decode(self.spec, layout, self.rows[i:i + 1])[0] != element:
+            raise KeyError(element)
+        return i
 
     def volume(self, r: int) -> int:
         """V(r) = number of vertices with word length <= r."""
         if r >= self.radius:
-            return len(self.vertices)
+            return len(self)
         return int(np.searchsorted(self.word_length, r, side="right"))
 
     def ball_indices(self, r: int) -> np.ndarray:
@@ -235,7 +432,7 @@ class CayleyBall:
 
     def adjacency_matrix(self) -> sparse.csr_matrix:
         if self._adj is None:
-            n = len(self.vertices)
+            n = len(self)
             if len(self.edges):
                 u, v = self.edges[:, 0], self.edges[:, 1]
                 data = np.ones(2 * len(self.edges))
@@ -256,8 +453,11 @@ class CayleyBall:
 
 
 def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> CayleyBall:
-    """Enumerate the ball B(n) by BFS from the identity.
+    """Enumerate the ball B(n) by BFS from the identity, a layer at a time.
 
+    Each generator acts on the whole frontier; the generator set is
+    symmetric, so layer L's neighbours lie in layers L - 1, L and L + 1,
+    and the new layer is the neighbour keys minus those of the first two.
     Deterministic: the vertex order is BFS layer then lexicographic
     encoding, and the edge list is sorted.  Raises :class:`BudgetError`
     once more than ``budget`` vertices (default 2e6) have been discovered.
@@ -265,47 +465,41 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
     if n < 0:
         raise ValueError("radius must be >= 0")
     cap = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
-    ident = identity_element(spec)
-    dist = {ident: 0}
-    frontier = [ident]
-    for layer in range(1, n + 1):
-        nxt = []
-        for u in frontier:
-            for g in spec.generators:
-                v = multiply(spec, u, g)
-                if v not in dist:
-                    dist[v] = layer
-                    nxt.append(v)
-                    if len(dist) > cap:
-                        raise BudgetError(
-                            f"ball exceeds the vertex budget of {cap} vertices "
-                            f"(group {spec.label()}, radius {n})")
-        frontier = nxt
+    layout = _layout(spec, n)
+    rows = np.zeros((1, len(layout.lo)), dtype=np.int64)   # the identity
+    keys = layout.keys(rows)
+    layer_keys, neighbours = [keys], []
+    older, total = keys[:0], 1
+    for layer in range(n + 1):
+        neighbours.append(_neighbour_keys(spec, layout, rows))
+        if layer == n:
+            break
+        fresh = np.unique(neighbours[-1])
+        seen, _ = locate(np.concatenate([older, keys]), fresh)
+        older, fresh = keys, fresh[~seen]
+        total += len(fresh)
+        if total > cap:
+            raise BudgetError(
+                f"ball exceeds the vertex budget of {cap} vertices "
+                f"(group {spec.label()}, radius {n})")
+        rows = layout.rows(fresh)
+        order = np.lexsort(_lexsort_keys(spec, layout, rows))
+        rows, keys = rows[order], fresh[order]
+        layer_keys.append(keys)
 
-    layers: list[list] = [[] for _ in range(n + 1)]
-    for v, d in dist.items():
-        layers[d].append(v)
-    vertices: list = []
-    for layer in layers:
-        vertices.extend(sorted(layer))
-    index = {v: i for i, v in enumerate(vertices)}
-    word_length = np.fromiter((dist[v] for v in vertices), dtype=np.int32,
-                              count=len(vertices))
-
-    edge_list = []
-    for i, u in enumerate(vertices):
-        for g in spec.generators:
-            j = index.get(multiply(spec, u, g))
-            if j is not None and j > i:
-                edge_list.append((i, j))
-    if edge_list:
-        edges = np.array(sorted(edge_list), dtype=np.int64)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-
-    ball = CayleyBall(spec=spec, radius=n, vertices=tuple(vertices),
-                      word_length=word_length, edges=edges, k=spec.k)
-    ball._index = index
+    keys = np.concatenate(layer_keys)
+    sorter = np.argsort(keys, kind="stable")
+    found, at = locate(keys, np.concatenate(neighbours).ravel(), sorter)
+    u = np.repeat(np.arange(len(keys)), spec.k)[found]
+    up = at > u
+    u, v = u[up], at[up]
+    order = np.lexsort((v, u))
+    ball = CayleyBall(
+        spec=spec, radius=n, rows=layout.rows(keys),
+        word_length=np.repeat(np.arange(n + 1, dtype=np.int32),
+                              [len(layer) for layer in layer_keys]),
+        edges=np.stack([u[order], v[order]], axis=1), k=spec.k)
+    ball._lookup = (layout, keys, sorter)
     return ball
 
 
@@ -359,14 +553,16 @@ def growth_profile(spec: GroupSpec, n_max: int, budget: int | None = None) -> Gr
 # finite subgraphs
 # ---------------------------------------------------------------------------
 
-def locate(members: np.ndarray, wanted: np.ndarray) -> tuple:
+def locate(members: np.ndarray, wanted: np.ndarray, sorter=None) -> tuple:
     """Where each entry of ``wanted`` sits in ``members`` (distinct, any order).
 
-    A binary search through an ``argsort`` sorter.  Returns ``(found, at)``:
-    ``found`` flags the entries of ``wanted`` that are members, and ``at``
-    holds the position in ``members`` of each found entry, in order.
+    A binary search through an ``argsort`` sorter of ``members``, computed
+    unless given.  Returns ``(found, at)``: ``found`` flags the entries of
+    ``wanted`` that are members, and ``at`` holds the position in
+    ``members`` of each found entry, in order.
     """
-    sorter = np.argsort(members, kind="stable")
+    if sorter is None:
+        sorter = np.argsort(members, kind="stable")
     at = np.searchsorted(members, wanted, sorter=sorter)
     found = at < len(members)
     found[found] = members[sorter[at[found]]] == wanted[found]
@@ -501,15 +697,18 @@ def tetrahedron(m: int, n: int, ball: CayleyBall) -> FiniteSubgraph:
         raise ValueError("ball does not belong to the requested lamplighter group")
     if n < 1:
         raise ValueError("depth must be >= 1")
-    members = []
-    for values in itertools.product(range(m), repeat=n):
-        lamps = tuple((pos, val) for pos, val in zip(range(1, n + 1), values) if val)
-        for x in range(n + 1):
-            members.append((lamps, x))
-    index = ball.index
-    try:
-        idx = [index[el] for el in members]
-    except KeyError:
+    layout = ball._layout_keys()[0]
+    width = len(layout.lo)
+    cols = np.arange(1, n + 1) - layout.first_pos
+    fits = cols[0] >= 0 and cols[-1] < width - 1
+    if fits:
+        # every lamp pattern on {1, ..., n}, at every walker position 0..n
+        rows = np.zeros((m ** n, n + 1, width), dtype=np.int64)
+        rows[:, :, cols] = (np.arange(m ** n)[:, None]
+                            // m ** np.arange(n)[::-1] % m)[:, None, :]
+        rows[:, :, -1] = np.arange(n + 1)
+        idx = ball.find_rows(rows)
+    if not fits or np.any(idx < 0):
         raise ValueError(
             f"ball of radius {ball.radius} too small for the depth-{n} tetrahedron "
             f"(radius >= {2 * n} suffices)")

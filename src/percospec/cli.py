@@ -345,15 +345,17 @@ def run_ids(cfg: dict, out: Path) -> list:
     sp = cfg["spectra"]
     grid = energy_grid(cfg)
     bcs = sp.get("boundary_conditions", list(_BC_ALL))
+    radius, depth = window.get("radius"), window.get("depth")
+    ball = cayley.enumerate_ball(group, spectra.sample_radius(radius, depth),
+                                 cfg.get("budget_vertices"))
     outputs = []
     summary = {}
     for bc in bcs:
         est = spectra.empirical_ids(
-            group, model, bc, radius=window.get("radius"),
-            depth=window.get("depth"), n_samples=sp.get("n_samples", 100),
-            energy_grid=grid, workers=cfg["workers"],
-            dense_cap=sp.get("dense_cap", spectra.DENSE_CAP),
-            budget=cfg.get("budget_vertices"))
+            group, model, bc, radius=radius, depth=depth,
+            n_samples=sp.get("n_samples", 100), energy_grid=grid,
+            workers=cfg["workers"],
+            dense_cap=sp.get("dense_cap", spectra.DENSE_CAP), ball=ball)
         with open(out / f"ids_{bc}.csv", "w") as fh:
             spectra.export_ids_csv(est, fh)
         write_csv(out / f"ids_{bc}_bracket.csv", ["E", "low", "high"],
@@ -388,15 +390,14 @@ def run_free_ids(cfg: dict, out: Path) -> list:
     return outputs
 
 
-def _tetrahedron_reports(group: cayley.GroupSpec, cfg: dict) -> dict:
-    """Tetrahedron checks at each of ``window.depths``, all cut from one
-    enumerated ball B(2 * max depth)."""
-    depths = cfg.get("window", {}).get("depths", [2, 3, 4, 5])
-    if not depths:
-        return {}
-    ball = cayley.enumerate_ball(group, 2 * max(depths),
-                                 cfg.get("budget_vertices"))
-    return {str(d): vars(bounds_mod.tetrahedron_checks(group.modulus, d,
+def _tetrahedron_depths(cfg: dict) -> list:
+    return cfg.get("window", {}).get("depths", [2, 3, 4, 5])
+
+
+def _tetrahedron_reports(depths: list, ball: cayley.CayleyBall) -> dict:
+    """Tetrahedron checks at each depth, all cut from one enumerated ball
+    of radius >= 2 * max depth."""
+    return {str(d): vars(bounds_mod.tetrahedron_checks(ball.spec.modulus, d,
                                                         ball=ball))
             for d in depths}
 
@@ -429,7 +430,9 @@ def run_bounds(cfg: dict, out: Path) -> list:
             bounds_mod.upper_bound_check_dirichlet(group, range(2, n_max + 1),
                                                    budget))
     else:
-        reports["tetrahedron"] = _tetrahedron_reports(group, cfg)
+        depths = _tetrahedron_depths(cfg)
+        ball = cayley.enumerate_ball(group, 2 * max(depths, default=0), budget)
+        reports["tetrahedron"] = _tetrahedron_reports(depths, ball)
     write_json(out / "bounds_report.json", reports)
     return ["bounds_report.json"]
 
@@ -545,11 +548,14 @@ def run_chain(cfg: dict, out: Path) -> list:
 def run_lamplighter(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     return_max = cfg.get("window", {}).get("return_max", _RETURN_MAX)
-    budget = cfg.get("budget_vertices")
-    tets = _tetrahedron_reports(group, cfg)
+    depths = _tetrahedron_depths(cfg)
+    # one ball holds every tetrahedron and, as prefixes, every walk's B(n)
+    radius = max(2 * max(depths, default=0), return_max)
+    ball = cayley.enumerate_ball(group, radius, cfg.get("budget_vertices"))
+    tets = _tetrahedron_reports(depths, ball)
     values = []
     for n in range(1, return_max + 1):
-        rp = spectra.return_probability(group, n, budget)
+        rp = spectra.return_probability(group, n, ball=ball)
         values.append((n, rp.steps, rp.value))
     write_csv(out / "return_probability.csv", ["n", "steps", "value"], values)
     vals = np.array([v for _, _, v in values])

@@ -16,7 +16,7 @@ from scipy import linalg
 from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
-from .cayley import GroupSpec, enumerate_ball, induced_subgraph, tetrahedron
+from .cayley import CayleyBall, GroupSpec, enumerate_ball, induced_subgraph, tetrahedron
 from .errors import BudgetError, DegenerateSpectrumError
 from .operators import (
     ADJACENCY,
@@ -272,11 +272,19 @@ def _ids_sample_task(ctx, i):
     return np.concatenate([counts_int, counts_comp, [kern]]) / window_size
 
 
+def sample_radius(radius: int | None = None, depth: int | None = None) -> int:
+    """Radius of the ball that :func:`empirical_ids` samples live on: one
+    step beyond the window B(radius), or beyond the depth-n tetrahedron,
+    which lies in B(2n)."""
+    return radius + 1 if depth is None else 2 * depth + 1
+
+
 def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
                   radius: int | None = None, depth: int | None = None,
                   n_samples: int, energy_grid, workers: int = 1,
                   dense_cap: int = DENSE_CAP,
-                  budget: int | None = None) -> IDSEstimate:
+                  budget: int | None = None,
+                  ball: CayleyBall | None = None) -> IDSEstimate:
     """Monte Carlo estimate of the IDS from finite-window eigenvalue counts.
 
     The window is the ball B(radius) (polynomial growth) or the depth-n
@@ -286,23 +294,30 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
     is the intrinsic count; the bracket columns envelope both conventions,
     which monitors the finite-window boundary bias.  ``n_at_zero`` is the
     normalized kernel mass of the intrinsic operator.
+
+    ``ball``, if given, is that sample ball, of radius :func:`sample_radius`,
+    so that calls for several boundary conditions enumerate it once.
     """
     if n_samples < MIN_IDS_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_IDS_SAMPLES}")
     if (radius is None) == (depth is None):
         raise ValueError("specify exactly one of radius or depth")
+    if depth is not None and group.kind != "lamplighter":
+        raise ValueError("tetrahedron windows exist only for lamplighter groups")
     grid = np.asarray(energy_grid, dtype=np.float64)
+    need = sample_radius(radius, depth)
+    if ball is None:
+        ball = enumerate_ball(group, need, budget)
+    elif ball.spec != group or ball.radius != need:
+        raise ValueError(f"samples live on B({need}) of {group.label()}, "
+                         f"not on B({ball.radius}) of {ball.spec.label()}")
     if depth is not None:
-        if group.kind != "lamplighter":
-            raise ValueError("tetrahedron windows exist only for lamplighter groups")
-        ball = enumerate_ball(group, 2 * depth + 1, budget)
         tet = tetrahedron(group.modulus, depth, ball)
         window_mask = np.zeros(len(ball), dtype=bool)
         window_mask[tet.vertex_indices] = True
         window_size = tet.size
         window_descr = {"depth": depth}
     else:
-        ball = enumerate_ball(group, radius + 1, budget)
         window_mask = np.zeros(len(ball), dtype=bool)
         window_mask[:ball.volume(radius)] = True
         window_size = ball.volume(radius)
@@ -497,21 +512,28 @@ def max_exact_return_n(spec: GroupSpec) -> int | float:
     return math.floor(26 / bits) if bits else math.inf
 
 
-def return_probability(spec: GroupSpec, n: int, budget: int | None = None) -> ReturnProbability:
+def return_probability(spec: GroupSpec, n: int, budget: int | None = None,
+                       ball: CayleyBall | None = None) -> ReturnProbability:
     """Exact return probability of the simple random walk after 2n steps.
 
     A closed walk of length 2n never leaves B(n), so the (identity,
     identity) entry of (A/k)^(2n) on the ball of radius n is exact.  Walk
     counts stay below 2^53 for n <= :func:`max_exact_return_n`, so the
-    float arithmetic is exact too.
+    float arithmetic is exact too.  ``ball``, if given, is any enumerated
+    ball of ``spec`` with radius >= n; the walk runs on its prefix B(n).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if n > max_exact_return_n(spec):
         raise ValueError("walk count would overflow exact float range")
-    ball = enumerate_ball(spec, n, budget)
-    adj = ball.adjacency_matrix()
-    vec = np.zeros(len(ball))
+    if ball is None:
+        ball = enumerate_ball(spec, n, budget)
+    elif ball.spec != spec or ball.radius < n:
+        raise ValueError(f"the walk needs B({n}) of {spec.label()}, "
+                         f"not B({ball.radius}) of {ball.spec.label()}")
+    size = ball.volume(n)
+    adj = ball.adjacency_matrix()[:size, :size]
+    vec = np.zeros(size)
     vec[0] = 1.0
     for _ in range(2 * n):
         vec = adj @ vec

@@ -1,6 +1,5 @@
 """Ball enumeration, growth tables, special subgraphs, bipartiteness."""
 
-import functools
 import hashlib
 import io
 import itertools
@@ -29,12 +28,6 @@ from percospec.cayley import (
     thicken_subgraph,
 )
 from percospec.errors import BudgetError
-
-
-@functools.lru_cache(maxsize=None)
-def cached_ball(spec, n):
-    """One enumeration per (group, radius) for the module's read-only uses."""
-    return enumerate_ball(spec, n)
 
 
 def naive_ball(spec, n):
@@ -220,7 +213,7 @@ _BALL_DIGESTS = {
 
 @pytest.mark.parametrize("name,radius", sorted(_BALL_DIGESTS))
 def test_ball_matches_pinned_digest(name, radius):
-    ball = cached_ball(_DIGEST_SPECS[name], radius)
+    ball = enumerate_ball(_DIGEST_SPECS[name], radius)
     assert ball_digest(ball) == _BALL_DIGESTS[name, radius]
 
 
@@ -288,6 +281,14 @@ def test_vertices_index_of_round_trip(name, radius):
     outside = tuple_ball(spec, radius + 1)[0][len(ball)]
     with pytest.raises(KeyError):
         ball.index_of(outside)
+
+
+def test_find_rows_rejects_rows_outside_the_columns():
+    ball = enumerate_ball(GroupSpec.free_abelian(2), 1)
+    assert ball.find_rows(ball.rows).tolist() == list(range(len(ball)))
+    # (0, 5) packs to the key of (1, 0), but its column lies outside B(2)'s
+    assert ball.find_rows([[0, 5], [1, 0], [9, 9]]).tolist() == \
+        [-1, ball.index_of((1, 0)), -1]
 
 
 def test_index_of_rejects_non_canonical_lamps():
@@ -582,7 +583,7 @@ def multiply_tetrahedron(m, n, ball):
 @pytest.mark.parametrize("m", [2, 3])
 def test_tetrahedron_matches_multiply_reference(m):
     radii = [2, 4, 6, 8, 10]
-    balls = {r: cached_ball(GroupSpec.lamplighter(m), r) for r in radii}
+    balls = {r: enumerate_ball(GroupSpec.lamplighter(m), r) for r in radii}
     for n in (1, 2, 3, 4):
         ball = balls[2 * n]
         idx, edges = multiply_tetrahedron(m, n, ball)
@@ -599,6 +600,9 @@ def test_tetrahedron_ball_too_small():
     ball = enumerate_ball(GroupSpec.lamplighter(2), 2)
     with pytest.raises(ValueError, match="too small"):
         tetrahedron(2, 3, ball)
+    # B(0)'s lamp window, {0, 1}, does not reach position 3
+    with pytest.raises(ValueError, match="too small"):
+        tetrahedron(2, 3, enumerate_ball(GroupSpec.lamplighter(2), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import percospec
-from percospec import bounds, cayley, cli
+from percospec import bounds, cayley, cli, spectra
 from percospec.cli import main, validate_config
 from percospec.errors import BudgetError, ValidationError
 
@@ -555,8 +555,8 @@ def test_lamplighter_artifacts(tmp_path):
     assert rep["tetrahedron"]["2"]["eigenvalue_gap"] <= 1e-8
 
 
-@pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
-def test_tetrahedra_share_one_ball(tmp_path, monkeypatch, subcommand):
+def count_enumerations(monkeypatch):
+    """Record the radius of every ball enumeration, whichever module calls it."""
     radii = []
     original = cayley.enumerate_ball
 
@@ -564,8 +564,14 @@ def test_tetrahedra_share_one_ball(tmp_path, monkeypatch, subcommand):
         radii.append(n)
         return original(spec, n, budget)
 
-    monkeypatch.setattr(cayley, "enumerate_ball", counting)
-    monkeypatch.setattr(bounds, "enumerate_ball", counting)
+    for module in (cayley, bounds, spectra):
+        monkeypatch.setattr(module, "enumerate_ball", counting)
+    return radii
+
+
+@pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
+def test_tetrahedra_share_one_ball(tmp_path, monkeypatch, subcommand):
+    radii = count_enumerations(monkeypatch)
     out = tmp_path / "o"
     cfg = base_config(out, group={"kind": "lamplighter", "modulus": 2},
                       window={"depths": [4, 2, 3], "return_max": 2})
@@ -577,6 +583,44 @@ def test_tetrahedra_share_one_ball(tmp_path, monkeypatch, subcommand):
     tets = json.loads((out / name).read_text())["tetrahedron"]
     assert sorted(tets) == ["2", "3", "4"]
     assert all(t["vertex_count"] == t["expected_count"] for t in tets.values())
+
+
+@pytest.mark.parametrize("depths,return_max,radius", [([2], 4, 4), ([2], 6, 6),
+                                                      ([], 3, 3), ([3], 2, 6)])
+def test_lamplighter_walks_share_the_ball(tmp_path, monkeypatch, depths,
+                                          return_max, radius):
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 2},
+                      window={"depths": depths, "return_max": return_max})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["lamplighter", "--config", path]) == 0
+    expected = (out / "return_probability.csv").read_text()
+    radii = count_enumerations(monkeypatch)
+    assert main(["lamplighter", "--config", path]) == 0
+    assert radii == [radius]
+    assert (out / "return_probability.csv").read_text() == expected
+    rows = [line.split(",") for line in expected.splitlines()[1:]]
+    assert [float(v) for _, _, v in rows] == [
+        spectra.return_probability(cayley.GroupSpec.lamplighter(2), n).value
+        for n in range(1, return_max + 1)]
+
+
+@pytest.mark.parametrize("window", [{"radius": 6}, {"depth": 2}])
+def test_ids_enumerates_one_ball(tmp_path, monkeypatch, window):
+    radii = count_enumerations(monkeypatch)
+    out = tmp_path / "o"
+    group = ({"kind": "free_abelian", "rank": 2} if "radius" in window
+             else {"kind": "lamplighter", "modulus": 2})
+    cfg = base_config(out, group=group, window=window,
+                      percolation={"kind": "site", "p": 0.5},
+                      spectra={"n_samples": 10,
+                               "energy_grid": {"min": 0.0, "max": 4.0,
+                                               "points": 3}})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["ids", "--config", path]) == 0
+    assert radii == [spectra.sample_radius(**window)]
+    assert sorted(json.loads((out / "ids_report.json").read_text())) == \
+        ["adjacency", "dirichlet", "neumann"]
 
 
 @pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])

@@ -354,6 +354,32 @@ def test_ids_tetrahedron_window():
     assert np.all(np.diff(est.mean) >= -1e-12)
 
 
+@pytest.mark.parametrize("window,group", [
+    ({"radius": 4}, GroupSpec.free_abelian(2)),
+    ({"depth": 2}, GroupSpec.lamplighter(2))])
+def test_ids_given_ball_equals_own_ball(window, group):
+    model = PercolationModel("bond", 0.5, 5)
+    grid = np.linspace(0.0, 8.0, 9)
+    ball = enumerate_ball(group, spectra.sample_radius(**window))
+    for bc in (NEUMANN, "dirichlet", "adjacency"):
+        own = empirical_ids(group, model, bc, n_samples=10, energy_grid=grid,
+                            **window)
+        given = empirical_ids(group, model, bc, n_samples=10, energy_grid=grid,
+                              ball=ball, **window)
+        for field in ("mean", "stderr", "bracket_low", "bracket_high"):
+            assert np.array_equal(getattr(own, field), getattr(given, field))
+        assert own.n_at_zero == given.n_at_zero
+
+
+def test_ids_rejects_a_ball_of_another_radius_or_group():
+    model = PercolationModel("site", 0.5, 5)
+    for ball in (enumerate_ball(GroupSpec.free_abelian(2), 5),
+                 enumerate_ball(GroupSpec.free_abelian(1), 4)):
+        with pytest.raises(ValueError, match="samples live on B\\(4\\)"):
+            empirical_ids(GroupSpec.free_abelian(2), model, NEUMANN, radius=3,
+                          n_samples=10, energy_grid=[1.0], ball=ball)
+
+
 def window_cut_reference(s, window_mask):
     """The percolation subgraph of a sample cut to a window by masking the
     vertices and edges of the full sample subgraph: site keeps the active
@@ -508,6 +534,20 @@ def test_return_probability_binomial_on_z():
         expect = comb(2 * n, n) / 4 ** n
         assert return_probability(GroupSpec.free_abelian(1), n).value == \
             pytest.approx(expect, abs=1e-14)
+
+
+def test_return_probability_on_a_larger_ball():
+    for spec, radius in ((GroupSpec.lamplighter(2), 6),
+                         (GroupSpec.free_abelian(2), 5),
+                         (GroupSpec.heisenberg(), 4)):
+        ball = enumerate_ball(spec, radius)
+        for n in range(1, radius + 1):
+            assert return_probability(spec, n, ball=ball) == \
+                return_probability(spec, n)
+    with pytest.raises(ValueError, match="needs B\\(5\\)"):
+        return_probability(spec, 5, ball=ball)
+    with pytest.raises(ValueError, match="needs B\\(2\\)"):
+        return_probability(GroupSpec.lamplighter(2), 2, ball=ball)
 
 
 def test_return_probability_monotone_and_log_convex():
