@@ -532,11 +532,12 @@ def return_probability(spec: GroupSpec, n: int, budget: int | None = None,
         raise ValueError(f"the walk needs B({n}) of {spec.label()}, "
                          f"not B({ball.radius}) of {ball.spec.label()}")
     size = ball.volume(n)
-    adj = ball.adjacency_matrix()[:size, :size]
+    # the edges of the prefix B(n): both ends have index < size
+    u, v = ball.edges[ball.edges[:, 1] < size].T
     vec = np.zeros(size)
     vec[0] = 1.0
     for _ in range(2 * n):
-        vec = adj @ vec
+        vec = np.bincount(u, vec[v], size) + np.bincount(v, vec[u], size)
     return ReturnProbability(steps=2 * n, value=float(vec[0] / spec.k ** (2 * n)))
 
 
