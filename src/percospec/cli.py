@@ -187,6 +187,10 @@ def validate_config(raw: dict, subcommand: str) -> dict:
         span = fits.get(key)
         if span is not None and (len(span) != 2 or not 0 < span[0] < span[1]):
             raise ValidationError(f"fits.{key} must be [lo, hi] with 0 < lo < hi")
+    if subcommand == "exponents" and _line_site_fits(cfg, group) \
+            and not 0 < cfg["percolation"]["p"] < 1:
+        raise ValidationError("percolation.p must lie strictly between 0 and 1 "
+                              "for the exact line-model fits of exponents")
     if subcommand == "free-ids" and "radius" not in window \
             and not (group.kind == "free_abelian" and group.rank <= 4):
         raise ValidationError("free-ids needs window.radius or Z^d with d <= 4")
@@ -203,6 +207,12 @@ def validate_config(raw: dict, subcommand: str) -> dict:
                 f"window.return_max is {return_max}{default}, but return "
                 f"probabilities on {group.label()} are exact only up to n = {limit}")
     return cfg
+
+
+def _line_site_fits(cfg: dict, group: cayley.GroupSpec) -> bool:
+    """Whether exponents runs the exact line-model fits: site percolation on Z."""
+    return group.kind == "free_abelian" and group.rank == 1 \
+        and cfg.get("percolation", {}).get("kind") == "site"
 
 
 def build_group(cfg: dict) -> cayley.GroupSpec:
@@ -464,14 +474,23 @@ def run_exponents(cfg: dict, out: Path) -> list:
                         "stderr": fit.stderr, "r2": fit.r2,
                         "range": fit.fit_range, "inputs_digest": digest})
 
-    if group.kind == "free_abelian" and group.rank == 1 \
-            and cfg.get("percolation", {}).get("kind") == "site":
+    if _line_site_fits(cfg, group):
         p = float(cfg["percolation"]["p"])
         lo, hi = fits.get("lifshitz_range", (0.005, 0.2))
         grid = np.geomspace(lo, hi, 40)
         shift = p * (1 - p)
+
+        def fit_lifshitz(values, shift):
+            try:
+                return asymptotics.fit_lifshitz(grid, values, shift,
+                                                e_range=(lo, hi))
+            except ValueError as err:
+                raise ValidationError(
+                    f"fits.lifshitz_range [{lo}, {hi}] at percolation.p = {p} "
+                    f"leaves too few usable points: {err}") from None
+
         values = spectra.line_site_ids_oracle(p, grid, "neumann")
-        fit = asymptotics.fit_lifshitz(grid, values, shift, e_range=(lo, hi))
+        fit = fit_lifshitz(values, shift)
         reports.append({"kind": "lifshitz-neumann", "slope": fit.slope,
                         "stderr": fit.stderr, "r2": fit.r2,
                         "range": fit.fit_range, "inputs_digest": digest})
@@ -497,7 +516,7 @@ def run_exponents(cfg: dict, out: Path) -> list:
                         "range": sw.e_range, "inputs_digest": digest})
 
         na = spectra.line_site_ids_oracle(p, grid, "adjacency")
-        fit_a = asymptotics.fit_lifshitz(grid, na, shift=0.0, e_range=(lo, hi))
+        fit_a = fit_lifshitz(na, shift=0.0)
         reports.append({"kind": "lifshitz-adjacency", "slope": fit_a.slope,
                         "stderr": fit_a.stderr, "r2": fit_a.r2,
                         "range": fit_a.fit_range, "inputs_digest": digest})

@@ -114,8 +114,7 @@ def free_laplacian(window: CayleyBall) -> LabeledOperator:
 
 def percolation_laplacian(sample: PercolationSample, bc: str) -> LabeledOperator:
     """Laplacian of the percolation subgraph, over the active vertex set."""
-    op = subgraph_laplacian(sample.subgraph(), bc, tag=f"perc:{bc}")
-    return op
+    return subgraph_laplacian(sample.subgraph(), bc, tag=f"perc:{bc}")
 
 
 def boundary_potential(sample: PercolationSample) -> LabeledOperator:

@@ -24,6 +24,7 @@ from .operators import (
     NEUMANN,
     LabeledOperator,
     free_laplacian,
+    percolation_laplacian,
     restrict,
     subgraph_laplacian,
 )
@@ -52,27 +53,25 @@ def _kernel_count(eigenvalues: np.ndarray, scale: float) -> int:
 
 def eigenvalues_dense(op: LabeledOperator, dense_cap: int = DENSE_CAP,
                       validate: bool = False) -> Spectrum:
-    """Full spectrum by a symmetric dense eigensolve.
+    """Full spectrum, from the per-component solves of :func:`block_eigenvalues`.
 
     Refuses dimensions above ``dense_cap``; use :func:`count_below` there.
-    With ``validate=True`` each eigenpair residual is checked against
+    With ``validate=True`` each eigenvalue is checked against an
+    eigenvector of a dense ``eigh``: the residual must stay below
     1e-8 * ||H||.
     """
     if op.dim > dense_cap:
         raise BudgetError(
             f"operator dimension {op.dim} exceeds the dense cap {dense_cap}; "
             "use count_below for counting at this size")
-    if op.dim == 0:
-        return Spectrum(eigenvalues=np.zeros(0), dim=0, kernel_dim=0)
-    dense = op.to_dense()
+    vals = block_eigenvalues(op, dense_cap)
     scale = op.inf_norm()
     if validate:
-        vals, vecs = linalg.eigh(dense)
+        dense = op.to_dense()
+        vecs = linalg.eigh(dense)[1]
         resid = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
         if np.any(resid > 1e-8 * max(scale, 1.0)):
             raise RuntimeError("eigenpair residual above tolerance")
-    else:
-        vals = linalg.eigvalsh(dense)
     return Spectrum(eigenvalues=vals, dim=op.dim,
                     kernel_dim=_kernel_count(vals, scale))
 
@@ -86,23 +85,20 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     one ``(count, size, size)`` stack per component size, with each vertex
     at its rank by index inside its component; duplicate entries sum as in
     ``toarray``.  Each stack then takes one batched LAPACK call, and a
-    size-1 component is just its diagonal entry.
+    size-1 component is just its diagonal entry.  A component above
+    ``dense_cap`` raises :class:`BudgetError`.
     """
     n = op.dim
     if n == 0:
         return np.zeros(0)
     ncomp, labels = csgraph.connected_components(op.matrix, directed=False)
-    if ncomp == 1:
-        if n > dense_cap:
-            raise BudgetError(
-                f"connected component of dimension {n} exceeds the dense cap "
-                f"{dense_cap}")
-        return np.sort(linalg.eigvalsh(op.to_dense()))
     sizes = np.bincount(labels)
     if sizes.max() > dense_cap:
         raise BudgetError(
             f"connected component of dimension {int(sizes.max())} exceeds the "
             f"dense cap {dense_cap}")
+    if ncomp == 1:
+        return np.sort(linalg.eigvalsh(op.to_dense()))
     order = np.argsort(labels, kind="stable")
     local = np.empty(n, dtype=np.int64)
     local[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[labels[order]]
@@ -133,59 +129,17 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
 # counting
 # ---------------------------------------------------------------------------
 
-def _inertia_count(dense: np.ndarray, shift: float, scale: float) -> int:
-    """Number of eigenvalues below ``shift`` from the LDL^T inertia."""
-    n = dense.shape[0]
-    shifted = dense - shift * np.eye(n)
-    _, d, _ = linalg.ldl(shifted, lower=True)
-    neg = 0
-    i = 0
-    breakdown_tol = 1e-12 * max(scale, 1.0)
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0.0:
-            det = d[i, i] * d[i + 1, i + 1] - d[i, i + 1] * d[i + 1, i]
-            block_scale = abs(d[i, i]) + abs(d[i + 1, i + 1]) + 2 * abs(d[i, i + 1])
-            if abs(det) <= breakdown_tol * max(block_scale, 1.0):
-                raise FloatingPointError("pivot breakdown: shift hits an eigenvalue")
-            if det < 0:
-                neg += 1
-            elif d[i, i] + d[i + 1, i + 1] < 0:
-                neg += 2
-            i += 2
-        else:
-            if abs(d[i, i]) <= breakdown_tol:
-                raise FloatingPointError("pivot breakdown: shift hits an eigenvalue")
-            if d[i, i] < 0:
-                neg += 1
-            i += 1
-    return neg
-
-
 def count_below(op: LabeledOperator, energy: float,
                 dense_cap: int = DENSE_CAP) -> int:
     """Number of eigenvalues <= energy + count_tol.
 
-    Operators of dimension <= ``dense_cap`` go through the dense
-    eigensolve; larger ones through the inertia of a symmetric triangular
-    (LDL^T) factorisation of H - (E + tol) * I.  A factorisation breakdown
-    at a near-eigenvalue shift triggers one retry at E + 2 * tol, then an
-    error.
+    Counts the eigenvalues of :func:`block_eigenvalues`, so any operator
+    whose connected components all fit under ``dense_cap`` is counted,
+    however large its dimension; a larger component raises
+    :class:`BudgetError`.
     """
-    if op.dim == 0:
-        return 0
-    if op.dim <= dense_cap:
-        vals = block_eigenvalues(op, dense_cap)
-        return int(np.searchsorted(vals, energy + COUNT_TOL, side="right"))
-    dense = op.to_dense()
-    scale = op.inf_norm()
-    for attempt, shift in enumerate((energy + COUNT_TOL, energy + 2 * COUNT_TOL)):
-        try:
-            return _inertia_count(dense, shift, scale)
-        except FloatingPointError:
-            if attempt:
-                raise RuntimeError(
-                    f"inertia factorisation broke down twice near E={energy}")
-    raise AssertionError("unreachable")
+    vals = block_eigenvalues(op, dense_cap)
+    return int(np.searchsorted(vals, energy + COUNT_TOL, side="right"))
 
 
 def lowest_nonzero(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> float:
@@ -255,15 +209,15 @@ def _ids_sample_task(ctx, i):
 
     # intrinsic operator of the window-induced percolation subgraph: the
     # sample with every item outside the window closed
-    sub = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
-    op_int = subgraph_laplacian(sub, bc, tag=f"perc:{bc}")
+    op_int = percolation_laplacian(
+        replace(s, open_marks=s.open_marks & ctx["item_mask"]), bc)
     vals_int = block_eigenvalues(op_int, dense_cap)
     counts_int = np.searchsorted(vals_int, grid + COUNT_TOL, side="right")
 
     kern = _kernel_count(vals_int, op_int.inf_norm())
 
     # compression of the full-sample operator onto the window
-    op_big = subgraph_laplacian(s.subgraph(), bc, tag=f"perc:{bc}")
+    op_big = percolation_laplacian(s, bc)
     subset = op_big.index_set[window_mask[op_big.index_set]]
     op_comp = restrict(op_big, subset)
     vals_comp = block_eigenvalues(op_comp, dense_cap)

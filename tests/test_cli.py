@@ -218,6 +218,16 @@ _SITE = {"kind": "site", "p": 0.5}
     ("exponents", {"group": _Z1, "window": {"radius": 8},
                    "fits": {"growth_n_max": 25}},
      "fits.growth_n_max"),
+    ("exponents", {"group": _Z1, "percolation": {"kind": "site", "p": 0}},
+     "percolation.p"),
+    ("exponents", {"group": _Z1, "percolation": {"kind": "site", "p": 1}},
+     "percolation.p"),
+    # no energy of the fit range leaves a usable point for the double-log fit
+    ("exponents", {"group": _Z1, "percolation": _SITE,
+                   "fits": {"lifshitz_range": [1e-9, 2e-9]}},
+     "fits.lifshitz_range"),
+    ("exponents", {"group": _Z1, "percolation": {"kind": "site", "p": 0.999999}},
+     "fits.lifshitz_range"),
 ])
 def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
                                           key):

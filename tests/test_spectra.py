@@ -5,7 +5,7 @@ import pytest
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
-from percospec import spectra
+from percospec import operators, spectra
 from percospec.cayley import FiniteSubgraph, GroupSpec, enumerate_ball, tetrahedron
 from percospec.errors import BudgetError, DegenerateSpectrumError
 from percospec.operators import (
@@ -93,9 +93,10 @@ def test_block_eigenvalues_matches_dense():
     for i in range(5):
         s = sample(model, ball, i)
         op = percolation_laplacian(s, NEUMANN)
-        direct = eigenvalues_dense(op).eigenvalues
-        blocked = block_eigenvalues(op)
-        assert np.allclose(np.sort(direct), blocked, atol=1e-10)
+        direct = np.linalg.eigvalsh(op.to_dense())
+        assert np.allclose(block_eigenvalues(op), direct, atol=1e-10)
+        assert np.array_equal(eigenvalues_dense(op).eigenvalues,
+                              block_eigenvalues(op))
 
 
 # ---------------------------------------------------------------------------
@@ -110,33 +111,79 @@ def test_count_below_two_site(z_ball):
     assert count_below(op, 2 * z_ball.k) == 2
 
 
-def test_count_below_inertia_matches_dense():
-    rng = np.random.Generator(np.random.Philox(key=np.array([5, 0], dtype=np.uint64)))
-    ball = enumerate_ball(GroupSpec.free_abelian(2), 4)
-    model = PercolationModel("site", 0.55, 17)
-    checked = 0
-    for i in range(40):
+def _component_sizes(op):
+    return np.bincount(csgraph.connected_components(op.matrix, directed=False)[1])
+
+
+@pytest.mark.parametrize("rank,radius,kind,p_range", [
+    (1, 60, "site", (0.3, 0.7)),
+    (1, 60, "bond", (0.3, 0.7)),
+    (2, 8, "site", (0.2, 0.45)),   # below p_c(site) ~ 0.593
+    (2, 8, "bond", (0.2, 0.4)),    # below p_c(bond) = 1/2
+], ids=["Z1-site", "Z1-bond", "Z2-site", "Z2-bond"])
+def test_count_below_matches_eigvalsh_above_cap(rank, radius, kind, p_range):
+    """Operators above the dense cap made of small clusters, and their
+    compressions, are counted per component, exactly as a dense solve of
+    the whole operator counts them: at integer eigenvalues and on a 1/8
+    grid."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([5, rank],
+                                                            dtype=np.uint64)))
+    ball = enumerate_ball(GroupSpec.free_abelian(rank), radius)
+    inner = ball.volume(radius - 1)
+    grid = np.arange(-4, 16 * ball.k + 5) / 8
+    on_eigenvalue = 0
+    for i in range(3):
+        model = PercolationModel(kind, float(rng.uniform(*p_range)),
+                                 int(rng.integers(1 << 30)))
         s = sample(model, ball, i)
         for bc in (NEUMANN, ADJACENCY, DIRICHLET):
             op = percolation_laplacian(s, bc)
-            if op.dim == 0:
-                continue
-            vals = eigenvalues_dense(op).eigenvalues
-            for e in rng.uniform(-1.0, 2 * ball.k + 1.0, size=2):
-                expect = int((vals <= e + COUNT_TOL).sum())
-                assert count_below(op, float(e), dense_cap=0) == expect
-                assert count_below(op, float(e)) == expect
-                checked += 1
-    assert checked >= 200
+            for o in (op, restrict(op, op.index_set[op.index_set < inner])):
+                cap = int(_component_sizes(o).max())
+                assert o.dim > cap
+                vals = np.linalg.eigvalsh(o.to_dense())
+                integers = np.unique(np.round(vals[np.abs(vals - np.round(vals))
+                                                   < 1e-9]))
+                on_eigenvalue += len(integers)
+                for e in np.concatenate([grid, integers]):
+                    expect = int((vals <= e + COUNT_TOL).sum())
+                    assert count_below(o, float(e), dense_cap=cap) == expect
+    assert on_eigenvalue
 
 
-def test_count_below_auto_uses_inertia_above_cap():
-    ball = enumerate_ball(GroupSpec.free_abelian(1), 30)
-    op = free_laplacian(ball)
-    vals = eigenvalues_dense(op).eigenvalues
+def test_count_below_connected_above_cap_raises_budget_error():
+    op = free_laplacian(enumerate_ball(GroupSpec.free_abelian(1), 30))
+    with pytest.raises(BudgetError,
+                       match="component of dimension 61 exceeds the dense cap 10"):
+        count_below(op, 2.0, dense_cap=10)
+    vals = np.linalg.eigvalsh(op.to_dense())
     for e in (0.5, 2.0, 3.7):
-        expect = int((vals <= e + COUNT_TOL).sum())
-        assert count_below(op, e, dense_cap=10) == expect
+        assert count_below(op, e, dense_cap=61) == \
+            int((vals <= e + COUNT_TOL).sum())
+
+
+def test_no_dense_matrix_above_the_cap(monkeypatch):
+    ball = enumerate_ball(GroupSpec.free_abelian(1), 40)
+    op = percolation_laplacian(sample(PercolationModel("site", 0.5, 3), ball, 0),
+                               NEUMANN)
+    cap = int(_component_sizes(op).max())
+    small = restrict(op, op.index_set[:cap])
+    assert small.dim <= cap < op.dim
+    to_dense = LabeledOperator.to_dense
+
+    def guarded(self):
+        if self.dim > cap:
+            raise AssertionError(f"dense matrix of dimension {self.dim} "
+                                 f"above the cap {cap}")
+        return to_dense(self)
+
+    monkeypatch.setattr(LabeledOperator, "to_dense", guarded)
+    assert count_below(op, 1.0, dense_cap=cap) == \
+        int((block_eigenvalues(op, cap) <= 1.0 + COUNT_TOL).sum())
+    assert lowest_nonzero(op, dense_cap=cap) > 0
+    with pytest.raises(BudgetError, match="count_below"):
+        eigenvalues_dense(op, dense_cap=cap)
+    assert eigenvalues_dense(small, dense_cap=cap, validate=True).dim == small.dim
 
 
 def test_block_eigenvalues_bond_all_bcs():
@@ -227,16 +274,14 @@ def test_block_eigenvalues_dense_cap_applies_per_component():
         block_eigenvalues(free_laplacian(ball), dense_cap=12)
 
 
-def test_count_below_inertia_retries_past_exact_shift():
-    # diagonal entry exactly at the first shift E + tol: the factorisation
-    # pivot vanishes and the retry at E + 2*tol must take over
-    from scipy import sparse as sp
-    from percospec.operators import LabeledOperator
+def test_count_below_counts_eigenvalue_on_the_shift():
+    # an eigenvalue exactly at E + tol is counted, also above the cap
     diag = np.array([1.0 + COUNT_TOL, 5.0])
     op = LabeledOperator(index_set=np.arange(2),
-                         matrix=sp.diags(diag, format="csr"), tag="synthetic",
+                         matrix=sparse.diags(diag, format="csr"), tag="synthetic",
                          k=2)
-    assert count_below(op, 1.0, dense_cap=0) == 1
+    for cap in (1, 2):
+        assert count_below(op, 1.0, dense_cap=cap) == 1
 
 
 def test_counting_function_right_continuous():
@@ -400,13 +445,14 @@ def window_cut_reference(s, window_mask):
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 1.0])
 def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
     seen = []
-    laplacian = spectra.subgraph_laplacian
+    laplacian = operators.subgraph_laplacian
 
     def recording_laplacian(sub, bc, tag=None):
         seen.append(sub)
         return laplacian(sub, bc, tag)
 
-    monkeypatch.setattr(spectra, "subgraph_laplacian", recording_laplacian)
+    # both operators of a sample are built by percolation_laplacian
+    monkeypatch.setattr(operators, "subgraph_laplacian", recording_laplacian)
     model = PercolationModel(kind, p, 31)
     n = 15
     if window == "radius":
