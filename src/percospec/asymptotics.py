@@ -97,15 +97,24 @@ def fit_growth(profile: GrowthProfile, n_min: int = 4,
 # ---------------------------------------------------------------------------
 
 def fit_van_hove(energies, values, e_range=(1e-3, 1e-1)) -> ExponentFit:
-    """Slope of log N_0(E) against log E over the given energy range."""
+    """Slope of log N_0(E) against log E over the given energy range.
+
+    Only points with 0 < N_0 < 1 enter: outside the spectrum the IDS clamps
+    to 0 or 1, which says nothing about the slope.  Dropped points are
+    flagged, and fewer than 3 usable points raise.
+    """
     e = np.asarray(energies, dtype=np.float64)
     v = np.asarray(values, dtype=np.float64)
     in_range = (e >= e_range[0]) & (e <= e_range[1])
     flags = []
-    positive = v > 0
-    if np.any(in_range & ~positive):
+    if np.any(in_range & (v <= 0)):
         flags.append("range-shrunk-nonpositive-values")
-    mask = in_range & positive
+    if np.any(in_range & (v >= 1)):
+        flags.append("range-shrunk-values-at-one")
+    mask = in_range & (v > 0) & (v < 1)
+    if mask.sum() < 3:
+        raise ValueError(f"van-hove: need at least 3 points with 0 < N < 1, "
+                         f"got {mask.sum()}")
     return _linear_fit("van-hove", np.log(e[mask]), np.log(v[mask]),
                        (float(e[mask].min()), float(e[mask].max())), flags)
 

@@ -174,6 +174,10 @@ def validate_config(raw: dict, subcommand: str) -> dict:
             raise ValidationError(
                 f"growth fit needs fits.growth_n_min + 4 <= fits.growth_n_max <= "
                 f"window.radius, got {n_min}, {n_max}, {radius}")
+    bcs = cfg.get("spectra", {}).get("boundary_conditions")
+    if bcs is not None and (not bcs or len(set(bcs)) != len(bcs)):
+        raise ValidationError("spectra.boundary_conditions must be non-empty "
+                              "and name each boundary condition once")
     eg = cfg.get("spectra", {}).get("energy_grid")
     if eg is not None and eg.get("values") == []:
         raise ValidationError("spectra.energy_grid.values must not be empty")
@@ -191,9 +195,9 @@ def validate_config(raw: dict, subcommand: str) -> dict:
             and not 0 < cfg["percolation"]["p"] < 1:
         raise ValidationError("percolation.p must lie strictly between 0 and 1 "
                               "for the exact line-model fits of exponents")
-    if subcommand == "free-ids" and "radius" not in window \
-            and not (group.kind == "free_abelian" and group.rank <= 4):
-        raise ValidationError("free-ids needs window.radius or Z^d with d <= 4")
+    if subcommand == "free-ids" and "radius" not in window and not _torus_ids(group):
+        raise ValidationError("free-ids needs window.radius, or Z^d with d <= 4 "
+                              "and the standard generators")
     if subcommand == "chain" and cfg["percolation"]["kind"] != "site":
         raise ValidationError("chain needs percolation.kind site")
     if subcommand == "lamplighter":
@@ -209,9 +213,18 @@ def validate_config(raw: dict, subcommand: str) -> dict:
     return cfg
 
 
+def _torus_ids(group: cayley.GroupSpec) -> bool:
+    """Whether ``spectra.free_ids_zd`` is the free IDS of the Cayley graph:
+    Z^d with d <= 4 and the ±unit vectors, in any order, as generators."""
+    return group.kind == "free_abelian" and group.rank <= 4 \
+        and set(group.generators) == \
+        set(cayley.GroupSpec.free_abelian(group.rank).generators)
+
+
 def _line_site_fits(cfg: dict, group: cayley.GroupSpec) -> bool:
-    """Whether exponents runs the exact line-model fits: site percolation on Z."""
-    return group.kind == "free_abelian" and group.rank == 1 \
+    """Whether exponents runs the exact line-model fits: site percolation on
+    Z with generators ±1."""
+    return _torus_ids(group) and group.rank == 1 \
         and cfg.get("percolation", {}).get("kind") == "site"
 
 
@@ -354,18 +367,16 @@ def run_ids(cfg: dict, out: Path) -> list:
     window = cfg["window"]
     sp = cfg["spectra"]
     grid = energy_grid(cfg)
-    bcs = sp.get("boundary_conditions", list(_BC_ALL))
-    radius, depth = window.get("radius"), window.get("depth")
-    ball = cayley.enumerate_ball(group, spectra.sample_radius(radius, depth),
-                                 cfg.get("budget_vertices"))
+    ests = spectra.empirical_ids(
+        group, model, sp.get("boundary_conditions", list(_BC_ALL)),
+        radius=window.get("radius"), depth=window.get("depth"),
+        n_samples=sp.get("n_samples", 100), energy_grid=grid,
+        workers=cfg["workers"],
+        dense_cap=sp.get("dense_cap", spectra.DENSE_CAP),
+        budget=cfg.get("budget_vertices"))
     outputs = []
     summary = {}
-    for bc in bcs:
-        est = spectra.empirical_ids(
-            group, model, bc, radius=radius, depth=depth,
-            n_samples=sp.get("n_samples", 100), energy_grid=grid,
-            workers=cfg["workers"],
-            dense_cap=sp.get("dense_cap", spectra.DENSE_CAP), ball=ball)
+    for bc, est in ests.items():
         with open(out / f"ids_{bc}.csv", "w") as fh:
             spectra.export_ids_csv(est, fh)
         write_csv(out / f"ids_{bc}_bracket.csv", ["E", "low", "high"],
@@ -381,7 +392,7 @@ def run_free_ids(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     grid = energy_grid(cfg)
     outputs = []
-    if group.kind == "free_abelian" and group.rank <= 4:
+    if _torus_ids(group):
         rows = []
         for e in grid:
             val = spectra.free_ids_zd(group.rank, float(e))
@@ -447,6 +458,16 @@ def run_bounds(cfg: dict, out: Path) -> list:
     return ["bounds_report.json"]
 
 
+def _range_fit(key: str, lo: float, hi: float, fit, *args, context: str = ""):
+    """``fit(*args, e_range=(lo, hi))``.  A range that leaves the fit too few
+    usable points is a config mistake, reported against ``fits.<key>``."""
+    try:
+        return fit(*args, e_range=(lo, hi))
+    except ValueError as err:
+        raise ValidationError(f"fits.{key} [{lo}, {hi}]{context} leaves too few "
+                              f"usable points: {err}") from None
+
+
 def run_exponents(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     fits = cfg.get("fits", {})
@@ -464,12 +485,13 @@ def run_exponents(cfg: dict, out: Path) -> list:
                     "r2": cls.loglog.r2, "range": cls.loglog.fit_range,
                     "inputs_digest": digest})
 
-    if group.kind == "free_abelian" and group.rank <= 4:
+    if _torus_ids(group):
         lo, hi = fits.get("van_hove_range", (1e-3, 1e-1))
         grid = np.geomspace(lo, hi, 20)
         vals = np.array([spectra.free_ids_zd(group.rank, float(e)).value
                          for e in grid])
-        fit = asymptotics.fit_van_hove(grid, vals, e_range=(lo, hi))
+        fit = _range_fit("van_hove_range", lo, hi, asymptotics.fit_van_hove,
+                         grid, vals)
         reports.append({"kind": fit.kind, "slope": fit.slope,
                         "stderr": fit.stderr, "r2": fit.r2,
                         "range": fit.fit_range, "inputs_digest": digest})
@@ -481,13 +503,9 @@ def run_exponents(cfg: dict, out: Path) -> list:
         shift = p * (1 - p)
 
         def fit_lifshitz(values, shift):
-            try:
-                return asymptotics.fit_lifshitz(grid, values, shift,
-                                                e_range=(lo, hi))
-            except ValueError as err:
-                raise ValidationError(
-                    f"fits.lifshitz_range [{lo}, {hi}] at percolation.p = {p} "
-                    f"leaves too few usable points: {err}") from None
+            return _range_fit("lifshitz_range", lo, hi, asymptotics.fit_lifshitz,
+                              grid, values, shift,
+                              context=f" at percolation.p = {p}")
 
         values = spectra.line_site_ids_oracle(p, grid, "neumann")
         fit = fit_lifshitz(values, shift)

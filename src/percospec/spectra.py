@@ -24,7 +24,6 @@ from .operators import (
     NEUMANN,
     LabeledOperator,
     free_laplacian,
-    percolation_laplacian,
     restrict,
     subgraph_laplacian,
 )
@@ -129,6 +128,11 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
 # counting
 # ---------------------------------------------------------------------------
 
+def _counts(vals: np.ndarray, energies) -> np.ndarray:
+    """Number of the sorted ``vals`` <= E + count_tol, at each energy."""
+    return np.searchsorted(vals, np.asarray(energies) + COUNT_TOL, side="right")
+
+
 def count_below(op: LabeledOperator, energy: float,
                 dense_cap: int = DENSE_CAP) -> int:
     """Number of eigenvalues <= energy + count_tol.
@@ -138,8 +142,7 @@ def count_below(op: LabeledOperator, energy: float,
     however large its dimension; a larger component raises
     :class:`BudgetError`.
     """
-    vals = block_eigenvalues(op, dense_cap)
-    return int(np.searchsorted(vals, energy + COUNT_TOL, side="right"))
+    return int(_counts(block_eigenvalues(op, dense_cap), energy))
 
 
 def lowest_nonzero(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> float:
@@ -174,10 +177,8 @@ class CountingFunction:
                    normalization=float(normalization))
 
     def counts(self, energies) -> np.ndarray:
-        idx = np.searchsorted(self.jump_locations, np.asarray(energies) + COUNT_TOL,
-                              side="right")
         padded = np.concatenate([[0], self.cumulative])
-        return padded[idx]
+        return padded[_counts(self.jump_locations, energies)]
 
     def __call__(self, energies) -> np.ndarray:
         return self.counts(energies) / self.normalization
@@ -199,46 +200,34 @@ class IDSEstimate:
 
 
 def _ids_sample_task(ctx, i):
-    window_mask = ctx["window_mask"]
-    window_size = ctx["window_size"]
-    bc = ctx["bc"]
     grid = ctx["grid"]
     dense_cap = ctx["dense_cap"]
 
     s = sample(ctx["model"], ctx["ball"], i)
+    # the window-induced percolation subgraph: the sample with every item
+    # outside the window closed
+    sub_int = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
+    sub_big = s.subgraph()
+    # the full-sample operator is compressed onto its window vertices
+    subset = sub_big.vertex_indices[ctx["window_mask"][sub_big.vertex_indices]]
 
-    # intrinsic operator of the window-induced percolation subgraph: the
-    # sample with every item outside the window closed
-    op_int = percolation_laplacian(
-        replace(s, open_marks=s.open_marks & ctx["item_mask"]), bc)
-    vals_int = block_eigenvalues(op_int, dense_cap)
-    counts_int = np.searchsorted(vals_int, grid + COUNT_TOL, side="right")
-
-    kern = _kernel_count(vals_int, op_int.inf_norm())
-
-    # compression of the full-sample operator onto the window
-    op_big = percolation_laplacian(s, bc)
-    subset = op_big.index_set[window_mask[op_big.index_set]]
-    op_comp = restrict(op_big, subset)
-    vals_comp = block_eigenvalues(op_comp, dense_cap)
-    counts_comp = np.searchsorted(vals_comp, grid + COUNT_TOL, side="right")
-
-    return np.concatenate([counts_int, counts_comp, [kern]]) / window_size
-
-
-def sample_radius(radius: int | None = None, depth: int | None = None) -> int:
-    """Radius of the ball that :func:`empirical_ids` samples live on: one
-    step beyond the window B(radius), or beyond the depth-n tetrahedron,
-    which lies in B(2n)."""
-    return radius + 1 if depth is None else 2 * depth + 1
+    # the boundary conditions share the subgraphs and differ in the diagonal
+    rows = []
+    for bc in ctx["bcs"]:
+        op_int = subgraph_laplacian(sub_int, bc)
+        vals_int = block_eigenvalues(op_int, dense_cap)
+        op_comp = restrict(subgraph_laplacian(sub_big, bc), subset)
+        vals_comp = block_eigenvalues(op_comp, dense_cap)
+        rows += [_counts(vals_int, grid), _counts(vals_comp, grid),
+                 [_kernel_count(vals_int, op_int.inf_norm())]]
+    return np.concatenate(rows) / ctx["window_size"]
 
 
-def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
+def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
                   radius: int | None = None, depth: int | None = None,
                   n_samples: int, energy_grid, workers: int = 1,
                   dense_cap: int = DENSE_CAP,
-                  budget: int | None = None,
-                  ball: CayleyBall | None = None) -> IDSEstimate:
+                  budget: int | None = None) -> IDSEstimate | dict:
     """Monte Carlo estimate of the IDS from finite-window eigenvalue counts.
 
     The window is the ball B(radius) (polynomial growth) or the depth-n
@@ -249,9 +238,15 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
     which monitors the finite-window boundary bias.  ``n_at_zero`` is the
     normalized kernel mass of the intrinsic operator.
 
-    ``ball``, if given, is that sample ball, of radius :func:`sample_radius`,
-    so that calls for several boundary conditions enumerate it once.
+    ``bc`` is one boundary condition, which returns an :class:`IDSEstimate`,
+    or a sequence of distinct ones, which returns ``{bc: IDSEstimate}`` in
+    the given order; each sample is drawn once and serves every one of them.
     """
+    single = isinstance(bc, str)
+    bcs = [bc] if single else list(bc)
+    if not bcs or len(set(bcs)) != len(bcs):
+        raise ValueError(f"need a non-empty list of distinct boundary "
+                         f"conditions, got {bcs}")
     if n_samples < MIN_IDS_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_IDS_SAMPLES}")
     if (radius is None) == (depth is None):
@@ -259,20 +254,17 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
     if depth is not None and group.kind != "lamplighter":
         raise ValueError("tetrahedron windows exist only for lamplighter groups")
     grid = np.asarray(energy_grid, dtype=np.float64)
-    need = sample_radius(radius, depth)
-    if ball is None:
-        ball = enumerate_ball(group, need, budget)
-    elif ball.spec != group or ball.radius != need:
-        raise ValueError(f"samples live on B({need}) of {group.label()}, "
-                         f"not on B({ball.radius}) of {ball.spec.label()}")
+    # samples live one step beyond the window B(radius), or beyond the
+    # depth-n tetrahedron, which lies in B(2n)
+    ball = enumerate_ball(group, radius + 1 if depth is None else 2 * depth + 1,
+                          budget)
+    window_mask = np.zeros(len(ball), dtype=bool)
     if depth is not None:
         tet = tetrahedron(group.modulus, depth, ball)
-        window_mask = np.zeros(len(ball), dtype=bool)
         window_mask[tet.vertex_indices] = True
         window_size = tet.size
         window_descr = {"depth": depth}
     else:
-        window_mask = np.zeros(len(ball), dtype=bool)
         window_mask[:ball.volume(radius)] = True
         window_size = ball.volume(radius)
         window_descr = {"radius": radius}
@@ -281,25 +273,30 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc: str, *,
         else window_mask[ball.edges].all(axis=1)
 
     ctx = {"ball": ball, "window_mask": window_mask, "item_mask": item_mask,
-           "window_size": window_size, "model": model, "bc": bc, "grid": grid,
+           "window_size": window_size, "model": model, "bcs": bcs, "grid": grid,
            "dense_cap": dense_cap}
-    rows = np.vstack(run_indexed(_ids_sample_task, range(n_samples), workers, ctx))
+    # one row per sample: the counts of every boundary condition in turn
+    rows = np.vstack(run_indexed(_ids_sample_task, range(n_samples), workers,
+                                 ctx)).reshape(n_samples, len(bcs), -1)
 
     g = len(grid)
-    ints, comps, kerns = rows[:, :g], rows[:, g:2 * g], rows[:, -1]
-    mean = ints.mean(axis=0)
-    stderr = ints.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    mean_comp = comps.mean(axis=0)
-    params = {"group": group.label(), "model": model.kind, "p": model.p,
-              "seed": model.seed, "bc": bc, "n_samples": n_samples,
-              **window_descr}
-    return IDSEstimate(
-        energies=grid, mean=mean, stderr=stderr,
-        bracket_low=np.minimum(mean, mean_comp),
-        bracket_high=np.maximum(mean, mean_comp),
-        n_at_zero=(float(kerns.mean()),
-                   float(kerns.std(ddof=1) / np.sqrt(n_samples))),
-        params=params)
+    out = {}
+    for j, name in enumerate(bcs):
+        ints, comps, kerns = rows[:, j, :g], rows[:, j, g:2 * g], rows[:, j, -1]
+        mean = ints.mean(axis=0)
+        stderr = ints.std(axis=0, ddof=1) / np.sqrt(n_samples)
+        mean_comp = comps.mean(axis=0)
+        params = {"group": group.label(), "model": model.kind, "p": model.p,
+                  "seed": model.seed, "bc": name, "n_samples": n_samples,
+                  **window_descr}
+        out[name] = IDSEstimate(
+            energies=grid, mean=mean, stderr=stderr,
+            bracket_low=np.minimum(mean, mean_comp),
+            bracket_high=np.maximum(mean, mean_comp),
+            n_at_zero=(float(kerns.mean()),
+                       float(kerns.std(ddof=1) / np.sqrt(n_samples))),
+            params=params)
+    return out[bc] if single else out
 
 
 def export_ids_csv(est: IDSEstimate, fh) -> None:
@@ -334,8 +331,7 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     sub = s.subgraph()
 
     def counts(op):
-        vals = block_eigenvalues(op, dense_cap)
-        return np.searchsorted(vals, grid + COUNT_TOL, side="right") / norm
+        return _counts(block_eigenvalues(op, dense_cap), grid) / norm
 
     def perc(bc):
         return subgraph_laplacian(sub, bc, tag=f"perc:{bc}")
@@ -541,6 +537,5 @@ def line_site_ids_oracle(p: float, energies, bc: str,
     weights = np.concatenate(all_weights)
     order = np.argsort(vals)
     vals, weights = vals[order], np.cumsum(weights[order])
-    idx = np.searchsorted(vals, grid + COUNT_TOL, side="right")
     padded = np.concatenate([[0.0], weights])
-    return padded[idx]
+    return padded[_counts(vals, grid)]

@@ -1,6 +1,7 @@
 """CLI: validation, exit codes, artifact content, byte-level determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import re
@@ -134,6 +135,7 @@ def test_non_integer_budget_env_is_validation_error(tmp_path, monkeypatch,
 _Z1 = {"kind": "free_abelian", "rank": 1}
 _Z2 = {"kind": "free_abelian", "rank": 2}
 _SITE = {"kind": "site", "p": 0.5}
+_Z1_STEPS_1_2 = {**_Z1, "generators": [[1], [-1], [2], [-2]]}
 
 
 @pytest.mark.parametrize("subcommand,body,key", [
@@ -228,6 +230,21 @@ _SITE = {"kind": "site", "p": 0.5}
      "fits.lifshitz_range"),
     ("exponents", {"group": _Z1, "percolation": {"kind": "site", "p": 0.999999}},
      "fits.lifshitz_range"),
+    ("ids", {"group": _Z1, "window": {"radius": 5}, "percolation": _SITE,
+             "spectra": {"boundary_conditions": [], "n_samples": 10,
+                         "energy_grid": {"values": [1.0]}}},
+     "spectra.boundary_conditions"),
+    ("ids", {"group": _Z1, "window": {"radius": 5}, "percolation": _SITE,
+             "spectra": {"boundary_conditions": ["neumann", "neumann"],
+                         "n_samples": 10, "energy_grid": {"values": [1.0]}}},
+     "spectra.boundary_conditions"),
+    # the free IDS of Z^2 is 1 from E = 8 on, so no point of the range is usable
+    ("exponents", {"group": _Z2, "fits": {"van_hove_range": [10, 20]}},
+     "fits.van_hove_range"),
+    # the torus formula is not the IDS of Z with generators +-1, +-2
+    ("free-ids", {"group": _Z1_STEPS_1_2,
+                  "spectra": {"energy_grid": {"values": [1.0]}}},
+     "window.radius"),
 ])
 def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
                                           key):
@@ -343,10 +360,17 @@ def test_every_out_of_range_value_is_rejected(path):
             validate_config(cfg, subcommand)
 
 
+_README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_ids_example() -> dict:
+    return json.loads(re.search(r"```json\n(.*?)```", _README.read_text(),
+                                re.S).group(1))
+
+
 def test_readme_ids_example_validates():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
-    text = readme.read_text()
-    example = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    text = _README.read_text()
+    example = readme_ids_example()
     cfg = validate_config(example, "ids")
     assert cfg["output_dir"] == example["output_dir"]
     # and the README's key table names every key of the schema
@@ -394,6 +418,41 @@ def test_failed_run_keeps_what_another_run_wrote_beside_it(tmp_path,
     assert main(["growth", "--config", path]) == 2
     assert not out.exists()
     assert (other / "keep.txt").read_text() == "theirs"
+
+
+def test_van_hove_fit_drops_the_clamped_top_of_its_range(tmp_path):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json",
+                        base_config(out, group=_Z2,
+                                    fits={"van_hove_range": [5, 20]}))
+    assert main(["exponents", "--config", path]) == 0
+    fit = json.loads((out / "exponents.json").read_text())[1]
+    assert fit["kind"] == "van-hove"
+    assert fit["range"][0] == 5 and fit["range"][1] < 8
+
+
+@pytest.mark.parametrize("generators,torus", [
+    ([[0, -1], [1, 0], [0, 1], [-1, 0]], True),
+    ([[1, 0], [-1, 0], [1, 1], [-1, -1]], False)])
+def test_free_ids_torus_values_need_the_standard_generators(tmp_path, generators,
+                                                           torus):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", base_config(
+        out, group={**_Z2, "generators": generators}, window={"radius": 2},
+        spectra={"energy_grid": {"values": [1.0, 4.0]}}))
+    assert main(["free-ids", "--config", path]) == 0
+    assert (out / "free_ids.csv").exists() == torus
+    assert (out / "free_ids_ball.csv").exists()
+
+
+def test_exponents_skips_torus_and_line_fits_for_other_generators(tmp_path):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", base_config(
+        out, group=_Z1_STEPS_1_2, percolation=_SITE, window={"radius": 12},
+        fits={"line_max": 8}))
+    assert main(["exponents", "--config", path]) == 0
+    reports = json.loads((out / "exponents.json").read_text())
+    assert [r["kind"] for r in reports] == ["growth"]
 
 
 def test_exponents_reads_growth_n_max_and_ignores_depth(tmp_path):
@@ -628,9 +687,31 @@ def test_ids_enumerates_one_ball(tmp_path, monkeypatch, window):
                                                "points": 3}})
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["ids", "--config", path]) == 0
-    assert radii == [spectra.sample_radius(**window)]
+    # samples live on B(radius + 1), or on B(2 depth + 1) around the tetrahedron
+    assert radii == [7 if "radius" in window else 5]
     assert sorted(json.loads((out / "ids_report.json").read_text())) == \
         ["adjacency", "dirichlet", "neumann"]
+
+
+def test_ids_draws_each_sample_once(tmp_path, monkeypatch):
+    drawn = []
+    draw = spectra.sample
+
+    def recording_sample(model, ball, index):
+        drawn.append(index)
+        return draw(model, ball, index)
+
+    monkeypatch.setattr(spectra, "sample", recording_sample)
+    out = tmp_path / "o"
+    cfg = base_config(out, group=_Z2, window={"radius": 3},
+                      percolation={"kind": "bond", "p": 0.5},
+                      spectra={"boundary_conditions": ["dirichlet", "neumann",
+                                                       "adjacency"],
+                               "n_samples": 10,
+                               "energy_grid": {"values": [1.0, 4.0]}})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["ids", "--config", path]) == 0
+    assert drawn == list(range(10))
 
 
 @pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
@@ -675,6 +756,60 @@ def test_ids_byte_determinism_across_workers(tmp_path):
                                              "points": 5}}),
                ["ids_neumann.csv", "ids_adjacency.csv",
                 "ids_neumann_bracket.csv", "ids_report.json"])
+
+
+# The ids output bytes are the reproducibility contract: these sums were
+# recorded for the criterion-13 ids config and the README ids example.
+_IDS_SHA256 = {
+    "c13": {
+        "ids_dirichlet.csv":
+            "f62f7387c50cd0439334dfafe7bce883a4d21edc45c0a64387c4299353873993",
+        "ids_dirichlet_bracket.csv":
+            "89ab902f093cd5864ac05db8ee3387386852771bd1897ff9fa663ee0bba1a4b2",
+        "ids_neumann.csv":
+            "baa02f0b25f5190037b64bdc801f1081a1f8563df24f0fc80a460c27c62461d5",
+        "ids_neumann_bracket.csv":
+            "966b3f1f4545e1fc696a8b67bfbdaed6890a0fa8c1e35323e705c78a4cb50151",
+        "ids_report.json":
+            "6c2601a267c9e2bfbe099d809661f1d1bf9e1caccce7b15bfac0cdbcb7cbeb89",
+    },
+    "readme": {
+        "ids_adjacency.csv":
+            "187b48c68d3b609398506b350132c49e362c7bb955f92a84eef2afd9281d4231",
+        "ids_adjacency_bracket.csv":
+            "56fd567341ea02e8816a9a307fc934f98907854adb75dd82b6a2bcb8b0f62a64",
+        "ids_dirichlet.csv":
+            "8c422675fc6aa87bbbcde5945c054415ed6de1acd707b569ac7aabffc61f16d0",
+        "ids_dirichlet_bracket.csv":
+            "550d74f9c388ec2932bda9010f5503c66bc8789b1d240b944b3c2e74509b6ad5",
+        "ids_neumann.csv":
+            "97f42249cb5534a2bb9390d79629ceeed98bfdea902ab06401cf507b63e8c912",
+        "ids_neumann_bracket.csv":
+            "3802167716332e20924ac016d5bcdeb8a9c8409aab39d4f597f051de4339d099",
+        "ids_report.json":
+            "d6eb6cfb1de21221a4b56f277b567329a89cd659c7ed2144598ddf03275160a2",
+    },
+}
+
+
+def test_ids_bytes_match_the_recorded_sums(tmp_path):
+    configs = {
+        "c13": {"seed": 13013, "group": _Z1, "percolation": _SITE,
+                "window": {"radius": 25},
+                "spectra": {"boundary_conditions": ["neumann", "dirichlet"],
+                            "n_samples": 12,
+                            "energy_grid": {"min": 0.0, "max": 4.0,
+                                            "points": 5}}},
+        "readme": readme_ids_example(),
+    }
+    for name, cfg in configs.items():
+        out = tmp_path / name
+        path = write_config(tmp_path, f"{name}.json",
+                            {**cfg, "workers": 1, "output_dir": str(out)})
+        assert main(["ids", "--config", path]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in json.loads((out / "manifest.json").read_text())["outputs"]}
+        assert got == _IDS_SHA256[name], name
 
 
 def test_percolate_byte_determinism_across_workers(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
-from percospec import operators, spectra
+from percospec import spectra
 from percospec.cayley import FiniteSubgraph, GroupSpec, enumerate_ball, tetrahedron
 from percospec.errors import BudgetError, DegenerateSpectrumError
 from percospec.operators import (
@@ -402,27 +402,31 @@ def test_ids_tetrahedron_window():
 @pytest.mark.parametrize("window,group", [
     ({"radius": 4}, GroupSpec.free_abelian(2)),
     ({"depth": 2}, GroupSpec.lamplighter(2))])
-def test_ids_given_ball_equals_own_ball(window, group):
-    model = PercolationModel("bond", 0.5, 5)
+@pytest.mark.parametrize("kind", ["site", "bond"])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ids_bc_list_equals_one_bc_calls(window, group, kind, workers):
+    model = PercolationModel(kind, 0.5, 5)
     grid = np.linspace(0.0, 8.0, 9)
-    ball = enumerate_ball(group, spectra.sample_radius(**window))
-    for bc in (NEUMANN, "dirichlet", "adjacency"):
-        own = empirical_ids(group, model, bc, n_samples=10, energy_grid=grid,
-                            **window)
-        given = empirical_ids(group, model, bc, n_samples=10, energy_grid=grid,
-                              ball=ball, **window)
-        for field in ("mean", "stderr", "bracket_low", "bracket_high"):
-            assert np.array_equal(getattr(own, field), getattr(given, field))
-        assert own.n_at_zero == given.n_at_zero
+    bcs = [DIRICHLET, NEUMANN, ADJACENCY]  # not the CLI's default order
+    together = empirical_ids(group, model, bcs, n_samples=10, energy_grid=grid,
+                             workers=workers, **window)
+    assert list(together) == bcs
+    for bc in bcs:
+        alone = empirical_ids(group, model, bc, n_samples=10, energy_grid=grid,
+                              workers=workers, **window)
+        for field in ("mean", "stderr", "bracket_low", "bracket_high",
+                      "n_at_zero", "params"):
+            got, want = getattr(together[bc], field), getattr(alone, field)
+            assert (np.array_equal(got, want) if isinstance(want, np.ndarray)
+                    else got == want), (bc, field)
 
 
-def test_ids_rejects_a_ball_of_another_radius_or_group():
-    model = PercolationModel("site", 0.5, 5)
-    for ball in (enumerate_ball(GroupSpec.free_abelian(2), 5),
-                 enumerate_ball(GroupSpec.free_abelian(1), 4)):
-        with pytest.raises(ValueError, match="samples live on B\\(4\\)"):
-            empirical_ids(GroupSpec.free_abelian(2), model, NEUMANN, radius=3,
-                          n_samples=10, energy_grid=[1.0], ball=ball)
+@pytest.mark.parametrize("bcs", [[], [NEUMANN, ADJACENCY, NEUMANN]])
+def test_ids_rejects_an_empty_or_repeated_bc_list(bcs):
+    with pytest.raises(ValueError, match="distinct boundary conditions"):
+        empirical_ids(GroupSpec.free_abelian(1),
+                      PercolationModel("site", 0.5, 5), bcs, radius=3,
+                      n_samples=10, energy_grid=[1.0])
 
 
 def window_cut_reference(s, window_mask):
@@ -445,14 +449,14 @@ def window_cut_reference(s, window_mask):
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 1.0])
 def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
     seen = []
-    laplacian = operators.subgraph_laplacian
+    laplacian = spectra.subgraph_laplacian
 
     def recording_laplacian(sub, bc, tag=None):
         seen.append(sub)
         return laplacian(sub, bc, tag)
 
-    # both operators of a sample are built by percolation_laplacian
-    monkeypatch.setattr(operators, "subgraph_laplacian", recording_laplacian)
+    # both operators of a sample are built by spectra's subgraph_laplacian
+    monkeypatch.setattr(spectra, "subgraph_laplacian", recording_laplacian)
     model = PercolationModel(kind, p, 31)
     n = 15
     if window == "radius":
