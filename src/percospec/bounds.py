@@ -30,6 +30,9 @@ from .errors import DegenerateSpectrumError, OracleViolationError
 from .operators import ADJACENCY, DIRICHLET, NEUMANN, LabeledOperator, subgraph_laplacian
 from .spectra import lowest_nonzero
 
+# how far a computed eigenvalue may sit from the value a check expects
+_TOL = 1e-8
+
 DIRICHLET_RADIAL = "dirichlet_radial"
 NEUMANN_LINEAR = "neumann_linear"
 CUSTOM = "custom"
@@ -205,9 +208,8 @@ class TetrahedronReport:
 MIN_TETRAHEDRON_DEPTH = 2
 
 
-def tetrahedron_checks(m: int, n: int, ball: CayleyBall | None = None,
-                       budget: int | None = None,
-                       tol: float = 1e-8) -> TetrahedronReport:
+def tetrahedron_checks(m: int, n: int,
+                       ball: CayleyBall | None = None) -> TetrahedronReport:
     """Verify the three tetrahedron facts; raise on any failure.
 
     (a) exactly (n+1) m^n vertices; (b) 2m(1 - cos pi/n) is an eigenvalue
@@ -219,7 +221,7 @@ def tetrahedron_checks(m: int, n: int, ball: CayleyBall | None = None,
         raise ValueError(f"the tetrahedron facts need depth n >= "
                          f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
     if ball is None:
-        ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n, budget)
+        ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n)
     tet = tetrahedron(m, n, ball)
     expected = (n + 1) * m ** n
     if tet.size != expected:
@@ -230,18 +232,18 @@ def tetrahedron_checks(m: int, n: int, ball: CayleyBall | None = None,
     vals, vecs = linalg.eigh(dense)
     target = 2.0 * m * (1.0 - np.cos(np.pi / n))
     gap = float(np.min(np.abs(vals - target)))
-    if gap > tol:
+    if gap > _TOL:
         raise OracleViolationError(
-            f"no eigenvalue of the depth-{n} tetrahedron within {tol} of "
+            f"no eigenvalue of the depth-{n} tetrahedron within {_TOL} of "
             f"{target}: nearest at distance {gap}")
-    sel = np.abs(vals - target) <= tol
+    sel = np.abs(vals - target) <= _TOL
     space = vecs[:, sel]
     rows = op.local_of(inner_vertex_boundary(tet))
     # the flattest direction of the eigenspace on the boundary rows
     _, _, vt = np.linalg.svd(space[rows, :], full_matrices=True)
     vec = space @ vt[-1]
     ratio = float(np.max(np.abs(vec[rows])) / np.max(np.abs(vec)))
-    if ratio > tol:
+    if ratio > _TOL:
         raise OracleViolationError(
             f"no eigenvector at {target} vanishes on the inner boundary "
             f"(best max-norm ratio {ratio})")
@@ -273,8 +275,7 @@ class SandwichInputs:
         return int(self.sizes[self.member_at(energy)])
 
 
-def sandwich_inputs(family, c_values, bc: str, labels=None,
-                    tol: float = 1e-8) -> SandwichInputs:
+def sandwich_inputs(family, c_values, bc: str, labels=None) -> SandwichInputs:
     """Verify lambda^#(G'_n) <= c_n for the supplied thresholds.
 
     Returns the verified thresholds with sizes and the E -> member map
@@ -290,7 +291,7 @@ def sandwich_inputs(family, c_values, bc: str, labels=None,
     labels = np.asarray(labels)
     lambdas = np.array([lowest_nonzero(subgraph_laplacian(sub, bc))
                         for sub in family])
-    bad = np.flatnonzero(lambdas > c + tol)
+    bad = np.flatnonzero(lambdas > c + _TOL)
     if len(bad):
         raise ValueError(
             "threshold verification failed at members "

@@ -81,6 +81,13 @@ def _list(item):
     return check
 
 
+def _seed(value, path, subcommand):
+    """A 64-bit unsigned integer: the width of the sampling key."""
+    _int(0)(value, path, subcommand)
+    if value >= 2 ** 64:
+        raise ValidationError(f"{path} must be < 2**64")
+
+
 def _text(value, path, subcommand):
     if not isinstance(value, str):
         raise ValidationError(f"{path} must be a string")
@@ -88,7 +95,7 @@ def _text(value, path, subcommand):
 
 # every accepted key and the check its value must pass; dicts are sections
 _SCHEMA = {
-    "seed": _int(), "workers": _int(1), "output_dir": _text,
+    "seed": _seed, "workers": _int(1), "output_dir": _text,
     "budget_vertices": _int(1),
     "group": {"kind": _one_of("free_abelian", "heisenberg", "lamplighter"),
               "rank": _int(1), "modulus": _int(2),
@@ -288,7 +295,7 @@ def _jsonable(obj):
 
 def write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True)
+        json.dump(_jsonable(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -527,6 +534,11 @@ def run_exponents(cfg: dict, out: Path) -> list:
         sw = asymptotics.sandwich_check(grid, values, shift,
                                         lambda x: np.sqrt(alpha_n / x), inputs,
                                         e_range=(lo_eff, hi))
+        if sw.empty_measure:
+            raise ValidationError(
+                f"fits.line_max {line_max} certifies energies from {lo_eff:.4g} "
+                f"on, which leaves fits.lifshitz_range [{lo}, {hi}] no usable "
+                f"point for the sandwich")
         reports.append({"kind": "sandwich-neumann", "a": sw.a, "b": sw.b,
                         "upper_violations": sw.upper_violations,
                         "lower_violations": sw.lower_violations,
@@ -660,8 +672,13 @@ def main(argv=None) -> int:
                     f"{ENV_BUDGET} must be an integer, got {env_budget!r}")
         cfg = validate_config(raw, args.subcommand)
         out = Path(cfg["output_dir"])
-        created = not out.exists()
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            existed = out.exists()
+            out.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as err:
+            raise ValidationError(f"output_dir {str(out)!r} cannot be a "
+                                  f"directory: {err}") from None
+        created = not existed
         outputs = _SUBCOMMANDS[args.subcommand](cfg, out)
         write_manifest(out, args.subcommand, cfg, outputs, started)
         return 0

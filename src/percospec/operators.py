@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .cayley import CayleyBall, FiniteSubgraph, induced_subgraph, locate
+from .cayley import CayleyBall, FiniteSubgraph, locate
 from .errors import UnsupportedModelError
 from .percolation import SITE, PercolationSample
 
@@ -29,7 +29,12 @@ _BCS = (ADJACENCY, DIRICHLET, NEUMANN)
 
 @dataclass(eq=False)
 class LabeledOperator:
-    """Sparse symmetric matrix over an ordered subset of window vertices."""
+    """Sparse symmetric matrix over an ordered subset of window vertices.
+
+    ``matrix`` is in canonical CSR form: float64, one entry per position,
+    sorted column indices, no stored zeros.  Other input is replaced by a
+    canonical copy; the caller's matrix is never changed.
+    """
 
     index_set: np.ndarray
     matrix: sparse.csr_matrix
@@ -39,6 +44,12 @@ class LabeledOperator:
 
     def __post_init__(self):
         self.index_set = np.asarray(self.index_set, dtype=np.int64)
+        mat = self.matrix
+        if not (isinstance(mat, sparse.csr_matrix) and mat.dtype == np.float64
+                and mat.has_canonical_format and mat.data.all()):
+            self.matrix = mat = sparse.csr_matrix(mat, dtype=np.float64, copy=True)
+            mat.sum_duplicates()
+            mat.eliminate_zeros()
 
     @property
     def dim(self) -> int:
@@ -66,22 +77,21 @@ class LabeledOperator:
         return at
 
 
-def _assemble(n: int, local_edges: np.ndarray, diag: np.ndarray) -> sparse.csr_matrix:
-    rows, cols, data = [], [], []
-    if len(local_edges):
-        u, v = local_edges[:, 0], local_edges[:, 1]
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        data = -np.ones(2 * len(local_edges))
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    mat = mat + sparse.diags(diag.astype(np.float64), format="csr", shape=(n, n))
-    mat.sort_indices()
-    return mat
+def _assemble(n: int, edges, potential) -> sparse.csr_matrix:
+    """-A + V in one COO -> CSR pass: -1 at both orientations of each edge
+    and the potential on the diagonal, where it is nonzero."""
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    diag = np.broadcast_to(np.asarray(potential, dtype=np.float64), (n,))
+    on = np.flatnonzero(diag)
+    return sparse.csr_matrix(
+        (np.concatenate([np.full(2 * len(u), -1.0), diag[on]]),
+         (np.concatenate([u, v, on]), np.concatenate([v, u, on]))),
+        shape=(n, n))
 
 
-def _diag_for(bc: str, k: int, degrees: np.ndarray) -> np.ndarray:
+def _diag_for(bc: str, k: int, degrees: np.ndarray):
     if bc == ADJACENCY:
-        return np.full(len(degrees), k, dtype=np.float64)
+        return k
     if bc == DIRICHLET:
         return 2.0 * k - degrees
     if bc == NEUMANN:
@@ -94,9 +104,8 @@ def subgraph_laplacian(sub: FiniteSubgraph, bc: str,
     """Laplacian of a finite subgraph under the given boundary condition."""
     if bc not in _BCS:
         raise ValueError(f"unknown boundary condition {bc!r}")
-    degrees = sub.degrees()
     mat = _assemble(sub.size, sub.local_edges(),
-                    _diag_for(bc, sub.parent.k, degrees))
+                    _diag_for(bc, sub.parent.k, sub.degrees()))
     return LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
                            tag=tag or f"laplacian:{bc}", k=sub.parent.k, bc=bc)
 
@@ -108,8 +117,9 @@ def free_laplacian(window: CayleyBall) -> LabeledOperator:
     its vertices, which is also the compression of the full-graph
     Laplacian to the window.
     """
-    whole = induced_subgraph(window, np.arange(len(window)))
-    return subgraph_laplacian(whole, ADJACENCY, tag="free")
+    n = len(window)
+    return LabeledOperator(index_set=np.arange(n), tag="free", k=window.k,
+                           bc=ADJACENCY, matrix=_assemble(n, window.edges, window.k))
 
 
 def percolation_laplacian(sample: PercolationSample, bc: str) -> LabeledOperator:
@@ -120,10 +130,8 @@ def percolation_laplacian(sample: PercolationSample, bc: str) -> LabeledOperator
 def boundary_potential(sample: PercolationSample) -> LabeledOperator:
     """Diagonal potential k - d on the active set; equals Dirichlet - adjacency."""
     sub = sample.subgraph()
-    diag = sample.window.k - sub.degrees().astype(np.float64)
-    mat = sparse.diags(diag, format="csr", shape=(sub.size, sub.size)) \
-        if sub.size else sparse.csr_matrix((0, 0))
-    return LabeledOperator(index_set=sub.vertex_indices, matrix=mat.tocsr(),
+    mat = _assemble(sub.size, (), sample.window.k - sub.degrees())
+    return LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
                            tag="boundary_potential", k=sample.window.k)
 
 
@@ -143,15 +151,11 @@ def extend(op: LabeledOperator, window: CayleyBall, K: float,
                       "extension eigenvalues may mix with the spectrum",
                       stacklevel=2)
     coo = op.matrix.tocoo()
-    rows = op.index_set[coo.row]
-    cols = op.index_set[coo.col]
-    data = coo.data
-    if len(deleted) and K != 0.0:
-        rows = np.concatenate([rows, deleted])
-        cols = np.concatenate([cols, deleted])
-        data = np.concatenate([data, np.full(len(deleted), float(K))])
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    mat.sort_indices()
+    # K = 0 entries are dropped by the canonical form
+    mat = sparse.csr_matrix(
+        (np.concatenate([coo.data, np.full(len(deleted), float(K))]),
+         (np.concatenate([op.index_set[coo.row], deleted]),
+          np.concatenate([op.index_set[coo.col], deleted]))), shape=(n, n))
     return LabeledOperator(index_set=np.arange(n, dtype=np.int64), matrix=mat,
                            tag=f"extended:{op.bc or op.tag}:K={K:g}", k=op.k,
                            bc=op.bc)
@@ -168,11 +172,10 @@ def anderson(sample: PercolationSample, window: CayleyBall,
         raise UnsupportedModelError("the two-valued potential is site based")
     if coupling < 0:
         raise ValueError("coupling must be >= 0")
-    free = free_laplacian(window)
-    closed = (~sample.open_marks).astype(np.float64) * coupling
-    mat = (free.matrix + sparse.diags(closed, format="csr")).tocsr()
-    mat.sort_indices()
-    return LabeledOperator(index_set=free.index_set, matrix=mat,
+    n = len(window)
+    potential = window.k + (~sample.open_marks).astype(np.float64) * coupling
+    return LabeledOperator(index_set=np.arange(n),
+                           matrix=_assemble(n, window.edges, potential),
                            tag=f"anderson:lambda={coupling:g}", k=window.k)
 
 
@@ -180,9 +183,8 @@ def restrict(op: LabeledOperator, subset) -> LabeledOperator:
     """Principal submatrix on a subset of the operator's window indices."""
     subset = np.asarray(subset, dtype=np.int64)
     positions = op.local_of(subset)
-    mat = op.matrix[positions][:, positions].tocsr()
-    mat.sort_indices()
-    return LabeledOperator(index_set=subset, matrix=mat,
+    return LabeledOperator(index_set=subset,
+                           matrix=op.matrix[positions][:, positions],
                            tag=f"restricted({op.tag})", k=op.k, bc=op.bc)
 
 
@@ -197,12 +199,11 @@ def bipartite_conjugate(op: LabeledOperator, coloring: np.ndarray) -> LabeledOpe
     if not np.all(np.abs(colors) == 1):
         raise ValueError("coloring must assign +-1 to every operator vertex")
     coo = op.matrix.tocoo()
-    offd = coo.row != coo.col
-    if np.any(colors[coo.row[offd]] * colors[coo.col[offd]] != -1):
+    sign = colors[coo.row] * colors[coo.col]
+    if np.any(sign[coo.row != coo.col] != -1):
         raise ValueError("coloring is not proper: adjacent vertices share a color")
-    d = sparse.diags(colors.astype(np.float64), format="csr")
-    mat = (d @ op.matrix @ d).tocsr()
-    mat.sort_indices()
+    mat = op.matrix.copy()
+    mat.data *= sign
     return LabeledOperator(index_set=op.index_set, matrix=mat,
                            tag=f"conjugated({op.tag})", k=op.k, bc=op.bc)
 
@@ -210,8 +211,7 @@ def bipartite_conjugate(op: LabeledOperator, coloring: np.ndarray) -> LabeledOpe
 def export_matrix(op: LabeledOperator, fh) -> None:
     """Coordinate text format: header, then ``i j value`` for i <= j."""
     fh.write(f"# n={op.dim} sym=1 tag={op.tag}\n")
-    coo = op.matrix.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+    coo = op.matrix.tocoo()  # row-major, sorted columns: the canonical order
+    for r, c, v in zip(coo.row, coo.col, coo.data):
         if r <= c:
             fh.write(f"{r} {c} {v:.17g}\n")

@@ -33,6 +33,9 @@ class PercolationModel:
             raise ValueError(f"unknown percolation kind {self.kind!r}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
+        # item_uniforms keys Philox with 64 bits; a wider seed would alias
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError("seed must lie in [0, 2**64)")
 
 
 def item_uniforms(seed: int, sample_index: int, n_items: int) -> np.ndarray:
@@ -139,8 +142,8 @@ def decompose(sample: PercolationSample) -> ClusterDecomposition:
 
 @dataclass
 class TailFit:
-    tau: float
-    r2: float
+    tau: float | None
+    r2: float | None
     n_points: int
     fit_range: tuple
     valid: bool
@@ -171,7 +174,8 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
 
     The tail decay rate is the negative slope of the least-squares line
     through (n, log tail(n)), restricted to grid points backed by at least
-    30 hits; with fewer than two usable points the fit is marked invalid.
+    30 hits; with fewer than two usable points the fit is marked invalid
+    and has no ``tau`` or ``r2`` (None).
     """
     if n_samples < MIN_STATS_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_STATS_SAMPLES}")
@@ -196,7 +200,7 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
                                  int(tail_grid[usable].max())),
                       valid=True)
     else:
-        fit = TailFit(tau=float("nan"), r2=float("nan"),
+        fit = TailFit(tau=None, r2=None,
                       n_points=int(usable.sum()), fit_range=(0, 0), valid=False)
 
     nv = float(len(window))

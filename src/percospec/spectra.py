@@ -16,7 +16,7 @@ from scipy import linalg
 from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
-from .cayley import CayleyBall, GroupSpec, enumerate_ball, induced_subgraph, tetrahedron
+from .cayley import CayleyBall, GroupSpec, enumerate_ball, tetrahedron
 from .errors import BudgetError, DegenerateSpectrumError
 from .operators import (
     ADJACENCY,
@@ -82,10 +82,11 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     regime components stay small even when the window is large.  One pass
     scatters the operator's stored entries into zero-filled dense blocks,
     one ``(count, size, size)`` stack per component size, with each vertex
-    at its rank by index inside its component; duplicate entries sum as in
-    ``toarray``.  Each stack then takes one batched LAPACK call, and a
-    size-1 component is just its diagonal entry.  A component above
-    ``dense_cap`` raises :class:`BudgetError`.
+    at its rank by index inside its component; the canonical form stores
+    each position once, so the scatter is a plain assignment.  Each stack
+    then takes one batched LAPACK call, and a size-1 component is just its
+    diagonal entry.  A component above ``dense_cap`` raises
+    :class:`BudgetError`.
     """
     n = op.dim
     if n == 0:
@@ -108,11 +109,8 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     base[by_size] = np.cumsum(block_len) - block_len
     flat = np.zeros(int(block_len.sum()))
     coo = op.matrix.tocoo()
-    # connected_components counts every stored entry, explicit zeros too,
-    # so both ends of an entry lie in the same component
     comp = labels[coo.row]
-    np.add.at(flat, base[comp] + local[coo.row] * sizes[comp] + local[coo.col],
-              coo.data)
+    flat[base[comp] + local[coo.row] * sizes[comp] + local[coo.col]] = coo.data
     out = []
     start = 0
     for size, count in zip(*np.unique(sizes, return_counts=True)):
@@ -359,8 +357,12 @@ class FreeIDSValue:
     method: str
 
 
-def free_ids_zd(d: int, energy: float, mc_samples: int = 400_000,
-                mc_seed: int = 20240) -> FreeIDSValue:
+# the Monte Carlo estimate of free_ids_zd in dimensions 3 and 4
+_MC_SAMPLES = 400_000
+_MC_SEED = 20240
+
+
+def free_ids_zd(d: int, energy: float) -> FreeIDSValue:
     """IDS of the free Laplacian on Z^d at one energy.
 
     Evaluates the momentum-space volume of { theta : sum_i 2(1 - cos
@@ -394,12 +396,12 @@ def free_ids_zd(d: int, energy: float, mc_samples: int = 400_000,
             raise RuntimeError("quadrature error estimate above 1e-6")
         return FreeIDSValue(float(value), float(err / np.pi ** 2), False, "quadrature")
     gen = np.random.Generator(np.random.Philox(key=np.array(
-        [mc_seed, d], dtype=np.uint64)))
-    theta = gen.random((mc_samples, d)) * np.pi
+        [_MC_SEED, d], dtype=np.uint64)))
+    theta = gen.random((_MC_SAMPLES, d)) * np.pi
     inside = (2.0 * (1.0 - np.cos(theta))).sum(axis=1) <= energy
     value = inside.mean()
     return FreeIDSValue(float(value),
-                        float(np.sqrt(value * (1 - value) / mc_samples)),
+                        float(np.sqrt(value * (1 - value) / _MC_SAMPLES)),
                         False, "monte-carlo")
 
 
@@ -424,22 +426,22 @@ def free_ids_ball(spec: GroupSpec, radius: int, energies,
     if trace_radii is None:
         trace_radii = range(1, radius + 1)
     trace_radii = sorted(set(int(r) for r in trace_radii) | {radius})
+    if trace_radii[0] < 0 or trace_radii[-1] > radius:
+        raise ValueError("trace radius outside [0, radius]")
+    if len(ball) > dense_cap:
+        raise BudgetError(f"ball B({radius}) has {len(ball)} vertices, above "
+                          f"the dense cap {dense_cap}")
+    # B(r) is a prefix of the ball, so its adjacency Laplacian is the
+    # leading principal block of the whole ball's
+    dense = free_laplacian(ball).to_dense()
     trace = []
-    values = None
     for r in trace_radii:
-        if r < 0 or r > radius:
-            raise ValueError("trace radius outside [0, radius]")
         nv = ball.volume(r)
-        if nv > dense_cap:
-            raise BudgetError(f"ball B({r}) has {nv} vertices, above the dense "
-                              f"cap {dense_cap}")
-        sub = induced_subgraph(ball, ball.ball_indices(r))
-        vals, vecs = linalg.eigh(subgraph_laplacian(sub, ADJACENCY).to_dense())
+        vals, vecs = linalg.eigh(dense[:nv, :nv])
         overlap = vecs[0, :] ** 2
         vaux = np.array([overlap[vals <= e + COUNT_TOL].sum() for e in grid])
         trace.append((r, vaux))
-        values = vaux
-    return FreeIDSTrace(energies=grid, values=values, trace=trace)
+    return FreeIDSTrace(energies=grid, values=trace[-1][1], trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -510,22 +512,20 @@ def _line_cluster_eigenvalues(s: int, bc: str) -> np.ndarray:
     return linalg.eigvalsh_tridiagonal(diag, -np.ones(s - 1))
 
 
-def line_site_ids_oracle(p: float, energies, bc: str,
-                         s_max: int | None = None) -> np.ndarray:
+def line_site_ids_oracle(p: float, energies, bc: str) -> np.ndarray:
     """Exact subcritical site-percolation IDS on Z by direct summation.
 
     Clusters on the line are segments; a given vertex is the left end of an
     s-cluster with probability p^s (1-p)^2, so the IDS is the weighted sum
-    of segment spectra over sizes.  The default size cutoff keeps the
+    of segment spectra over sizes.  The size cutoff keeps the
     truncated tail below 1e-40 for p <= 0.85; beyond that the hard cap of
     600 sizes (150 for the end-corrected Dirichlet spectra, which need a
     per-size eigensolve) bounds the truncation by p^cap.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("need 0 < p < 1")
-    if s_max is None:
-        s_max = int(min(600 if bc != DIRICHLET else 150,
-                        np.ceil(np.log(1e-40) / np.log(p))))
+    s_max = int(min(600 if bc != DIRICHLET else 150,
+                    np.ceil(np.log(1e-40) / np.log(p))))
     grid = np.asarray(energies, dtype=np.float64)
     all_vals, all_weights = [], []
     for s in range(1, s_max + 1):

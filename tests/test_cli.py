@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import re
 import subprocess
 import sys
@@ -245,6 +246,20 @@ _Z1_STEPS_1_2 = {**_Z1, "generators": [[1], [-1], [2], [-2]]}
     ("free-ids", {"group": _Z1_STEPS_1_2,
                   "spectra": {"energy_grid": {"values": [1.0]}}},
      "window.radius"),
+    # the sampling key is 64 bits wide: other seeds would alias
+    ("ids", {"seed": -1, "group": _Z1, "window": {"radius": 5},
+             "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {"values": [1.0]}}},
+     "seed"),
+    ("ids", {"seed": 2 ** 64 + 1, "group": _Z1, "window": {"radius": 5},
+             "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {"values": [1.0]}}},
+     "seed"),
+    # the shortest line's threshold 2(1 - cos(pi/6)) = 0.268 lies above the
+    # Lifshitz range, so the sandwich has no energy to check
+    ("exponents", {"group": _Z1, "percolation": _SITE,
+                   "fits": {"line_max": 6}},
+     "fits.line_max"),
 ])
 def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
                                           key):
@@ -276,7 +291,7 @@ _BASES = {
 # for every key in the schema, a value it must reject: out of range where the
 # key has a range, else of the wrong type
 _OUT_OF_RANGE = {
-    "seed": 1.5, "workers": 0, "output_dir": 5, "budget_vertices": 0,
+    "seed": 2 ** 64, "workers": 0, "output_dir": 5, "budget_vertices": 0,
     "group.kind": "free", "group.rank": 0, "group.modulus": 1,
     "group.generators": [[1.5]],
     "percolation.kind": "mixed", "percolation.p": 1.5,
@@ -418,6 +433,53 @@ def test_failed_run_keeps_what_another_run_wrote_beside_it(tmp_path,
     assert main(["growth", "--config", path]) == 2
     assert not out.exists()
     assert (other / "keep.txt").read_text() == "theirs"
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_output_dir_that_cannot_be_a_directory(tmp_path, capsys, below):
+    # output_dir names an existing file, or a path under one
+    afile = tmp_path / "afile"
+    afile.write_text("theirs")
+    cfg = base_config(afile / below, group=_Z1, window={"radius": 8})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["growth", "--config", path]) == 1
+    assert "output_dir" in capsys.readouterr().err
+    assert afile.read_text() == "theirs"
+
+
+def test_exponents_sandwich_reaches_into_the_lifshitz_range(tmp_path):
+    # 2(1 - cos(pi/7)) = 0.198 lies just below the range top 0.2
+    out = tmp_path / "o"
+    cfg = base_config(out, group=_Z1, percolation=_SITE, fits={"line_max": 7})
+    assert main(["exponents", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+    sandwich, = [r for r in json.loads((out / "exponents.json").read_text())
+                 if r["kind"] == "sandwich-neumann"]
+    lo, hi = sandwich["range"]
+    assert 2 * (1 - math.cos(math.pi / 7)) <= lo <= hi <= 0.2
+    assert sandwich["a"] is not None and sandwich["b"] is not None
+
+
+def _strict_json(path):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_percolate_invalid_tail_fit_writes_null(tmp_path):
+    # too few clusters reach the tail grid for a fit
+    out = tmp_path / "o"
+    cfg = base_config(out, group=_Z2, window={"radius": 5},
+                      percolation={"kind": "site", "p": 0.2, "n_samples": 100})
+    cfg["seed"] = 7
+    assert main(["percolate", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+    fit = _strict_json(out / "percolate_report.json")["tau_fit"]
+    assert fit["valid"] is False and fit["tau"] is None and fit["r2"] is None
+
+
+def test_write_json_refuses_non_finite_numbers(tmp_path):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            cli.write_json(tmp_path / "r.json", {"x": value})
 
 
 def test_van_hove_fit_drops_the_clamped_top_of_its_range(tmp_path):
@@ -810,6 +872,79 @@ def test_ids_bytes_match_the_recorded_sums(tmp_path):
         got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
                for f in json.loads((out / "manifest.json").read_text())["outputs"]}
         assert got == _IDS_SHA256[name], name
+
+
+# The criterion-13 configs (seed 13013) of the other subcommands and the
+# sums recorded for their artifacts.
+_C13_BODIES = {
+    "growth": {"group": _Z2, "window": {"radius": 12},
+               "fits": {"growth_n_min": 4}},
+    "percolate": {"group": _Z2, "window": {"radius": 7},
+                  "percolation": {"kind": "site", "p": 0.4, "n_samples": 100,
+                                  "tail_max": 5}},
+    "free-ids": {"group": _Z1, "window": {"radius": 20},
+                 "spectra": {"energy_grid": {"values": [0.5, 2.0]}}},
+    "bounds": {"group": _Z2, "fits": {"dirichlet_n_max": 4, "line_max": 8}},
+    "exponents": {"group": _Z1, "percolation": _SITE, "window": {"radius": 24},
+                  "fits": {"growth_n_min": 8, "line_max": 32}},
+    "chain": {"group": _Z2, "percolation": _SITE, "window": {"radius": 3},
+              "spectra": {"n_samples": 8, "couplings": [1, 10],
+                          "energy_grid": {"min": 0.0, "max": 9.0, "points": 8}}},
+    "lamplighter": {"group": {"kind": "lamplighter", "modulus": 2},
+                    "window": {"depths": [2], "return_max": 3}},
+}
+_C13_SHA256 = {
+    "growth": {
+        "growth.csv":
+            "8a7e71e127a6619264bdd76fc2baf3cb917df6f47afd160aa06aea03d303c7f8",
+        "growth_fit.json":
+            "101b1ed77e45b8f758efcdb18e20c08c8a4df3a8552ea153fd75a977721938e6",
+    },
+    "percolate": {
+        "percolate_report.json":
+            "98c0039602d6093d78d64100e8c1a11845c9b2b7f7689af52b000c3fb846be0b",
+        "tail.csv":
+            "c6644d72aeb6a984595f941e8ff18f7f917183e6576268eee7cde93a4f1aea2b",
+    },
+    "free-ids": {
+        "free_ids.csv":
+            "20a5744fca3ccc5fa4d0ad45ce4701ea0483c81d04da966988f379920e6ffb1b",
+        "free_ids_ball.csv":
+            "5b6907db42d4d383352e9bb7a7004f5025684024a942b010fe85b69c60f581d8",
+    },
+    "bounds": {
+        "bounds_report.json":
+            "220166c3ae21258ecfddf0f980b93efbfc31a8da8946114b592665334c084010",
+    },
+    "exponents": {
+        "exponents.json":
+            "e259cd60ffe1caed89aa29dd672b9b5068c71eb57a90ebf1388561e963754515",
+    },
+    "chain": {
+        "chain.csv":
+            "f986fce0f202299523e12ceefcab64881bd3d23aff21086b27147b421978ac2a",
+        "chain_report.json":
+            "34555326afed207b41787c0cb61974274a300ca7f0dfc553d66c76e588503a3f",
+    },
+    "lamplighter": {
+        "lamplighter_report.json":
+            "d07e2c6b9d253628ea5507722ab2a54799587d29e0de657254319a427421d060",
+        "return_probability.csv":
+            "d9129d3c2f384c005c320a3d7f4746636c9ce3e73e9edb738f2ab77847bf57f6",
+    },
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_C13_BODIES))
+def test_c13_bytes_match_the_recorded_sums(tmp_path, subcommand):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json",
+                        {**_C13_BODIES[subcommand], "seed": 13013, "workers": 1,
+                         "output_dir": str(out)})
+    assert main([subcommand, "--config", path]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in json.loads((out / "manifest.json").read_text())["outputs"]}
+    assert got == _C13_SHA256[subcommand]
 
 
 def test_percolate_byte_determinism_across_workers(tmp_path):

@@ -400,3 +400,173 @@ def test_matrix_export(z_ball):
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "# n=2 sym=1 tag=perc:adjacency"
     assert lines[1:] == ["0 0 2", "0 1 -1", "1 1 2"]
+
+
+# ---------------------------------------------------------------------------
+# canonical form
+# ---------------------------------------------------------------------------
+# References: each constructor as it was written before the canonical form,
+# with its own sparse idiom and its own sort_indices repair.
+
+def _ref_assemble(n, local_edges, diag):
+    rows, cols, data = [], [], []
+    if len(local_edges):
+        u, v = local_edges[:, 0], local_edges[:, 1]
+        rows = np.concatenate([u, v])
+        cols = np.concatenate([v, u])
+        data = -np.ones(2 * len(local_edges))
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    mat = mat + sparse.diags(diag.astype(np.float64), format="csr", shape=(n, n))
+    mat.sort_indices()
+    return mat
+
+
+def _ref_laplacian(sub, bc):
+    k, degrees = sub.parent.k, sub.degrees()
+    diag = {ADJACENCY: np.full(len(degrees), k, dtype=np.float64),
+            DIRICHLET: 2.0 * k - degrees,
+            NEUMANN: degrees.astype(np.float64)}[bc]
+    return _ref_assemble(sub.size, sub.local_edges(), diag)
+
+
+def _ref_free(window):
+    return _ref_laplacian(induced_subgraph(window, np.arange(len(window))),
+                          ADJACENCY)
+
+
+def _ref_boundary_potential(s):
+    sub = s.subgraph()
+    diag = s.window.k - sub.degrees().astype(np.float64)
+    mat = sparse.diags(diag, format="csr", shape=(sub.size, sub.size)) \
+        if sub.size else sparse.csr_matrix((0, 0))
+    return mat.tocsr()
+
+
+def _ref_extend(op, n, K):
+    deleted = np.setdiff1d(np.arange(n, dtype=np.int64), op.index_set)
+    coo = op.matrix.tocoo()
+    rows, cols, data = op.index_set[coo.row], op.index_set[coo.col], coo.data
+    if len(deleted) and K != 0.0:
+        rows = np.concatenate([rows, deleted])
+        cols = np.concatenate([cols, deleted])
+        data = np.concatenate([data, np.full(len(deleted), float(K))])
+    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
+    mat.sort_indices()
+    return mat
+
+
+def _ref_anderson(s, window, coupling):
+    closed = (~s.open_marks).astype(np.float64) * coupling
+    mat = (_ref_free(window) + sparse.diags(closed, format="csr")).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def _ref_restrict(op, subset):
+    positions = op.local_of(subset)
+    mat = op.matrix[positions][:, positions].tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def _ref_conjugate(op, coloring):
+    d = sparse.diags(np.asarray(coloring, dtype=np.float64)[op.index_set],
+                     format="csr")
+    mat = (d @ op.matrix @ d).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def _assert_canonical(mat):
+    assert isinstance(mat, sparse.csr_matrix) and mat.dtype == np.float64
+    rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+    # strictly increasing columns in each row: sorted, one entry per position
+    assert np.all(np.diff(mat.indices)[rows[1:] == rows[:-1]] > 0)
+    assert np.all(mat.data != 0)
+
+
+def _assert_same_csr(got, want):
+    _assert_canonical(got)
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(got, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(1), 12), (GroupSpec.free_abelian(2), 5),
+    (GroupSpec.heisenberg(), 3), (GroupSpec.lamplighter(2), 4)],
+    ids=["Z1", "Z2", "heisenberg", "lamplighter2"])
+def test_constructors_are_canonical_and_equal_the_reference(spec, radius):
+    rng = np.random.Generator(np.random.Philox(key=np.array([909, radius],
+                                                            dtype=np.uint64)))
+    ball = enumerate_ball(spec, radius)
+    n = len(ball)
+    colors = is_bipartite(ball).coloring
+    _assert_same_csr(free_laplacian(ball).matrix, _ref_free(ball))
+    for i in range(10):
+        kind = ("site", "bond")[i % 2]
+        # p = 0 and p = 1 once each: the empty and the full active set
+        p = {0: 0.0, 3: 1.0}.get(i, float(rng.uniform(0.2, 0.8)))
+        s = sample(PercolationModel(kind, p, int(rng.integers(1 << 30))), ball, i)
+        sub = s.subgraph()
+        for bc in (ADJACENCY, DIRICHLET, NEUMANN):
+            op = subgraph_laplacian(sub, bc)
+            _assert_same_csr(op.matrix, _ref_laplacian(sub, bc))
+            _assert_same_csr(percolation_laplacian(s, bc).matrix, op.matrix)
+            for K in (0.0, 9.0):
+                _assert_same_csr(extend(op, ball, K, check_separation=False).matrix,
+                                 _ref_extend(op, n, K))
+            subset = rng.permutation(op.index_set)[:op.dim // 2]
+            _assert_same_csr(restrict(op, subset).matrix,
+                             _ref_restrict(op, subset))
+            if colors is not None:
+                _assert_same_csr(bipartite_conjugate(op, colors).matrix,
+                                 _ref_conjugate(op, colors))
+        _assert_same_csr(boundary_potential(s).matrix, _ref_boundary_potential(s))
+        if kind == "site":
+            for coupling in (0.0, 1.5, 10.0):
+                _assert_same_csr(anderson(s, ball, coupling).matrix,
+                                 _ref_anderson(s, ball, coupling))
+
+
+def _non_canonical():
+    """A 4 x 4 CSR with unsorted columns, a duplicate, an explicit zero and
+    a pair that cancels to zero."""
+    data = np.array([3.0, -1.0, 0.5, 0.5, 0.0, -1.0, 2.0, 1.0, 4.0, -1.0])
+    indices = np.array([1, 0, 0, 2, 1, 0, 3, 2, 3, 2], dtype=np.int32)
+    indptr = np.array([0, 4, 6, 7, 10], dtype=np.int32)
+    return sparse.csr_matrix((data, indices, indptr), shape=(4, 4))
+
+
+def test_non_canonical_input_becomes_a_canonical_copy():
+    for mat in (_non_canonical(), _non_canonical().tocoo(),
+                sparse.csr_matrix(_non_canonical().toarray().astype(np.int64))):
+        before = mat.copy()
+        dense = mat.toarray()
+        op = LabeledOperator(index_set=np.arange(4), matrix=mat, tag="synthetic",
+                             k=2)
+        assert op.matrix is not mat
+        _assert_canonical(op.matrix)
+        assert np.array_equal(op.to_dense(), dense)
+        # the caller's matrix is left as it was
+        assert type(mat) is type(before)
+        if sparse.isspmatrix_csr(mat):
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(mat, attr), getattr(before, attr))
+        else:
+            for attr in ("row", "col", "data"):
+                assert np.array_equal(getattr(mat, attr), getattr(before, attr))
+    # (0, 0) sums -1 + 0.5; the stored zero at (1, 1) and the cancelling
+    # pair at (3, 2) go
+    op = LabeledOperator(index_set=np.arange(4), matrix=_non_canonical(),
+                         tag="synthetic", k=2)
+    assert op.matrix.indptr.tolist() == [0, 3, 4, 5, 6]
+    assert op.matrix.indices.tolist() == [0, 1, 2, 0, 3, 3]
+    assert op.matrix.data.tolist() == [-0.5, 3.0, 0.5, -1.0, 2.0, 4.0]
+
+
+def test_canonical_input_is_kept():
+    mat = sparse.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
+    op = LabeledOperator(index_set=np.arange(2), matrix=mat, tag="synthetic", k=2)
+    assert op.matrix is mat

@@ -289,6 +289,7 @@ def test_tail_fit_invalid_when_no_data():
     model = PercolationModel("site", 0.05, 8)
     stats = cluster_stats(model, w, 120, tail_grid=range(6, 12))
     assert not stats.tau_fit.valid
+    assert stats.tau_fit.tau is None and stats.tau_fit.r2 is None
     assert np.all(np.diff(stats.tail) <= 1e-12)
 
 
@@ -347,3 +348,13 @@ def test_cluster_stats_export():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "n,tail,stderr"
     assert len(lines) == 4
+
+
+def test_model_seed_must_fit_the_64_bit_key():
+    # item_uniforms keys its stream with 64 bits, so a wider seed would alias
+    for seed in (-1, 2 ** 64, 2 ** 64 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            PercolationModel("site", 0.5, seed)
+    w = enumerate_ball(GroupSpec.free_abelian(1), 3)
+    top = sample(PercolationModel("site", 0.5, 2 ** 64 - 1), w, 0)
+    assert top.open_marks.shape == (len(w),)

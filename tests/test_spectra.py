@@ -6,7 +6,13 @@ from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
 from percospec import spectra
-from percospec.cayley import FiniteSubgraph, GroupSpec, enumerate_ball, tetrahedron
+from percospec.cayley import (
+    FiniteSubgraph,
+    GroupSpec,
+    enumerate_ball,
+    induced_subgraph,
+    tetrahedron,
+)
 from percospec.errors import BudgetError, DegenerateSpectrumError
 from percospec.operators import (
     ADJACENCY,
@@ -16,6 +22,7 @@ from percospec.operators import (
     free_laplacian,
     percolation_laplacian,
     restrict,
+    subgraph_laplacian,
 )
 from percospec.percolation import PercolationModel, sample
 from percospec.spectra import (
@@ -258,6 +265,32 @@ def test_block_eigenvalues_bit_identical_to_reference(spec, radius):
                     seen_singletons += int((sizes == 1).sum())
                     seen_blocks += int((sizes > 1).sum())
     assert seen_singletons and seen_blocks
+
+
+def test_block_eigenvalues_of_a_non_canonical_input():
+    # every entry stored as two halves, plus a stored zero on each diagonal
+    # position, in shuffled order within each row
+    ball = enumerate_ball(GroupSpec.free_abelian(2), 4)
+    rng = np.random.Generator(np.random.Philox(key=np.array([44, 0],
+                                                            dtype=np.uint64)))
+    for bc in (NEUMANN, ADJACENCY, DIRICHLET):
+        op = percolation_laplacian(
+            sample(PercolationModel("site", 0.5, 11), ball, 0), bc)
+        n, coo = op.dim, op.matrix.tocoo()
+        diag = np.arange(n)
+        rows = np.concatenate([coo.row, coo.row, diag])
+        cols = np.concatenate([coo.col, coo.col, diag])
+        data = np.concatenate([coo.data / 2, coo.data / 2, np.zeros(n)])
+        order = rng.permutation(len(rows))
+        order = order[np.argsort(rows[order], kind="stable")]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        mat = sparse.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
+        assert not mat.has_canonical_format and np.any(mat.data == 0)
+        messy = LabeledOperator(index_set=op.index_set, matrix=mat, tag="messy",
+                                k=op.k, bc=bc)
+        assert len(np.unique(csgraph.connected_components(messy.matrix)[1])) > 1
+        assert np.allclose(block_eigenvalues(messy),
+                           np.linalg.eigvalsh(mat.toarray()), atol=1e-10)
 
 
 def test_block_eigenvalues_dense_cap_applies_per_component():
@@ -566,6 +599,36 @@ def test_free_ids_ball_lamplighter_fast_decay():
     grid = np.array([0.125, 0.25, 0.5])
     res = free_ids_ball(GroupSpec.lamplighter(2), 8, grid, trace_radii=[4, 8])
     assert np.all(res.values <= grid ** 3)
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(2), 5), (GroupSpec.heisenberg(), 3),
+    (GroupSpec.lamplighter(2), 5)])
+def test_free_ids_ball_trace_matches_per_radius_balls(spec, radius):
+    # reference: each B(r) solved on its own induced subgraph
+    grid = np.array([0.5, 1.0, 2.0, 3.0])
+    ball = enumerate_ball(spec, radius)
+    res = free_ids_ball(spec, radius, grid, trace_radii=range(radius + 1))
+    assert [r for r, _ in res.trace] == list(range(radius + 1))
+    for r, vals in res.trace:
+        sub = induced_subgraph(ball, ball.ball_indices(r))
+        ev, vecs = linalg.eigh(subgraph_laplacian(sub, ADJACENCY).to_dense())
+        want = np.array([(vecs[0, :] ** 2)[ev <= e + COUNT_TOL].sum()
+                         for e in grid])
+        assert np.array_equal(vals, want), r
+    assert np.array_equal(res.values, res.trace[-1][1])
+
+
+def test_free_ids_ball_over_the_cap_raises_before_any_solve(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(spectra.linalg, "eigh", no_solve)
+    # B(2) of Z^2 has 13 vertices and fits; B(3) has 25 and does not
+    with pytest.raises(BudgetError, match=r"^ball B\(3\) has 25 vertices, above "
+                                          r"the dense cap 13$"):
+        free_ids_ball(GroupSpec.free_abelian(2), 3, [1.0], trace_radii=[2],
+                      dense_cap=13)
 
 
 # ---------------------------------------------------------------------------
