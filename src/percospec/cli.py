@@ -17,12 +17,14 @@ import hashlib
 import json
 import math
 import os
+import platform
 import shutil
 import sys
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from . import asymptotics, bounds as bounds_mod, cayley, percolation, spectra
@@ -306,6 +308,26 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+# the thread counts BLAS and OpenMP read from the environment
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _run_environment(workers: int) -> dict:
+    """What a run's timing and last float bits depend on besides its config:
+    library versions, cores, workers, the BLAS build and its thread pins
+    (null when unset)."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas")
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "cpu_count": os.cpu_count(),
+        "workers": workers,
+        "blas": blas,
+        "threads": {name: os.environ.get(name) for name in _THREAD_VARS},
+    }
+
+
 def write_manifest(out: Path, subcommand: str, cfg: dict, outputs: list,
                    started: float) -> None:
     write_json(out / "manifest.json", {
@@ -314,6 +336,7 @@ def write_manifest(out: Path, subcommand: str, cfg: dict, outputs: list,
         "config_digest": config_digest(cfg),
         "code_version": __version__,
         "wall_time_s": round(time.time() - started, 3),
+        "environment": _run_environment(cfg["workers"]),
         "outputs": sorted(outputs),
     })
 

@@ -5,12 +5,14 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -375,7 +377,8 @@ def test_every_out_of_range_value_is_rejected(path):
             validate_config(cfg, subcommand)
 
 
-_README = Path(__file__).resolve().parent.parent / "README.md"
+_ROOT = Path(__file__).resolve().parent.parent
+_README = _ROOT / "README.md"
 
 
 def readme_ids_example() -> dict:
@@ -947,6 +950,22 @@ def test_c13_bytes_match_the_recorded_sums(tmp_path, subcommand):
     assert got == _C13_SHA256[subcommand]
 
 
+def test_z2_bond_giant_cluster_bytes_match_the_benchmark_digests(tmp_path):
+    """The Z^2 bond run past p_c of the benchmark, at seed 0: one giant
+    cluster per sample, so the band solve and the adjacency shortcut both
+    run; its outputs must equal the digests recorded for the benchmark."""
+    entry = json.loads((_ROOT / "perfbench" / "digests.json").read_text())[
+        "ids-z2-bond-super"]
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json",
+                        {**entry["config"], "seed": 0, "workers": 1,
+                         "output_dir": str(out)})
+    assert main(["ids", "--config", path]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in json.loads((out / "manifest.json").read_text())["outputs"]}
+    assert got == entry["outputs"]["0"]
+
+
 def test_percolate_byte_determinism_across_workers(tmp_path):
     _run_twice(tmp_path, "percolate",
                dict(group={"kind": "free_abelian", "rank": 2},
@@ -968,3 +987,27 @@ def test_manifest_digest_excludes_workers(tmp_path):
         digests.append(json.loads((out / "manifest.json").read_text())
                        ["config_digest"])
     assert digests[0] == digests[1]
+
+
+def test_manifest_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json",
+                        {**_C13_BODIES["growth"], "seed": 13013, "workers": 2,
+                         "output_dir": str(out)})
+    assert main(["growth", "--config", path]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    env = manifest["environment"]
+    assert sorted(env) == ["blas", "cpu_count", "numpy", "python", "scipy",
+                           "threads", "workers"]
+    assert env["numpy"] == np.__version__ and env["workers"] == 2
+    assert env["cpu_count"] == os.cpu_count()
+    assert env["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+    assert env["threads"]["MKL_NUM_THREADS"] is None
+    assert sorted(env["threads"]) == ["MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "OPENBLAS_NUM_THREADS"]
+    # the digest of this config as recorded before the manifest had an
+    # environment; the environment is no part of it
+    assert manifest["config_digest"] == \
+        "2dda2ce78cbfbfc731c1cef437100209316f3e8c16f086bc29e9fb8595f2afeb"

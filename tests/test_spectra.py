@@ -1,5 +1,8 @@
 """Spectra: dense solves, counting, empirical IDS, free IDS, return probability."""
 
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import linalg, sparse
@@ -307,6 +310,114 @@ def test_block_eigenvalues_dense_cap_applies_per_component():
         block_eigenvalues(free_laplacian(ball), dense_cap=12)
 
 
+def _shuffled(op, rng):
+    """The operator with its vertices in a random order."""
+    perm = rng.permutation(op.dim)
+    return LabeledOperator(index_set=op.index_set[perm],
+                           matrix=op.matrix[perm][:, perm], tag="shuffled",
+                           k=op.k, bc=op.bc)
+
+
+def _band_spy(monkeypatch):
+    """Record (component size, solved in band form) per band attempt."""
+    attempts = []
+    band = spectra._band_eigenvalues
+
+    def spy(block):
+        vals = band(block)
+        attempts.append((block.shape[0], vals is not None))
+        return vals
+
+    monkeypatch.setattr(spectra, "_band_eigenvalues", spy)
+    return attempts
+
+
+def _giant_operators(rng):
+    """Percolation operators with clusters above the band floor, on Z and
+    Z^2, in every boundary condition, and their window compressions."""
+    cases = [(1, 400, "site", 0.995), (1, 400, "bond", 0.998),
+             (2, 24, "bond", 0.6), (2, 24, "site", 0.8)]
+    for rank, radius, kind, p in cases:
+        ball = enumerate_ball(GroupSpec.free_abelian(rank), radius)
+        inner = ball.volume(radius - 1)
+        s = sample(PercolationModel(kind, p, int(rng.integers(1 << 30))), ball, 0)
+        for bc in (NEUMANN, ADJACENCY, DIRICHLET):
+            op = percolation_laplacian(s, bc)
+            yield op
+            yield restrict(op, op.index_set[op.index_set < inner])
+
+
+def test_band_path_matches_a_dense_solve(monkeypatch):
+    """Giant Z and Z^2 clusters, in shuffled vertex order, solved in band
+    form: eigenvalues within 1e-12 ||H|| of a dense solve, and the same
+    counts on a 1/8 grid, at integer eigenvalues and in the kernel."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([71, 0],
+                                                            dtype=np.uint64)))
+    attempts = _band_spy(monkeypatch)
+    grid = np.arange(-4, 8 * 8 + 5) / 8
+    on_eigenvalue = 0
+    banded_ranks = set()
+    for op in _giant_operators(rng):
+        o = _shuffled(op, rng)
+        before = len(attempts)
+        vals = block_eigenvalues(o)
+        assert attempts[before:]  # a component above the floor
+        if any(banded for _, banded in attempts[before:]):
+            banded_ranks.add(op.k // 2)  # k = 2 * rank on Z^d
+        dense = np.linalg.eigvalsh(o.to_dense())
+        scale = o.inf_norm()
+        assert np.abs(vals - dense).max() <= 1e-12 * max(1.0, scale)
+        integers = np.unique(np.round(dense[np.abs(dense - np.round(dense))
+                                            < 1e-9]))
+        on_eigenvalue += len(integers)
+        shifts = np.concatenate([grid, integers])
+        assert np.array_equal(spectra._counts(vals, shifts),
+                              spectra._counts(dense, shifts))
+        assert spectra._kernel_count(vals, scale) == \
+            spectra._kernel_count(dense, scale)
+    assert on_eigenvalue
+    assert banded_ranks == {1, 2}
+    assert sum(banded for _, banded in attempts) > len(attempts) / 2
+
+
+def test_band_path_leaves_the_dense_components_bit_identical(monkeypatch):
+    """With a giant cluster in band form, every other component takes the
+    same dense solves as before."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([72, 0],
+                                                            dtype=np.uint64)))
+    attempts = _band_spy(monkeypatch)
+    checked = 0
+    for op in _giant_operators(rng):
+        o = _shuffled(op, rng)
+        labels = csgraph.connected_components(o.matrix, directed=False)[1]
+        big = np.bincount(labels)[labels] >= spectra._BAND_FLOOR
+        assert big.any()
+        before = len(attempts)
+        vals = block_eigenvalues(o)
+        if big.all() or not all(banded for _, banded in attempts[before:]):
+            continue  # nothing left dense, or everything dense
+        alone = block_eigenvalues(restrict(o, o.index_set[big]))
+        rest = _block_eigenvalues_reference(restrict(o, o.index_set[~big]))
+        assert np.array_equal(vals, np.sort(np.concatenate([alone, rest])))
+        checked += 1
+    assert checked > 12
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(1), 127),   # 255 vertices: below the floor
+    (GroupSpec.free_abelian(2), 11),    # 265 vertices, bandwidth 23
+    (GroupSpec.free_abelian(3), 8),     # 833 vertices, bandwidth 145
+    (GroupSpec.lamplighter(3), 5),      # 1155 vertices, bandwidth 471
+], ids=["Z1-B127", "Z2-B11", "Z3-B8", "lamplighter3-B5"])
+def test_wide_or_small_components_stay_dense(monkeypatch, spec, radius):
+    attempts = _band_spy(monkeypatch)
+    op = free_laplacian(enumerate_ball(spec, radius))
+    assert np.array_equal(block_eigenvalues(op),
+                          np.sort(linalg.eigvalsh(op.to_dense())))
+    assert not any(banded for _, banded in attempts)
+    assert attempts == ([] if op.dim < spectra._BAND_FLOOR else [(op.dim, False)])
+
+
 def test_count_below_counts_eigenvalue_on_the_shift():
     # an eigenvalue exactly at E + tol is counted, also above the cap
     diag = np.array([1.0 + COUNT_TOL, 5.0])
@@ -513,6 +624,111 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
         assert np.array_equal(got.vertex_indices, ref.vertex_indices)
         assert np.array_equal(got.edges, ref.edges)
         assert got.induced == ref.induced
+
+
+def _ids_context(monkeypatch, group, model, window):
+    """The per-sample context empirical_ids hands to its sample task."""
+    seen = []
+    run = spectra.run_indexed
+
+    def recording(task, indices, workers, ctx):
+        seen.append(ctx)
+        return run(task, indices, workers, ctx)
+
+    monkeypatch.setattr(spectra, "run_indexed", recording)
+    empirical_ids(group, model, [NEUMANN, ADJACENCY, DIRICHLET], n_samples=10,
+                  energy_grid=np.arange(0, 8 * group.k + 1) / 4, **window)
+    return seen[0]
+
+
+def _ids_sample_task_reference(ctx, i):
+    """The sample task before the adjacency shortcut: both operators of
+    every boundary condition solved."""
+    s = sample(ctx["model"], ctx["ball"], i)
+    sub_int = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
+    sub_big = s.subgraph()
+    subset = sub_big.vertex_indices[ctx["window_mask"][sub_big.vertex_indices]]
+    rows = []
+    for bc in ctx["bcs"]:
+        op_int = subgraph_laplacian(sub_int, bc)
+        vals_int = block_eigenvalues(op_int, ctx["dense_cap"])
+        op_comp = restrict(subgraph_laplacian(sub_big, bc), subset)
+        vals_comp = block_eigenvalues(op_comp, ctx["dense_cap"])
+        rows += [spectra._counts(vals_int, ctx["grid"]),
+                 spectra._counts(vals_comp, ctx["grid"]),
+                 [spectra._kernel_count(vals_int, op_int.inf_norm())]]
+    return np.concatenate(rows) / ctx["window_size"]
+
+
+_SHORTCUT_WINDOWS = [
+    (GroupSpec.free_abelian(1), {"radius": 40}),
+    (GroupSpec.free_abelian(2), {"radius": 5}),
+    (GroupSpec.heisenberg(), {"radius": 3}),
+    (GroupSpec.lamplighter(2), {"radius": 3}),
+    (GroupSpec.lamplighter(2), {"depth": 2}),
+]
+
+
+@pytest.mark.parametrize("group,window", _SHORTCUT_WINDOWS,
+                         ids=["Z1", "Z2", "heisenberg", "lamplighter2",
+                              "lamplighter2-depth"])
+@pytest.mark.parametrize("kind", ["site", "bond"])
+@pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
+def test_adjacency_compression_is_the_intrinsic_operator(monkeypatch, group,
+                                                        window, kind, p):
+    """The adjacency compression of the full sample onto the window is the
+    intrinsic adjacency operator on the intrinsic vertices and k alone on
+    every other window vertex, so the sample task reads its spectrum off
+    the intrinsic one; its rows equal those of both solves."""
+    ctx = _ids_context(monkeypatch, group, PercolationModel(kind, p, 17),
+                        window)
+    isolated = 0
+    for i in range(10):
+        s = sample(ctx["model"], ctx["ball"], i)
+        sub_int = replace(s, open_marks=s.open_marks
+                          & ctx["item_mask"]).subgraph()
+        sub_big = s.subgraph()
+        subset = sub_big.vertex_indices[
+            ctx["window_mask"][sub_big.vertex_indices]]
+        comp = restrict(subgraph_laplacian(sub_big, ADJACENCY), subset)
+        intrinsic = subgraph_laplacian(sub_int, ADJACENCY)
+        inside = restrict(comp, sub_int.vertex_indices).matrix
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(inside, field),
+                                  getattr(intrinsic.matrix, field)), field
+        others = np.flatnonzero(~np.isin(subset, sub_int.vertex_indices))
+        isolated += len(others)
+        if kind == "site":
+            assert not len(others)
+        for r in others:
+            lo, hi = comp.matrix.indptr[r], comp.matrix.indptr[r + 1]
+            assert comp.matrix.indices[lo:hi].tolist() == [r]
+            assert comp.matrix.data[lo:hi].tolist() == [float(group.k)]
+        assert np.array_equal(spectra._ids_sample_task(ctx, i),
+                              _ids_sample_task_reference(ctx, i))
+    if kind == "bond" and p < 0.9:
+        assert isolated
+
+
+def test_adjacency_compression_is_not_solved(monkeypatch):
+    """One restrict and two solves per sample for each other boundary
+    condition, one solve for the adjacency one."""
+    calls = []
+    for name in ("restrict", "block_eigenvalues"):
+        original = getattr(spectra, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args[0].bc))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, name, counted)
+    empirical_ids(GroupSpec.free_abelian(2), PercolationModel("bond", 0.6, 5),
+                  [NEUMANN, ADJACENCY, DIRICHLET], radius=4, n_samples=10,
+                  energy_grid=[1.0])
+    assert Counter(calls) == {
+        ("restrict", NEUMANN): 10, ("restrict", DIRICHLET): 10,
+        ("block_eigenvalues", NEUMANN): 20, ("block_eigenvalues", DIRICHLET): 20,
+        ("block_eigenvalues", ADJACENCY): 10}
 
 
 # ---------------------------------------------------------------------------
