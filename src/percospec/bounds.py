@@ -26,9 +26,9 @@ from .cayley import (
     inner_vertex_boundary,
     tetrahedron,
 )
-from .errors import DegenerateSpectrumError, OracleViolationError
+from .errors import BudgetError, DegenerateSpectrumError, OracleViolationError
 from .operators import ADJACENCY, DIRICHLET, NEUMANN, LabeledOperator, subgraph_laplacian
-from .spectra import lowest_nonzero
+from .spectra import DENSE_CAP, lowest_nonzero
 
 # how far a computed eigenvalue may sit from the value a check expects
 _TOL = 1e-8
@@ -208,22 +208,25 @@ class TetrahedronReport:
 MIN_TETRAHEDRON_DEPTH = 2
 
 
-def tetrahedron_checks(m: int, n: int,
-                       ball: CayleyBall | None = None) -> TetrahedronReport:
+def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
     """Verify the three tetrahedron facts; raise on any failure.
 
     (a) exactly (n+1) m^n vertices; (b) 2m(1 - cos pi/n) is an eigenvalue
     of the adjacency Laplacian; (c) the eigenspace contains a vector that
     vanishes on the inner vertex boundary (computed against the full
     Cayley graph).  The facts hold from depth ``MIN_TETRAHEDRON_DEPTH`` on.
+    The check is dense, so a tetrahedron above ``DENSE_CAP`` vertices
+    raises :class:`BudgetError` before it is built.
     """
     if n < MIN_TETRAHEDRON_DEPTH:
         raise ValueError(f"the tetrahedron facts need depth n >= "
                          f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
-    if ball is None:
-        ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n)
-    tet = tetrahedron(m, n, ball)
     expected = (n + 1) * m ** n
+    if expected > DENSE_CAP:
+        raise BudgetError(f"the depth-{n} tetrahedron of Z_{m} wr Z has "
+                          f"{expected} vertices, above the dense cap of "
+                          f"{DENSE_CAP}")
+    tet = tetrahedron(m, n)
     if tet.size != expected:
         raise OracleViolationError(
             f"tetrahedron({m},{n}) has {tet.size} vertices, expected {expected}")

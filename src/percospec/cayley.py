@@ -408,6 +408,19 @@ class CayleyBall:
         out[inside[found]] = at
         return out
 
+    def find_vertices(self, other: "CayleyBall") -> np.ndarray:
+        """Index of each vertex of ``other`` (same group), -1 where absent."""
+        layout, source = self._layout_keys()[0], _layout(other.spec, other.radius)
+        # columns move by the lamp windows' offset (0 unless lamplighter), and
+        # a lamp outside this window puts the walker out of bounds
+        col = np.arange(len(source.lo) - 1) + source.first_pos - layout.first_pos
+        fits = (col >= 0) & (col < len(layout.lo) - 1)
+        rows = np.zeros((len(other), len(layout.lo)), dtype=np.int64)
+        rows[:, col[fits]] = other.rows[:, :-1][:, fits]
+        lost = other.rows[:, :-1][:, ~fits].any(axis=1)
+        rows[:, -1] = np.where(lost, layout.hi[-1] + 1, other.rows[:, -1])
+        return self.find_rows(rows)
+
     def index_of(self, element) -> int:
         """Vertex index of a tuple encoding; KeyError if not in the ball."""
         layout = self._layout_keys()[0]
@@ -487,18 +500,24 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
         rows, keys = rows[order], fresh[order]
         layer_keys.append(keys)
 
-    keys = np.concatenate(layer_keys)
+    return _ball(spec, n, layout, np.concatenate(layer_keys),
+                 np.repeat(np.arange(n + 1, dtype=np.int32),
+                           [len(layer) for layer in layer_keys]),
+                 np.concatenate(neighbours))
+
+
+def _ball(spec: GroupSpec, radius: int, layout: _Layout, keys: np.ndarray,
+          word_length: np.ndarray, neighbours: np.ndarray) -> CayleyBall:
+    """Ball-ordered vertices, joined where row i of ``neighbours`` holds a key."""
     sorter = np.argsort(keys, kind="stable")
-    found, at = locate(keys, np.concatenate(neighbours).ravel(), sorter)
+    found, at = locate(keys, neighbours.ravel(), sorter)
     u = np.repeat(np.arange(len(keys)), spec.k)[found]
     up = at > u
     u, v = u[up], at[up]
     order = np.lexsort((v, u))
-    ball = CayleyBall(
-        spec=spec, radius=n, rows=layout.rows(keys),
-        word_length=np.repeat(np.arange(n + 1, dtype=np.int32),
-                              [len(layer) for layer in layer_keys]),
-        edges=np.stack([u[order], v[order]], axis=1), k=spec.k)
+    ball = CayleyBall(spec=spec, radius=radius, rows=layout.rows(keys),
+                      word_length=word_length,
+                      edges=np.stack([u[order], v[order]], axis=1), k=spec.k)
     ball._lookup = (layout, keys, sorter)
     return ball
 
@@ -683,36 +702,38 @@ def line_subgraph(ball: CayleyBall, n: int) -> FiniteSubgraph:
                           edges=edges, induced=False)
 
 
-def tetrahedron(m: int, n: int, ball: CayleyBall) -> FiniteSubgraph:
-    """Depth-n tetrahedron of the lamplighter graph Z_m wr Z.
+def tetrahedron(m: int, n: int) -> FiniteSubgraph:
+    """Depth-n tetrahedron of the lamplighter graph Z_m wr Z, in closed form.
 
     Vertex set: pairs (lamps, x) with 0 <= x <= n and lamp support inside
-    {1, ..., n}; contains exactly (n+1) * m^n vertices.  The subgraph is
-    induced by the ball, so its edges are the ball's own edges between
-    members.  Every member lies in B(2n), and balls share their index
-    prefixes, so any ball of radius >= 2n gives the same vertex indices
-    and edges.
+    {1, ..., n}; contains exactly (n+1) * m^n vertices.  The parent holds
+    exactly these members, with their word lengths, in the order of every
+    ball B(r), r >= 2n, and with every Cayley edge between them, so the
+    subgraph is induced.  Raises :class:`BudgetError` above the default
+    vertex budget, before allocating.
     """
-    if ball.spec.kind != LAMPLIGHTER or ball.spec.modulus != m:
-        raise ValueError("ball does not belong to the requested lamplighter group")
     if n < 1:
         raise ValueError("depth must be >= 1")
-    layout = ball._layout_keys()[0]
-    width = len(layout.lo)
-    cols = np.arange(1, n + 1) - layout.first_pos
-    fits = cols[0] >= 0 and cols[-1] < width - 1
-    if fits:
-        # every lamp pattern on {1, ..., n}, at every walker position 0..n
-        rows = np.zeros((m ** n, n + 1, width), dtype=np.int64)
-        rows[:, :, cols] = (np.arange(m ** n)[:, None]
-                            // m ** np.arange(n)[::-1] % m)[:, None, :]
-        rows[:, :, -1] = np.arange(n + 1)
-        idx = ball.find_rows(rows)
-    if not fits or np.any(idx < 0):
-        raise ValueError(
-            f"ball of radius {ball.radius} too small for the depth-{n} tetrahedron "
-            f"(radius >= {2 * n} suffices)")
-    return induced_subgraph(ball, idx)
+    if (n + 1) * m ** n > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(
+            f"the depth-{n} tetrahedron of Z_{m} wr Z has {(n + 1) * m ** n} "
+            f"vertices, above the vertex budget of {DEFAULT_VERTEX_BUDGET}")
+    spec = GroupSpec.lamplighter(m)
+    layout = _layout(spec, 2 * n)
+    # every lamp pattern on {1, ..., n}, at every walker position 0..n
+    lamps = np.arange(m ** n)[:, None] // m ** np.arange(n)[::-1] % m
+    rows = np.zeros((m ** n, n + 1, len(layout.lo)), dtype=np.int64)
+    rows[:, :, np.arange(1, n + 1) - layout.first_pos] = lamps[:, None, :]
+    rows[:, :, -1] = x = np.arange(n + 1)
+    rows = rows.reshape(-1, len(layout.lo))
+    # a shortest word walks right to max(walker, top lit lamp), then back
+    top = (np.arange(1, n + 1) * (lamps > 0)).max(axis=1)[:, None]
+    word_length = (2 * np.maximum(x, top) - x).astype(np.int32).ravel()
+    order = np.lexsort(np.vstack([_lexsort_keys(spec, layout, rows), word_length]))
+    rows = rows[order]
+    parent = _ball(spec, 2 * n, layout, layout.keys(rows), word_length[order],
+                   _neighbour_keys(spec, layout, rows))
+    return induced_subgraph(parent, np.arange(len(parent)))
 
 
 def thicken_subgraph(sub: FiniteSubgraph, radius: int) -> FiniteSubgraph:

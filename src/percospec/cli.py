@@ -441,16 +441,10 @@ def run_free_ids(cfg: dict, out: Path) -> list:
     return outputs
 
 
-def _tetrahedron_depths(cfg: dict) -> list:
-    return cfg.get("window", {}).get("depths", [2, 3, 4, 5])
-
-
-def _tetrahedron_reports(depths: list, ball: cayley.CayleyBall) -> dict:
-    """Tetrahedron checks at each depth, all cut from one enumerated ball
-    of radius >= 2 * max depth."""
-    return {str(d): vars(bounds_mod.tetrahedron_checks(ball.spec.modulus, d,
-                                                        ball=ball))
-            for d in depths}
+def _tetrahedron_reports(cfg: dict, m: int) -> dict:
+    """Tetrahedron checks at each of the config's depths."""
+    depths = cfg.get("window", {}).get("depths", [2, 3, 4, 5])
+    return {str(d): vars(bounds_mod.tetrahedron_checks(m, d)) for d in depths}
 
 
 def run_bounds(cfg: dict, out: Path) -> list:
@@ -481,9 +475,7 @@ def run_bounds(cfg: dict, out: Path) -> list:
             bounds_mod.upper_bound_check_dirichlet(group, range(2, n_max + 1),
                                                    budget))
     else:
-        depths = _tetrahedron_depths(cfg)
-        ball = cayley.enumerate_ball(group, 2 * max(depths, default=0), budget)
-        reports["tetrahedron"] = _tetrahedron_reports(depths, ball)
+        reports["tetrahedron"] = _tetrahedron_reports(cfg, group.modulus)
     write_json(out / "bounds_report.json", reports)
     return ["bounds_report.json"]
 
@@ -620,11 +612,9 @@ def run_chain(cfg: dict, out: Path) -> list:
 def run_lamplighter(cfg: dict, out: Path) -> list:
     group = build_group(cfg)
     return_max = cfg.get("window", {}).get("return_max", _RETURN_MAX)
-    depths = _tetrahedron_depths(cfg)
-    # one ball holds every tetrahedron and, as prefixes, every walk's B(n)
-    radius = max(2 * max(depths, default=0), return_max)
-    ball = cayley.enumerate_ball(group, radius, cfg.get("budget_vertices"))
-    tets = _tetrahedron_reports(depths, ball)
+    tets = _tetrahedron_reports(cfg, group.modulus)
+    # every walk's B(n) is a prefix of the largest one
+    ball = cayley.enumerate_ball(group, return_max, cfg.get("budget_vertices"))
     values = []
     for n in range(1, return_max + 1):
         rp = spectra.return_probability(group, n, ball=ball)

@@ -315,21 +315,22 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
                           budget)
     window_mask = np.zeros(len(ball), dtype=bool)
     if depth is not None:
-        tet = tetrahedron(group.modulus, depth, ball)
-        window_mask[tet.vertex_indices] = True
-        window_size = tet.size
+        idx = ball.find_vertices(tetrahedron(group.modulus, depth).parent)
+        if np.any(idx < 0):
+            raise ValueError(f"B({2 * depth + 1}) of {group.label()} misses "
+                             f"part of the depth-{depth} tetrahedron")
+        window_mask[idx] = True
         window_descr = {"depth": depth}
     else:
         window_mask[:ball.volume(radius)] = True
-        window_size = ball.volume(radius)
         window_descr = {"radius": radius}
     # the sample items inside the window: sites in it, or edges with both ends in it
     item_mask = window_mask if model.kind == SITE \
         else window_mask[ball.edges].all(axis=1)
 
     ctx = {"ball": ball, "window_mask": window_mask, "item_mask": item_mask,
-           "window_size": window_size, "model": model, "bcs": bcs, "grid": grid,
-           "dense_cap": dense_cap}
+           "window_size": int(window_mask.sum()), "model": model, "bcs": bcs,
+           "grid": grid, "dense_cap": dense_cap}
     # one row per sample: the counts of every boundary condition in turn
     rows = np.vstack(run_indexed(_ids_sample_task, range(n_samples), workers,
                                  ctx)).reshape(n_samples, len(bcs), -1)

@@ -309,8 +309,7 @@ def test_criterion_12_lamplighter_suite():
                     and np.all(np.diff(np.log(vals), 2) >= -1e-12))
     # substitute for the doubly exponential IDS regime:
     # lambda^A(T_n) <= 2m(1 - cos pi/n) for n <= 6, m = 2
-    ball = enumerate_ball(GroupSpec.lamplighter(2), 12)
-    tets = [cayley.tetrahedron(2, n, ball) for n in range(2, 7)]
+    tets = [cayley.tetrahedron(2, n) for n in range(2, 7)]
     cs = [4 * (1 - np.cos(np.pi / n)) for n in range(2, 7)]
     inputs = bounds.sandwich_inputs(tets, cs, ADJACENCY, labels=range(2, 7))
     bound_ok = bool(np.all(inputs.lambdas <= inputs.thresholds + 1e-8))

@@ -203,13 +203,12 @@ def test_tetrahedron_depth2_count():
 def test_depth_one_tetrahedron_lacks_the_eigenvalue(m):
     # T_1 is K_{m,m}: the adjacency Laplacian has spectrum {m, 2m, 3m}, so
     # 2m(1 - cos pi) = 4m is no eigenvalue and the facts start at depth 2
-    ball = enumerate_ball(GroupSpec.lamplighter(m), 2)
-    op = subgraph_laplacian(tetrahedron(m, 1, ball), ADJACENCY)
+    op = subgraph_laplacian(tetrahedron(m, 1), ADJACENCY)
     vals = np.linalg.eigvalsh(op.to_dense())
     assert np.array_equal(np.unique(np.round(vals, 9)), [m, 2 * m, 3 * m])
     assert MIN_TETRAHEDRON_DEPTH == 2
     with pytest.raises(ValueError, match="depth n >= 2"):
-        tetrahedron_checks(m, 1, ball=ball)
+        tetrahedron_checks(m, 1)
     assert tetrahedron_checks(m, MIN_TETRAHEDRON_DEPTH).eigenvalue_gap <= 1e-8
 
 
@@ -232,10 +231,8 @@ def test_sandwich_inputs_neumann_lines():
 
 
 def test_sandwich_inputs_tetrahedra():
-    ball = enumerate_ball(GroupSpec.lamplighter(2), 12)
-    from percospec.cayley import tetrahedron
     ns = [2, 3, 4, 5, 6]
-    family = [tetrahedron(2, n, ball) for n in ns]
+    family = [tetrahedron(2, n) for n in ns]
     c = [2 * 2 * (1 - np.cos(np.pi / n)) for n in ns]
     inputs = sandwich_inputs(family, c, ADJACENCY, labels=ns)
     assert np.all(inputs.lambdas <= inputs.thresholds + 1e-8)

@@ -548,8 +548,7 @@ def test_subgraph_rejects_escaping_edge():
 
 @pytest.mark.parametrize("m,n", [(2, 1), (2, 4), (3, 2)])
 def test_tetrahedron_vertex_count(m, n):
-    ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n)
-    tet = tetrahedron(m, n, ball)
+    tet = tetrahedron(m, n)
     assert tet.size == (n + 1) * m ** n
     assert tet.connected
 
@@ -557,8 +556,51 @@ def test_tetrahedron_vertex_count(m, n):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_tetrahedron_count_oracle(m, n):
-    ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n)
-    assert tetrahedron(m, n, ball).size == (n + 1) * m ** n
+    assert tetrahedron(m, n).size == (n + 1) * m ** n
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_tetrahedron_word_lengths_are_the_ball_word_lengths(m):
+    for n in range(1, {2: 6, 3: 5, 5: 4}[m]):
+        ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n)
+        tet = tetrahedron(m, n)
+        idx = ball.find_vertices(tet.parent)
+        assert np.all(idx >= 0)
+        assert np.array_equal(tet.parent.word_length, ball.word_length[idx])
+
+
+@pytest.mark.parametrize("spec", [GroupSpec.free_abelian(2),
+                                  GroupSpec.heisenberg(),
+                                  GroupSpec.lamplighter(2)],
+                         ids=["Z2", "heisenberg", "lamplighter2"])
+def test_find_vertices_across_radii(spec):
+    small, big = enumerate_ball(spec, 2), enumerate_ball(spec, 4)
+    assert big.find_vertices(small).tolist() == list(range(len(small)))
+    assert small.find_vertices(big).tolist() == \
+        list(range(len(small))) + [-1] * (len(big) - len(small))
+
+
+def test_find_vertices_with_lamps_outside_the_window():
+    # B(2) has lamp columns for positions -2..3 only: a member lighting
+    # lamp 4 or 5 must be missing, not matched with the lamp dropped
+    ball = enumerate_ball(GroupSpec.lamplighter(2), 2)
+    parent = tetrahedron(2, 5).parent
+    want = []
+    for v in parent.vertices:
+        try:
+            want.append(ball.index_of(v))
+        except KeyError:
+            want.append(-1)
+    assert ball.find_vertices(parent).tolist() == want
+    assert want.count(-1) < len(want)
+
+
+def test_tetrahedron_budget():
+    # refused before anything is allocated: (30 + 1) 2^30 rows
+    with pytest.raises(BudgetError, match="vertex budget"):
+        tetrahedron(2, 30)
+    with pytest.raises(ValueError, match="depth must be >= 1"):
+        tetrahedron(2, 0)
 
 
 def multiply_tetrahedron(m, n, ball):
@@ -582,27 +624,19 @@ def multiply_tetrahedron(m, n, ball):
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_tetrahedron_matches_multiply_reference(m):
-    radii = [2, 4, 6, 8, 10]
-    balls = {r: enumerate_ball(GroupSpec.lamplighter(m), r) for r in radii}
-    for n in (1, 2, 3, 4):
-        ball = balls[2 * n]
-        idx, edges = multiply_tetrahedron(m, n, ball)
-        tet = tetrahedron(m, n, ball)
+    depths = range(1, 6 if m == 2 else 5)
+    balls = {r: enumerate_ball(GroupSpec.lamplighter(m), r)
+             for r in range(2, 2 * depths[-1] + 3, 2)}
+    for n in depths:
+        tet = tetrahedron(m, n)
         assert tet.induced
-        assert tet.vertex_indices.tolist() == idx
-        assert tet.edges.tolist() == edges
-        bigger = tetrahedron(m, n, balls[radii[n]])
-        assert np.array_equal(bigger.vertex_indices, tet.vertex_indices)
-        assert np.array_equal(bigger.edges, tet.edges)
-
-
-def test_tetrahedron_ball_too_small():
-    ball = enumerate_ball(GroupSpec.lamplighter(2), 2)
-    with pytest.raises(ValueError, match="too small"):
-        tetrahedron(2, 3, ball)
-    # B(0)'s lamp window, {0, 1}, does not reach position 3
-    with pytest.raises(ValueError, match="too small"):
-        tetrahedron(2, 3, enumerate_ball(GroupSpec.lamplighter(2), 0))
+        assert tet.vertex_indices.tolist() == list(range(tet.size))
+        idx, edges = multiply_tetrahedron(m, n, balls[2 * n])
+        # located in B(2n), and at the same indices in the bigger B(2n + 2)
+        for ball in (balls[2 * n], balls[2 * n + 2]):
+            at = ball.find_vertices(tet.parent)
+            assert at.tolist() == idx
+            assert at[tet.edges].tolist() == edges
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +676,7 @@ def test_boundary_of_full_window():
 
 def test_thicken_subgraph():
     ball = enumerate_ball(GroupSpec.lamplighter(2), 5)
-    tet = tetrahedron(2, 2, ball)
+    tet = induced_subgraph(ball, ball.find_vertices(tetrahedron(2, 2).parent))
     fat = thicken_subgraph(tet, 1)
     assert set(tet.vertex_indices.tolist()) <= set(fat.vertex_indices.tolist())
     assert fat.connected

@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -711,7 +712,8 @@ def test_tetrahedra_share_one_ball(tmp_path, monkeypatch, subcommand):
                       window={"depths": [4, 2, 3], "return_max": 2})
     path = write_config(tmp_path, "c.json", cfg)
     assert main([subcommand, "--config", path]) == 0
-    assert radii == [8]
+    # the tetrahedra need no ball; lamplighter's walks need B(return_max)
+    assert radii == ([2] if subcommand == "lamplighter" else [])
     name = ("lamplighter_report.json" if subcommand == "lamplighter"
             else "bounds_report.json")
     tets = json.loads((out / name).read_text())["tetrahedron"]
@@ -720,7 +722,7 @@ def test_tetrahedra_share_one_ball(tmp_path, monkeypatch, subcommand):
 
 
 @pytest.mark.parametrize("depths,return_max,radius", [([2], 4, 4), ([2], 6, 6),
-                                                      ([], 3, 3), ([3], 2, 6)])
+                                                      ([], 3, 3), ([3], 2, 2)])
 def test_lamplighter_walks_share_the_ball(tmp_path, monkeypatch, depths,
                                           return_max, radius):
     out = tmp_path / "o"
@@ -789,6 +791,33 @@ def test_no_tetrahedron_depths(tmp_path, subcommand):
     name = ("lamplighter_report.json" if subcommand == "lamplighter"
             else "bounds_report.json")
     assert json.loads((out / name).read_text())["tetrahedron"] == {}
+
+
+@pytest.mark.parametrize("subcommand,m,depth", [("lamplighter", 2, 30),
+                                                ("bounds", 3, 6)])
+def test_tetrahedron_above_the_dense_cap(tmp_path, capsys, subcommand, m,
+                                         depth):
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": m},
+                      window={"depths": [depth], "return_max": 2})
+    path = write_config(tmp_path, "c.json", cfg)
+    started = time.perf_counter()
+    assert main([subcommand, "--config", path]) == 2
+    # refused from the vertex count, before any tetrahedron is built
+    assert time.perf_counter() - started < 1.0
+    assert f"depth-{depth} tetrahedron" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_vertex_budget_bounds_balls_not_tetrahedra(tmp_path, monkeypatch):
+    monkeypatch.setenv("PERCOSPEC_BUDGET_VERTICES", "10")
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 2},
+                      window={"depths": [2, 3]})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["bounds", "--config", path]) == 0
+    tets = json.loads((out / "bounds_report.json").read_text())["tetrahedron"]
+    assert [t["vertex_count"] for t in tets.values()] == [12, 32]
 
 
 # ---------------------------------------------------------------------------

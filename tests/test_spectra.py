@@ -616,7 +616,7 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
     if window == "radius":
         window_mask[:ball.volume(3)] = True
     else:
-        window_mask[tetrahedron(2, 2, ball).vertex_indices] = True
+        window_mask[ball.find_vertices(tetrahedron(2, 2).parent)] = True
     for i, got in enumerate(seen[::2]):
         ref = window_cut_reference(sample(model, ball, i), window_mask)
         assert got.vertex_indices.dtype == ref.vertex_indices.dtype
@@ -639,6 +639,42 @@ def _ids_context(monkeypatch, group, model, window):
     empirical_ids(group, model, [NEUMANN, ADJACENCY, DIRICHLET], n_samples=10,
                   energy_grid=np.arange(0, 8 * group.k + 1) / 4, **window)
     return seen[0]
+
+
+def ball_tetrahedron_reference(m, n, ball):
+    """The former tetrahedron lookup: every lamp pattern on {1, ..., n} at
+    every walker position 0..n, as rows of ``ball``, found among its
+    vertices."""
+    layout = ball._layout_keys()[0]
+    width = len(layout.lo)
+    cols = np.arange(1, n + 1) - layout.first_pos
+    rows = np.zeros((m ** n, n + 1, width), dtype=np.int64)
+    rows[:, :, cols] = (np.arange(m ** n)[:, None]
+                        // m ** np.arange(n)[::-1] % m)[:, None, :]
+    rows[:, :, -1] = np.arange(n + 1)
+    idx = ball.find_rows(rows)
+    assert np.all(idx >= 0)
+    return idx
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2)])
+def test_ids_depth_window_is_the_ball_tetrahedron(monkeypatch, m, n):
+    ctx = _ids_context(monkeypatch, GroupSpec.lamplighter(m),
+                       PercolationModel("site", 0.5, 3), {"depth": n})
+    ball = ctx["ball"]
+    assert ball.radius == 2 * n + 1
+    want = np.zeros(len(ball), dtype=bool)
+    want[ball_tetrahedron_reference(m, n, ball)] = True
+    assert np.array_equal(ctx["window_mask"], want)
+    assert ctx["window_size"] == (n + 1) * m ** n
+
+
+def test_ids_depth_window_outside_the_ball():
+    # steps of two never reach odd walker positions
+    group = GroupSpec.lamplighter(2, [((), 2), ((), -2), (((0, 1),), 0)])
+    with pytest.raises(ValueError, match="misses part of the depth-2"):
+        empirical_ids(group, PercolationModel("site", 0.5, 3), NEUMANN,
+                      depth=2, n_samples=10, energy_grid=[1.0])
 
 
 def _ids_sample_task_reference(ctx, i):
