@@ -329,8 +329,11 @@ def _run_environment(workers: int) -> dict:
 
 
 def write_manifest(out: Path, subcommand: str, cfg: dict, outputs: list,
-                   started: float) -> None:
+                   started: float, notes: dict) -> None:
+    """The run's record; ``notes`` are the runner's own entries, such as
+    the solve path of each ``ids`` boundary condition."""
     write_json(out / "manifest.json", {
+        **notes,
         "subcommand": subcommand,
         "config": cfg,
         "config_digest": config_digest(cfg),
@@ -345,7 +348,7 @@ def write_manifest(out: Path, subcommand: str, cfg: dict, outputs: list,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_growth(cfg: dict, out: Path) -> list:
+def run_growth(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     n_max = cfg["window"]["radius"]
     fits = cfg.get("fits", {})
@@ -362,10 +365,10 @@ def run_growth(cfg: dict, out: Path) -> list:
         "loglog_curvature": cls.loglog_curvature,
         "semilog_curvature": cls.semilog_curvature,
     })
-    return ["growth.csv", "growth_fit.json"]
+    return ["growth.csv", "growth_fit.json"], {}
 
 
-def run_percolate(cfg: dict, out: Path) -> list:
+def run_percolate(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     model = build_model(cfg)
     radius = cfg["window"]["radius"]
@@ -388,10 +391,10 @@ def run_percolate(cfg: dict, out: Path) -> list:
         "deleted_density_expected":
             percolation.deleted_density_expected(model, window.k),
     })
-    return ["tail.csv", "percolate_report.json"]
+    return ["tail.csv", "percolate_report.json"], {}
 
 
-def run_ids(cfg: dict, out: Path) -> list:
+def run_ids(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     model = build_model(cfg)
     window = cfg["window"]
@@ -415,10 +418,11 @@ def run_ids(cfg: dict, out: Path) -> list:
                        "n_at_zero_stderr": est.n_at_zero[1]}
         outputs += [f"ids_{bc}.csv", f"ids_{bc}_bracket.csv"]
     write_json(out / "ids_report.json", summary)
-    return outputs + ["ids_report.json"]
+    return outputs + ["ids_report.json"], {
+        "solves": {bc: est.solve for bc, est in ests.items()}}
 
 
-def run_free_ids(cfg: dict, out: Path) -> list:
+def run_free_ids(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     grid = energy_grid(cfg)
     outputs = []
@@ -438,7 +442,7 @@ def run_free_ids(cfg: dict, out: Path) -> list:
                 for e, v in zip(grid, vals)]
         write_csv(out / "free_ids_ball.csv", ["n", "E", "value"], rows)
         outputs.append("free_ids_ball.csv")
-    return outputs
+    return outputs, {}
 
 
 def _tetrahedron_reports(cfg: dict, m: int) -> dict:
@@ -447,7 +451,7 @@ def _tetrahedron_reports(cfg: dict, m: int) -> dict:
     return {str(d): vars(bounds_mod.tetrahedron_checks(m, d)) for d in depths}
 
 
-def run_bounds(cfg: dict, out: Path) -> list:
+def run_bounds(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     fits = cfg.get("fits", {})
     n_max = fits.get("dirichlet_n_max", 8)
@@ -477,7 +481,7 @@ def run_bounds(cfg: dict, out: Path) -> list:
     else:
         reports["tetrahedron"] = _tetrahedron_reports(cfg, group.modulus)
     write_json(out / "bounds_report.json", reports)
-    return ["bounds_report.json"]
+    return ["bounds_report.json"], {}
 
 
 def _range_fit(key: str, lo: float, hi: float, fit, *args, context: str = ""):
@@ -490,7 +494,7 @@ def _range_fit(key: str, lo: float, hi: float, fit, *args, context: str = ""):
                               f"usable points: {err}") from None
 
 
-def run_exponents(cfg: dict, out: Path) -> list:
+def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     fits = cfg.get("fits", {})
     digest = config_digest(cfg)
@@ -567,7 +571,7 @@ def run_exponents(cfg: dict, out: Path) -> list:
                         "range": fit_a.fit_range, "inputs_digest": digest})
 
     write_json(out / "exponents.json", reports)
-    return ["exponents.json"]
+    return ["exponents.json"], {}
 
 
 def _chain_task(ctx, i):
@@ -577,7 +581,7 @@ def _chain_task(ctx, i):
     return np.array([counts[name] for name in ctx["names"]])
 
 
-def run_chain(cfg: dict, out: Path) -> list:
+def run_chain(cfg: dict, out: Path) -> tuple[list, dict]:
     from ._parallel import run_indexed
     group = build_group(cfg)
     model = build_model(cfg)
@@ -606,10 +610,10 @@ def run_chain(cfg: dict, out: Path) -> list:
         "min_adjacent_margin": worst,
         "per_sample_ordering_holds": per_sample_ok,
     })
-    return ["chain.csv", "chain_report.json"]
+    return ["chain.csv", "chain_report.json"], {}
 
 
-def run_lamplighter(cfg: dict, out: Path) -> list:
+def run_lamplighter(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     return_max = cfg.get("window", {}).get("return_max", _RETURN_MAX)
     tets = _tetrahedron_reports(cfg, group.modulus)
@@ -631,9 +635,11 @@ def run_lamplighter(cfg: dict, out: Path) -> list:
             "log_convex": bool(np.all(np.diff(np.log(vals), 2) >= -1e-12)),
         },
     })
-    return ["return_probability.csv", "lamplighter_report.json"]
+    return ["return_probability.csv", "lamplighter_report.json"], {}
 
 
+# each runner returns the names of the files it wrote and its own entries
+# for the manifest
 _SUBCOMMANDS = {
     "growth": run_growth,
     "percolate": run_percolate,
@@ -692,8 +698,8 @@ def main(argv=None) -> int:
             raise ValidationError(f"output_dir {str(out)!r} cannot be a "
                                   f"directory: {err}") from None
         created = not existed
-        outputs = _SUBCOMMANDS[args.subcommand](cfg, out)
-        write_manifest(out, args.subcommand, cfg, outputs, started)
+        outputs, notes = _SUBCOMMANDS[args.subcommand](cfg, out)
+        write_manifest(out, args.subcommand, cfg, outputs, started, notes)
         return 0
     except ValidationError as err:
         code, message = 1, f"validation error: {err}"

@@ -16,13 +16,20 @@ from scipy import linalg
 from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
-from .cayley import CayleyBall, GroupSpec, enumerate_ball, tetrahedron
+from .cayley import (
+    CayleyBall,
+    GroupSpec,
+    enumerate_ball,
+    is_bipartite,
+    tetrahedron,
+)
 from .errors import BudgetError, DegenerateSpectrumError
 from .operators import (
     ADJACENCY,
     DIRICHLET,
     NEUMANN,
     LabeledOperator,
+    anderson,
     free_laplacian,
     restrict,
     subgraph_laplacian,
@@ -180,6 +187,14 @@ def _counts(vals: np.ndarray, energies) -> np.ndarray:
     return np.searchsorted(vals, np.asarray(energies) + COUNT_TOL, side="right")
 
 
+def _reflected(vals: np.ndarray, k: int) -> np.ndarray:
+    """The sorted Dirichlet spectrum from the sorted Neumann one, on a
+    subgraph of a bipartite k-regular graph or a principal submatrix of its
+    operators: conjugating by the +-1 colouring turns 2k - D - A into
+    2k - (D - A), so each eigenvalue E becomes 2k - E."""
+    return (2.0 * k - vals)[::-1]
+
+
 def count_below(op: LabeledOperator, energy: float,
                 dense_cap: int = DENSE_CAP) -> int:
     """Number of eigenvalues <= energy + count_tol.
@@ -244,11 +259,14 @@ class IDSEstimate:
     bracket_high: np.ndarray
     n_at_zero: tuple
     params: dict
+    solve: str  # "direct", or "reflected from neumann" (see _reflected)
 
 
 def _ids_sample_task(ctx, i):
     grid = ctx["grid"]
     dense_cap = ctx["dense_cap"]
+    source = ctx["source"]
+    k = ctx["ball"].k
 
     s = sample(ctx["model"], ctx["ball"], i)
     # the window-induced percolation subgraph: the sample with every item
@@ -258,9 +276,10 @@ def _ids_sample_task(ctx, i):
     # the full-sample operator is compressed onto its window vertices
     subset = sub_big.vertex_indices[ctx["window_mask"][sub_big.vertex_indices]]
 
-    # the boundary conditions share the subgraphs and differ in the diagonal
-    rows = []
-    for bc in ctx["bcs"]:
+    # the boundary conditions share the subgraphs and differ in the diagonal;
+    # each one solved gives both window spectra and the intrinsic kernel scale
+    solved = {}
+    for bc in dict.fromkeys(source.values()):
         op_int = subgraph_laplacian(sub_int, bc)
         vals_int = block_eigenvalues(op_int, dense_cap)
         if bc == ADJACENCY:
@@ -273,8 +292,17 @@ def _ids_sample_task(ctx, i):
         else:
             op_comp = restrict(subgraph_laplacian(sub_big, bc), subset)
             vals_comp = block_eigenvalues(op_comp, dense_cap)
+        solved[bc] = vals_int, vals_comp, op_int.inf_norm()
+
+    rows = []
+    for bc in ctx["bcs"]:
+        vals_int, vals_comp, scale = solved[source[bc]]
+        if source[bc] != bc:
+            vals_int, vals_comp = _reflected(vals_int, k), _reflected(vals_comp, k)
+            # each Dirichlet row holds 2k - d on the diagonal and d entries -1
+            scale = 2.0 * k if sub_int.size else 0.0
         rows += [_counts(vals_int, grid), _counts(vals_comp, grid),
-                 [_kernel_count(vals_int, op_int.inf_norm())]]
+                 [_kernel_count(vals_int, scale)]]
     return np.concatenate(rows) / ctx["window_size"]
 
 
@@ -296,6 +324,9 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
     ``bc`` is one boundary condition, which returns an :class:`IDSEstimate`,
     or a sequence of distinct ones, which returns ``{bc: IDSEstimate}`` in
     the given order; each sample is drawn once and serves every one of them.
+    On a bipartite ball the Dirichlet spectra are read off the Neumann
+    solves (see :func:`_reflected`), and Neumann is solved for them even
+    when it is not asked for; ``solve`` on each estimate says which.
     """
     single = isinstance(bc, str)
     bcs = [bc] if single else list(bc)
@@ -328,9 +359,14 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
     item_mask = window_mask if model.kind == SITE \
         else window_mask[ball.edges].all(axis=1)
 
+    # the boundary condition whose solve gives each one's spectra
+    reflect = is_bipartite(ball).bipartite
+    source = {name: NEUMANN if reflect and name == DIRICHLET else name
+              for name in bcs}
+
     ctx = {"ball": ball, "window_mask": window_mask, "item_mask": item_mask,
            "window_size": int(window_mask.sum()), "model": model, "bcs": bcs,
-           "grid": grid, "dense_cap": dense_cap}
+           "source": source, "grid": grid, "dense_cap": dense_cap}
     # one row per sample: the counts of every boundary condition in turn
     rows = np.vstack(run_indexed(_ids_sample_task, range(n_samples), workers,
                                  ctx)).reshape(n_samples, len(bcs), -1)
@@ -351,7 +387,9 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
             bracket_high=np.maximum(mean, mean_comp),
             n_at_zero=(float(kerns.mean()),
                        float(kerns.std(ddof=1) / np.sqrt(n_samples))),
-            params=params)
+            params=params,
+            solve="direct" if source[name] == name
+            else f"reflected from {source[name]}")
     return out[bc] if single else out
 
 
@@ -379,8 +417,6 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     ordering makes these counting functions pointwise decreasing along
     that list, sample by sample.
     """
-    from .operators import anderson, extend
-
     grid = np.asarray(energy_grid, dtype=np.float64)
     window = s.window
     norm = float(len(window))
@@ -392,14 +428,19 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     def perc(bc):
         return subgraph_laplacian(sub, bc, tag=f"perc:{bc}")
 
+    neumann = block_eigenvalues(perc(NEUMANN), dense_cap)
     out = {}
-    out["neumann_extended"] = counts(extend(perc(NEUMANN), window, 0.0,
-                                            check_separation=False))
+    # extend(perc(NEUMANN), window, 0) adds the eigenvalue 0 once per
+    # window vertex outside the active set
+    out["neumann_extended"] = (_counts(neumann, grid) + (len(window) - sub.size)
+                               * (grid >= -COUNT_TOL)) / norm
     out["free"] = counts(free_laplacian(window))
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))
     out["adjacency"] = counts(perc(ADJACENCY))
-    out["dirichlet"] = counts(perc(DIRICHLET))
+    out["dirichlet"] = (_counts(_reflected(neumann, window.k), grid) / norm
+                        if is_bipartite(window).bipartite
+                        else counts(perc(DIRICHLET)))
     return out
 
 
@@ -557,17 +598,13 @@ def return_probability(spec: GroupSpec, n: int, budget: int | None = None,
 
 def _line_cluster_eigenvalues(s: int, bc: str) -> np.ndarray:
     """Eigenvalues of the boundary-condition Laplacian of an s-site segment of Z."""
-    if bc == NEUMANN:
-        return 2.0 * (1.0 - np.cos(np.pi * np.arange(s) / s)) if s > 1 \
-            else np.zeros(1)
     if bc == ADJACENCY:
         return 2.0 * (1.0 - np.cos(np.pi * np.arange(1, s + 1) / (s + 1)))
-    # Dirichlet: tridiagonal with diagonal (3, 2, ..., 2, 3); no closed form
-    diag = np.full(s, 2.0)
-    diag[0] = diag[-1] = 3.0
-    if s == 1:
-        return np.array([4.0])
-    return linalg.eigvalsh_tridiagonal(diag, -np.ones(s - 1))
+    if bc == NEUMANN:
+        return 2.0 * (1.0 - np.cos(np.pi * np.arange(s) / s))
+    # Dirichlet, tridiagonal with diagonal (3, 2, ..., 2, 3): a segment is
+    # bipartite, so its spectrum is 4 minus the Neumann one
+    return 2.0 + 2.0 * np.cos(np.pi * np.arange(s) / s)
 
 
 def line_site_ids_oracle(p: float, energies, bc: str) -> np.ndarray:
@@ -577,13 +614,11 @@ def line_site_ids_oracle(p: float, energies, bc: str) -> np.ndarray:
     s-cluster with probability p^s (1-p)^2, so the IDS is the weighted sum
     of segment spectra over sizes.  The size cutoff keeps the
     truncated tail below 1e-40 for p <= 0.85; beyond that the hard cap of
-    600 sizes (150 for the end-corrected Dirichlet spectra, which need a
-    per-size eigensolve) bounds the truncation by p^cap.
+    600 sizes bounds the truncation by p^600.
     """
     if not 0.0 < p < 1.0:
         raise ValueError("need 0 < p < 1")
-    s_max = int(min(600 if bc != DIRICHLET else 150,
-                    np.ceil(np.log(1e-40) / np.log(p))))
+    s_max = int(min(600, np.ceil(np.log(1e-40) / np.log(p))))
     grid = np.asarray(energies, dtype=np.float64)
     all_vals, all_weights = [], []
     for s in range(1, s_max + 1):

@@ -1040,3 +1040,18 @@ def test_manifest_environment(tmp_path, monkeypatch):
     # environment; the environment is no part of it
     assert manifest["config_digest"] == \
         "2dda2ce78cbfbfc731c1cef437100209316f3e8c16f086bc29e9fb8595f2afeb"
+
+
+@pytest.mark.parametrize("group,dirichlet", [
+    (_Z2, "reflected from neumann"), (_Z1_STEPS_1_2, "direct")])
+def test_ids_manifest_records_each_solve_path(tmp_path, group, dirichlet):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", base_config(
+        out, group=group, window={"radius": 4}, percolation=_SITE,
+        spectra={"n_samples": 10, "boundary_conditions":
+                 ["dirichlet", "adjacency", "neumann"],
+                 "energy_grid": {"values": [1.0]}}))
+    assert main(["ids", "--config", path]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["solves"] == {"dirichlet": dirichlet,
+                                  "adjacency": "direct", "neumann": "direct"}

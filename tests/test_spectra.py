@@ -2,6 +2,7 @@
 
 from collections import Counter
 from dataclasses import replace
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from percospec.cayley import (
     GroupSpec,
     enumerate_ball,
     induced_subgraph,
+    is_bipartite,
     tetrahedron,
 )
 from percospec.errors import BudgetError, DegenerateSpectrumError
@@ -22,6 +24,8 @@ from percospec.operators import (
     DIRICHLET,
     NEUMANN,
     LabeledOperator,
+    anderson,
+    extend,
     free_laplacian,
     percolation_laplacian,
     restrict,
@@ -626,7 +630,8 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
         assert got.induced == ref.induced
 
 
-def _ids_context(monkeypatch, group, model, window):
+def _ids_context(monkeypatch, group, model, window,
+                 bcs=(NEUMANN, ADJACENCY, DIRICHLET)):
     """The per-sample context empirical_ids hands to its sample task."""
     seen = []
     run = spectra.run_indexed
@@ -636,8 +641,9 @@ def _ids_context(monkeypatch, group, model, window):
         return run(task, indices, workers, ctx)
 
     monkeypatch.setattr(spectra, "run_indexed", recording)
-    empirical_ids(group, model, [NEUMANN, ADJACENCY, DIRICHLET], n_samples=10,
+    empirical_ids(group, model, list(bcs), n_samples=10,
                   energy_grid=np.arange(0, 8 * group.k + 1) / 4, **window)
+    monkeypatch.setattr(spectra, "run_indexed", run)
     return seen[0]
 
 
@@ -678,8 +684,8 @@ def test_ids_depth_window_outside_the_ball():
 
 
 def _ids_sample_task_reference(ctx, i):
-    """The sample task before the adjacency shortcut: both operators of
-    every boundary condition solved."""
+    """The sample task before the adjacency and Dirichlet shortcuts: both
+    operators of every boundary condition solved, each on its own."""
     s = sample(ctx["model"], ctx["ball"], i)
     sub_int = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
     sub_big = s.subgraph()
@@ -746,9 +752,9 @@ def test_adjacency_compression_is_the_intrinsic_operator(monkeypatch, group,
         assert isolated
 
 
-def test_adjacency_compression_is_not_solved(monkeypatch):
-    """One restrict and two solves per sample for each other boundary
-    condition, one solve for the adjacency one."""
+def _count_solves(monkeypatch):
+    """(function name, boundary condition) of every restrict and
+    block_eigenvalues call spectra makes from now on."""
     calls = []
     for name in ("restrict", "block_eigenvalues"):
         original = getattr(spectra, name)
@@ -758,13 +764,100 @@ def test_adjacency_compression_is_not_solved(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(spectra, name, counted)
-    empirical_ids(GroupSpec.free_abelian(2), PercolationModel("bond", 0.6, 5),
-                  [NEUMANN, ADJACENCY, DIRICHLET], radius=4, n_samples=10,
-                  energy_grid=[1.0])
+    return calls
+
+
+def test_adjacency_compression_is_not_solved(monkeypatch):
+    """One restrict and two solves per sample for Neumann, which on the
+    bipartite Z^2 also serves Dirichlet, and one solve for the adjacency
+    one."""
+    calls = _count_solves(monkeypatch)
+    est = empirical_ids(GroupSpec.free_abelian(2),
+                        PercolationModel("bond", 0.6, 5),
+                        [NEUMANN, ADJACENCY, DIRICHLET], radius=4,
+                        n_samples=10, energy_grid=[1.0])
     assert Counter(calls) == {
-        ("restrict", NEUMANN): 10, ("restrict", DIRICHLET): 10,
-        ("block_eigenvalues", NEUMANN): 20, ("block_eigenvalues", DIRICHLET): 20,
+        ("restrict", NEUMANN): 10, ("block_eigenvalues", NEUMANN): 20,
         ("block_eigenvalues", ADJACENCY): 10}
+    assert {bc: e.solve for bc, e in est.items()} == {
+        NEUMANN: "direct", ADJACENCY: "direct",
+        DIRICHLET: "reflected from neumann"}
+
+
+# every non-empty ordered list of distinct boundary conditions
+_BC_LISTS = [list(order) for r in (1, 2, 3)
+             for order in permutations([NEUMANN, ADJACENCY, DIRICHLET], r)]
+
+
+@pytest.mark.parametrize("group,window", _SHORTCUT_WINDOWS,
+                         ids=["Z1", "Z2", "heisenberg", "lamplighter2",
+                              "lamplighter2-depth"])
+@pytest.mark.parametrize("kind", ["site", "bond"])
+def test_dirichlet_read_off_neumann_matches_the_direct_solves(
+        monkeypatch, group, window, kind):
+    """On these bipartite balls the sample task reads the Dirichlet rows off
+    the Neumann solves, for every list of boundary conditions in every
+    order; its rows equal those of solving each one on its own."""
+    model = PercolationModel(kind, 0.6, 23)
+    for bcs in _BC_LISTS:
+        ctx = _ids_context(monkeypatch, group, model, window, bcs)
+        assert ctx["source"] == {bc: NEUMANN if bc == DIRICHLET else bc
+                                 for bc in bcs}
+        calls = _count_solves(monkeypatch)
+        for i in range(10):
+            assert np.array_equal(spectra._ids_sample_task(ctx, i),
+                                  _ids_sample_task_reference(ctx, i)), (bcs, i)
+        monkeypatch.undo()
+        solved = {bc for _, bc in calls}
+        assert DIRICHLET not in solved
+        assert (NEUMANN in solved) == bool({NEUMANN, DIRICHLET} & set(bcs))
+
+
+def test_non_bipartite_generators_solve_dirichlet_directly(monkeypatch):
+    """Z with steps +-1 and +-2 has triangles, so Dirichlet is not the
+    reflected Neumann spectrum there and is solved on its own."""
+    group = GroupSpec.free_abelian(1, [(1,), (-1,), (2,), (-2,)])
+    model = PercolationModel("bond", 0.6, 23)
+    for bcs in ([DIRICHLET], [NEUMANN, ADJACENCY, DIRICHLET]):
+        ctx = _ids_context(monkeypatch, group, model, {"radius": 30}, bcs)
+        assert ctx["source"] == {bc: bc for bc in bcs}
+        calls = _count_solves(monkeypatch)
+        for i in range(10):
+            assert np.array_equal(spectra._ids_sample_task(ctx, i),
+                                  _ids_sample_task_reference(ctx, i))
+        monkeypatch.undo()
+        assert Counter(calls)[("block_eigenvalues", DIRICHLET)] == 20
+        assert Counter(calls)[("restrict", DIRICHLET)] == 10
+        assert Counter(calls)[("block_eigenvalues", NEUMANN)] == \
+            (20 if NEUMANN in bcs else 0)
+    est = empirical_ids(group, model, DIRICHLET, radius=30, n_samples=10,
+                        energy_grid=[1.0])
+    assert est.solve == "direct"
+
+
+@pytest.mark.parametrize("group,radius", [
+    (GroupSpec.free_abelian(1), 30), (GroupSpec.free_abelian(2), 5),
+    (GroupSpec.free_abelian(3), 3), (GroupSpec.heisenberg(), 3),
+    (GroupSpec.lamplighter(2), 4), (GroupSpec.lamplighter(3), 3)])
+@pytest.mark.parametrize("kind", ["site", "bond"])
+def test_dirichlet_spectrum_is_the_reflected_neumann_one(group, radius, kind):
+    """On random subgraphs of a bipartite ball, and on random principal
+    submatrices of their operators, each Dirichlet eigenvalue is 2k minus
+    a Neumann one."""
+    ball = enumerate_ball(group, radius)
+    assert is_bipartite(ball).bipartite
+    rng = np.random.default_rng(radius)
+    for i in range(6):
+        sub = sample(PercolationModel(kind, rng.uniform(0.3, 0.9), 41),
+                     ball, i).subgraph()
+        keep = sub.vertex_indices[rng.random(sub.size) < 0.7]
+        ops = {bc: subgraph_laplacian(sub, bc) for bc in (NEUMANN, DIRICHLET)}
+        for part in (None, keep):
+            neu, dir_ = (np.linalg.eigvalsh((op if part is None
+                                             else restrict(op, part)).to_dense())
+                         for op in ops.values())
+            assert np.allclose(dir_, spectra._reflected(neu, group.k),
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +876,51 @@ def test_five_operator_chain_ordering():
                  c["dirichlet"]]
         for upper, lower in zip(chain, chain[1:]):
             assert np.all(upper >= lower - 1e-12)
+
+
+def five_operator_counts_reference(s, grid, couplings):
+    """The chain with every operator solved on its own: the zero-extended
+    Neumann operator built, and the Dirichlet one solved."""
+    window, norm = s.window, float(len(s.window))
+    sub = s.subgraph()
+
+    def counts(op):
+        return spectra._counts(block_eigenvalues(op), grid) / norm
+
+    out = {"neumann_extended": counts(extend(
+        subgraph_laplacian(sub, NEUMANN), window, 0.0, check_separation=False)),
+        "free": counts(free_laplacian(window))}
+    for lam in couplings:
+        out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))
+    for bc in (ADJACENCY, DIRICHLET):
+        out[bc] = counts(subgraph_laplacian(sub, bc))
+    return out
+
+
+@pytest.mark.parametrize("group,radius", [
+    (GroupSpec.free_abelian(2), 5), (GroupSpec.heisenberg(), 3),
+    (GroupSpec.free_abelian(1, [(1,), (-1,), (2,), (-2,)]), 12)],
+    ids=["Z2", "heisenberg", "Z-steps-1-2"])
+def test_five_operator_counts_match_the_direct_solves(monkeypatch, group,
+                                                      radius):
+    """One Neumann solve gives the extended Neumann and, on a bipartite
+    window, the Dirichlet counts; the rows equal those of solving both."""
+    ball = enumerate_ball(group, radius)
+    grid = np.linspace(-1.0, 2.0 * group.k + 1.0, 4 * group.k + 5)
+    bipartite = is_bipartite(ball).bipartite
+    for p in (0.0, 0.3, 0.6, 1.0):
+        for i in range(4):
+            s = sample(PercolationModel("site", p, 8), ball, i)
+            calls = _count_solves(monkeypatch)
+            got = five_operator_counts(s, grid, couplings=(1.0, 10.0))
+            monkeypatch.undo()
+            want = five_operator_counts_reference(s, grid, (1.0, 10.0))
+            assert list(got) == list(want)
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (p, i, name)
+            solved = Counter(bc for _, bc in calls)
+            assert solved[NEUMANN] == 1
+            assert solved[DIRICHLET] == (0 if bipartite else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -927,6 +1065,17 @@ def test_return_probability_monotone_and_log_convex():
 # ---------------------------------------------------------------------------
 # exact line oracle
 # ---------------------------------------------------------------------------
+
+def test_line_dirichlet_closed_form_matches_a_dense_solve():
+    # the s-site segment's Dirichlet Laplacian: 4 - degree on the diagonal
+    for s in range(1, 151):
+        degree = np.full(s, 2.0)
+        degree[0] -= 1.0
+        degree[-1] -= 1.0
+        dense = np.diag(4.0 - degree) - np.eye(s, k=1) - np.eye(s, k=-1)
+        got = np.sort(spectra._line_cluster_eigenvalues(s, DIRICHLET))
+        assert np.allclose(got, np.linalg.eigvalsh(dense), rtol=0, atol=1e-13)
+
 
 def test_line_oracle_mass_at_zero():
     for p in (0.3, 0.5):
