@@ -20,8 +20,6 @@ from scipy.sparse import csgraph
 from .cayley import (
     CayleyBall,
     FiniteSubgraph,
-    GroupSpec,
-    enumerate_ball,
     induced_subgraph,
     inner_vertex_boundary,
     tetrahedron,
@@ -155,17 +153,16 @@ def lower_bound_check_neumann(family, holdout=None) -> BoundFit:
                     per_member=per_member)
 
 
-def upper_bound_check_dirichlet(spec: GroupSpec, n_range,
-                                budget: int | None = None) -> BoundFit:
+def upper_bound_check_dirichlet(ball: CayleyBall, n_range) -> BoundFit:
     """Certify lambda^D(B(n)) <= gamma * V(n) / (n^2 V(n//2)) over a radius range.
 
-    For each n the radial test vector gives a Rayleigh certificate above
-    lambda^D(B(n)); gamma is fitted as the largest ratio of lambda to the
-    bound shape, and gamma_rayleigh as the same ratio for the certificates.
+    Each B(n) is a prefix of ``ball``, so the range must stay within its
+    radius.  For each n the radial test vector gives a Rayleigh certificate
+    above lambda^D(B(n)); gamma is fitted as the largest ratio of lambda to
+    the bound shape, and gamma_rayleigh as the same ratio for the
+    certificates.
     """
     ns = sorted(int(n) for n in n_range)
-    ball = enumerate_ball(spec, max(ns), budget)
-    volumes = {r: ball.volume(r) for r in range(max(ns) + 1)}
     per_member = []
     for n in ns:
         sub = induced_subgraph(ball, ball.ball_indices(n))
@@ -175,7 +172,7 @@ def upper_bound_check_dirichlet(spec: GroupSpec, n_range,
         if ray < lam - 1e-10:
             raise OracleViolationError(
                 f"Rayleigh certificate below the smallest eigenvalue at n={n}")
-        shape = volumes[n] / (n ** 2 * volumes[n // 2])
+        shape = ball.volume(n) / (n ** 2 * ball.volume(n // 2))
         per_member.append({"n": n, "lambda": lam, "rayleigh": ray,
                            "shape": shape, "ratio": lam / shape,
                            "rayleigh_ratio": ray / shape})

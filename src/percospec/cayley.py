@@ -555,16 +555,16 @@ class GrowthProfile:
         return int(out) if np.isscalar(t) else out
 
 
-def growth_profile(spec: GroupSpec, n_max: int, budget: int | None = None) -> GrowthProfile:
-    """Tabulate V(0..n_max) and phi over [0, V(n_max)) from one BFS."""
-    if n_max < 2:
-        raise ValueError("n_max must be >= 2")
-    ball = enumerate_ball(spec, n_max, budget)
-    radii = np.arange(n_max + 1)
+def growth_profile(ball: CayleyBall) -> GrowthProfile:
+    """Tabulate V(0..n) and phi over [0, V(n)) on an enumerated ball B(n)."""
+    if ball.radius < 2:
+        raise ValueError("need a ball of radius >= 2")
+    radii = np.arange(ball.radius + 1)
     volumes = np.searchsorted(ball.word_length, radii, side="right")
     ts = np.arange(volumes[-1])
     phi_values = np.searchsorted(volumes, ts, side="right")
-    return GrowthProfile(spec=spec, radii=radii, volumes=volumes.astype(np.int64),
+    return GrowthProfile(spec=ball.spec, radii=radii,
+                         volumes=volumes.astype(np.int64),
                          phi_values=phi_values.astype(np.int64))
 
 

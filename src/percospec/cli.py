@@ -44,6 +44,7 @@ _BC_ALL = ("neumann", "adjacency", "dirichlet")
 _GROWTH_N_MIN = 4
 _EXPONENTS_RADIUS = 20
 _RETURN_MAX = 8
+_LINE_MAX = 64
 
 
 def _int(minimum=None, **for_subcommand):
@@ -253,6 +254,12 @@ def build_model(cfg: dict) -> percolation.PercolationModel:
     return percolation.PercolationModel(pc["kind"], float(pc["p"]), cfg["seed"])
 
 
+def build_ball(cfg: dict, group: cayley.GroupSpec,
+               radius: int) -> cayley.CayleyBall:
+    """B(radius) of ``group`` within the config's vertex budget."""
+    return cayley.enumerate_ball(group, radius, cfg.get("budget_vertices"))
+
+
 def energy_grid(cfg: dict) -> np.ndarray:
     eg = cfg["spectra"]["energy_grid"]
     if "values" in eg:
@@ -353,7 +360,7 @@ def run_growth(cfg: dict, out: Path) -> tuple[list, dict]:
     n_max = cfg["window"]["radius"]
     fits = cfg.get("fits", {})
     n_min = fits.get("growth_n_min", _GROWTH_N_MIN)
-    profile = cayley.growth_profile(group, n_max, cfg.get("budget_vertices"))
+    profile = cayley.growth_profile(build_ball(cfg, group, n_max))
     cls = asymptotics.fit_growth(profile, n_min=n_min,
                                  n_max=fits.get("growth_n_max"))
     write_csv(out / "growth.csv", ["n", "volume"],
@@ -375,7 +382,7 @@ def run_percolate(cfg: dict, out: Path) -> tuple[list, dict]:
     pc = cfg["percolation"]
     n_samples = pc.get("n_samples", 500)
     tail_max = pc.get("tail_max", 12)
-    window = cayley.enumerate_ball(group, radius, cfg.get("budget_vertices"))
+    window = build_ball(cfg, group, radius)
     stats = percolation.cluster_stats(model, window, n_samples,
                                       tail_grid=range(1, tail_max + 1),
                                       workers=cfg["workers"])
@@ -436,7 +443,7 @@ def run_free_ids(cfg: dict, out: Path) -> tuple[list, dict]:
     radius = cfg.get("window", {}).get("radius")
     if radius is not None:
         trace = spectra.free_ids_ball(
-            group, radius, grid, budget=cfg.get("budget_vertices"),
+            build_ball(cfg, group, radius), grid,
             dense_cap=cfg["spectra"].get("dense_cap", spectra.DENSE_CAP))
         rows = [(n, e, v) for n, vals in trace.trace
                 for e, v in zip(grid, vals)]
@@ -455,29 +462,28 @@ def run_bounds(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     fits = cfg.get("fits", {})
     n_max = fits.get("dirichlet_n_max", 8)
-    line_max = fits.get("line_max", 64)
-    budget = cfg.get("budget_vertices")
+    line_max = fits.get("line_max", _LINE_MAX)
     reports = {}
     if group.kind != "lamplighter":
-        growth = cayley.growth_profile(group, max(2 * n_max, 16), budget)
-        ball = cayley.enumerate_ball(group, n_max, budget)
+        with_lines = group.kind == "free_abelian"
+        # one ball: every ball, line and phi value below lies in a prefix
+        ball = build_ball(cfg, group, max(
+            2 * n_max, 16, line_max // 2 + 2 if with_lines else 0))
+        growth = cayley.growth_profile(ball)
         ball_family = [cayley.induced_subgraph(ball, ball.ball_indices(n))
                        for n in range(1, n_max + 1)]
         reports["adjacency_lower_balls"] = vars(
             bounds_mod.lower_bound_check_adjacency(ball_family, growth))
-        if group.kind == "free_abelian":
-            line_ball = cayley.enumerate_ball(group, line_max // 2 + 2, budget)
+        if with_lines:
             lengths = sorted({n for n in (2, 4, 8, 16, 32, 64)
                               if n <= line_max} | {line_max})
-            lines = [cayley.line_subgraph(line_ball, n) for n in lengths]
+            lines = [cayley.line_subgraph(ball, n) for n in lengths]
             reports["adjacency_lower_lines"] = vars(
-                bounds_mod.lower_bound_check_adjacency(
-                    lines, cayley.growth_profile(group, line_max // 2 + 2, budget)))
+                bounds_mod.lower_bound_check_adjacency(lines, growth))
             reports["neumann_lower_lines"] = vars(
                 bounds_mod.lower_bound_check_neumann(lines))
         reports["dirichlet_upper"] = vars(
-            bounds_mod.upper_bound_check_dirichlet(group, range(2, n_max + 1),
-                                                   budget))
+            bounds_mod.upper_bound_check_dirichlet(ball, range(2, n_max + 1)))
     else:
         reports["tetrahedron"] = _tetrahedron_reports(cfg, group.modulus)
     write_json(out / "bounds_report.json", reports)
@@ -500,12 +506,15 @@ def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
     digest = config_digest(cfg)
     reports = []
 
-    window = cfg.get("window", {})
-    n_max = window.get("radius", _EXPONENTS_RADIUS)
-    profile = cayley.growth_profile(group, n_max, cfg.get("budget_vertices"))
-    cls = asymptotics.fit_growth(profile,
+    radius = cfg.get("window", {}).get("radius", _EXPONENTS_RADIUS)
+    line_fits = _line_site_fits(cfg, group)
+    line_max = fits.get("line_max", _LINE_MAX)
+    # the growth fit and the lines read prefixes of this one ball
+    ball = build_ball(cfg, group, max(
+        radius, line_max // 2 + 2 if line_fits else 0))
+    cls = asymptotics.fit_growth(cayley.growth_profile(ball),
                                  n_min=fits.get("growth_n_min", _GROWTH_N_MIN),
-                                 n_max=fits.get("growth_n_max"))
+                                 n_max=fits.get("growth_n_max", radius))
     reports.append({"kind": "growth", "classification": cls.label,
                     "slope": cls.loglog.slope, "stderr": cls.loglog.stderr,
                     "r2": cls.loglog.r2, "range": cls.loglog.fit_range,
@@ -522,7 +531,7 @@ def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
                         "stderr": fit.stderr, "r2": fit.r2,
                         "range": fit.fit_range, "inputs_digest": digest})
 
-    if _line_site_fits(cfg, group):
+    if line_fits:
         p = float(cfg["percolation"]["p"])
         lo, hi = fits.get("lifshitz_range", (0.005, 0.2))
         grid = np.geomspace(lo, hi, 40)
@@ -539,9 +548,6 @@ def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
                         "stderr": fit.stderr, "r2": fit.r2,
                         "range": fit.fit_range, "inputs_digest": digest})
 
-        line_max = fits.get("line_max", 64)
-        ball = cayley.enumerate_ball(group, line_max // 2 + 2,
-                                     cfg.get("budget_vertices"))
         ns = list(range(2, line_max + 1))
         family = [cayley.line_subgraph(ball, n) for n in ns]
         thresholds = [2 * (1 - np.cos(np.pi / n)) for n in ns]
@@ -590,7 +596,7 @@ def run_chain(cfg: dict, out: Path) -> tuple[list, dict]:
     grid = energy_grid(cfg)
     couplings = [float(c) for c in sp.get("couplings", (1.0, 10.0, 100.0))]
     n_samples = sp.get("n_samples", 100)
-    ball = cayley.enumerate_ball(group, radius, cfg.get("budget_vertices"))
+    ball = build_ball(cfg, group, radius)
     names = (["neumann_extended", "free"]
              + [f"anderson:{lam:g}" for lam in couplings]
              + ["adjacency", "dirichlet"])
@@ -618,10 +624,10 @@ def run_lamplighter(cfg: dict, out: Path) -> tuple[list, dict]:
     return_max = cfg.get("window", {}).get("return_max", _RETURN_MAX)
     tets = _tetrahedron_reports(cfg, group.modulus)
     # every walk's B(n) is a prefix of the largest one
-    ball = cayley.enumerate_ball(group, return_max, cfg.get("budget_vertices"))
+    ball = build_ball(cfg, group, return_max)
     values = []
     for n in range(1, return_max + 1):
-        rp = spectra.return_probability(group, n, ball=ball)
+        rp = spectra.return_probability(ball, n)
         values.append((n, rp.steps, rp.value))
     write_csv(out / "return_probability.csv", ["n", "steps", "value"], values)
     vals = np.array([v for _, _, v in values])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_indexed
-from .cayley import CayleyBall, FiniteSubgraph, enumerate_ball
+from .cayley import CayleyBall, FiniteSubgraph
 
 SITE = "site"
 BOND = "bond"
@@ -175,7 +175,7 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
     The tail decay rate is the negative slope of the least-squares line
     through (n, log tail(n)), restricted to grid points backed by at least
     30 hits; with fewer than two usable points the fit is marked invalid
-    and has no ``tau`` or ``r2`` (None).
+    and has no ``tau`` or ``r2`` (None).  A flat tail has no ``r2``.
     """
     if n_samples < MIN_STATS_SAMPLES:
         raise ValueError(f"need n_samples >= {MIN_STATS_SAMPLES}")
@@ -194,7 +194,9 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
         from scipy.stats import linregress  # slow to import; only fits need it
 
         res = linregress(tail_grid[usable], np.log(tail[usable]))
-        fit = TailFit(tau=-float(res.slope), r2=float(res.rvalue ** 2),
+        # a flat tail (p = 1) decays at rate 0.0, not -0.0, and has no R^2
+        fit = TailFit(tau=0.0 - float(res.slope),
+                      r2=float(res.rvalue ** 2) if np.ptp(tail[usable]) else None,
                       n_points=int(usable.sum()),
                       fit_range=(int(tail_grid[usable].min()),
                                  int(tail_grid[usable].max())),
@@ -238,9 +240,9 @@ def _touch_fraction(kind, p, seed, window, n_samples):
     return hits / n_samples
 
 
-def critical_bracket(kind: str, spec, radius: int, seed: int,
+def critical_bracket(kind: str, window: CayleyBall, seed: int,
                      n_samples: int = 200, threshold: float = 0.05,
-                     iterations: int = 10, budget: int | None = None) -> tuple:
+                     iterations: int = 10) -> tuple:
     """Bracket the critical parameter by bisection on the probability that the
     origin cluster touches the window boundary.
 
@@ -251,7 +253,6 @@ def critical_bracket(kind: str, spec, radius: int, seed: int,
     estimate; experiments that need a subcritical parameter should use
     p <= 0.8 * lo.
     """
-    window = enumerate_ball(spec, radius, budget)
     lo, hi = 0.0, 1.0
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)

@@ -511,17 +511,16 @@ class FreeIDSTrace:
     trace: list
 
 
-def free_ids_ball(spec: GroupSpec, radius: int, energies,
-                  trace_radii=None, budget: int | None = None,
+def free_ids_ball(ball: CayleyBall, energies, trace_radii=None,
                   dense_cap: int = DENSE_CAP) -> FreeIDSTrace:
     """Free IDS by exhaustion: <chi_(-inf,E] (Delta(B(n))) delta_id, delta_id>.
 
-    Returns the value at the final radius together with the sequence over
-    ``trace_radii`` (default: every radius up to ``radius``) so convergence
-    is visible.
+    Returns the value at the ball's radius together with the sequence over
+    ``trace_radii`` (default: every radius from 1 up) so convergence is
+    visible.
     """
     grid = np.atleast_1d(np.asarray(energies, dtype=np.float64))
-    ball = enumerate_ball(spec, radius, budget)
+    radius = ball.radius
     if trace_radii is None:
         trace_radii = range(1, radius + 1)
     trace_radii = sorted(set(int(r) for r in trace_radii) | {radius})
@@ -556,40 +555,36 @@ class ReturnProbability:
 def max_exact_return_n(spec: GroupSpec) -> int | float:
     """Largest n for which :func:`return_probability` is exact.
 
-    The walk counts, at most k^(2n), must stay within 2^52, so
-    2n * log2(k) <= 52.  A degree-1 generator set has no limit.
+    The n-step walk counts, at most k^n, must stay within 2^52, so
+    n * log2(k) <= 52.  A degree-1 generator set has no limit.
     """
     bits = math.log2(spec.k)
-    return math.floor(26 / bits) if bits else math.inf
+    return math.floor(52 / bits) if bits else math.inf
 
 
-def return_probability(spec: GroupSpec, n: int, budget: int | None = None,
-                       ball: CayleyBall | None = None) -> ReturnProbability:
+def return_probability(ball: CayleyBall, n: int) -> ReturnProbability:
     """Exact return probability of the simple random walk after 2n steps.
 
-    A closed walk of length 2n never leaves B(n), so the (identity,
-    identity) entry of (A/k)^(2n) on the ball of radius n is exact.  Walk
-    counts stay below 2^53 for n <= :func:`max_exact_return_n`, so the
-    float arithmetic is exact too.  ``ball``, if given, is any enumerated
-    ball of ``spec`` with radius >= n; the walk runs on its prefix B(n).
+    A closed walk of length 2n is an n-step walk from the identity to some
+    g and one from g back, so it is counted by the sum over g of the
+    squared n-step counts.  Those walks never leave B(n), a prefix of
+    ``ball``.  The counts stay below 2^53 for n <=
+    :func:`max_exact_return_n`, so the float steps are exact; the squares
+    are summed in Python integers.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if n > max_exact_return_n(spec):
+    if not 1 <= n <= ball.radius:
+        raise ValueError(f"need 1 <= n <= {ball.radius}, the ball's radius")
+    if n > max_exact_return_n(ball.spec):
         raise ValueError("walk count would overflow exact float range")
-    if ball is None:
-        ball = enumerate_ball(spec, n, budget)
-    elif ball.spec != spec or ball.radius < n:
-        raise ValueError(f"the walk needs B({n}) of {spec.label()}, "
-                         f"not B({ball.radius}) of {ball.spec.label()}")
     size = ball.volume(n)
     # the edges of the prefix B(n): both ends have index < size
     u, v = ball.edges[ball.edges[:, 1] < size].T
     vec = np.zeros(size)
     vec[0] = 1.0
-    for _ in range(2 * n):
+    for _ in range(n):
         vec = np.bincount(u, vec[v], size) + np.bincount(v, vec[u], size)
-    return ReturnProbability(steps=2 * n, value=float(vec[0] / spec.k ** (2 * n)))
+    closed = sum(w * w for w in vec.astype(np.int64).tolist())
+    return ReturnProbability(steps=2 * n, value=closed / ball.spec.k ** (2 * n))
 
 
 # ---------------------------------------------------------------------------

@@ -168,18 +168,18 @@ def test_criterion_07_growth_classification():
             (GroupSpec.free_abelian(1), 1, 40, 16),
             (GroupSpec.free_abelian(2), 2, 40, 16),
             (GroupSpec.free_abelian(3), 3, 40, 16)]:
-        cls = asymptotics.fit_growth(cayley.growth_profile(spec, n_max),
-                                     n_min=n_min)
+        cls = asymptotics.fit_growth(
+            cayley.growth_profile(enumerate_ball(spec, n_max)), n_min=n_min)
         results.append((f"Z^{d}", cls.label == "polynomial"
                         and abs(cls.loglog.slope - d) <= 0.1,
                         cls.loglog.slope))
-    heis = asymptotics.fit_growth(cayley.growth_profile(GroupSpec.heisenberg(), 20),
-                                  n_min=6)
+    heis = asymptotics.fit_growth(
+        cayley.growth_profile(enumerate_ball(GroupSpec.heisenberg(), 20)), n_min=6)
     results.append(("Heisenberg", heis.label == "polynomial"
                     and abs(heis.loglog.slope - 4.0) <= 0.3,
                     heis.loglog.slope))
-    lamp = asymptotics.fit_growth(cayley.growth_profile(GroupSpec.lamplighter(2), 12),
-                                  n_min=3)
+    lamp = asymptotics.fit_growth(
+        cayley.growth_profile(enumerate_ball(GroupSpec.lamplighter(2), 12)), n_min=3)
     results.append(("Lamplighter", lamp.label == "superpolynomial",
                     lamp.semilog.slope))
     ok = all(r[1] for r in results)
@@ -249,7 +249,7 @@ def test_criterion_10_neumann_lifshitz_and_sandwich():
 def test_criterion_11_adjacency_dirichlet_substitutes():
     # (i) adjacency lower bound on ball and line families, zero violations
     spec2 = GroupSpec.free_abelian(2)
-    growth2 = cayley.growth_profile(spec2, 16)
+    growth2 = cayley.growth_profile(enumerate_ball(spec2, 16))
     ball2 = enumerate_ball(spec2, 8)
     ball_family = [cayley.induced_subgraph(ball2, ball2.ball_indices(n))
                    for n in range(1, 7)]
@@ -258,7 +258,7 @@ def test_criterion_11_adjacency_dirichlet_substitutes():
     fit_balls = bounds.lower_bound_check_adjacency(ball_family, growth2,
                                                    holdout=holdout)
     spec1 = GroupSpec.free_abelian(1)
-    growth1 = cayley.growth_profile(spec1, 40)
+    growth1 = cayley.growth_profile(enumerate_ball(spec1, 40))
     ball1 = enumerate_ball(spec1, 35)
     lines = [cayley.line_subgraph(ball1, n) for n in (2, 4, 8, 16, 32, 64)]
     line_holdout = [cayley.line_subgraph(ball1, n) for n in (3, 6, 12, 24, 48)]
@@ -268,7 +268,8 @@ def test_criterion_11_adjacency_dirichlet_substitutes():
         and fit_lines.constants["alpha"] > 0 and fit_lines.violations == 0
 
     # (ii) the radial test vector certifies the Dirichlet upper bound, n <= 10
-    fit_d = bounds.upper_bound_check_dirichlet(spec2, range(2, 11))
+    fit_d = bounds.upper_bound_check_dirichlet(enumerate_ball(spec2, 10),
+                                               range(2, 11))
     part_ii = fit_d.violations == 0 and all(
         m["rayleigh"] >= m["lambda"] - 1e-10 for m in fit_d.per_member)
 
@@ -297,13 +298,14 @@ def test_criterion_12_lamplighter_suite():
             facts_ok &= good
             details.append(f"T({m},{n}) gap {rep.eigenvalue_gap:.1e}")
     # exact first return probability
-    first_ok = all(return_probability(GroupSpec.lamplighter(m), 1).value
-                   == 1.0 / (2 * m) for m in (2, 3))
+    first_ok = all(return_probability(
+        enumerate_ball(GroupSpec.lamplighter(m), 1), 1).value == 1.0 / (2 * m)
+        for m in (2, 3))
     # decay shape for m = 2, n <= 8: -log mu is increasing, and mu is
     # log-convex (the correct convexity statement for even-step returns;
     # see the ledger note on the stated criterion)
-    vals = np.array([return_probability(GroupSpec.lamplighter(2), n).value
-                     for n in range(1, 9)])
+    ball = enumerate_ball(GroupSpec.lamplighter(2), 8)
+    vals = np.array([return_probability(ball, n).value for n in range(1, 9)])
     neg_log = -np.log(vals)
     shape_ok = bool(np.all(np.diff(neg_log) > 0)
                     and np.all(np.diff(np.log(vals), 2) >= -1e-12))

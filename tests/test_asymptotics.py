@@ -66,19 +66,22 @@ def test_van_hove_flags_nonpositive_values():
 # ---------------------------------------------------------------------------
 
 def test_growth_z2_polynomial():
-    cls = fit_growth(growth_profile(GroupSpec.free_abelian(2), 30), n_min=8)
+    cls = fit_growth(growth_profile(enumerate_ball(GroupSpec.free_abelian(2), 30)),
+                     n_min=8)
     assert cls.label == "polynomial"
     assert cls.loglog.slope == pytest.approx(2.0, abs=0.1)
 
 
 def test_growth_heisenberg_polynomial_degree_four():
-    cls = fit_growth(growth_profile(GroupSpec.heisenberg(), 18), n_min=6)
+    cls = fit_growth(growth_profile(enumerate_ball(GroupSpec.heisenberg(), 18)),
+                     n_min=6)
     assert cls.label == "polynomial"
     assert cls.loglog.slope == pytest.approx(4.0, abs=0.3)
 
 
 def test_growth_lamplighter_superpolynomial():
-    cls = fit_growth(growth_profile(GroupSpec.lamplighter(2), 12), n_min=3)
+    cls = fit_growth(growth_profile(enumerate_ball(GroupSpec.lamplighter(2), 12)),
+                     n_min=3)
     assert cls.label == "superpolynomial"
     assert cls.semilog.slope > 0
 

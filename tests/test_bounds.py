@@ -86,7 +86,7 @@ def test_rayleigh_upper_bounds_lowest_eigenvalue():
 
 def test_adjacency_lower_bound_on_z2_balls():
     spec = GroupSpec.free_abelian(2)
-    growth = growth_profile(spec, 16)
+    growth = growth_profile(enumerate_ball(spec, 16))
     ball = enumerate_ball(spec, 8)
     family = [induced_subgraph(ball, ball.ball_indices(n)) for n in range(1, 7)]
     holdout = [induced_subgraph(ball, ball.ball_indices(n)) for n in (7, 8)]
@@ -97,7 +97,7 @@ def test_adjacency_lower_bound_on_z2_balls():
 
 def test_adjacency_lower_bound_on_lines():
     spec = GroupSpec.free_abelian(1)
-    growth = growth_profile(spec, 40)
+    growth = growth_profile(enumerate_ball(spec, 40))
     ball = enumerate_ball(spec, 35)
     family = [line_subgraph(ball, n) for n in (2, 4, 8, 16, 32, 64)]
     fit = lower_bound_check_adjacency(family, growth)
@@ -106,7 +106,7 @@ def test_adjacency_lower_bound_on_lines():
 
 def test_adjacency_lower_single_vertex():
     spec = GroupSpec.free_abelian(2)
-    growth = growth_profile(spec, 4)
+    growth = growth_profile(enumerate_ball(spec, 4))
     ball = enumerate_ball(spec, 2)
     sub = induced_subgraph(ball, [0])
     fit = lower_bound_check_adjacency([sub], growth)
@@ -148,7 +148,8 @@ def test_neumann_lower_bound_z2_balls_grows():
 # ---------------------------------------------------------------------------
 
 def test_dirichlet_upper_bound_z2():
-    fit = upper_bound_check_dirichlet(GroupSpec.free_abelian(2), range(2, 11))
+    fit = upper_bound_check_dirichlet(enumerate_ball(GroupSpec.free_abelian(2), 10),
+                                      range(2, 11))
     gamma = fit.constants["gamma_D"]
     assert gamma > 0
     assert fit.violations == 0
@@ -158,7 +159,8 @@ def test_dirichlet_upper_bound_z2():
 
 
 def test_dirichlet_upper_bound_z_n1():
-    fit = upper_bound_check_dirichlet(GroupSpec.free_abelian(1), [1])
+    fit = upper_bound_check_dirichlet(enumerate_ball(GroupSpec.free_abelian(1), 1),
+                                      [1])
     member = fit.per_member[0]
     assert member["rayleigh"] == pytest.approx(2.0, abs=1e-12)
     assert member["shape"] == pytest.approx(3.0)
@@ -166,7 +168,7 @@ def test_dirichlet_upper_bound_z_n1():
 
 def test_fitted_constants_stable_under_family_doubling():
     spec = GroupSpec.free_abelian(2)
-    growth = growth_profile(spec, 18)
+    growth = growth_profile(enumerate_ball(spec, 18))
     ball = enumerate_ball(spec, 8)
     half = [induced_subgraph(ball, ball.ball_indices(n)) for n in range(1, 5)]
     full = [induced_subgraph(ball, ball.ball_indices(n)) for n in range(1, 9)]

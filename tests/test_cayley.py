@@ -387,7 +387,7 @@ def test_generator_validation():
 # ---------------------------------------------------------------------------
 
 def test_phi_on_z():
-    prof = growth_profile(GroupSpec.free_abelian(1), 5)
+    prof = growth_profile(enumerate_ball(GroupSpec.free_abelian(1), 5))
     # V(2)=5 is not > 5, V(3)=7 > 5
     assert prof.phi(5) == 3
     assert np.array_equal(prof.volumes, [1, 3, 5, 7, 9, 11])
@@ -395,7 +395,7 @@ def test_phi_on_z():
 
 def test_phi_inverse_relation():
     for spec in (GroupSpec.free_abelian(2), GroupSpec.lamplighter(2)):
-        prof = growth_profile(spec, 5)
+        prof = growth_profile(enumerate_ball(spec, 5))
         for n in range(prof.n_max):
             assert prof.phi(prof.volume(n)) == n + 1
 
@@ -403,7 +403,7 @@ def test_phi_inverse_relation():
 def test_growth_monotone():
     for spec in (GroupSpec.free_abelian(1), GroupSpec.heisenberg(),
                  GroupSpec.lamplighter(2)):
-        prof = growth_profile(spec, 6)
+        prof = growth_profile(enumerate_ball(spec, 6))
         assert np.all(np.diff(prof.volumes) > 0)
 
 
@@ -412,7 +412,7 @@ def test_ball_doubling_polynomial_growth():
     for spec, d in ((GroupSpec.free_abelian(1), 1),
                     (GroupSpec.free_abelian(2), 2),
                     (GroupSpec.heisenberg(), 4)):
-        prof = growth_profile(spec, 12)
+        prof = growth_profile(enumerate_ball(spec, 12))
         ns = np.arange(1, 13)
         ratios = prof.volumes[1:] / ns.astype(float) ** d
         a, b = ratios.min(), ratios.max()

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import percospec
-from percospec import bounds, cayley, cli, spectra
+from percospec import bounds, cayley, cli, percolation, spectra
 from percospec.cli import main, validate_config
 from percospec.errors import BudgetError, ValidationError
 
@@ -216,9 +216,9 @@ _Z1_STEPS_1_2 = {**_Z1, "generators": [[1], [-1], [2], [-2]]}
                  "min": 0, "max": 4, "points": 5, "scale": "lin"}}},
      "spectra.energy_grid.scale"),
     ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 2},
-                     "window": {"depths": [], "return_max": 14}},
+                     "window": {"depths": [], "return_max": 27}},
      "window.return_max"),
-    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 5},
+    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 46},
                      "window": {"depths": []}},
      "window.return_max"),
     ("exponents", {"group": _Z1, "window": {"radius": 8},
@@ -480,6 +480,76 @@ def test_percolate_invalid_tail_fit_writes_null(tmp_path):
     assert fit["valid"] is False and fit["tau"] is None and fit["r2"] is None
 
 
+def test_percolate_at_p_one_writes_a_flat_tail(tmp_path):
+    # every sample opens the whole window: the log tail is constant, so the
+    # decay rate is 0 and R^2 is undefined
+    out = tmp_path / "o"
+    cfg = base_config(out, group=_Z2, window={"radius": 3},
+                      percolation={"kind": "site", "p": 1, "n_samples": 100,
+                                   "tail_max": 4})
+    assert main(["percolate", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+    fit = _strict_json(out / "percolate_report.json")["tau_fit"]
+    assert fit["valid"] is True and fit["r2"] is None
+    assert fit["tau"] == 0.0 and math.copysign(1.0, fit["tau"]) == 1.0
+
+
+_GROUPS = {"Z": _Z1, "Z2": _Z2, "Z+-1+-2": _Z1_STEPS_1_2,
+           "heisenberg": {"kind": "heisenberg"},
+           "Z2wrZ": {"kind": "lamplighter", "modulus": 2}}
+
+
+def _smallest_configs():
+    """(subcommand, body) pairs at p in {0, 1} and the smallest radii,
+    depths, sample counts and line lengths the schema accepts."""
+    grid = {"energy_grid": {"values": [0.0, 1.0]}}
+    for name, group in _GROUPS.items():
+        lamp = group["kind"] == "lamplighter"
+        yield "growth", {"group": group, "window": {"radius": 4},
+                         "fits": {"growth_n_min": 0}}
+        yield "free-ids", {"group": group, "window": {"radius": 1},
+                           "spectra": grid}
+        yield "bounds", {"group": group, "window": {"depths": [2]},
+                         "fits": {"dirichlet_n_max": 2, "line_max": 2}}
+        if lamp:
+            yield "lamplighter", {"group": group,
+                                  "window": {"depths": [2], "return_max": 1}}
+        for p in (0, 1):
+            for kind in ("site", "bond"):
+                perc = {"kind": kind, "p": p}
+                yield "percolate", {"group": group, "window": {"radius": 1},
+                                    "percolation": {**perc, "n_samples": 100,
+                                                    "tail_max": 1}}
+                for window in ([{"radius": 1}, {"depth": 1}] if lamp
+                               else [{"radius": 1}]):
+                    yield "ids", {"group": group, "window": window,
+                                  "percolation": perc,
+                                  "spectra": {"n_samples": 10, **grid}}
+            yield "chain", {"group": group, "window": {"radius": 1},
+                            "percolation": {"kind": "site", "p": p},
+                            "spectra": {"n_samples": 1, **grid}}
+            yield "exponents", {"group": group, "window": {"radius": 4},
+                                "percolation": {"kind": "site", "p": p},
+                                "fits": {"growth_n_min": 0, "line_max": 2}}
+
+
+def test_smallest_configs_exit_cleanly_with_strict_json(tmp_path):
+    """Exit codes 0-2 only, never an internal error or an oracle violation,
+    and every JSON file a run leaves behind is strict."""
+    seen = set()
+    for i, (subcommand, body) in enumerate(_smallest_configs()):
+        out = tmp_path / str(i)
+        path = write_config(tmp_path, f"{i}.json", base_config(out, **body))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", path])
+        assert code in (0, 1, 2), (subcommand, body, err.getvalue())
+        for f in out.glob("*.json") if out.exists() else ():
+            _strict_json(f)
+        seen.add((subcommand, code))
+    # percolate at p = 1 runs through to its report
+    assert ("percolate", 0) in seen
+
+
 def test_write_json_refuses_non_finite_numbers(tmp_path):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -535,7 +605,8 @@ def test_exponents_reads_growth_n_max_and_ignores_depth(tmp_path):
     assert growth["kind"] == "growth" and growth["range"] == [4, 9]
 
 
-@pytest.mark.parametrize("modulus,largest", [(2, 13), (3, 10), (5, 7)])
+@pytest.mark.parametrize("modulus,largest", [(2, 26), (3, 20), (5, 15),
+                                             (46, 7)])
 def test_return_max_limit_depends_on_modulus(modulus, largest):
     group = {"kind": "lamplighter", "modulus": modulus}
     for return_max in (1, largest):
@@ -699,9 +770,33 @@ def count_enumerations(monkeypatch):
         radii.append(n)
         return original(spec, n, budget)
 
-    for module in (cayley, bounds, spectra):
-        monkeypatch.setattr(module, "enumerate_ball", counting)
+    for module in (cayley, bounds, percolation, spectra):
+        if getattr(module, "enumerate_ball", None) is original:
+            monkeypatch.setattr(module, "enumerate_ball", counting)
     return radii
+
+
+_HEISENBERG = {"kind": "heisenberg"}
+
+
+@pytest.mark.parametrize("subcommand,body,radius", [
+    ("growth", _BASES["growth"], 8),
+    ("percolate", _BASES["percolate"], 5),
+    ("free-ids", _BASES["free-ids"], 3),
+    ("chain", _BASES["chain"], 2),
+    # the ball family, phi and the Dirichlet check read B(16), the lines
+    # of up to 64 vertices B(34)
+    ("bounds", {"group": _Z2, "fits": {"dirichlet_n_max": 3}}, 34),
+    ("bounds", {"group": _HEISENBERG, "fits": {"dirichlet_n_max": 3}}, 16),
+    ("exponents", {**_BASES["exponents"], "fits": {"line_max": 64}}, 34),
+    ("exponents", _BASES["exponents"], 8),
+])
+def test_each_run_enumerates_one_ball(tmp_path, monkeypatch, subcommand, body,
+                                      radius):
+    radii = count_enumerations(monkeypatch)
+    path = write_config(tmp_path, "c.json", base_config(tmp_path / "o", **body))
+    assert main([subcommand, "--config", path]) == 0
+    assert radii == [radius]
 
 
 @pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
@@ -736,8 +831,9 @@ def test_lamplighter_walks_share_the_ball(tmp_path, monkeypatch, depths,
     assert radii == [radius]
     assert (out / "return_probability.csv").read_text() == expected
     rows = [line.split(",") for line in expected.splitlines()[1:]]
+    group = cayley.GroupSpec.lamplighter(2)
     assert [float(v) for _, _, v in rows] == [
-        spectra.return_probability(cayley.GroupSpec.lamplighter(2), n).value
+        spectra.return_probability(cayley.enumerate_ball(group, n), n).value
         for n in range(1, return_max + 1)]
 
 

@@ -303,8 +303,8 @@ def test_workers_do_not_change_results():
 
 
 def test_critical_bracket_orders():
-    lo, hi = critical_bracket("site", GroupSpec.free_abelian(2), radius=10,
-                              seed=4, n_samples=60, iterations=6)
+    lo, hi = critical_bracket("site", z2_window(10), seed=4, n_samples=60,
+                              iterations=6)
     assert 0.0 < lo < hi <= 1.0
 
 
@@ -319,8 +319,7 @@ def test_touch_fraction_monotone_in_p(kind):
 
 def test_critical_bracket_straddles_threshold():
     w = z2_window(6)
-    lo, hi = critical_bracket("site", GroupSpec.free_abelian(2), radius=6,
-                              seed=8, n_samples=40, iterations=6)
+    lo, hi = critical_bracket("site", w, seed=8, n_samples=40, iterations=6)
     assert percolation._touch_fraction("site", lo, 8, w, 40) < 0.05
     assert percolation._touch_fraction("site", hi, 8, w, 40) >= 0.05
 

@@ -44,6 +44,7 @@ from percospec.spectra import (
     free_ids_zd,
     line_site_ids_oracle,
     lowest_nonzero,
+    max_exact_return_n,
     return_probability,
 )
 
@@ -958,28 +959,29 @@ def test_free_ids_mc_dims():
 
 def test_free_ids_ball_converges_to_torus_value_z():
     grid = np.array([0.5, 1.0, 2.0, 3.0, 3.5])
-    res = free_ids_ball(GroupSpec.free_abelian(1), 100, grid,
+    res = free_ids_ball(enumerate_ball(GroupSpec.free_abelian(1), 100), grid,
                         trace_radii=[25, 50, 100])
     exact = np.array([free_ids_zd(1, e).value for e in grid])
     assert np.all(np.abs(res.values - exact) < 0.02)
 
 
 def test_free_ids_ball_z_midband_value():
-    res = free_ids_ball(GroupSpec.free_abelian(1), 200, np.array([2.0]),
-                        trace_radii=[200])
+    res = free_ids_ball(enumerate_ball(GroupSpec.free_abelian(1), 200),
+                        np.array([2.0]), trace_radii=[200])
     assert abs(res.values[0] - 0.5) <= 0.01
 
 
 def test_free_ids_ball_converges_to_torus_value_z2():
     grid = np.array([1.0, 2.0, 3.0, 5.0, 7.0])
-    res = free_ids_ball(GroupSpec.free_abelian(2), 40, grid,
+    res = free_ids_ball(enumerate_ball(GroupSpec.free_abelian(2), 40), grid,
                         trace_radii=[20, 40])
     exact = np.array([free_ids_zd(2, e).value for e in grid])
     assert np.all(np.abs(res.values - exact) < 0.02)
 
 
 def test_free_ids_ball_high_energy_saturates():
-    res = free_ids_ball(GroupSpec.free_abelian(2), 6, np.array([16.0]))
+    res = free_ids_ball(enumerate_ball(GroupSpec.free_abelian(2), 6),
+                        np.array([16.0]))
     assert res.values[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -987,7 +989,8 @@ def test_free_ids_ball_lamplighter_fast_decay():
     # desk-scale check: the ball IDS of the exponential-growth group decays
     # faster than E^3 at the tested energies
     grid = np.array([0.125, 0.25, 0.5])
-    res = free_ids_ball(GroupSpec.lamplighter(2), 8, grid, trace_radii=[4, 8])
+    res = free_ids_ball(enumerate_ball(GroupSpec.lamplighter(2), 8), grid,
+                        trace_radii=[4, 8])
     assert np.all(res.values <= grid ** 3)
 
 
@@ -998,7 +1001,7 @@ def test_free_ids_ball_trace_matches_per_radius_balls(spec, radius):
     # reference: each B(r) solved on its own induced subgraph
     grid = np.array([0.5, 1.0, 2.0, 3.0])
     ball = enumerate_ball(spec, radius)
-    res = free_ids_ball(spec, radius, grid, trace_radii=range(radius + 1))
+    res = free_ids_ball(ball, grid, trace_radii=range(radius + 1))
     assert [r for r, _ in res.trace] == list(range(radius + 1))
     for r, vals in res.trace:
         sub = induced_subgraph(ball, ball.ball_indices(r))
@@ -1017,26 +1020,66 @@ def test_free_ids_ball_over_the_cap_raises_before_any_solve(monkeypatch):
     # B(2) of Z^2 has 13 vertices and fits; B(3) has 25 and does not
     with pytest.raises(BudgetError, match=r"^ball B\(3\) has 25 vertices, above "
                                           r"the dense cap 13$"):
-        free_ids_ball(GroupSpec.free_abelian(2), 3, [1.0], trace_radii=[2],
-                      dense_cap=13)
+        free_ids_ball(enumerate_ball(GroupSpec.free_abelian(2), 3), [1.0],
+                      trace_radii=[2], dense_cap=13)
 
 
 # ---------------------------------------------------------------------------
 # return probabilities
 # ---------------------------------------------------------------------------
 
+def walk_return(spec, n):
+    return return_probability(enumerate_ball(spec, n), n)
+
+
 def test_return_probability_values():
-    assert return_probability(GroupSpec.lamplighter(2), 1).value == 0.25
-    assert return_probability(GroupSpec.lamplighter(3), 1).value == pytest.approx(1 / 6)
-    assert return_probability(GroupSpec.free_abelian(1), 2).value == 0.375
+    assert walk_return(GroupSpec.lamplighter(2), 1).value == 0.25
+    assert walk_return(GroupSpec.lamplighter(3), 1).value == pytest.approx(1 / 6)
+    assert walk_return(GroupSpec.free_abelian(1), 2).value == 0.375
 
 
 def test_return_probability_binomial_on_z():
     from math import comb
     for n in (1, 2, 3, 4):
         expect = comb(2 * n, n) / 4 ** n
-        assert return_probability(GroupSpec.free_abelian(1), n).value == \
+        assert walk_return(GroupSpec.free_abelian(1), n).value == \
             pytest.approx(expect, abs=1e-14)
+
+
+@pytest.mark.parametrize("rank,limit", [(1, 52), (2, 26)])
+def test_return_probability_exact_up_to_the_limit(rank, limit):
+    # every bit, past the old 2n-step limits of 26 on Z and 13 on Z^2: the
+    # closed-walk count is comb(2n, n)^rank out of (2 rank)^(2n)
+    from math import comb
+    spec = GroupSpec.free_abelian(rank)
+    assert max_exact_return_n(spec) == limit
+    ball = enumerate_ball(spec, limit)
+    for n in range(1, limit + 1):
+        assert return_probability(ball, n).value == \
+            comb(2 * n, n) ** rank / (4 ** rank) ** n, n
+    with pytest.raises(ValueError, match="overflow"):
+        return_probability(enumerate_ball(spec, limit + 1), limit + 1)
+
+
+def full_walk_return(ball, n):
+    """Reference: the (identity, identity) entry of A^(2n), 2n float steps."""
+    size = ball.volume(n)
+    u, v = ball.edges[ball.edges[:, 1] < size].T
+    vec = np.zeros(size)
+    vec[0] = 1.0
+    for _ in range(2 * n):
+        vec = np.bincount(u, vec[v], size) + np.bincount(v, vec[u], size)
+    return float(vec[0] / ball.spec.k ** (2 * n))
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(3), 8), (GroupSpec.heisenberg(), 8),
+    (GroupSpec.lamplighter(2), 8), (GroupSpec.lamplighter(3), 6)])
+def test_return_probability_matches_the_full_walk(spec, radius):
+    # n steps and a sum of squares give the same bits as 2n steps
+    ball = enumerate_ball(spec, radius)
+    for n in range(1, radius + 1):
+        assert return_probability(ball, n).value == full_walk_return(ball, n), n
 
 
 def test_return_probability_on_a_larger_ball():
@@ -1045,17 +1088,16 @@ def test_return_probability_on_a_larger_ball():
                          (GroupSpec.heisenberg(), 4)):
         ball = enumerate_ball(spec, radius)
         for n in range(1, radius + 1):
-            assert return_probability(spec, n, ball=ball) == \
-                return_probability(spec, n)
-    with pytest.raises(ValueError, match="needs B\\(5\\)"):
-        return_probability(spec, 5, ball=ball)
-    with pytest.raises(ValueError, match="needs B\\(2\\)"):
-        return_probability(GroupSpec.lamplighter(2), 2, ball=ball)
+            assert return_probability(ball, n) == walk_return(spec, n)
+    with pytest.raises(ValueError, match="need 1 <= n <= 4"):
+        return_probability(ball, 5)
+    with pytest.raises(ValueError, match="need 1 <= n <= 4"):
+        return_probability(ball, 0)
 
 
 def test_return_probability_monotone_and_log_convex():
-    vals = np.array([return_probability(GroupSpec.lamplighter(2), n).value
-                     for n in range(1, 9)])
+    ball = enumerate_ball(GroupSpec.lamplighter(2), 8)
+    vals = np.array([return_probability(ball, n).value for n in range(1, 9)])
     assert np.all(np.diff(vals) < 0)
     # even-step return probabilities are log-convex (Cauchy-Schwarz)
     logs = np.log(vals)
