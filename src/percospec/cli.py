@@ -452,10 +452,16 @@ def run_free_ids(cfg: dict, out: Path) -> tuple[list, dict]:
     return outputs, {}
 
 
-def _tetrahedron_reports(cfg: dict, m: int) -> dict:
-    """Tetrahedron checks at each of the config's depths."""
+def _tetrahedron_reports(cfg: dict, m: int) -> tuple[dict, dict]:
+    """Tetrahedron checks at each of the config's depths, and the solve each
+    took."""
     depths = cfg.get("window", {}).get("depths", [2, 3, 4, 5])
-    return {str(d): vars(bounds_mod.tetrahedron_checks(m, d)) for d in depths}
+    # every depth's size is refused or let through before the first check
+    solves = {str(d): bounds_mod.tetrahedron_solve(
+        bounds_mod.tetrahedron_size(m, d)) for d in depths}
+    reports = {str(d): vars(bounds_mod.tetrahedron_checks(m, d))
+               for d in depths}
+    return reports, solves
 
 
 def run_bounds(cfg: dict, out: Path) -> tuple[list, dict]:
@@ -463,7 +469,7 @@ def run_bounds(cfg: dict, out: Path) -> tuple[list, dict]:
     fits = cfg.get("fits", {})
     n_max = fits.get("dirichlet_n_max", 8)
     line_max = fits.get("line_max", _LINE_MAX)
-    reports = {}
+    reports, notes = {}, {}
     if group.kind != "lamplighter":
         with_lines = group.kind == "free_abelian"
         # one ball: every ball, line and phi value below lies in a prefix
@@ -485,9 +491,11 @@ def run_bounds(cfg: dict, out: Path) -> tuple[list, dict]:
         reports["dirichlet_upper"] = vars(
             bounds_mod.upper_bound_check_dirichlet(ball, range(2, n_max + 1)))
     else:
-        reports["tetrahedron"] = _tetrahedron_reports(cfg, group.modulus)
+        reports["tetrahedron"], solves = _tetrahedron_reports(cfg,
+                                                              group.modulus)
+        notes["tetrahedron_solves"] = solves
     write_json(out / "bounds_report.json", reports)
-    return ["bounds_report.json"], {}
+    return ["bounds_report.json"], notes
 
 
 def _range_fit(key: str, lo: float, hi: float, fit, *args, context: str = ""):
@@ -622,7 +630,7 @@ def run_chain(cfg: dict, out: Path) -> tuple[list, dict]:
 def run_lamplighter(cfg: dict, out: Path) -> tuple[list, dict]:
     group = build_group(cfg)
     return_max = cfg.get("window", {}).get("return_max", _RETURN_MAX)
-    tets = _tetrahedron_reports(cfg, group.modulus)
+    tets, solves = _tetrahedron_reports(cfg, group.modulus)
     # every walk's B(n) is a prefix of the largest one
     ball = build_ball(cfg, group, return_max)
     values = []
@@ -641,7 +649,8 @@ def run_lamplighter(cfg: dict, out: Path) -> tuple[list, dict]:
             "log_convex": bool(np.all(np.diff(np.log(vals), 2) >= -1e-12)),
         },
     })
-    return ["return_probability.csv", "lamplighter_report.json"], {}
+    return (["return_probability.csv", "lamplighter_report.json"],
+            {"tetrahedron_solves": solves})
 
 
 # each runner returns the names of the files it wrote and its own entries

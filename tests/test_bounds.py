@@ -2,17 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from percospec.cayley import (
     GroupSpec,
     enumerate_ball,
     growth_profile,
     induced_subgraph,
+    inner_vertex_boundary,
     line_subgraph,
     tetrahedron,
 )
+from percospec import bounds
 from percospec.bounds import (
+    FULL_SOLVE,
     MIN_TETRAHEDRON_DEPTH,
+    TARGET_SOLVE,
+    TetrahedronReport,
     dirichlet_radial,
     lower_bound_check_adjacency,
     lower_bound_check_neumann,
@@ -20,9 +26,15 @@ from percospec.bounds import (
     rayleigh,
     sandwich_inputs,
     tetrahedron_checks,
+    tetrahedron_size,
+    tetrahedron_solve,
     upper_bound_check_dirichlet,
 )
-from percospec.errors import DegenerateSpectrumError
+from percospec.errors import (
+    BudgetError,
+    DegenerateSpectrumError,
+    OracleViolationError,
+)
 from percospec.operators import ADJACENCY, DIRICHLET, NEUMANN, subgraph_laplacian
 from percospec.spectra import lowest_nonzero
 
@@ -212,6 +224,93 @@ def test_depth_one_tetrahedron_lacks_the_eigenvalue(m):
     with pytest.raises(ValueError, match="depth n >= 2"):
         tetrahedron_checks(m, 1)
     assert tetrahedron_checks(m, MIN_TETRAHEDRON_DEPTH).eigenvalue_gap <= 1e-8
+
+
+def full_tetrahedron_reference(m, n):
+    """The former check: every eigenpair from one full ``eigh``, then the
+    eigenspace within 1e-8 of the target."""
+    tet = tetrahedron(m, n)
+    op = subgraph_laplacian(tet, ADJACENCY)
+    vals, vecs = linalg.eigh(op.to_dense())
+    target = 2.0 * m * (1.0 - np.cos(np.pi / n))
+    gap = float(np.min(np.abs(vals - target)))
+    sel = np.abs(vals - target) <= 1e-8
+    space = vecs[:, sel]
+    rows = op.local_of(inner_vertex_boundary(tet))
+    _, _, vt = np.linalg.svd(space[rows, :], full_matrices=True)
+    vec = space @ vt[-1]
+    ratio = float(np.max(np.abs(vec[rows])) / np.max(np.abs(vec)))
+    return TetrahedronReport(m=m, n=n, vertex_count=tet.size,
+                             expected_count=(n + 1) * m ** n,
+                             target_eigenvalue=target, eigenvalue_gap=gap,
+                             eigenspace_dim=int(sel.sum()),
+                             boundary_ratio=ratio)
+
+
+@pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (3, 5), (4, 3), (5, 3)])
+def test_target_eigenspace_solve_matches_the_full_solve(m, n):
+    assert tetrahedron_solve(tetrahedron_size(m, n)) == TARGET_SOLVE
+    rep, ref = tetrahedron_checks(m, n), full_tetrahedron_reference(m, n)
+    assert rep.vertex_count == ref.vertex_count
+    assert rep.target_eigenvalue == ref.target_eigenvalue
+    assert rep.eigenspace_dim == ref.eigenspace_dim
+    for r in (rep, ref):
+        assert r.eigenvalue_gap <= 1e-8
+        assert r.boundary_ratio <= 1e-8
+
+
+def test_small_tetrahedron_keeps_the_full_solve():
+    # the criterion-13 lamplighter_report.json sum pins these bits
+    assert tetrahedron_solve(tetrahedron_size(2, 2)) == FULL_SOLVE
+    assert (vars(tetrahedron_checks(2, 2))
+            == vars(full_tetrahedron_reference(2, 2)))
+
+
+@pytest.mark.parametrize("m,n,solve", [(2, 5, FULL_SOLVE),
+                                       (4, 3, TARGET_SOLVE),
+                                       (2, 6, TARGET_SOLVE)])
+def test_eigenvectors_only_for_the_target_above_the_floor(monkeypatch, m, n,
+                                                          solve):
+    # (2, 5) has 192 vertices, (4, 3) 256 and (2, 6) 448
+    calls = []
+    eigh = linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("subset_by_value"))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    tetrahedron_checks(m, n)
+    assert tetrahedron_solve((n + 1) * m ** n) == solve
+    if solve == FULL_SOLVE:
+        assert calls == [None]
+    else:
+        target = bounds.tetrahedron_eigenvalue(m, n)
+        assert calls == [(target - 1e-8, target + 1e-8)]
+
+
+@pytest.mark.parametrize("m,n", [(2, 5), (2, 6)])
+def test_missing_eigenvalue_names_the_depth_and_target(monkeypatch, m, n):
+    # one side of the window-solve floor each: 192 and 448 vertices
+    target = bounds.tetrahedron_eigenvalue(m, n) + 1e-6
+    monkeypatch.setattr(bounds, "tetrahedron_eigenvalue", lambda m, n: target)
+    with pytest.raises(OracleViolationError) as err:
+        tetrahedron_checks(m, n)
+    message = str(err.value)
+    assert f"depth-{n} tetrahedron" in message
+    assert f"of {target}" in message
+    # only the full solve sees the eigenvalue outside the window
+    assert ("nearest at distance" in message) == (
+        tetrahedron_solve(tetrahedron_size(m, n)) == FULL_SOLVE)
+
+
+def test_tetrahedron_size_refuses_before_building():
+    assert tetrahedron_size(3, 5) == 1458
+    with pytest.raises(BudgetError, match="depth-5 tetrahedron of Z_5"):
+        tetrahedron_size(5, 5)
+    with pytest.raises(ValueError, match="depth n >= 2"):
+        tetrahedron_size(2, 1)
 
 
 # ---------------------------------------------------------------------------

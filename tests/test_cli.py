@@ -905,6 +905,34 @@ def test_tetrahedron_above_the_dense_cap(tmp_path, capsys, subcommand, m,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
+def test_every_depth_is_sized_before_the_first_check(tmp_path, capsys,
+                                                     subcommand):
+    # the default depths [2, 3, 4, 5] on Z_5 wr Z: depth 4 (3125 vertices)
+    # would take half a minute, depth 5 (18,750) is above the dense cap
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 5})
+    path = write_config(tmp_path, "c.json", cfg)
+    started = time.perf_counter()
+    assert main([subcommand, "--config", path]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "depth-5 tetrahedron" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
+def test_manifest_records_the_tetrahedron_solves(tmp_path, subcommand):
+    out = tmp_path / "o"
+    # 12 vertices at depth 2, 448 at depth 6
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 2},
+                      window={"depths": [6, 2], "return_max": 2})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main([subcommand, "--config", path]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tetrahedron_solves"] == {"2": "full",
+                                              "6": "target eigenspace"}
+
+
 def test_vertex_budget_bounds_balls_not_tetrahedra(tmp_path, monkeypatch):
     monkeypatch.setenv("PERCOSPEC_BUDGET_VERTICES", "10")
     out = tmp_path / "o"
