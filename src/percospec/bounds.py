@@ -23,10 +23,11 @@ from .cayley import (
     induced_subgraph,
     inner_vertex_boundary,
     tetrahedron,
+    tetrahedron_vertex_count,
 )
-from .errors import BudgetError, DegenerateSpectrumError, OracleViolationError
+from .errors import DegenerateSpectrumError, OracleViolationError
 from .operators import ADJACENCY, DIRICHLET, NEUMANN, LabeledOperator, subgraph_laplacian
-from .spectra import DENSE_CAP, lowest_nonzero
+from .spectra import lowest_nonzero
 
 # how far a computed eigenvalue may sit from the value a check expects
 _TOL = 1e-8
@@ -204,34 +205,30 @@ class TetrahedronReport:
 # eigenvalue fact 2m(1 - cos pi/n) = 4m fails at depth 1.
 MIN_TETRAHEDRON_DEPTH = 2
 
-# the solve a tetrahedron check takes: every eigenpair, or only those within
-# _TOL of the target (LAPACK's dsyevr over a value window)
+# how a tetrahedron check proves facts (b) and (c): from every eigenpair of
+# a dense solve, or from the closed-form eigenvector
 FULL_SOLVE = "full"
-TARGET_SOLVE = "target eigenspace"
+CERTIFICATE = "certificate"
 
 # Below this many vertices the check keeps the full solve, only for the
 # pinned criterion-13 sum of lamplighter_report.json (m=2, depth 2, 12
-# vertices), whose boundary_ratio the window solve moves in the last digits.
-# Like the lone-component branch of spectra.block_eigenvalues, it can go when
-# the pinned sums are re-recorded; below it the full solve costs at most
-# about 15 ms.
-_WINDOW_SOLVE_FLOOR = 256
+# vertices), whose eigenvalue_gap and boundary_ratio are rounding-level
+# values of that solve.  Like the lone-component branch of
+# spectra.block_eigenvalues, it can go when the pinned sums are re-recorded;
+# below it the full solve costs at most about 15 ms.
+_CERTIFICATE_FLOOR = 256
 
 
 def tetrahedron_size(m: int, n: int) -> int:
     """Vertex count (n+1) m^n of the depth-n tetrahedron of Z_m wr Z, once
     its check is known to run: below ``MIN_TETRAHEDRON_DEPTH`` it raises
-    ``ValueError``, above ``DENSE_CAP`` vertices :class:`BudgetError`.
-    Nothing is built, so a list of depths can be refused before any check."""
+    ``ValueError``, above the default vertex budget :class:`BudgetError`
+    (:func:`~percospec.cayley.tetrahedron_vertex_count`).  Nothing is
+    built, so a list of depths can be refused before any check."""
     if n < MIN_TETRAHEDRON_DEPTH:
         raise ValueError(f"the tetrahedron facts need depth n >= "
                          f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
-    size = (n + 1) * m ** n
-    if size > DENSE_CAP:
-        raise BudgetError(f"the depth-{n} tetrahedron of Z_{m} wr Z has "
-                          f"{size} vertices, above the dense cap of "
-                          f"{DENSE_CAP}")
-    return size
+    return tetrahedron_vertex_count(m, n)
 
 
 def tetrahedron_eigenvalue(m: int, n: int) -> float:
@@ -239,9 +236,64 @@ def tetrahedron_eigenvalue(m: int, n: int) -> float:
     return 2.0 * m * (1.0 - np.cos(np.pi / n))
 
 
+def tetrahedron_multiplicity(m: int, n: int) -> int:
+    """Multiplicity of :func:`tetrahedron_eigenvalue` in the adjacency
+    Laplacian of the depth-n tetrahedron, n >= 2, in closed form.
+
+    Split l^2(T_n) by lamp characters (Bartholdi & Woess, J. Fourier Anal.
+    Appl. 11, 2005).  Let S be the set of lamps in {1, ..., n} with a
+    nontrivial character.  The edges between walker positions p - 1 and p
+    switch lamp p, so on the (m-1)^|S| sectors of S the Laplacian is
+    2m - m (path adjacency) on the segments of {0, ..., n} cut before each
+    p in S.  A segment of s vertices has the eigenvalues
+    2m(1 - cos(pi j/(s+1))), j = 1..s, and holds the target once iff n
+    divides s + 1.  For n >= 3 that is s = n - 1: the segment [0, n-2]
+    (n - 1 in S, lamp n free), [1, n-1] (S = {1, n}) or [2, n] (2 in S,
+    lamp 1 free), in all 2(m-1) + 3(m-1)^2 = (m-1)(3m-1).  At n = 2 the
+    whole path (s = 3, S empty) adds one more.
+    """
+    count = (m - 1) * (3 * m - 1)
+    return count + 1 if n == 2 else count
+
+
 def tetrahedron_solve(size: int) -> str:
-    """The solve a tetrahedron check of ``size`` vertices takes."""
-    return FULL_SOLVE if size < _WINDOW_SOLVE_FLOOR else TARGET_SOLVE
+    """How the check of a tetrahedron of ``size`` vertices proves facts (b)
+    and (c): ``FULL_SOLVE`` below ``_CERTIFICATE_FLOOR``, else
+    ``CERTIFICATE``."""
+    return FULL_SOLVE if size < _CERTIFICATE_FLOOR else CERTIFICATE
+
+
+def _certificate(tet: FiniteSubgraph, n: int) -> np.ndarray:
+    """f(l, x) = sin(pi x/n) chi(l_1) chi(l_n) with chi = 1{0} - 1{1}, over
+    the tetrahedron's vertices.  chi sums to zero, so f lies in the sectors
+    with S = {1, n} and is the target eigenvector of their middle segment
+    [1, n-1]; it vanishes at x = 0 and x = n, the inner vertex boundary."""
+    ball = tet.parent
+    x = ball.rows[tet.vertex_indices, -1]
+    lamps = ball.lamp_values([1, n])[tet.vertex_indices]
+    chi = (lamps == 0).astype(np.float64) - (lamps == 1)
+    f = np.sin(np.pi * x / n) * chi[:, 0] * chi[:, 1]
+    f[x == n] = 0.0  # sin(pi) is not exactly zero
+    return f
+
+
+def _full_solve(op: LabeledOperator, rows: np.ndarray, target: float,
+                n: int) -> tuple:
+    """Gap, eigenspace dimension and boundary ratio from every eigenpair of
+    one dense ``eigh``: the flattest direction of the eigenspace within
+    ``_TOL`` of the target on the inner-boundary ``rows``."""
+    vals, vecs = linalg.eigh(op.to_dense())
+    dist = np.abs(vals - target)
+    sel = dist <= _TOL
+    if not sel.any():
+        raise OracleViolationError(
+            f"no eigenvalue of the depth-{n} tetrahedron within {_TOL} of "
+            f"{target}: nearest at distance {dist.min()}")
+    space = vecs[:, sel]
+    _, _, vt = np.linalg.svd(space[rows, :], full_matrices=True)
+    vec = space @ vt[-1]
+    ratio = float(np.max(np.abs(vec[rows])) / np.max(np.abs(vec)))
+    return float(dist.min()), int(sel.sum()), ratio
 
 
 def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
@@ -249,13 +301,24 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
 
     (a) exactly (n+1) m^n vertices; (b) 2m(1 - cos pi/n)
     (:func:`tetrahedron_eigenvalue`) is an eigenvalue of the adjacency
-    Laplacian; (c) the eigenspace contains a vector that vanishes on the
-    inner vertex boundary (computed against the full Cayley graph).  The
-    facts hold from depth ``MIN_TETRAHEDRON_DEPTH`` on.  The check is
-    dense, so a tetrahedron above ``DENSE_CAP`` vertices raises
-    :class:`BudgetError` before it is built (:func:`tetrahedron_size`).
-    From ``_WINDOW_SOLVE_FLOOR`` vertices on, ``linalg.eigh`` computes only
-    the eigenpairs within ``_TOL`` of the target (:func:`tetrahedron_solve`).
+    Laplacian L, with multiplicity :func:`tetrahedron_multiplicity`; (c) the
+    eigenspace contains a vector that vanishes on the inner vertex boundary
+    (computed against the full Cayley graph).  The facts hold from depth
+    ``MIN_TETRAHEDRON_DEPTH`` on, and a tetrahedron above the default vertex
+    budget raises :class:`BudgetError` before it is built
+    (:func:`tetrahedron_size`).
+
+    From ``_CERTIFICATE_FLOOR`` vertices on (:func:`tetrahedron_solve`),
+    (b) and (c) are read off the closed-form eigenvector f of
+    :func:`_certificate`, with one sparse product and no eigensolve:
+    ``eigenvalue_gap`` is the residual ||Lf - lambda f||_2 / ||f||_2, which
+    bounds the distance from lambda to the spectrum of L, and
+    ``boundary_ratio`` is max |f| on the inner boundary over max |f|, which
+    is exactly 0.  ``eigenspace_dim`` is the closed-form multiplicity.
+    Below the floor one full ``eigh`` gives the gap to the nearest
+    eigenvalue, the eigenspace within ``_TOL`` of lambda, whose dimension
+    must equal the closed form, and the flattest direction of that
+    eigenspace on the boundary.
     """
     expected = tetrahedron_size(m, n)
     tet = tetrahedron(m, n)
@@ -263,35 +326,33 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
         raise OracleViolationError(
             f"tetrahedron({m},{n}) has {tet.size} vertices, expected {expected}")
     op = subgraph_laplacian(tet, ADJACENCY)
-    dense = op.to_dense()
     target = tetrahedron_eigenvalue(m, n)
-    if tetrahedron_solve(expected) == FULL_SOLVE:
-        vals, vecs = linalg.eigh(dense)
-    else:
-        vals, vecs = linalg.eigh(dense, subset_by_value=(target - _TOL,
-                                                         target + _TOL))
-    dist = np.abs(vals - target)
-    sel = dist <= _TOL
-    if not sel.any():
-        # the window solve returns no eigenvalue outside the window
-        nearest = f": nearest at distance {dist.min()}" if len(vals) else ""
-        raise OracleViolationError(
-            f"no eigenvalue of the depth-{n} tetrahedron within {_TOL} of "
-            f"{target}{nearest}")
-    gap = float(dist.min())
-    space = vecs[:, sel]
+    dim = tetrahedron_multiplicity(m, n)
     rows = op.local_of(inner_vertex_boundary(tet))
-    # the flattest direction of the eigenspace on the boundary rows
-    _, _, vt = np.linalg.svd(space[rows, :], full_matrices=True)
-    vec = space @ vt[-1]
-    ratio = float(np.max(np.abs(vec[rows])) / np.max(np.abs(vec)))
+    if tetrahedron_solve(expected) == FULL_SOLVE:
+        gap, found, ratio = _full_solve(op, rows, target, n)
+        if found != dim:
+            raise OracleViolationError(
+                f"the eigenvalue {target} of the depth-{n} tetrahedron has "
+                f"multiplicity {found}, expected {dim}")
+    else:
+        f = _certificate(tet, n)
+        residual = op.matrix @ f - target * f
+        # numpy's pairwise sums, not BLAS: the same bits on any thread count
+        gap = float(np.sqrt(np.sum(residual * residual))
+                    / np.sqrt(np.sum(f * f)))
+        if gap > _TOL:
+            raise OracleViolationError(
+                f"no eigenvalue of the depth-{n} tetrahedron within {_TOL} of "
+                f"{target}: certificate residual {gap}")
+        ratio = float(np.max(np.abs(f[rows])) / np.max(np.abs(f)))
     if ratio > _TOL:
         raise OracleViolationError(
             f"no eigenvector at {target} vanishes on the inner boundary "
             f"(best max-norm ratio {ratio})")
     return TetrahedronReport(m=m, n=n, vertex_count=tet.size,
                              expected_count=expected, target_eigenvalue=target,
-                             eigenvalue_gap=gap, eigenspace_dim=int(sel.sum()),
+                             eigenvalue_gap=gap, eigenspace_dim=dim,
                              boundary_ratio=ratio)
 
 

@@ -443,6 +443,19 @@ class CayleyBall:
     def ball_indices(self, r: int) -> np.ndarray:
         return np.arange(self.volume(r), dtype=np.int64)
 
+    def lamp_values(self, positions) -> np.ndarray:
+        """Lamp value of every vertex at each absolute position, one column
+        per position (lamplighter balls only).  A position outside the
+        ball's lamp window is dark at every vertex."""
+        if self.spec.kind != LAMPLIGHTER:
+            raise ValueError("only lamplighter balls have lamps")
+        layout = _layout(self.spec, self.radius)
+        col = np.asarray(positions, dtype=np.int64) - layout.first_pos
+        inside = (col >= 0) & (col < len(layout.lo) - 1)
+        values = np.zeros((len(self), len(col)), dtype=np.int64)
+        values[:, inside] = self.rows[:, col[inside]]
+        return values
+
     def adjacency_matrix(self) -> sparse.csr_matrix:
         if self._adj is None:
             n = len(self)
@@ -702,6 +715,22 @@ def line_subgraph(ball: CayleyBall, n: int) -> FiniteSubgraph:
                           edges=edges, induced=False)
 
 
+def tetrahedron_vertex_count(m: int, n: int) -> int:
+    """(n+1) m^n, the vertex count of the depth-n tetrahedron of Z_m wr Z.
+
+    Raises :class:`BudgetError` above the default vertex budget, from the
+    arithmetic alone, and ``ValueError`` below depth 1.
+    """
+    if n < 1:
+        raise ValueError("depth must be >= 1")
+    size = (n + 1) * m ** n
+    if size > DEFAULT_VERTEX_BUDGET:
+        raise BudgetError(
+            f"the depth-{n} tetrahedron of Z_{m} wr Z has {size} vertices, "
+            f"above the vertex budget of {DEFAULT_VERTEX_BUDGET}")
+    return size
+
+
 def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     """Depth-n tetrahedron of the lamplighter graph Z_m wr Z, in closed form.
 
@@ -710,14 +739,9 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     exactly these members, with their word lengths, in the order of every
     ball B(r), r >= 2n, and with every Cayley edge between them, so the
     subgraph is induced.  Raises :class:`BudgetError` above the default
-    vertex budget, before allocating.
+    vertex budget, before allocating (:func:`tetrahedron_vertex_count`).
     """
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    if (n + 1) * m ** n > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(
-            f"the depth-{n} tetrahedron of Z_{m} wr Z has {(n + 1) * m ** n} "
-            f"vertices, above the vertex budget of {DEFAULT_VERTEX_BUDGET}")
+    tetrahedron_vertex_count(m, n)
     spec = GroupSpec.lamplighter(m)
     layout = _layout(spec, 2 * n)
     # every lamp pattern on {1, ..., n}, at every walker position 0..n

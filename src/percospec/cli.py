@@ -453,8 +453,8 @@ def run_free_ids(cfg: dict, out: Path) -> tuple[list, dict]:
 
 
 def _tetrahedron_reports(cfg: dict, m: int) -> tuple[dict, dict]:
-    """Tetrahedron checks at each of the config's depths, and the solve each
-    took."""
+    """Tetrahedron checks at each of the config's depths, and how each proved
+    its facts (``bounds.tetrahedron_solve``)."""
     depths = cfg.get("window", {}).get("depths", [2, 3, 4, 5])
     # every depth's size is refused or let through before the first check
     solves = {str(d): bounds_mod.tetrahedron_solve(

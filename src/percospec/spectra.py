@@ -153,7 +153,7 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
             dense[c] = False
     if ncomp == 1:
         # kept for the pinned sums, as bounds keeps its full tetrahedron
-        # solve below _WINDOW_SOLVE_FLOOR: see the README on reproducibility
+        # solve below _CERTIFICATE_FLOOR: see the README on reproducibility
         return out[0] if out else np.sort(linalg.eigvalsh(op.to_dense()))
     order = np.argsort(labels, kind="stable")
     local = np.empty(n, dtype=np.int64)

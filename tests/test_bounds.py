@@ -1,5 +1,7 @@
 """Rayleigh certificates, geometric bound fits, tetrahedron oracle, sandwich inputs."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -15,9 +17,9 @@ from percospec.cayley import (
 )
 from percospec import bounds
 from percospec.bounds import (
+    CERTIFICATE,
     FULL_SOLVE,
     MIN_TETRAHEDRON_DEPTH,
-    TARGET_SOLVE,
     TetrahedronReport,
     dirichlet_radial,
     lower_bound_check_adjacency,
@@ -26,6 +28,8 @@ from percospec.bounds import (
     rayleigh,
     sandwich_inputs,
     tetrahedron_checks,
+    tetrahedron_eigenvalue,
+    tetrahedron_multiplicity,
     tetrahedron_size,
     tetrahedron_solve,
     upper_bound_check_dirichlet,
@@ -247,9 +251,10 @@ def full_tetrahedron_reference(m, n):
                              boundary_ratio=ratio)
 
 
-@pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (3, 5), (4, 3), (5, 3)])
-def test_target_eigenspace_solve_matches_the_full_solve(m, n):
-    assert tetrahedron_solve(tetrahedron_size(m, n)) == TARGET_SOLVE
+@pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (3, 5), (4, 3), (5, 3),
+                                 (10, 2)])
+def test_certificate_matches_the_full_solve(m, n):
+    assert tetrahedron_solve(tetrahedron_size(m, n)) == CERTIFICATE
     rep, ref = tetrahedron_checks(m, n), full_tetrahedron_reference(m, n)
     assert rep.vertex_count == ref.vertex_count
     assert rep.target_eigenvalue == ref.target_eigenvalue
@@ -257,6 +262,8 @@ def test_target_eigenspace_solve_matches_the_full_solve(m, n):
     for r in (rep, ref):
         assert r.eigenvalue_gap <= 1e-8
         assert r.boundary_ratio <= 1e-8
+    # the certificate vanishes exactly on the inner boundary
+    assert rep.boundary_ratio == 0.0
 
 
 def test_small_tetrahedron_keeps_the_full_solve():
@@ -267,27 +274,28 @@ def test_small_tetrahedron_keeps_the_full_solve():
 
 
 @pytest.mark.parametrize("m,n,solve", [(2, 5, FULL_SOLVE),
-                                       (4, 3, TARGET_SOLVE),
-                                       (2, 6, TARGET_SOLVE)])
+                                       (4, 3, CERTIFICATE),
+                                       (2, 6, CERTIFICATE)])
 def test_eigenvectors_only_for_the_target_above_the_floor(monkeypatch, m, n,
                                                           solve):
-    # (2, 5) has 192 vertices, (4, 3) 256 and (2, 6) 448
+    # (2, 5) has 192 vertices, (4, 3) 256 and (2, 6) 448; from 256 on the
+    # one eigenvector is the closed-form one, and nothing is solved
     calls = []
-    eigh = linalg.eigh
 
-    def spy(a, *args, **kwargs):
-        calls.append(kwargs.get("subset_by_value"))
-        return eigh(a, *args, **kwargs)
+    def spying(module, name):
+        solver = getattr(module, name)
 
-    monkeypatch.setattr(linalg, "eigh", spy)
-    monkeypatch.setattr(np.linalg, "eigh", spy)
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return solver(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    for module in (linalg, np.linalg):
+        for name in ("eigh", "eigvalsh", "svd"):
+            spying(module, name)
     tetrahedron_checks(m, n)
     assert tetrahedron_solve((n + 1) * m ** n) == solve
-    if solve == FULL_SOLVE:
-        assert calls == [None]
-    else:
-        target = bounds.tetrahedron_eigenvalue(m, n)
-        assert calls == [(target - 1e-8, target + 1e-8)]
+    assert calls == (["eigh", "svd"] if solve == FULL_SOLVE else [])
 
 
 @pytest.mark.parametrize("m,n", [(2, 5), (2, 6)])
@@ -307,10 +315,42 @@ def test_missing_eigenvalue_names_the_depth_and_target(monkeypatch, m, n):
 
 def test_tetrahedron_size_refuses_before_building():
     assert tetrahedron_size(3, 5) == 1458
-    with pytest.raises(BudgetError, match="depth-5 tetrahedron of Z_5"):
-        tetrahedron_size(5, 5)
+    assert tetrahedron_size(5, 5) == 18750
+    with pytest.raises(BudgetError, match="depth-10 tetrahedron of Z_5"):
+        tetrahedron_size(5, 10)
     with pytest.raises(ValueError, match="depth n >= 2"):
         tetrahedron_size(2, 1)
+
+
+def sector_spectrum(m, n):
+    """The adjacency-Laplacian spectrum of the depth-n tetrahedron, and the
+    multiplicity of its target, from the split by lamp characters: the
+    lamps S in {1..n} with a nontrivial character give (m-1)^|S| copies of
+    2m - m (path adjacency) on {0..n} cut before each p in S."""
+    vals, count = [], 0
+    for lit in itertools.product((False, True), repeat=n):
+        copies = (m - 1) ** sum(lit)
+        cuts = [0] + [p for p in range(1, n + 1) if lit[p - 1]] + [n + 1]
+        for s in np.diff(cuts):
+            j = np.arange(1, s + 1)
+            vals += [2 * m * (1 - np.cos(np.pi * j / (s + 1)))] * copies
+            # pi j / (s + 1) = pi / n for j = (s + 1) / n, which is <= s
+            count += copies * int((s + 1) % n == 0)
+    return np.sort(np.concatenate(vals)), count
+
+
+@pytest.mark.parametrize("m,n", [
+    (m, n) for m in range(2, 23) for n in range(2, 8)
+    if (n + 1) * m ** n <= 1500])
+def test_closed_form_spectrum_matches_eigvalsh(m, n):
+    vals = np.linalg.eigvalsh(
+        subgraph_laplacian(tetrahedron(m, n), ADJACENCY).to_dense())
+    closed, count = sector_spectrum(m, n)
+    assert len(closed) == len(vals) == (n + 1) * m ** n
+    assert np.max(np.abs(closed - vals)) <= 1e-12
+    target = tetrahedron_eigenvalue(m, n)
+    assert count == tetrahedron_multiplicity(m, n)
+    assert np.count_nonzero(np.abs(vals - target) <= 1e-8) == count
 
 
 # ---------------------------------------------------------------------------

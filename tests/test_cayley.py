@@ -595,6 +595,19 @@ def test_find_vertices_with_lamps_outside_the_window():
     assert want.count(-1) < len(want)
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_lamp_values_match_the_decoded_vertices(m):
+    # B(3) has lamp columns for positions -3..4 only; the rest are dark
+    ball = enumerate_ball(GroupSpec.lamplighter(m), 3)
+    positions = list(range(-5, 7))
+    want = [[dict(lamps).get(p, 0) for p in positions]
+            for lamps, _ in ball.vertices]
+    assert ball.lamp_values(positions).tolist() == want
+    assert ball.rows[:, -1].tolist() == [x for _, x in ball.vertices]
+    with pytest.raises(ValueError, match="lamplighter"):
+        enumerate_ball(GroupSpec.free_abelian(1), 2).lamp_values([0])
+
+
 def test_tetrahedron_budget():
     # refused before anything is allocated: (30 + 1) 2^30 rows
     with pytest.raises(BudgetError, match="vertex budget"):

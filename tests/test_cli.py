@@ -889,34 +889,46 @@ def test_no_tetrahedron_depths(tmp_path, subcommand):
     assert json.loads((out / name).read_text())["tetrahedron"] == {}
 
 
-@pytest.mark.parametrize("subcommand,m,depth", [("lamplighter", 2, 30),
-                                                ("bounds", 3, 6)])
-def test_tetrahedron_above_the_dense_cap(tmp_path, capsys, subcommand, m,
-                                         depth):
+@pytest.mark.parametrize("subcommand,m,depth", [
+    ("lamplighter", 2, 30), ("lamplighter", 3, 11), ("lamplighter", 2, 1),
+    ("bounds", 3, 11), ("bounds", 2, 17), ("bounds", 2, 1)])
+def test_tetrahedron_depths_near_the_vertex_budget(tmp_path, capsys,
+                                                   subcommand, m, depth):
+    # (3, 11) has 2,125,764 vertices and (2, 17) 2,359,296, just over the
+    # default vertex budget of 2,000,000; depth 1 is a user's mistake
     out = tmp_path / "o"
     cfg = base_config(out, group={"kind": "lamplighter", "modulus": m},
                       window={"depths": [depth], "return_max": 2})
     path = write_config(tmp_path, "c.json", cfg)
     started = time.perf_counter()
-    assert main([subcommand, "--config", path]) == 2
+    code = main([subcommand, "--config", path])
     # refused from the vertex count, before any tetrahedron is built
     assert time.perf_counter() - started < 1.0
-    assert f"depth-{depth} tetrahedron" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if depth < bounds.MIN_TETRAHEDRON_DEPTH:
+        assert code == 1 and "window.depths" in err
+    else:
+        assert code == 2 and f"depth-{depth} tetrahedron" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
 def test_every_depth_is_sized_before_the_first_check(tmp_path, capsys,
-                                                     subcommand):
-    # the default depths [2, 3, 4, 5] on Z_5 wr Z: depth 4 (3125 vertices)
-    # would take half a minute, depth 5 (18,750) is above the dense cap
+                                                     monkeypatch, subcommand):
+    # depths 2-5 on Z_5 wr Z run, depth 8 (3,515,625 vertices) is above the
+    # vertex budget
+    def no_check(m, n):
+        raise AssertionError("a tetrahedron was checked")
+
+    monkeypatch.setattr(bounds, "tetrahedron_checks", no_check)
     out = tmp_path / "o"
-    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 5})
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 5},
+                      window={"depths": [2, 3, 4, 5, 8]})
     path = write_config(tmp_path, "c.json", cfg)
     started = time.perf_counter()
     assert main([subcommand, "--config", path]) == 2
     assert time.perf_counter() - started < 1.0
-    assert "depth-5 tetrahedron" in capsys.readouterr().err
+    assert "depth-8 tetrahedron" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -929,8 +941,40 @@ def test_manifest_records_the_tetrahedron_solves(tmp_path, subcommand):
     path = write_config(tmp_path, "c.json", cfg)
     assert main([subcommand, "--config", path]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["tetrahedron_solves"] == {"2": "full",
-                                              "6": "target eigenspace"}
+    assert manifest["tetrahedron_solves"] == {"2": "full", "6": "certificate"}
+
+
+def test_wide_eigenspace_takes_the_certificate(tmp_path):
+    # Z_31 wr Z at depth 2: 2883 vertices, 2761 of them in the eigenspace
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 31},
+                      window={"depths": [2]})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["bounds", "--config", path]) == 0
+    tet = json.loads((out / "bounds_report.json").read_text())["tetrahedron"]
+    assert tet["2"]["eigenspace_dim"] == 2761
+    assert tet["2"]["boundary_ratio"] == 0.0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["tetrahedron_solves"] == {"2": "certificate"}
+
+
+def test_lamplighter_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the lamplighter-m3 benchmark config, run in fresh interpreters
+    src = str(Path(percospec.__file__).resolve().parent.parent)
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        path = write_config(tmp_path, f"t{threads}.json", base_config(
+            out, group={"kind": "lamplighter", "modulus": 3},
+            window={"depths": [2, 3, 4, 5], "return_max": 4}))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "percospec.cli", "lamplighter",
+                        "--config", path], env=env, timeout=300, check=True)
+        reports.append([(out / name).read_bytes() for name in (
+            "lamplighter_report.json", "return_probability.csv")])
+    assert reports[0] == reports[1]
 
 
 def test_vertex_budget_bounds_balls_not_tetrahedra(tmp_path, monkeypatch):
