@@ -17,10 +17,16 @@ Element encodings (``multiply``, ``inverse`` and ``CayleyBall.vertices``):
 
 Inside a ball every element is one fixed-width int64 row: the coordinates
 (Z^d), (a, b, c) (Heisenberg), or the lamp values on the window of
-positions the ball's words can light, then x (lamplighter).  Each generator
-acts on a whole array of rows, and :class:`_Layout` turns rows into
-sortable keys, so enumeration runs no Python per vertex; the tuple
-encodings of ``CayleyBall.vertices`` are decoded only when asked for.
+positions the ball's words can light, then x (lamplighter).
+:class:`_Layout` packs a row into one sortable int64 key, mixed radix with
+the last column least significant (a byte key when the column ranges
+overflow int64).  Enumeration works on keys alone, with no Python per
+vertex: a generator changes only a few columns of a row, so a neighbour's
+key is the key plus a per-generator offset (:func:`_moves`); the
+lexicographic order of the tuples is read off the keys' digits
+(:func:`_order_keys`); and rows are decoded once, for the finished ball.
+The tuple encodings of ``CayleyBall.vertices`` are decoded only when asked
+for.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from scipy.sparse import csgraph
 from .errors import BudgetError
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
+
+# keys decoded to rows at a time: a block's columns stay in cache
+_DECODE_BLOCK = 1 << 14
 
 FREE_ABELIAN = "free_abelian"
 HEISENBERG = "heisenberg"
@@ -223,20 +232,42 @@ class _Layout:
     def keys(self, rows: np.ndarray) -> np.ndarray:
         """Sortable keys of rows within the bounds: a packed int64 when the
         column ranges fit, else a byte (void) view of each row.  Equal rows
-        give equal keys either way, and unique, argsort and searchsorted
-        treat both kinds alike."""
+        give equal keys either way, and sort, unique and searchsorted treat
+        both kinds alike; packed keys sort like their rows."""
         if self.strides is not None:
             return rows @ self.strides - self._origin
         rows = np.ascontiguousarray(rows)
         return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
 
+    def digits(self, keys: np.ndarray):
+        """``(j, row[j] - lo[j])`` for each column j of the rows of ``keys``,
+        from the last column to the first, one column at a time."""
+        if self.strides is None:
+            rows = self.rows(keys)
+            for j in reversed(range(len(self.lo))):
+                yield j, rows[:, j] - self.lo[j]
+            return
+        for j in reversed(range(len(self.lo))):
+            span = int(self.hi[j] - self.lo[j]) + 1
+            rest = keys // span
+            yield j, keys - rest * span
+            keys = rest
+
+    def column(self, keys: np.ndarray, j) -> np.ndarray:
+        """Column j of the rows of ``keys``: one index, or one per key."""
+        if self.strides is None:
+            return self.rows(keys)[np.arange(len(keys)), j]
+        return keys // self.strides[j] % (self.hi - self.lo + 1)[j] + self.lo[j]
+
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`keys`."""
-        strides = self.strides
-        if strides is None:
+        if self.strides is None:
             return keys.view(np.int64).reshape(len(keys), len(self.lo))
-        rows = keys[:, None] // strides
-        np.remainder(rows, self.hi - self.lo + 1, out=rows)
+        rows = np.empty((len(keys), len(self.lo)), dtype=np.int64)
+        # a column at a time, in blocks of keys, each transposed into place
+        for start in range(0, len(keys), _DECODE_BLOCK):
+            block = [digit for _, digit in self.digits(keys[start:start + _DECODE_BLOCK])]
+            rows[start:start + _DECODE_BLOCK] = np.stack(block[::-1]).T
         rows += self.lo
         return rows
 
@@ -262,30 +293,78 @@ def _layout(spec: GroupSpec, n: int) -> _Layout:
     return _Layout(lo=lo, hi=hi, first_pos=first)
 
 
-def _neighbour_keys(spec: GroupSpec, layout: _Layout, rows: np.ndarray) -> np.ndarray:
-    """Keys of ``row * g`` for every row and generator, shape (rows, k)."""
-    gens = spec.generators
+def _moves(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> list:
+    """For each generator g, the columns of a row that ``row * g`` changes,
+    as ``(column, change)`` pairs; either is one value for every key or one
+    per key.  These need the rows' a (Heisenberg), or their walker and the
+    lamps g lights next to it (lamplighter), and nothing else."""
     if spec.kind == FREE_ABELIAN:
-        out = rows[:, None, :] + np.array(gens, dtype=np.int64)
-    elif spec.kind == HEISENBERG:
-        ga, gb, gc = np.array(gens, dtype=np.int64).T
-        a, b, c = rows[:, :1], rows[:, 1:2], rows[:, 2:]
-        out = np.stack([a + ga, b + gb + a * gc, c + gc], axis=-1)
-    else:
-        # one generator at a time: lamplighter rows are wide
-        width = rows.shape[1]
-        # flat offset of each row's lamp column at the walker
-        at = np.arange(len(rows)) * width + rows[:, -1] - layout.first_pos
-        keys = []
-        for lamps, shift in gens:
-            moved = rows.copy()
-            flat = moved.reshape(-1)
-            for pos, val in lamps:
-                flat[at + pos] = (flat[at + pos] + val) % spec.modulus
-            moved[:, -1] += shift
-            keys.append(layout.keys(moved))
-        return np.stack(keys, axis=1)
-    return layout.keys(out.reshape(-1, rows.shape[1])).reshape(len(rows), len(gens))
+        return [[(j, x) for j, x in enumerate(g) if x] for g in spec.generators]
+    if spec.kind == HEISENBERG:
+        a = layout.column(keys, 0)
+        return [[(0, ga), (1, gb + a * gc), (2, gc)]
+                for ga, gb, gc in spec.generators]
+    m, walker = spec.modulus, len(layout.lo) - 1
+    # column of the lamp under each row's walker
+    at = layout.column(keys, walker) - layout.first_pos
+    lamp = {p: layout.column(keys, at + p)
+            for lamps, _ in spec.generators for p, _ in lamps}
+    return [[(walker, shift)]
+            + [(at + p, (lamp[p] + val) % m - lamp[p]) for p, val in lamps]
+            for lamps, shift in spec.generators]
+
+
+def _neighbour_keys(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> np.ndarray:
+    """Keys of ``row * g`` for the row of every key and every generator,
+    shape (keys, k).  A packed key moves by the changes of :func:`_moves`
+    times their columns' place values; a byte key is rebuilt from its row."""
+    out = np.empty((len(keys), spec.k), dtype=keys.dtype)
+    for i, moves in enumerate(_moves(spec, layout, keys)):
+        if layout.strides is not None:
+            out[:, i] = keys + sum(change * layout.strides[col]
+                                   for col, change in moves)
+        else:
+            rows = layout.rows(keys).copy()
+            for col, change in moves:
+                rows[np.arange(len(keys)), col] += change
+            out[:, i] = layout.keys(rows)
+    return out
+
+
+def _order_keys(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> list:
+    """``np.lexsort`` keys (primary last) for the lexicographic order of the
+    tuple encodings of distinct element keys: one order digit per column,
+    packed into as few int64s as hold them.
+
+    Z^d and Heisenberg rows order like their tuples, so a row's order digits
+    are its columns.  A lamplighter's lamp tuple orders like its order
+    digits t_j: the lamp value where a lamp is lit, m where a lamp is lit at
+    a later column, and 0 past the last lit lamp; the walker is the last
+    digit."""
+    lamps = len(layout.lo) - 1 if spec.kind == LAMPLIGHTER else 0
+    lit = np.zeros(len(keys), dtype=bool)
+    out, key, place = [], np.zeros(len(keys), dtype=np.int64), 1
+    for j, digit in layout.digits(keys):
+        radix = int(layout.hi[j] - layout.lo[j]) + 1
+        if j < lamps:
+            digit = np.where(digit > 0, digit, spec.modulus * lit)
+            lit |= digit > 0
+            radix += 1
+        if place * radix >= 2 ** 63:
+            out.append(key)
+            key, place = np.zeros(len(keys), dtype=np.int64), 1
+        key += digit * place
+        place *= radix
+    out.append(key)
+    return out
+
+
+def _canonical(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct keys in the lexicographic order of their tuples."""
+    if spec.kind != LAMPLIGHTER and layout.strides is not None:
+        return keys     # packed Z^d and Heisenberg keys sort like their rows
+    order = _order_keys(spec, layout, keys)
+    return keys[np.argsort(order[0]) if len(order) == 1 else np.lexsort(order)]
 
 
 def _lamp_lists(layout: _Layout, rows: np.ndarray) -> tuple:
@@ -303,20 +382,6 @@ def _lamp_lists(layout: _Layout, rows: np.ndarray) -> tuple:
     pos[r, slot] = c + layout.first_pos
     val[r, slot] = digits[r, c]
     return pos, val, count
-
-
-def _lexsort_keys(spec: GroupSpec, layout: _Layout, rows: np.ndarray) -> np.ndarray:
-    """``np.lexsort`` keys (primary last) for the lexicographic order of the
-    tuple encodings.  Lamplighter lamp tuples compare as their padded
-    (pos, val) lists, since the padding sorts a prefix first."""
-    if spec.kind != LAMPLIGHTER:
-        return rows.T[::-1]
-    pos, val, _ = _lamp_lists(layout, rows)
-    keys = np.empty((2 * pos.shape[1] + 1, len(rows)), dtype=np.int64)
-    keys[0] = rows[:, -1]
-    keys[1::2] = val.T[::-1]
-    keys[2::2] = pos.T[::-1]
-    return keys
 
 
 def _decode(spec: GroupSpec, layout: _Layout, rows: np.ndarray) -> tuple:
@@ -389,23 +454,24 @@ class CayleyBall:
         return self._vertices
 
     def _layout_keys(self) -> tuple:
-        """``(layout, keys, sorter)``: the row layout, the vertex keys, and
-        the ``argsort`` of the keys."""
+        """``(layout, ordered, sorter)``: the row layout, the vertex keys in
+        sorted order, and their ``argsort``."""
         if self._lookup is None:
             layout = _layout(self.spec, self.radius)
             keys = layout.keys(self.rows)
-            self._lookup = (layout, keys, np.argsort(keys, kind="stable"))
+            sorter = np.argsort(keys, kind="stable")
+            self._lookup = (layout, keys[sorter], sorter)
         return self._lookup
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vertex index of each element row, -1 for rows not in the ball."""
-        layout, keys, sorter = self._layout_keys()
+        layout, ordered, sorter = self._layout_keys()
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(layout.lo))
         out = np.full(len(rows), -1, dtype=np.int64)
         # a row outside the columns' bounds could share a packed key
         inside = np.flatnonzero(((rows >= layout.lo) & (rows <= layout.hi)).all(axis=1))
-        found, at = locate(keys, layout.keys(rows[inside]), sorter)
-        out[inside[found]] = at
+        found, at = _search(ordered, layout.keys(rows[inside]))
+        out[inside[found]] = sorter[at]
         return out
 
     def find_vertices(self, other: "CayleyBall") -> np.ndarray:
@@ -481,58 +547,82 @@ class CayleyBall:
 def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> CayleyBall:
     """Enumerate the ball B(n) by BFS from the identity, a layer at a time.
 
-    Each generator acts on the whole frontier; the generator set is
-    symmetric, so layer L's neighbours lie in layers L - 1, L and L + 1,
-    and the new layer is the neighbour keys minus those of the first two.
+    The layers are arrays of element keys (see the module docstring), and a
+    neighbour's key is its vertex's key moved by a per-generator offset.
+    The generator set is symmetric, so layer L's neighbours lie in layers
+    L - 1, L and L + 1, and the new layer is the distinct neighbour keys
+    minus those of the first two, put in the order of their tuples.
     Deterministic: the vertex order is BFS layer then lexicographic
-    encoding, and the edge list is sorted.  Raises :class:`BudgetError`
-    once more than ``budget`` vertices (default 2e6) have been discovered.
+    encoding, and the edge list is sorted.  Rows are decoded once, for the
+    finished ball.
+
+    Raises :class:`BudgetError` once more than ``budget`` vertices (default
+    2e6) have been discovered.  A layer whose neighbours could pass the
+    budget is built from chunks of the frontier and refused as soon as its
+    distinct new keys do.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
     cap = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
     layout = _layout(spec, n)
-    rows = np.zeros((1, len(layout.lo)), dtype=np.int64)   # the identity
-    keys = layout.keys(rows)
-    layer_keys, neighbours = [keys], []
-    older, total = keys[:0], 1
-    for layer in range(n + 1):
-        neighbours.append(_neighbour_keys(spec, layout, rows))
-        if layer == n:
-            break
-        fresh = np.unique(neighbours[-1])
-        seen, _ = locate(np.concatenate([older, keys]), fresh)
-        older, fresh = keys, fresh[~seen]
+    keys = layout.keys(np.zeros((1, len(layout.lo)), dtype=np.int64))
+    layers, neighbours, total = [keys], [], 1
+    older, current = keys[:0], keys     # the last two layers, sorted
+    for _ in range(n):
+        # one chunk unless the frontier's neighbours could pass the budget
+        step = max(1, (cap - total) // spec.k)
+        fresh = keys[:0]
+        for start in range(0, len(keys), step):
+            neighbours.append(_neighbour_keys(spec, layout, keys[start:start + step]))
+            fresh = _unseen(np.concatenate([fresh, neighbours[-1].ravel()]),
+                            older, current)
+            if total + len(fresh) > cap:
+                raise BudgetError(
+                    f"ball exceeds the vertex budget of {cap} vertices "
+                    f"(group {spec.label()}, radius {n})")
         total += len(fresh)
-        if total > cap:
-            raise BudgetError(
-                f"ball exceeds the vertex budget of {cap} vertices "
-                f"(group {spec.label()}, radius {n})")
-        rows = layout.rows(fresh)
-        order = np.lexsort(_lexsort_keys(spec, layout, rows))
-        rows, keys = rows[order], fresh[order]
-        layer_keys.append(keys)
+        older, current = current, fresh
+        keys = _canonical(spec, layout, fresh)
+        layers.append(keys)
+    neighbours.append(_neighbour_keys(spec, layout, keys))
 
-    return _ball(spec, n, layout, np.concatenate(layer_keys),
+    return _ball(spec, n, layout, np.concatenate(layers),
                  np.repeat(np.arange(n + 1, dtype=np.int32),
-                           [len(layer) for layer in layer_keys]),
+                           [len(layer) for layer in layers]),
                  np.concatenate(neighbours))
+
+
+def _unseen(keys: np.ndarray, *seen: np.ndarray) -> np.ndarray:
+    """The distinct ``keys``, sorted, that no sorted array in ``seen`` holds."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    keep[1:] = keys[1:] != keys[:-1]
+    for old in seen:
+        keep &= ~_search(old, keys)[0]
+    return keys[keep]
 
 
 def _ball(spec: GroupSpec, radius: int, layout: _Layout, keys: np.ndarray,
           word_length: np.ndarray, neighbours: np.ndarray) -> CayleyBall:
     """Ball-ordered vertices, joined where row i of ``neighbours`` holds a key."""
     sorter = np.argsort(keys, kind="stable")
-    found, at = locate(keys, neighbours.ravel(), sorter)
-    u = np.repeat(np.arange(len(keys)), spec.k)[found]
-    up = at > u
-    u, v = u[up], at[up]
-    order = np.lexsort((v, u))
+    ordered = keys[sorter]
+    edges = _edges(ordered, sorter, neighbours)
     ball = CayleyBall(spec=spec, radius=radius, rows=layout.rows(keys),
-                      word_length=word_length,
-                      edges=np.stack([u[order], v[order]], axis=1), k=spec.k)
-    ball._lookup = (layout, keys, sorter)
+                      word_length=word_length, edges=edges, k=spec.k)
+    ball._lookup = (layout, ordered, sorter)
     return ball
+
+
+def _edges(ordered: np.ndarray, sorter: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+    """Sorted edges (u, v), u < v, where row u of ``neighbours`` holds the
+    key of vertex v, given the sorted vertex keys and their ``argsort``."""
+    found, at = _search(ordered, neighbours.ravel())
+    u = np.flatnonzero(found) // neighbours.shape[1]
+    v = sorter[at]
+    # the pairs are distinct, so one sort of u * n + v orders them
+    pairs = np.sort((u * len(sorter) + v)[v > u])
+    return np.stack(np.divmod(pairs, len(sorter)), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -585,20 +675,24 @@ def growth_profile(ball: CayleyBall) -> GrowthProfile:
 # finite subgraphs
 # ---------------------------------------------------------------------------
 
-def locate(members: np.ndarray, wanted: np.ndarray, sorter=None) -> tuple:
+def locate(members: np.ndarray, wanted: np.ndarray) -> tuple:
     """Where each entry of ``wanted`` sits in ``members`` (distinct, any order).
 
-    A binary search through an ``argsort`` sorter of ``members``, computed
-    unless given.  Returns ``(found, at)``: ``found`` flags the entries of
-    ``wanted`` that are members, and ``at`` holds the position in
-    ``members`` of each found entry, in order.
+    A binary search in a sorted copy of ``members``.  Returns ``(found,
+    at)``: ``found`` flags the entries of ``wanted`` that are members, and
+    ``at`` holds the position in ``members`` of each found entry, in order.
     """
-    if sorter is None:
-        sorter = np.argsort(members, kind="stable")
-    at = np.searchsorted(members, wanted, sorter=sorter)
-    found = at < len(members)
-    found[found] = members[sorter[at[found]]] == wanted[found]
-    return found, sorter[at[found]]
+    sorter = np.argsort(members, kind="stable")
+    found, at = _search(members[sorter], wanted)
+    return found, sorter[at]
+
+
+def _search(ordered: np.ndarray, wanted: np.ndarray) -> tuple:
+    """:func:`locate` in a sorted array: ``at`` indexes ``ordered``."""
+    at = np.searchsorted(ordered, wanted)
+    found = at < len(ordered)
+    found[found] = ordered[at[found]] == wanted[found]
+    return found, at[found]
 
 
 @dataclass(eq=False)
@@ -749,14 +843,15 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     rows = np.zeros((m ** n, n + 1, len(layout.lo)), dtype=np.int64)
     rows[:, :, np.arange(1, n + 1) - layout.first_pos] = lamps[:, None, :]
     rows[:, :, -1] = x = np.arange(n + 1)
-    rows = rows.reshape(-1, len(layout.lo))
+    keys = layout.keys(rows.reshape(-1, len(layout.lo)))
+    del rows    # packed keys hold all of it; the parent decodes its own rows
     # a shortest word walks right to max(walker, top lit lamp), then back
     top = (np.arange(1, n + 1) * (lamps > 0)).max(axis=1)[:, None]
     word_length = (2 * np.maximum(x, top) - x).astype(np.int32).ravel()
-    order = np.lexsort(np.vstack([_lexsort_keys(spec, layout, rows), word_length]))
-    rows = rows[order]
-    parent = _ball(spec, 2 * n, layout, layout.keys(rows), word_length[order],
-                   _neighbour_keys(spec, layout, rows))
+    order = np.lexsort([*_order_keys(spec, layout, keys), word_length])
+    keys = keys[order]
+    parent = _ball(spec, 2 * n, layout, keys, word_length[order],
+                   _neighbour_keys(spec, layout, keys))
     return induced_subgraph(parent, np.arange(len(parent)))
 
 

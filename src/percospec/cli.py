@@ -3,7 +3,8 @@
 Usage: ``percospec <subcommand> --config cfg.json [--seed N] [--workers N]
 [--out DIR]``.  Subcommands: growth, percolate, ids, free-ids, bounds,
 exponents, chain, lamplighter.  Each run writes CSV/JSON artifacts plus a
-manifest into the output directory; rerunning with an identical config
+manifest into a temporary directory beside the output directory, and moves
+them there only when it succeeds; rerunning with an identical config
 reproduces identical CSV and report bytes, independent of the worker count.
 
 Exit codes: 0 success, 1 validation, 2 resource budget, 3 oracle violation,
@@ -20,6 +21,7 @@ import os
 import platform
 import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -682,7 +684,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     started = time.time()
-    created = False
+    work = None     # the run writes here, and out gets the files on success
     try:
         try:
             with open(args.config) as fh:
@@ -707,14 +709,13 @@ def main(argv=None) -> int:
         cfg = validate_config(raw, args.subcommand)
         out = Path(cfg["output_dir"])
         try:
-            existed = out.exists()
-            out.mkdir(parents=True, exist_ok=True)
+            work = _work_dir(out)
         except (OSError, ValueError) as err:
             raise ValidationError(f"output_dir {str(out)!r} cannot be a "
                                   f"directory: {err}") from None
-        created = not existed
-        outputs, notes = _SUBCOMMANDS[args.subcommand](cfg, out)
-        write_manifest(out, args.subcommand, cfg, outputs, started, notes)
+        outputs, notes = _SUBCOMMANDS[args.subcommand](cfg, work)
+        write_manifest(work, args.subcommand, cfg, outputs, started, notes)
+        _publish(work, out)
         return 0
     except ValidationError as err:
         code, message = 1, f"validation error: {err}"
@@ -724,10 +725,36 @@ def main(argv=None) -> int:
         code, message = 3, f"oracle violation: {err}"
     except Exception as err:  # noqa: BLE001
         code, message = 4, f"internal error: {type(err).__name__}: {err}"
+    finally:
+        if work is not None:    # gone after a finished run
+            shutil.rmtree(work, ignore_errors=True)
     print(f"percospec: {message}", file=sys.stderr)
-    if created:  # never a directory that was there before the run
-        shutil.rmtree(out, ignore_errors=True)
     return code
+
+
+def _work_dir(out: Path) -> Path:
+    """A new empty directory beside ``out``, with the permissions that
+    ``mkdir`` would give ``out``, for a run to write into."""
+    if out.exists() and not out.is_dir():
+        raise NotADirectoryError(f"{str(out)!r} is a file")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    umask = os.umask(0o022)
+    os.umask(umask)
+    work.chmod(0o777 & ~umask)
+    return work
+
+
+def _publish(work: Path, out: Path) -> None:
+    """Move a finished run's files from its temporary directory to ``out``:
+    one rename when ``out`` is new, else file by file, so that files in
+    ``out`` that the run did not write stay."""
+    if not out.exists():
+        work.rename(out)
+        return
+    for path in work.iterdir():
+        path.replace(out / path.name)
+    work.rmdir()
 
 
 if __name__ == "__main__":

@@ -329,6 +329,119 @@ def test_budget_is_the_ball_size(name, radius):
         enumerate_ball(spec, radius, budget=size - 1)
 
 
+@pytest.mark.parametrize("name,radius", [("Z2", 6), ("heisenberg", 5),
+                                         ("lamplighter3", 6)])
+def test_ball_built_in_chunks_is_the_same_ball(name, radius):
+    spec = _DIGEST_SPECS[name]
+    ball = enumerate_ball(spec, radius)
+    # at this budget every layer that could cross it is built in chunks
+    chunked = enumerate_ball(spec, radius, budget=len(ball))
+    for field in ("rows", "word_length", "edges"):
+        assert np.array_equal(getattr(chunked, field), getattr(ball, field))
+
+
+def test_crossing_layer_is_refused_before_it_is_built(monkeypatch):
+    spec = GroupSpec.lamplighter(3)
+    ball = enumerate_ball(spec, 7)
+    built = []
+    real = cayley._neighbour_keys
+
+    def counting(spec, layout, keys):
+        built.append(len(keys))
+        return real(spec, layout, keys)
+
+    monkeypatch.setattr(cayley, "_neighbour_keys", counting)
+    with pytest.raises(BudgetError):
+        enumerate_ball(spec, 8, budget=ball.volume(6) + 10)
+    # layers 0..5 are built whole, then only part of layer 6's frontier
+    assert ball.volume(5) < sum(built) < ball.volume(6)
+
+
+def _lexsort_keys(spec, layout, rows):
+    """Slow reference: ``np.lexsort`` keys (primary last) for the
+    lexicographic order of the tuple encodings of rows.  Lamp tuples
+    compare as their (pos, val) lists, padded below every lamp, so that a
+    prefix sorts first."""
+    if spec.kind != cayley.LAMPLIGHTER:
+        return rows.T[::-1]
+    pos, val, _ = cayley._lamp_lists(layout, rows)
+    keys = np.empty((2 * pos.shape[1] + 1, len(rows)), dtype=np.int64)
+    keys[0] = rows[:, -1]
+    keys[1::2] = val.T[::-1]
+    keys[2::2] = pos.T[::-1]
+    return keys
+
+
+def _random_lamp_rows(rng, layout, m, count):
+    """Distinct lamplighter rows on the layout: sparse and dense lamps,
+    rows with no lamp, and the prefixes of the lamp lists of some rows."""
+    width = len(layout.lo) - 1
+    density = rng.uniform(0, 1, size=(count, 1))
+    lamps = rng.integers(1, m, size=(count, width)) * (
+        rng.uniform(size=(count, width)) < density)
+    lamps[: count // 8] = 0
+    prefixes = []
+    for row in lamps[-8:]:
+        for cut in np.flatnonzero(row):
+            prefixes.append(np.where(np.arange(width) < cut, row, 0))
+    lamps = np.vstack([lamps] + prefixes)
+    walker = rng.integers(layout.lo[-1], layout.hi[-1] + 1, size=(len(lamps), 1))
+    rows = np.hstack([lamps, walker])
+    # each lamp list also at a few shared walker positions
+    rows = np.vstack([rows] + [np.hstack([lamps, np.full_like(walker, x)])
+                               for x in (layout.lo[-1], 0, layout.hi[-1])])
+    return np.unique(rows, axis=0)
+
+
+def test_order_keys_match_the_lexsort_reference():
+    rng = np.random.Generator(np.random.Philox(key=np.array([31, 0],
+                                                            dtype=np.uint64)))
+    regimes = set()
+    for m in range(2, 7):
+        spec = GroupSpec.lamplighter(m)
+        for n in (0, 2, 9, 20, 40):
+            layout = cayley._layout(spec, n)
+            rows = _random_lamp_rows(rng, layout, m, 300)
+            rows = rows[rng.permutation(len(rows))]
+            keys = layout.keys(rows)
+            order = cayley._order_keys(spec, layout, keys)
+            regimes.add((layout.strides is None, len(order) > 1))
+            assert np.array_equal(np.lexsort(order),
+                                  np.lexsort(_lexsort_keys(spec, layout, rows))), (m, n)
+    # one packed key, several packed keys, and the byte-key layout
+    assert {(False, False), (False, True), (True, True)} <= regimes
+
+
+def _neighbour_specs(rng):
+    """Every family with its own generators, random generator sets on each,
+    Z^41 and a lamplighter with far-apart lamps, which take the byte keys."""
+    far = GroupSpec.lamplighter(2, generators=[(((0, 1), (70, 1)), 0),
+                                               ((), 1), ((), -1)])
+    return ([(spec, radius) for spec, radius in _random_specs(rng)]
+            + [(_DIGEST_SPECS[name], 3) for name in sorted(_DIGEST_SPECS)]
+            + [(far, 3)])
+
+
+def test_neighbour_keys_match_the_keys_of_the_neighbour_rows():
+    rng = np.random.Generator(np.random.Philox(key=np.array([37, 0],
+                                                            dtype=np.uint64)))
+    layouts = set()
+    for spec, radius in _neighbour_specs(rng):
+        ball = enumerate_ball(spec, radius)
+        layout = cayley._layout(spec, radius)
+        layouts.add((spec.kind, layout.strides is None))
+        some = np.sort(rng.permutation(len(ball))[:150])
+        fast = cayley._neighbour_keys(spec, layout, layout.keys(ball.rows[some]))
+        slow = np.stack([
+            layout.keys(np.array([cayley._encode(spec, layout, multiply(spec, v, g))
+                                  for v in (ball.vertices[i] for i in some)]))
+            for g in spec.generators], axis=1)
+        assert fast.shape == slow.shape == (len(some), spec.k)
+        assert np.array_equal(layout.rows(fast.ravel()),
+                              layout.rows(slow.ravel())), (spec, radius)
+    assert {(cayley.FREE_ABELIAN, True), (cayley.LAMPLIGHTER, True)} <= layouts
+
+
 # ---------------------------------------------------------------------------
 # group laws (property tests)
 # ---------------------------------------------------------------------------

@@ -632,6 +632,49 @@ def test_failed_run_keeps_an_existing_directory(tmp_path, monkeypatch):
     assert (out / "keep.txt").read_text() == "mine"
 
 
+def _files(directory):
+    return {f.name: f.read_bytes() for f in directory.iterdir()}
+
+
+def test_failed_rerun_leaves_the_earlier_run_and_no_temporary_directory(
+        tmp_path, monkeypatch):
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json",
+                        base_config(out, group=_Z1, window={"radius": 8}))
+    assert main(["growth", "--config", path]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["output_dir"] == str(out)
+    before = _files(out)
+
+    def write_then_fail(cfg, work):
+        (work / "growth.csv").write_text("partial")
+        raise BudgetError("over budget")
+
+    monkeypatch.setitem(cli._SUBCOMMANDS, "growth", write_then_fail)
+    assert main(["growth", "--config", path]) == 2
+    assert _files(out) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "o"]
+
+
+def test_rerun_replaces_its_files_and_keeps_the_others(tmp_path):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine")
+    (out / "growth.csv").write_text("stale")
+    cfg = base_config(out, group=_Z1, window={"radius": 8})
+    path = write_config(tmp_path, "c.json", cfg)
+    assert main(["growth", "--config", path]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["growth", "--config", path, "--out", str(fresh)]) == 0
+    assert (out / "keep.txt").read_text() == "mine"
+    assert (out / "growth.csv").read_bytes() == (fresh / "growth.csv").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "fresh", "o"]
+    # a new output directory gets the permissions mkdir gives
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    assert fresh.stat().st_mode == probe.stat().st_mode
+
+
 def test_cli_import_skips_stats_and_integrate():
     src = str(Path(percospec.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import percospec.cli; "
