@@ -672,6 +672,21 @@ def test_tetrahedron_count_oracle(m, n):
     assert tetrahedron(m, n).size == (n + 1) * m ** n
 
 
+# sha256 of the parent's (vertices, word_length, edges), recorded from the
+# build on the B(2n) layout; at depth 14 that layout overflows int64 keys
+_TETRAHEDRON_DIGESTS = {
+    (2, 13): "54d0235be4612e7d23821db4ad1dbc23f6fe0723d6e24e276c8a40043d37965c",
+    (2, 14): "70ffd6f8dc44d37b0d88064ee7e1da8754be36d4f412379f66cb3a3a00c33738",
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(_TETRAHEDRON_DIGESTS))
+def test_tetrahedron_matches_pinned_digest(m, n):
+    tet = tetrahedron(m, n)
+    assert tet.vertex_indices.tolist() == list(range(tet.size))
+    assert ball_digest(tet.parent) == _TETRAHEDRON_DIGESTS[m, n]
+
+
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_tetrahedron_word_lengths_are_the_ball_word_lengths(m):
     for n in range(1, {2: 6, 3: 5, 5: 4}[m]):
