@@ -219,18 +219,6 @@ CERTIFICATE = "certificate"
 _CERTIFICATE_FLOOR = 256
 
 
-def tetrahedron_size(m: int, n: int) -> int:
-    """Vertex count (n+1) m^n of the depth-n tetrahedron of Z_m wr Z, once
-    its check is known to run: below ``MIN_TETRAHEDRON_DEPTH`` it raises
-    ``ValueError``, above the default vertex budget :class:`BudgetError`
-    (:func:`~percospec.cayley.tetrahedron_vertex_count`).  Nothing is
-    built, so a list of depths can be refused before any check."""
-    if n < MIN_TETRAHEDRON_DEPTH:
-        raise ValueError(f"the tetrahedron facts need depth n >= "
-                         f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
-    return tetrahedron_vertex_count(m, n)
-
-
 def tetrahedron_eigenvalue(m: int, n: int) -> float:
     """2m(1 - cos pi/n), the adjacency-Laplacian eigenvalue of fact (b)."""
     return 2.0 * m * (1.0 - np.cos(np.pi / n))
@@ -256,10 +244,17 @@ def tetrahedron_multiplicity(m: int, n: int) -> int:
     return count + 1 if n == 2 else count
 
 
-def tetrahedron_solve(size: int) -> str:
-    """How the check of a tetrahedron of ``size`` vertices proves facts (b)
-    and (c): ``FULL_SOLVE`` below ``_CERTIFICATE_FLOOR``, else
-    ``CERTIFICATE``."""
+def tetrahedron_solve(m: int, n: int) -> str:
+    """How the check of the depth-n tetrahedron of Z_m wr Z proves facts (b)
+    and (c): ``FULL_SOLVE`` below ``_CERTIFICATE_FLOOR`` vertices, else
+    ``CERTIFICATE``.  Below ``MIN_TETRAHEDRON_DEPTH`` it raises
+    ``ValueError``, above the default vertex budget :class:`BudgetError`
+    (:func:`~percospec.cayley.tetrahedron_vertex_count`).  Nothing is
+    built, so a list of depths can be refused before any check."""
+    if n < MIN_TETRAHEDRON_DEPTH:
+        raise ValueError(f"the tetrahedron facts need depth n >= "
+                         f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
+    size = tetrahedron_vertex_count(m, n)
     return FULL_SOLVE if size < _CERTIFICATE_FLOOR else CERTIFICATE
 
 
@@ -269,7 +264,7 @@ def _certificate(tet: FiniteSubgraph, n: int) -> np.ndarray:
     with S = {1, n} and is the target eigenvector of their middle segment
     [1, n-1]; it vanishes at x = 0 and x = n, the inner vertex boundary."""
     ball = tet.parent
-    x = ball.rows[tet.vertex_indices, -1]
+    x = ball.layout.column(ball.keys[tet.vertex_indices], -1)
     lamps = ball.lamp_values([1, n])[tet.vertex_indices]
     chi = (lamps == 0).astype(np.float64) - (lamps == 1)
     f = np.sin(np.pi * x / n) * chi[:, 0] * chi[:, 1]
@@ -306,7 +301,7 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
     (computed against the full Cayley graph).  The facts hold from depth
     ``MIN_TETRAHEDRON_DEPTH`` on, and a tetrahedron above the default vertex
     budget raises :class:`BudgetError` before it is built
-    (:func:`tetrahedron_size`).
+    (:func:`tetrahedron_solve`).
 
     From ``_CERTIFICATE_FLOOR`` vertices on (:func:`tetrahedron_solve`),
     (b) and (c) are read off the closed-form eigenvector f of
@@ -320,7 +315,8 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
     must equal the closed form, and the flattest direction of that
     eigenspace on the boundary.
     """
-    expected = tetrahedron_size(m, n)
+    solve = tetrahedron_solve(m, n)
+    expected = tetrahedron_vertex_count(m, n)
     tet = tetrahedron(m, n)
     if tet.size != expected:
         raise OracleViolationError(
@@ -329,7 +325,7 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
     target = tetrahedron_eigenvalue(m, n)
     dim = tetrahedron_multiplicity(m, n)
     rows = op.local_of(inner_vertex_boundary(tet))
-    if tetrahedron_solve(expected) == FULL_SOLVE:
+    if solve == FULL_SOLVE:
         gap, found, ratio = _full_solve(op, rows, target, n)
         if found != dim:
             raise OracleViolationError(

@@ -24,9 +24,11 @@ overflow int64).  Enumeration works on keys alone, with no Python per
 vertex: a generator changes only a few columns of a row, so a neighbour's
 key is the key plus a per-generator offset (:func:`_moves`); the
 lexicographic order of the tuples is read off the keys' digits
-(:func:`_order_keys`); and rows are decoded once, for the finished ball.
-The tuple encodings of ``CayleyBall.vertices`` are decoded only when asked
-for.
+(:func:`_order_keys`).  A :class:`CayleyBall` stores the layout and keys
+that built it, and every lookup reads them; its rows and the tuple
+encodings of ``CayleyBall.vertices`` are decoded on first use.  A ball's
+layout comes from :func:`_layout` (spec, radius), a tetrahedron's from its
+own n + 3 columns (:func:`_tetrahedron_columns`).
 """
 
 from __future__ import annotations
@@ -418,54 +420,49 @@ def _encode(spec: GroupSpec, layout: _Layout, element) -> np.ndarray:
 class CayleyBall:
     """Metric ball around the identity, with canonical vertex order.
 
-    ``rows[i]`` is vertex ``i`` as an element row (see the module
-    docstring) and ``vertices[i]`` its tuple encoding, decoded on first
-    use; vertex 0 is the identity.  ``edges`` lists each undirected edge
-    once as (u, v) with u < v.  Vertices are sorted by word length first,
-    so the sub-ball of radius r <= radius is exactly the index prefix
+    The ball stores what enumeration builds: its row ``layout`` and the
+    packed ``keys`` of its vertices in ball order (see the module
+    docstring).  ``rows[i]``, vertex ``i`` as an element row, and
+    ``vertices[i]``, its tuple encoding, are decoded on first use; vertex
+    0 is the identity.  ``edges`` lists each undirected edge once as
+    (u, v) with u < v.  Vertices are sorted by word length first, so the
+    sub-ball of radius r <= radius is exactly the index prefix
     0 .. volume(r) - 1.
     """
 
     spec: GroupSpec
     radius: int
-    rows: np.ndarray
+    layout: _Layout
+    keys: np.ndarray
     word_length: np.ndarray
     edges: np.ndarray
     k: int
 
-    def __post_init__(self):
-        self._vertices = None
-        self._lookup = None
-        self._adj = None
-
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.keys)
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        for key in ("_vertices", "_lookup", "_adj"):
-            state[key] = None
-        return state
+        # the decoded caches are rebuilt from the keys on first use
+        return {key: value for key, value in self.__dict__.items()
+                if key not in ("rows", "vertices", "_lookup", "_adj")}
 
-    @property
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.layout.rows(self.keys)
+
+    @cached_property
     def vertices(self) -> tuple:
-        if self._vertices is None:
-            self._vertices = _decode(self.spec, self._layout_keys()[0], self.rows)
-        return self._vertices
+        return _decode(self.spec, self.layout, self.rows)
 
-    def _layout_keys(self) -> tuple:
-        """``(layout, ordered, sorter)``: the row layout, the vertex keys in
-        sorted order, and their ``argsort``."""
-        if self._lookup is None:
-            layout = _layout(self.spec, self.radius)
-            keys = layout.keys(self.rows)
-            sorter = np.argsort(keys, kind="stable")
-            self._lookup = (layout, keys[sorter], sorter)
-        return self._lookup
+    @cached_property
+    def _lookup(self) -> tuple:
+        """``(ordered, sorter)``: the vertex keys sorted, and their ``argsort``."""
+        sorter = np.argsort(self.keys, kind="stable")
+        return self.keys[sorter], sorter
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vertex index of each element row, -1 for rows not in the ball."""
-        layout, ordered, sorter = self._layout_keys()
+        layout, (ordered, sorter) = self.layout, self._lookup
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(layout.lo))
         out = np.full(len(rows), -1, dtype=np.int64)
         # a row outside the columns' bounds could share a packed key
@@ -476,7 +473,7 @@ class CayleyBall:
 
     def find_vertices(self, other: "CayleyBall") -> np.ndarray:
         """Index of each vertex of ``other`` (same group), -1 where absent."""
-        layout, source = self._layout_keys()[0], _layout(other.spec, other.radius)
+        layout, source = self.layout, other.layout
         # columns move by the lamp windows' offset (0 unless lamplighter), and
         # a lamp outside this window puts the walker out of bounds
         col = np.arange(len(source.lo) - 1) + source.first_pos - layout.first_pos
@@ -489,14 +486,13 @@ class CayleyBall:
 
     def index_of(self, element) -> int:
         """Vertex index of a tuple encoding; KeyError if not in the ball."""
-        layout = self._layout_keys()[0]
         try:
-            row = _encode(self.spec, layout, element)
+            row = _encode(self.spec, self.layout, element)
         except (TypeError, ValueError):
             raise KeyError(element) from None
         i = int(self.find_rows(row)[0])
         # a non-canonical encoding can share a row with a vertex
-        if i < 0 or _decode(self.spec, layout, self.rows[i:i + 1])[0] != element:
+        if i < 0 or _decode(self.spec, self.layout, row[None])[0] != element:
             raise KeyError(element)
         return i
 
@@ -515,24 +511,22 @@ class CayleyBall:
         ball's lamp window is dark at every vertex."""
         if self.spec.kind != LAMPLIGHTER:
             raise ValueError("only lamplighter balls have lamps")
-        layout = _layout(self.spec, self.radius)
+        layout = self.layout
         col = np.asarray(positions, dtype=np.int64) - layout.first_pos
-        inside = (col >= 0) & (col < len(layout.lo) - 1)
         values = np.zeros((len(self), len(col)), dtype=np.int64)
-        values[:, inside] = self.rows[:, col[inside]]
+        for i in np.flatnonzero((col >= 0) & (col < len(layout.lo) - 1)):
+            values[:, i] = layout.column(self.keys, col[i])
         return values
 
+    @cached_property
+    def _adj(self) -> sparse.csr_matrix:
+        u, v = self.edges[:, 0], self.edges[:, 1]
+        return sparse.csr_matrix(
+            (np.ones(2 * len(self.edges)),
+             (np.concatenate([u, v]), np.concatenate([v, u]))),
+            shape=(len(self), len(self)))
+
     def adjacency_matrix(self) -> sparse.csr_matrix:
-        if self._adj is None:
-            n = len(self)
-            if len(self.edges):
-                u, v = self.edges[:, 0], self.edges[:, 1]
-                data = np.ones(2 * len(self.edges))
-                self._adj = sparse.csr_matrix(
-                    (data, (np.concatenate([u, v]), np.concatenate([v, u]))),
-                    shape=(n, n))
-            else:
-                self._adj = sparse.csr_matrix((n, n))
         return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -553,8 +547,8 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
     L - 1, L and L + 1, and the new layer is the distinct neighbour keys
     minus those of the first two, put in the order of their tuples.
     Deterministic: the vertex order is BFS layer then lexicographic
-    encoding, and the edge list is sorted.  Rows are decoded once, for the
-    finished ball.
+    encoding, and the edge list is sorted.  The ball keeps the keys; no
+    row is decoded.
 
     Raises :class:`BudgetError` once more than ``budget`` vertices (default
     2e6) have been discovered.  A layer whose neighbours could pass the
@@ -574,8 +568,8 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
         fresh = keys[:0]
         for start in range(0, len(keys), step):
             neighbours.append(_neighbour_keys(spec, layout, keys[start:start + step]))
-            fresh = _unseen(np.concatenate([fresh, neighbours[-1].ravel()]),
-                            older, current)
+            fresh = sorted_unique(np.concatenate([fresh, neighbours[-1].ravel()]),
+                                  older, current)
             if total + len(fresh) > cap:
                 raise BudgetError(
                     f"ball exceeds the vertex budget of {cap} vertices "
@@ -592,25 +586,24 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
                  np.concatenate(neighbours))
 
 
-def _unseen(keys: np.ndarray, *seen: np.ndarray) -> np.ndarray:
-    """The distinct ``keys``, sorted, that no sorted array in ``seen`` holds."""
-    keys = np.sort(keys)
-    keep = np.ones(len(keys), dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
+def sorted_unique(values: np.ndarray, *seen: np.ndarray) -> np.ndarray:
+    """The distinct ``values``, flattened and sorted, that no sorted array in
+    ``seen`` holds.  Without ``seen`` it is ``np.unique``, by one sort:
+    numpy 2.4's ``np.unique`` hashes, many times slower on int64."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
     for old in seen:
-        keep &= ~_search(old, keys)[0]
-    return keys[keep]
+        keep &= ~_search(old, values)[0]
+    return values[keep]
 
 
 def _ball(spec: GroupSpec, radius: int, layout: _Layout, keys: np.ndarray,
           word_length: np.ndarray, neighbours: np.ndarray) -> CayleyBall:
     """Ball-ordered vertices, joined where row i of ``neighbours`` holds a key."""
-    sorter = np.argsort(keys, kind="stable")
-    ordered = keys[sorter]
-    edges = _edges(ordered, sorter, neighbours)
-    ball = CayleyBall(spec=spec, radius=radius, rows=layout.rows(keys),
-                      word_length=word_length, edges=edges, k=spec.k)
-    ball._lookup = (layout, ordered, sorter)
+    ball = CayleyBall(spec=spec, radius=radius, layout=layout, keys=keys,
+                      word_length=word_length, edges=None, k=spec.k)
+    ball.edges = _edges(*ball._lookup, neighbours)
     return ball
 
 
@@ -766,7 +759,7 @@ class FiniteSubgraph:
 
 def induced_subgraph(parent: CayleyBall, vertex_indices) -> FiniteSubgraph:
     """Subgraph induced by ``vertex_indices`` (sorted ascending)."""
-    idx = np.unique(np.asarray(vertex_indices, dtype=np.int64))
+    idx = sorted_unique(np.asarray(vertex_indices, dtype=np.int64))
     if len(idx) and (idx[0] < 0 or idx[-1] >= len(parent)):
         raise ValueError("vertex index out of range for the parent ball")
     mask = np.zeros(len(parent), dtype=bool)
@@ -825,6 +818,13 @@ def tetrahedron_vertex_count(m: int, n: int) -> int:
     return size
 
 
+def _tetrahedron_columns(m: int, n: int) -> _Layout:
+    """Layout of the depth-n tetrahedron: lamps at positions 0..n+1 and the
+    walker in -1..n+1 hold every member and every neighbour."""
+    return _Layout(lo=np.r_[np.zeros(n + 2, dtype=np.int64), -1],
+                   hi=np.r_[np.full(n + 2, m - 1, dtype=np.int64), n + 1])
+
+
 def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     """Depth-n tetrahedron of the lamplighter graph Z_m wr Z, in closed form.
 
@@ -832,19 +832,21 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     {1, ..., n}; contains exactly (n+1) * m^n vertices.  The parent holds
     exactly these members, with their word lengths, in the order of every
     ball B(r), r >= 2n, and with every Cayley edge between them, so the
-    subgraph is induced.  Raises :class:`BudgetError` above the default
-    vertex budget, before allocating (:func:`tetrahedron_vertex_count`).
+    subgraph is induced.  Its layout is its own n + 3 columns
+    (:func:`_tetrahedron_columns`), so below the budget a member is one
+    int64 key and its tuple order one int64.  Raises :class:`BudgetError`
+    above the default vertex budget, before allocating
+    (:func:`tetrahedron_vertex_count`).
     """
     tetrahedron_vertex_count(m, n)
     spec = GroupSpec.lamplighter(m)
-    layout = _layout(spec, 2 * n)
-    # every lamp pattern on {1, ..., n}, at every walker position 0..n
+    layout = _tetrahedron_columns(m, n)
+    # every lamp pattern on {1, ..., n}, at every walker position 0..n, packed
+    # column by column (lamps lo 0, walker lo -1) without building the rows
     lamps = np.arange(m ** n)[:, None] // m ** np.arange(n)[::-1] % m
-    rows = np.zeros((m ** n, n + 1, len(layout.lo)), dtype=np.int64)
-    rows[:, :, np.arange(1, n + 1) - layout.first_pos] = lamps[:, None, :]
-    rows[:, :, -1] = x = np.arange(n + 1)
-    keys = layout.keys(rows.reshape(-1, len(layout.lo)))
-    del rows    # packed keys hold all of it; the parent decodes its own rows
+    x = np.arange(n + 1)
+    keys = ((lamps @ layout.strides[1:n + 1])[:, None]
+            + (x - layout.lo[-1]) * layout.strides[-1]).ravel()
     # a shortest word walks right to max(walker, top lit lamp), then back
     top = (np.arange(1, n + 1) * (lamps > 0)).max(axis=1)[:, None]
     word_length = (2 * np.maximum(x, top) - x).astype(np.int32).ravel()

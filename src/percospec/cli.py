@@ -459,8 +459,7 @@ def _tetrahedron_reports(cfg: dict, m: int) -> tuple[dict, dict]:
     its facts (``bounds.tetrahedron_solve``)."""
     depths = cfg.get("window", {}).get("depths", [2, 3, 4, 5])
     # every depth's size is refused or let through before the first check
-    solves = {str(d): bounds_mod.tetrahedron_solve(
-        bounds_mod.tetrahedron_size(m, d)) for d in depths}
+    solves = {str(d): bounds_mod.tetrahedron_solve(m, d) for d in depths}
     reports = {str(d): vars(bounds_mod.tetrahedron_checks(m, d))
                for d in depths}
     return reports, solves

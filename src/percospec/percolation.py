@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_indexed
-from .cayley import CayleyBall, FiniteSubgraph
+from .cayley import CayleyBall, FiniteSubgraph, sorted_unique
 
 SITE = "site"
 BOND = "bond"
@@ -66,8 +66,7 @@ class PercolationSample:
         """
         if self.model.kind == SITE:
             return np.flatnonzero(self.open_marks)
-        open_edges = self.window.edges[self.open_marks]
-        return np.unique(open_edges)
+        return sorted_unique(self.window.edges[self.open_marks])
 
     def open_edges(self) -> np.ndarray:
         """Window-index pairs of the open adjacency."""

@@ -30,7 +30,6 @@ from percospec.bounds import (
     tetrahedron_checks,
     tetrahedron_eigenvalue,
     tetrahedron_multiplicity,
-    tetrahedron_size,
     tetrahedron_solve,
     upper_bound_check_dirichlet,
 )
@@ -254,7 +253,7 @@ def full_tetrahedron_reference(m, n):
 @pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (3, 5), (4, 3), (5, 3),
                                  (10, 2)])
 def test_certificate_matches_the_full_solve(m, n):
-    assert tetrahedron_solve(tetrahedron_size(m, n)) == CERTIFICATE
+    assert tetrahedron_solve(m, n) == CERTIFICATE
     rep, ref = tetrahedron_checks(m, n), full_tetrahedron_reference(m, n)
     assert rep.vertex_count == ref.vertex_count
     assert rep.target_eigenvalue == ref.target_eigenvalue
@@ -268,7 +267,7 @@ def test_certificate_matches_the_full_solve(m, n):
 
 def test_small_tetrahedron_keeps_the_full_solve():
     # the criterion-13 lamplighter_report.json sum pins these bits
-    assert tetrahedron_solve(tetrahedron_size(2, 2)) == FULL_SOLVE
+    assert tetrahedron_solve(2, 2) == FULL_SOLVE
     assert (vars(tetrahedron_checks(2, 2))
             == vars(full_tetrahedron_reference(2, 2)))
 
@@ -294,7 +293,7 @@ def test_eigenvectors_only_for_the_target_above_the_floor(monkeypatch, m, n,
         for name in ("eigh", "eigvalsh", "svd"):
             spying(module, name)
     tetrahedron_checks(m, n)
-    assert tetrahedron_solve((n + 1) * m ** n) == solve
+    assert tetrahedron_solve(m, n) == solve
     assert calls == (["eigh", "svd"] if solve == FULL_SOLVE else [])
 
 
@@ -310,16 +309,16 @@ def test_missing_eigenvalue_names_the_depth_and_target(monkeypatch, m, n):
     assert f"of {target}" in message
     # only the full solve sees the eigenvalue outside the window
     assert ("nearest at distance" in message) == (
-        tetrahedron_solve(tetrahedron_size(m, n)) == FULL_SOLVE)
+        tetrahedron_solve(m, n) == FULL_SOLVE)
 
 
-def test_tetrahedron_size_refuses_before_building():
-    assert tetrahedron_size(3, 5) == 1458
-    assert tetrahedron_size(5, 5) == 18750
+def test_tetrahedron_solve_refuses_before_building():
+    # (3, 5) has 1458 vertices, (5, 5) 18750 and (5, 10) 107,421,875
+    assert tetrahedron_solve(3, 5) == tetrahedron_solve(5, 5) == CERTIFICATE
     with pytest.raises(BudgetError, match="depth-10 tetrahedron of Z_5"):
-        tetrahedron_size(5, 10)
+        tetrahedron_solve(5, 10)
     with pytest.raises(ValueError, match="depth n >= 2"):
-        tetrahedron_size(2, 1)
+        tetrahedron_solve(2, 1)
 
 
 def sector_spectrum(m, n):

@@ -5,6 +5,7 @@ import io
 import itertools
 import pickle
 from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,6 +318,28 @@ def test_ball_pickle_round_trip(name, radius):
     assert np.array_equal(back.edges, ball.edges)
     assert back.index_of(ball.vertices[-1]) == len(ball) - 1
     assert (back.adjacency_matrix() != ball.adjacency_matrix()).nnz == 0
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enumerate_ball(GroupSpec.lamplighter(3), 4),
+    lambda: enumerate_ball(GroupSpec.free_abelian(41), 1),
+    lambda: tetrahedron(2, 5).parent,
+], ids=["packed", "byte-keys", "tetrahedron"])
+def test_ball_pickle_keeps_the_layout_and_keys(make):
+    ball = make()
+    rows = ball.rows
+    back = pickle.loads(pickle.dumps(ball))
+    assert "rows" not in back.__dict__     # decoded again on first use
+    for name in ("lo", "hi"):
+        assert np.array_equal(getattr(back.layout, name),
+                              getattr(ball.layout, name))
+    assert back.layout.first_pos == ball.layout.first_pos
+    assert (back.layout.strides is None) == (ball.layout.strides is None)
+    assert back.keys.dtype == ball.keys.dtype
+    assert back.keys.tobytes() == ball.keys.tobytes()
+    assert np.array_equal(back.rows, rows)
+    assert back.vertices == ball.vertices
+    assert back.find_rows(rows).tolist() == list(range(len(ball)))
 
 
 @pytest.mark.parametrize("name,radius", [("Z", 4), ("Z2", 3), ("heisenberg", 3),
@@ -637,6 +660,25 @@ def test_connected_and_components():
     assert induced_subgraph(ball, ball.ball_indices(2)).connected
 
 
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.Generator(np.random.Philox(key=np.array([41, 0],
+                                                            dtype=np.uint64)))
+    for size in (0, 1, 2, 7, 100, 5000):
+        for high in (1, 3, 50, 2 ** 62):
+            # unsorted, with repeats; flattened like np.unique
+            values = rng.integers(-high, high, size=size)
+            if size % 2 == 0:
+                values = values.reshape(-1, 2)
+            got = cayley.sorted_unique(values)
+            assert got.dtype == values.dtype
+            assert np.array_equal(got, np.unique(values)), (size, high)
+            # minus sorted arrays of some of the values
+            seen = [np.unique(rng.choice(values.ravel(), size // 3))
+                    for _ in range(2)]
+            assert np.array_equal(cayley.sorted_unique(values, *seen),
+                                  np.setdiff1d(values, np.concatenate(seen)))
+
+
 def test_subgraph_rejects_duplicate_vertices():
     ball = enumerate_ball(GroupSpec.free_abelian(1), 3)
     with pytest.raises(ValueError, match="vertex_indices contains duplicates"):
@@ -734,6 +776,27 @@ def test_lamp_values_match_the_decoded_vertices(m):
     assert ball.rows[:, -1].tolist() == [x for _, x in ball.vertices]
     with pytest.raises(ValueError, match="lamplighter"):
         enumerate_ball(GroupSpec.free_abelian(1), 2).lamp_values([0])
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_largest_accepted_tetrahedron_packs_into_one_key(n):
+    # the largest m whose depth-n tetrahedron is under the vertex budget;
+    # from depth 17 on, not even m = 2 is
+    m = round((cayley.DEFAULT_VERTEX_BUDGET / (n + 1)) ** (1 / n)) + 1
+    while (n + 1) * m ** n > cayley.DEFAULT_VERTEX_BUDGET:
+        m -= 1
+    assert m >= 2
+    cayley.tetrahedron_vertex_count(m, n)
+    with pytest.raises(BudgetError):
+        cayley.tetrahedron_vertex_count(m + 1, n)
+    if n == 16:
+        with pytest.raises(BudgetError):
+            cayley.tetrahedron_vertex_count(2, 17)
+    # from the layout alone: the order keys read only the kind and modulus
+    layout = cayley._tetrahedron_columns(m, n)
+    spec = SimpleNamespace(kind=cayley.LAMPLIGHTER, modulus=m)
+    assert layout.strides is not None
+    assert len(cayley._order_keys(spec, layout, np.zeros(1, dtype=np.int64))) == 1
 
 
 def test_tetrahedron_budget():

@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.sparse import csgraph
 
 import percospec
 from percospec import bounds, cayley, cli, percolation, spectra
@@ -550,6 +551,85 @@ def test_smallest_configs_exit_cleanly_with_strict_json(tmp_path):
     assert ("percolate", 0) in seen
 
 
+def _near_budget_configs():
+    """(subcommand, body) for every ball-reading subcommand on Z, Z^2,
+    Heisenberg and Z_2 wr Z at small sizes; lamplighter bounds read no ball."""
+    grid = {"energy_grid": {"values": [0.0, 1.0]}}
+    site = {"kind": "site", "p": 0.7}
+    for group in (_Z1, _Z2, _HEISENBERG, {"kind": "lamplighter", "modulus": 2}):
+        lamp = group["kind"] == "lamplighter"
+        yield "growth", {"group": group, "window": {"radius": 4},
+                         "fits": {"growth_n_min": 0}}
+        yield "percolate", {"group": group, "window": {"radius": 2},
+                            "percolation": {**site, "n_samples": 100,
+                                            "tail_max": 1}}
+        for window in [{"radius": 2}] + ([{"depth": 1}] if lamp else []):
+            yield "ids", {"group": group, "window": window, "percolation": site,
+                          "spectra": {"n_samples": 10, **grid}}
+        if not lamp:
+            yield "bounds", {"group": group,
+                             "fits": {"dirichlet_n_max": 2, "line_max": 2}}
+        yield "exponents", {"group": group, "window": {"radius": 4},
+                            "percolation": site,
+                            "fits": {"growth_n_min": 0, "line_max": 8}}
+        yield "chain", {"group": group, "window": {"radius": 1},
+                        "percolation": site, "spectra": {"n_samples": 2, **grid}}
+        yield "free-ids", {"group": group, "window": {"radius": 1},
+                           "spectra": grid}
+
+
+def test_budgets_at_the_ball_and_the_largest_component(tmp_path, monkeypatch):
+    """``budget_vertices`` = |B(r)| of the run's ball runs and one less exits
+    2; so does ``spectra.dense_cap`` at the largest component a run solves
+    (the ball itself for free-ids).  Never exit 4, and only strict JSON."""
+    sizes = {}
+    enumerate_ball, block_eigenvalues = cayley.enumerate_ball, spectra.block_eigenvalues
+
+    def ball_spy(spec, n, budget=None):
+        ball = enumerate_ball(spec, n, budget)
+        sizes["ball"] = len(ball)
+        return ball
+
+    def block_spy(op, dense_cap=spectra.DENSE_CAP):
+        labels = csgraph.connected_components(op.matrix, directed=False)[1]
+        sizes["component"] = max(sizes.get("component", 0),
+                                 int(np.bincount(labels, minlength=1).max()))
+        return block_eigenvalues(op, dense_cap)
+
+    for module in (cayley, bounds, percolation, spectra):
+        if getattr(module, "enumerate_ball", None) is enumerate_ball:
+            monkeypatch.setattr(module, "enumerate_ball", ball_spy)
+    monkeypatch.setattr(spectra, "block_eigenvalues", block_spy)
+    for i, (subcommand, body) in enumerate(_near_budget_configs()):
+        def run(tag, **extra):
+            out = tmp_path / f"{i}{tag}"
+            cfg = base_config(out, **{**body, **extra})
+            path = write_config(tmp_path, f"{i}{tag}.json", cfg)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([subcommand, "--config", path])
+            for f in out.glob("*.json") if out.exists() else ():
+                _strict_json(f)
+            return code, out, (subcommand, body, tag, err.getvalue())
+
+        sizes.clear()
+        code, _, case = run("free")
+        assert code == 0, case
+        ball = sizes["ball"]
+        biggest = ball if subcommand == "free-ids" else sizes.get("component")
+        runs = [("budget", {"budget_vertices": ball}, 0),
+                ("under", {"budget_vertices": ball - 1}, 2)]
+        if subcommand in ("ids", "chain", "free-ids"):
+            assert biggest >= 2, case
+            caps = {**body["spectra"], "dense_cap": biggest}
+            runs += [("cap", {"spectra": caps}, 0),
+                     ("below", {"spectra": {**caps, "dense_cap": biggest - 1}}, 2)]
+        for tag, extra, want in runs:
+            code, out, case = run(tag, **extra)
+            assert code == want, case
+            assert out.exists() == (want == 0), case
+
+
 def test_write_json_refuses_non_finite_numbers(tmp_path):
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -1018,6 +1098,36 @@ def test_lamplighter_bytes_do_not_depend_on_blas_threads(tmp_path):
         reports.append([(out / name).read_bytes() for name in (
             "lamplighter_report.json", "return_probability.csv")])
     assert reports[0] == reports[1]
+
+
+# Runs argv and prints its exit code and wait4 peak RSS (KiB on Linux).  A
+# child spawned by the test process itself would report this process's
+# high-water mark, which the kernel carries across the child's exec.
+_WAIT4_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:])
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_tetrahedron_near_the_budget_runs_in_little_memory(tmp_path):
+    # Z_3 wr Z at depth 9 has 196,830 vertices, one int64 key each on the
+    # tetrahedron's own layout
+    src = str(Path(percospec.__file__).resolve().parent.parent)
+    path = write_config(tmp_path, "c.json", base_config(
+        tmp_path / "o", group={"kind": "lamplighter", "modulus": 3},
+        window={"depths": [9]}))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _WAIT4_LAUNCHER, sys.executable, "-m",
+         "percospec.cli", "bounds", "--config", path],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, peak_kib = map(int, done.stdout.split())
+    assert code == 0
+    assert peak_kib < 400 * 1024
 
 
 def test_vertex_budget_bounds_balls_not_tetrahedra(tmp_path, monkeypatch):

@@ -652,7 +652,7 @@ def ball_tetrahedron_reference(m, n, ball):
     """The former tetrahedron lookup: every lamp pattern on {1, ..., n} at
     every walker position 0..n, as rows of ``ball``, found among its
     vertices."""
-    layout = ball._layout_keys()[0]
+    layout = ball.layout
     width = len(layout.lo)
     cols = np.arange(1, n + 1) - layout.first_pos
     rows = np.zeros((m ** n, n + 1, width), dtype=np.int64)
