@@ -6,8 +6,6 @@ index order, so the worker count never influences the reduced numbers.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 _CTX = None
 _TASK = None
 
@@ -31,6 +29,8 @@ def run_indexed(task, indices, workers, ctx):
     indices = list(indices)
     if workers is None or workers <= 1 or len(indices) <= 1:
         return [task(ctx, i) for i in indices]
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(indices) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(ctx, task)) as ex:

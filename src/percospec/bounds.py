@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
-from scipy.sparse import csgraph
 
 from .cayley import (
     CayleyBall,
@@ -23,6 +21,7 @@ from .cayley import (
     induced_subgraph,
     inner_vertex_boundary,
     tetrahedron,
+    tetrahedron_key_count,
     tetrahedron_vertex_count,
 )
 from .errors import DegenerateSpectrumError, OracleViolationError
@@ -81,7 +80,7 @@ def rayleigh(op: LabeledOperator, test: TestFunction) -> float:
     """
     phi = test.values.copy()
     if op.bc == NEUMANN:
-        ncomp, labels = csgraph.connected_components(op.matrix, directed=False)
+        ncomp, labels = op.components()
         for c in range(ncomp):
             mask = labels == c
             phi[mask] -= phi[mask].mean()
@@ -248,12 +247,13 @@ def tetrahedron_solve(m: int, n: int) -> str:
     """How the check of the depth-n tetrahedron of Z_m wr Z proves facts (b)
     and (c): ``FULL_SOLVE`` below ``_CERTIFICATE_FLOOR`` vertices, else
     ``CERTIFICATE``.  Below ``MIN_TETRAHEDRON_DEPTH`` it raises
-    ``ValueError``, above the default vertex budget :class:`BudgetError`
-    (:func:`~percospec.cayley.tetrahedron_vertex_count`).  Nothing is
-    built, so a list of depths can be refused before any check."""
+    ``ValueError``, above the vertex or neighbour-key budget :class:`BudgetError`
+    (:func:`~percospec.cayley.tetrahedron_key_count`).  Nothing is built,
+    so a list of depths can be refused before any check."""
     if n < MIN_TETRAHEDRON_DEPTH:
         raise ValueError(f"the tetrahedron facts need depth n >= "
                          f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
+    tetrahedron_key_count(m, n)
     size = tetrahedron_vertex_count(m, n)
     return FULL_SOLVE if size < _CERTIFICATE_FLOOR else CERTIFICATE
 
@@ -277,6 +277,8 @@ def _full_solve(op: LabeledOperator, rows: np.ndarray, target: float,
     """Gap, eigenspace dimension and boundary ratio from every eigenpair of
     one dense ``eigh``: the flattest direction of the eigenspace within
     ``_TOL`` of the target on the inner-boundary ``rows``."""
+    from scipy import linalg
+
     vals, vecs = linalg.eigh(op.to_dense())
     dist = np.abs(vals - target)
     sel = dist <= _TOL

@@ -38,12 +38,12 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
 
 from .errors import BudgetError
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
+
+_TETRAHEDRON_KEY_BUDGET = 4 * DEFAULT_VERTEX_BUDGET
 
 # keys decoded to rows at a time: a block's columns stay in cache
 _DECODE_BLOCK = 1 << 14
@@ -444,7 +444,7 @@ class CayleyBall:
     def __getstate__(self):
         # the decoded caches are rebuilt from the keys on first use
         return {key: value for key, value in self.__dict__.items()
-                if key not in ("rows", "vertices", "_lookup", "_adj")}
+                if key not in ("rows", "vertices", "_lookup")}
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -518,16 +518,14 @@ class CayleyBall:
             values[:, i] = layout.column(self.keys, col[i])
         return values
 
-    @cached_property
-    def _adj(self) -> sparse.csr_matrix:
+    def adjacency_matrix(self):
+        from scipy import sparse  # no computation here reads it
+
         u, v = self.edges[:, 0], self.edges[:, 1]
         return sparse.csr_matrix(
             (np.ones(2 * len(self.edges)),
              (np.concatenate([u, v]), np.concatenate([v, u]))),
             shape=(len(self), len(self)))
-
-    def adjacency_matrix(self) -> sparse.csr_matrix:
-        return self._adj
 
     def has_edge(self, u: int, v: int) -> bool:
         """Binary search in the sorted edge list."""
@@ -700,7 +698,8 @@ class FiniteSubgraph:
     Construction rejects duplicate members, then locates every edge
     endpoint once with :func:`locate` and rejects an edge leaving the
     member set.  The resulting positions are kept and returned by
-    :meth:`local_edges`.
+    :meth:`local_edges`; members 0 .. size - 1, in order, are their own
+    positions, and their edges are only checked to lie among them.
     """
 
     parent: CayleyBall
@@ -712,11 +711,15 @@ class FiniteSubgraph:
         self.vertex_indices = np.asarray(self.vertex_indices, dtype=np.int64)
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         self._components = None
-        members = np.sort(self.vertex_indices)
-        if np.any(members[1:] == members[:-1]):
-            raise ValueError("vertex_indices contains duplicates")
-        found, at = locate(self.vertex_indices, self.edges.ravel())
-        inside = found.reshape(-1, 2).all(axis=1)
+        if np.array_equal(self.vertex_indices, np.arange(self.size)):
+            inside = ((self.edges >= 0) & (self.edges < self.size)).all(axis=1)
+            at = self.edges.view()
+        else:
+            members = np.sort(self.vertex_indices)
+            if np.any(members[1:] == members[:-1]):
+                raise ValueError("vertex_indices contains duplicates")
+            found, at = locate(self.vertex_indices, self.edges.ravel())
+            inside = found.reshape(-1, 2).all(axis=1)
         if not inside.all():
             u, v = self.edges[np.argmin(inside)]
             raise ValueError(f"edge ({u}, {v}) leaves the vertex subset")
@@ -743,18 +746,32 @@ class FiniteSubgraph:
         subgraph has no components.
         """
         if self._components is None:
-            n = self.size
-            loc = self._local_edges
-            g = sparse.csr_matrix(
-                (np.ones(len(loc)), (loc[:, 0], loc[:, 1])), shape=(n, n))
-            count, labels = csgraph.connected_components(g, directed=False)
+            count, labels = connected_components(self.size, self._local_edges)
             labels.flags.writeable = False
-            self._components = (int(count), labels)
+            self._components = (count, labels)
         return self._components
 
     @property
     def connected(self) -> bool:
         return self.size > 0 and self.components()[0] == 1
+
+
+def connected_components(n: int, edges) -> tuple:
+    """``(count, labels)`` of the graph on 0 .. n - 1 with the given edges,
+    by hook and shortcut (Shiloach & Vishkin, J. Algorithms 3, 1982).  A
+    root is hooked only to a smaller one, so labels number the components
+    by smallest vertex, as scipy's ``csgraph.connected_components`` does."""
+    root = np.arange(n)
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    while len(u):
+        ru, rv = root[u], root[v]
+        live = ru != rv
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        np.minimum.at(root, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(root, up := root[root]):
+            root = up
+    is_root = root == np.arange(n)
+    return int(is_root.sum()), (np.cumsum(is_root) - 1)[root]
 
 
 def induced_subgraph(parent: CayleyBall, vertex_indices) -> FiniteSubgraph:
@@ -818,6 +835,18 @@ def tetrahedron_vertex_count(m: int, n: int) -> int:
     return size
 
 
+def tetrahedron_key_count(m: int, n: int) -> int:
+    """(n+1) m^n * 2m, the neighbour keys that building the depth-n
+    tetrahedron of Z_m wr Z holds.  Raises as :func:`tetrahedron_vertex_count`,
+    and :class:`BudgetError` above the keys of a budget-sized ball of degree 4."""
+    size = tetrahedron_vertex_count(m, n)
+    if size * 2 * m > _TETRAHEDRON_KEY_BUDGET:
+        raise BudgetError(f"the depth-{n} tetrahedron of Z_{m} wr Z has {size} vertices "
+                          f"with {size * 2 * m} neighbour keys, above the budget of "
+                          f"{_TETRAHEDRON_KEY_BUDGET} keys")
+    return size * 2 * m
+
+
 def _tetrahedron_columns(m: int, n: int) -> _Layout:
     """Layout of the depth-n tetrahedron: lamps at positions 0..n+1 and the
     walker in -1..n+1 hold every member and every neighbour."""
@@ -835,10 +864,10 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     subgraph is induced.  Its layout is its own n + 3 columns
     (:func:`_tetrahedron_columns`), so below the budget a member is one
     int64 key and its tuple order one int64.  Raises :class:`BudgetError`
-    above the default vertex budget, before allocating
-    (:func:`tetrahedron_vertex_count`).
+    above the default vertex budget or the neighbour-key budget, before
+    allocating (:func:`tetrahedron_key_count`).
     """
-    tetrahedron_vertex_count(m, n)
+    tetrahedron_key_count(m, n)
     spec = GroupSpec.lamplighter(m)
     layout = _tetrahedron_columns(m, n)
     # every lamp pattern on {1, ..., n}, at every walker position 0..n, packed
@@ -854,7 +883,8 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     keys = keys[order]
     parent = _ball(spec, 2 * n, layout, keys, word_length[order],
                    _neighbour_keys(spec, layout, keys))
-    return induced_subgraph(parent, np.arange(len(parent)))
+    return FiniteSubgraph(parent=parent, vertex_indices=np.arange(len(parent)),
+                          edges=parent.edges, induced=True)
 
 
 def thicken_subgraph(sub: FiniteSubgraph, radius: int) -> FiniteSubgraph:

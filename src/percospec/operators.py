@@ -6,17 +6,20 @@ k*I - A, the Dirichlet Laplacian 2k*I - D - A, and the Neumann Laplacian
 D - A.  They differ by the boundary potential W = k*I - D, which is
 supported on the inner vertex boundary.  Entries are integers stored in
 float64, so trace identities hold exactly.
+
+Operators are numpy CSR arrays built without scipy, labelled into components
+by ``cayley.connected_components``; the scipy ``.matrix`` is built on demand.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 
-from .cayley import CayleyBall, FiniteSubgraph, locate
+from .cayley import CayleyBall, FiniteSubgraph, connected_components, locate
 from .errors import UnsupportedModelError
 from .percolation import SITE, PercolationSample
 
@@ -27,45 +30,65 @@ NEUMANN = "neumann"
 _BCS = (ADJACENCY, DIRICHLET, NEUMANN)
 
 
-@dataclass(eq=False)
 class LabeledOperator:
     """Sparse symmetric matrix over an ordered subset of window vertices.
 
-    ``matrix`` is in canonical CSR form: float64, one entry per position,
-    sorted column indices, no stored zeros.  Other input is replaced by a
-    canonical copy; the caller's matrix is never changed.
+    Stored as CSR arrays ``indptr``, ``indices``, ``data`` in canonical form:
+    float64, one entry per position, sorted columns, no stored zeros.  A
+    ``matrix`` other than the builders' ``_CSR`` is kept if it is a canonical
+    scipy ``csr_matrix``, else copied to one; ``matrix`` is built on first use.
     """
 
-    index_set: np.ndarray
-    matrix: sparse.csr_matrix
-    tag: str
-    k: int
-    bc: str | None = None
+    def __init__(self, index_set, matrix, tag: str, k: int, bc: str | None = None):
+        self.index_set = np.asarray(index_set, dtype=np.int64)
+        self.tag, self.k, self.bc = tag, k, bc
+        self._subgraph = None
+        if not isinstance(matrix, _CSR):
+            from scipy import sparse
 
-    def __post_init__(self):
-        self.index_set = np.asarray(self.index_set, dtype=np.int64)
-        mat = self.matrix
-        if not (isinstance(mat, sparse.csr_matrix) and mat.dtype == np.float64
-                and mat.has_canonical_format and mat.data.all()):
-            self.matrix = mat = sparse.csr_matrix(mat, dtype=np.float64, copy=True)
-            mat.sum_duplicates()
-            mat.eliminate_zeros()
+            if not (isinstance(matrix, sparse.csr_matrix) and matrix.dtype == np.float64
+                    and matrix.has_canonical_format and matrix.data.all()):
+                matrix = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
+                matrix.sum_duplicates()
+                matrix.eliminate_zeros()
+            self.matrix = matrix
+        self.indptr, self.indices, self.data = matrix.indptr, matrix.indices, matrix.data
+
+    @cached_property
+    def matrix(self):
+        from scipy import sparse
+
+        return sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                 shape=(self.dim, self.dim))
 
     @property
     def dim(self) -> int:
         return len(self.index_set)
 
+    @cached_property
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return np.repeat(np.arange(self.dim), np.diff(self.indptr))
+
+    def components(self) -> tuple:
+        """``(count, labels)`` of the graph of the off-diagonal entries; a
+        subgraph's Laplacian reads the subgraph's cached labels."""
+        if self._subgraph is not None:
+            return self._subgraph.components()
+        return connected_components(self.dim, np.stack([self.entry_rows, self.indices], 1))
+
     def to_dense(self) -> np.ndarray:
-        return self.matrix.toarray()
+        out = np.zeros((self.dim, self.dim))
+        out[self.entry_rows, self.indices] = self.data
+        return out
 
     def trace(self) -> float:
-        return float(self.matrix.diagonal().sum())
+        return float(self.data[self.entry_rows == self.indices].sum())
 
     def inf_norm(self) -> float:
         """Max row sum of absolute entries; the scale for kernel tolerances."""
-        if self.dim == 0:
-            return 0.0
-        return float(abs(self.matrix).sum(axis=1).max())
+        starts = self.indptr[:-1][np.diff(self.indptr) > 0]
+        return float(np.add.reduceat(np.abs(self.data), starts).max(initial=0.0))
 
     def local_of(self, window_indices) -> np.ndarray:
         """Positions of the given window indices inside ``index_set``."""
@@ -77,16 +100,32 @@ class LabeledOperator:
         return at
 
 
-def _assemble(n: int, edges, potential) -> sparse.csr_matrix:
-    """-A + V in one COO -> CSR pass: -1 at both orientations of each edge
-    and the potential on the diagonal, where it is nonzero."""
+_CSR = namedtuple("_CSR", "indptr indices data")
+
+
+def _csr(n: int, row, col, data) -> _CSR:
+    """Canonical CSR of entries at distinct positions, in any order, less
+    the zeros; indices are int32 where they fit, as in scipy."""
+    order = np.argsort(row * n + col)
+    keep = order[data[order] != 0]
+    index = np.int32 if max(n, len(data)) < 2 ** 31 else np.int64
+    indptr = np.r_[0, np.cumsum(np.bincount(row[keep], minlength=n))].astype(index)
+    return _CSR(indptr, col[keep].astype(index), data[keep])
+
+
+def _assemble(n: int, edges, potential) -> _CSR:
+    """-A + V from its entries' distinct positions: -1 per edge at each, in
+    either orientation, and on the diagonal the potential less any loops."""
     u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     diag = np.broadcast_to(np.asarray(potential, dtype=np.float64), (n,))
-    on = np.flatnonzero(diag)
-    return sparse.csr_matrix(
-        (np.concatenate([np.full(2 * len(u), -1.0), diag[on]]),
-         (np.concatenate([u, v, on]), np.concatenate([v, u, on]))),
-        shape=(n, n))
+    pos, count = np.unique(np.concatenate(
+        [u * n + v, v * n + u, np.flatnonzero(diag) * (n + 1)]), return_counts=True)
+    row, col = np.divmod(pos, max(n, 1))
+    data = -count.astype(np.float64)
+    loop = row == col
+    own = diag[row[loop]]
+    data[loop] = own - (count[loop] - (own != 0))
+    return _csr(n, row, col, data)
 
 
 def _diag_for(bc: str, k: int, degrees: np.ndarray):
@@ -106,8 +145,10 @@ def subgraph_laplacian(sub: FiniteSubgraph, bc: str,
         raise ValueError(f"unknown boundary condition {bc!r}")
     mat = _assemble(sub.size, sub.local_edges(),
                     _diag_for(bc, sub.parent.k, sub.degrees()))
-    return LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
-                           tag=tag or f"laplacian:{bc}", k=sub.parent.k, bc=bc)
+    op = LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
+                         tag=tag or f"laplacian:{bc}", k=sub.parent.k, bc=bc)
+    op._subgraph = sub
+    return op
 
 
 def free_laplacian(window: CayleyBall) -> LabeledOperator:
@@ -150,12 +191,10 @@ def extend(op: LabeledOperator, window: CayleyBall, K: float,
         warnings.warn(f"extension constant K={K} lies inside [0, {2 * op.k}]; "
                       "extension eigenvalues may mix with the spectrum",
                       stacklevel=2)
-    coo = op.matrix.tocoo()
     # K = 0 entries are dropped by the canonical form
-    mat = sparse.csr_matrix(
-        (np.concatenate([coo.data, np.full(len(deleted), float(K))]),
-         (np.concatenate([op.index_set[coo.row], deleted]),
-          np.concatenate([op.index_set[coo.col], deleted]))), shape=(n, n))
+    mat = _csr(n, np.concatenate([op.index_set[op.entry_rows], deleted]),
+               np.concatenate([op.index_set[op.indices], deleted]),
+               np.concatenate([op.data, np.full(len(deleted), float(K))]))
     return LabeledOperator(index_set=np.arange(n, dtype=np.int64), matrix=mat,
                            tag=f"extended:{op.bc or op.tag}:K={K:g}", k=op.k,
                            bc=op.bc)
@@ -182,9 +221,12 @@ def anderson(sample: PercolationSample, window: CayleyBall,
 def restrict(op: LabeledOperator, subset) -> LabeledOperator:
     """Principal submatrix on a subset of the operator's window indices."""
     subset = np.asarray(subset, dtype=np.int64)
-    positions = op.local_of(subset)
+    new = np.full(op.dim, -1, dtype=np.int64)
+    new[op.local_of(subset)] = np.arange(len(subset))
+    row, col = new[op.entry_rows], new[op.indices]
+    kept = (row >= 0) & (col >= 0)
     return LabeledOperator(index_set=subset,
-                           matrix=op.matrix[positions][:, positions],
+                           matrix=_csr(len(subset), row[kept], col[kept], op.data[kept]),
                            tag=f"restricted({op.tag})", k=op.k, bc=op.bc)
 
 
@@ -198,20 +240,19 @@ def bipartite_conjugate(op: LabeledOperator, coloring: np.ndarray) -> LabeledOpe
     colors = np.asarray(coloring, dtype=np.int64)[op.index_set]
     if not np.all(np.abs(colors) == 1):
         raise ValueError("coloring must assign +-1 to every operator vertex")
-    coo = op.matrix.tocoo()
-    sign = colors[coo.row] * colors[coo.col]
-    if np.any(sign[coo.row != coo.col] != -1):
+    rows = op.entry_rows
+    sign = colors[rows] * colors[op.indices]
+    if np.any(sign[rows != op.indices] != -1):
         raise ValueError("coloring is not proper: adjacent vertices share a color")
-    mat = op.matrix.copy()
-    mat.data *= sign
-    return LabeledOperator(index_set=op.index_set, matrix=mat,
+    return LabeledOperator(index_set=op.index_set,
+                           matrix=_CSR(op.indptr, op.indices, op.data * sign),
                            tag=f"conjugated({op.tag})", k=op.k, bc=op.bc)
 
 
 def export_matrix(op: LabeledOperator, fh) -> None:
     """Coordinate text format: header, then ``i j value`` for i <= j."""
     fh.write(f"# n={op.dim} sym=1 tag={op.tag}\n")
-    coo = op.matrix.tocoo()  # row-major, sorted columns: the canonical order
-    for r, c, v in zip(coo.row, coo.col, coo.data):
+    # row-major, sorted columns: the canonical order
+    for r, c, v in zip(op.entry_rows, op.indices, op.data):
         if r <= c:
             fh.write(f"{r} {c} {v:.17g}\n")

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import linalg
-from scipy.sparse import csgraph
 
 from ._parallel import run_indexed
 from .cayley import (
@@ -82,6 +80,8 @@ def eigenvalues_dense(op: LabeledOperator, dense_cap: int = DENSE_CAP,
     vals = block_eigenvalues(op, dense_cap)
     scale = op.inf_norm()
     if validate:
+        from scipy import linalg
+
         dense = op.to_dense()
         vecs = linalg.eigh(dense)[1]
         resid = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
@@ -98,6 +98,9 @@ def _band_eigenvalues(block) -> np.ndarray | None:
     with ``eig_banded``; returns None, solving nothing, when the reordered
     bandwidth is too wide for the band solve to beat a dense one.
     """
+    from scipy import linalg
+    from scipy.sparse import csgraph
+
     n = block.shape[0]
     perm = csgraph.reverse_cuthill_mckee(block, symmetric_mode=True)
     rank = np.empty(n, dtype=np.int64)
@@ -134,7 +137,7 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     n = op.dim
     if n == 0:
         return np.zeros(0)
-    ncomp, labels = csgraph.connected_components(op.matrix, directed=False)
+    ncomp, labels = op.components()
     sizes = np.bincount(labels)
     if sizes.max() > dense_cap:
         raise BudgetError(
@@ -154,6 +157,8 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     if ncomp == 1:
         # kept for the pinned sums, as bounds keeps its full tetrahedron
         # solve below _CERTIFICATE_FLOOR: see the README on reproducibility
+        from scipy import linalg
+
         return out[0] if out else np.sort(linalg.eigvalsh(op.to_dense()))
     order = np.argsort(labels, kind="stable")
     local = np.empty(n, dtype=np.int64)
@@ -165,11 +170,10 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     base = np.empty(ncomp, dtype=np.int64)
     base[by_size] = np.cumsum(block_len) - block_len
     flat = np.zeros(int(block_len.sum()))
-    coo = op.matrix.tocoo()
-    comp = labels[coo.row]
+    comp = labels[op.entry_rows]
     keep = dense[comp]
-    row, col, comp = coo.row[keep], coo.col[keep], comp[keep]
-    flat[base[comp] + local[row] * sizes[comp] + local[col]] = coo.data[keep]
+    row, col, comp = op.entry_rows[keep], op.indices[keep], comp[keep]
+    flat[base[comp] + local[row] * sizes[comp] + local[col]] = op.data[keep]
     start = 0
     for size, count in zip(*np.unique(sizes[dense], return_counts=True)):
         stop = start + count * size * size
@@ -531,6 +535,8 @@ def free_ids_ball(ball: CayleyBall, energies, trace_radii=None,
     if len(ball) > dense_cap:
         raise BudgetError(f"ball B({radius}) has {len(ball)} vertices, above "
                           f"the dense cap {dense_cap}")
+    from scipy import linalg
+
     # B(r) is a prefix of the ball, so its adjacency Laplacian is the
     # leading principal block of the whole ball's
     dense = free_laplacian(ball).to_dense()

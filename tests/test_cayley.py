@@ -660,6 +660,70 @@ def test_connected_and_components():
     assert induced_subgraph(ball, ball.ball_indices(2)).connected
 
 
+def _csgraph_components(n, edges):
+    """The reference labelling: scipy's csgraph on the symmetric pattern."""
+    from scipy import sparse
+    from scipy.sparse import csgraph
+
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    g = sparse.csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                          shape=(n, n))
+    return csgraph.connected_components(g, directed=False)
+
+
+def _assert_same_components(n, edges):
+    count, labels = cayley.connected_components(n, edges)
+    want_count, want_labels = _csgraph_components(n, edges)
+    assert count == want_count
+    assert labels.tolist() == want_labels.tolist()
+
+
+def test_connected_components_match_csgraph():
+    rng = np.random.Generator(np.random.Philox(key=np.array([77, 0],
+                                                            dtype=np.uint64)))
+    # no vertices, and vertices without edges
+    for n in (0, 1, 6):
+        _assert_same_components(n, np.zeros((0, 2), dtype=np.int64))
+    # isolated vertices, repeated edges in both orientations, and loops
+    _assert_same_components(7, [[5, 2], [2, 5], [5, 2], [3, 3], [6, 1], [1, 6]])
+    for n in (2, 9, 60, 1000, 5000):
+        for m in (1, n // 3, n // 2, n, 2 * n):
+            _assert_same_components(n, rng.integers(0, n, size=(m, 2)))
+
+
+def test_connected_components_on_relabelled_paths():
+    # the slowest order for hook and shortcut: one long path, or several,
+    # with the vertices in random order
+    rng = np.random.Generator(np.random.Philox(key=np.array([77, 1],
+                                                            dtype=np.uint64)))
+    for n in (2, 3, 100, 4096, 50_000):
+        for paths in (1, 3):
+            perm = rng.permutation(n)
+            cut = np.sort(rng.choice(np.arange(1, n), size=min(paths, n) - 1,
+                                     replace=False))
+            edges = np.stack([perm[:-1], perm[1:]], axis=1)
+            edges = np.delete(edges, cut - 1, axis=0)
+            edges = edges[rng.permutation(len(edges))]
+            _assert_same_components(n, edges)
+            assert cayley.connected_components(n, edges)[0] == min(paths, n)
+
+
+def test_prefix_members_are_their_own_positions():
+    ball = enumerate_ball(GroupSpec.free_abelian(2), 4)
+    for r in (0, 2, 4):
+        prefix = induced_subgraph(ball, ball.ball_indices(r))
+        assert np.array_equal(prefix.local_edges(), prefix.edges)
+        # the same members in another order are located one by one
+        order = np.arange(prefix.size)[::-1]
+        other = FiniteSubgraph(parent=ball, vertex_indices=order,
+                               edges=prefix.edges, induced=True)
+        assert np.array_equal(order[other.local_edges()], prefix.edges)
+    assert ball.edges.flags.writeable
+    with pytest.raises(ValueError, match=r"^edge \(-1, 2\) leaves"):
+        FiniteSubgraph(parent=ball, vertex_indices=[0, 1, 2],
+                       edges=[[0, 1], [-1, 2]], induced=False)
+
+
 def test_sorted_unique_matches_np_unique():
     rng = np.random.Generator(np.random.Philox(key=np.array([41, 0],
                                                             dtype=np.uint64)))
@@ -776,6 +840,41 @@ def test_lamp_values_match_the_decoded_vertices(m):
     assert ball.rows[:, -1].tolist() == [x for _, x in ball.vertices]
     with pytest.raises(ValueError, match="lamplighter"):
         enumerate_ball(GroupSpec.free_abelian(1), 2).lamp_values([0])
+
+
+@pytest.mark.parametrize("m,n,keys", [
+    (2, 16, 4_456_448), (3, 10, 3_897_234), (4, 8, 4_718_592),
+    (5, 7, 6_250_000), (31, 2, 178_746), (110, 2, 7_986_000)])
+def test_neighbour_key_budget_accepts(m, n, keys):
+    # the deepest Z_2, Z_3, Z_4 and Z_5 tetrahedra under the vertex budget,
+    # the Z_31 one the CLI tests check, and the largest m at depth 2
+    assert cayley.tetrahedron_key_count(m, n) == keys
+    assert keys <= cayley._TETRAHEDRON_KEY_BUDGET
+
+
+@pytest.mark.parametrize("m,n", [(816, 2), (111, 2), (7, 6), (32, 3)])
+def test_neighbour_key_budget_refuses_before_allocating(monkeypatch, m, n):
+    # under the vertex budget, but over (n+1) m^n * 2m > 8e6 neighbour keys:
+    # Z_816 wr Z at depth 2 has 1,997,568 vertices and would hold 3.3e9
+    def no_build(*args):
+        raise AssertionError("the tetrahedron was built")
+
+    monkeypatch.setattr(cayley, "_tetrahedron_columns", no_build)
+    monkeypatch.setattr(cayley, "_neighbour_keys", no_build)
+    size = cayley.tetrahedron_vertex_count(m, n)
+    with pytest.raises(BudgetError,
+                       match=rf"^the depth-{n} tetrahedron of Z_{m} wr Z has "
+                             rf"{size} vertices with {size * 2 * m} neighbour keys"):
+        tetrahedron(m, n)
+
+
+def test_tetrahedron_is_its_induced_parent():
+    tet = tetrahedron(3, 3)
+    ref = induced_subgraph(tet.parent, np.arange(len(tet.parent)))
+    assert tet.induced and np.array_equal(tet.vertex_indices, ref.vertex_indices)
+    assert np.array_equal(tet.edges, ref.edges)
+    assert np.array_equal(tet.local_edges(), ref.local_edges())
+    assert tet.parent.edges.flags.writeable and not tet.local_edges().flags.writeable
 
 
 @pytest.mark.parametrize("n", range(1, 17))

@@ -1036,6 +1036,23 @@ def test_tetrahedron_depths_near_the_vertex_budget(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
+def test_tetrahedron_neighbour_keys_over_the_budget(tmp_path, capsys,
+                                                    subcommand):
+    # Z_816 wr Z at depth 2: 1,997,568 vertices, under the vertex budget,
+    # whose build would hold 3.3e9 neighbour keys
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 816},
+                      window={"depths": [2], "return_max": 2})
+    path = write_config(tmp_path, "c.json", cfg)
+    started = time.perf_counter()
+    assert main([subcommand, "--config", path]) == 2
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert "depth-2 tetrahedron" in err and "neighbour keys" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand", ["lamplighter", "bounds"])
 def test_every_depth_is_sized_before_the_first_check(tmp_path, capsys,
                                                      monkeypatch, subcommand):
     # depths 2-5 on Z_5 wr Z run, depth 8 (3,515,625 vertices) is above the

@@ -570,3 +570,96 @@ def test_canonical_input_is_kept():
     mat = sparse.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     op = LabeledOperator(index_set=np.arange(2), matrix=mat, tag="synthetic", k=2)
     assert op.matrix is mat
+
+
+# ---------------------------------------------------------------------------
+# numpy builders against the scipy construction they replace
+# ---------------------------------------------------------------------------
+# Each reference is the scipy code the numpy builder replaced, followed by
+# the canonicalisation LabeledOperator applies to a matrix passed in.
+
+def _scipy_canonical(mat):
+    mat = sparse.csr_matrix(mat, dtype=np.float64, copy=True)
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    return mat
+
+
+def _scipy_assemble(n, edges, potential):
+    u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
+    diag = np.broadcast_to(np.asarray(potential, dtype=np.float64), (n,))
+    on = np.flatnonzero(diag)
+    return _scipy_canonical(sparse.csr_matrix(
+        (np.concatenate([np.full(2 * len(u), -1.0), diag[on]]),
+         (np.concatenate([u, v, on]), np.concatenate([v, u, on]))), shape=(n, n)))
+
+
+def _scipy_restrict(op, subset):
+    positions = op.local_of(subset)
+    return _scipy_canonical(op.matrix[positions][:, positions])
+
+
+def _scipy_extend(op, n, K):
+    deleted = np.setdiff1d(np.arange(n, dtype=np.int64), op.index_set)
+    coo = op.matrix.tocoo()
+    return _scipy_canonical(sparse.csr_matrix(
+        (np.concatenate([coo.data, np.full(len(deleted), float(K))]),
+         (np.concatenate([op.index_set[coo.row], deleted]),
+          np.concatenate([op.index_set[coo.col], deleted]))), shape=(n, n)))
+
+
+def _scipy_conjugate(op, coloring):
+    colors = np.asarray(coloring, dtype=np.int64)[op.index_set]
+    coo = op.matrix.tocoo()
+    mat = op.matrix.copy()
+    mat.data *= colors[coo.row] * colors[coo.col]
+    return mat
+
+
+def _assert_same_arrays(op, want):
+    """The operator's arrays and its ``matrix`` both equal ``want``."""
+    for attr in ("indptr", "indices", "data"):
+        a, b = getattr(op, attr), getattr(want, attr)
+        assert a.dtype == b.dtype and np.array_equal(a, b), attr
+    _assert_same_csr(op.matrix, want)
+
+
+def test_numpy_builders_equal_the_scipy_construction():
+    from percospec.operators import _assemble
+
+    rng = np.random.Generator(np.random.Philox(key=np.array([313, 0],
+                                                            dtype=np.uint64)))
+    # potentials whose sums with the edges' -1 entries are exact, so the
+    # order in which scipy adds a loop's entries cannot show
+    levels = np.array([0.0, 0.0, 1.0, 2.0, 3.5, -0.25, 4.0])
+    for trial in range(60):
+        n = int(rng.integers(0, 40))
+        m = int(rng.integers(0, 3 * n + 1))
+        # repeats and, when trial is odd, loops
+        edges = rng.integers(0, max(n, 1), size=(m if n else 0, 2))
+        if trial % 2 == 0:
+            edges = edges[edges[:, 0] != edges[:, 1]]
+        potential = levels[rng.integers(0, len(levels), size=n)]
+        got, want = _assemble(n, edges, potential), _scipy_assemble(n, edges, potential)
+        index_set = rng.permutation(3 * n)[:n]
+        op = LabeledOperator(index_set=index_set, matrix=got, tag="synthetic", k=4)
+        _assert_same_arrays(op, want)
+        # restriction to a subset in any order
+        for size in {0, n // 2, n}:
+            subset = rng.permutation(index_set)[:size]
+            _assert_same_arrays(restrict(op, subset), _scipy_restrict(op, subset))
+        # extension to a window of 3n vertices; extend reads only its length
+        for K in (0.0, 9.0, 0.1):
+            ext = extend(op, range(3 * n), K, check_separation=False)
+            _assert_same_arrays(ext, _scipy_extend(op, 3 * n, K))
+        # conjugation by a colouring, proper for the edges between colours
+        coloring = rng.choice([-1, 1], size=3 * n)
+        colors = coloring[index_set]
+        cross = colors[edges[:, 0]] != colors[edges[:, 1]]
+        bip = LabeledOperator(index_set=index_set, tag="synthetic", k=4,
+                              matrix=_assemble(n, edges[cross], potential))
+        _assert_same_arrays(bipartite_conjugate(bip, coloring),
+                            _scipy_conjugate(bip, coloring))
+        if np.any(~cross & (edges[:, 0] != edges[:, 1])):
+            with pytest.raises(ValueError, match="not proper"):
+                bipartite_conjugate(op, coloring)

@@ -1016,7 +1016,7 @@ def test_free_ids_ball_over_the_cap_raises_before_any_solve(monkeypatch):
     def no_solve(*args, **kwargs):
         raise AssertionError("eigh called")
 
-    monkeypatch.setattr(spectra.linalg, "eigh", no_solve)
+    monkeypatch.setattr(linalg, "eigh", no_solve)
     # B(2) of Z^2 has 13 vertices and fits; B(3) has 25 and does not
     with pytest.raises(BudgetError, match=r"^ball B\(3\) has 25 vertices, above "
                                           r"the dense cap 13$"):
