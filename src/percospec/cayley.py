@@ -18,12 +18,13 @@ Element encodings (``multiply``, ``inverse`` and ``CayleyBall.vertices``):
 Inside a ball every element is one fixed-width int64 row: the coordinates
 (Z^d), (a, b, c) (Heisenberg), or the lamp values on the window of
 positions the ball's words can light, then x (lamplighter).
-:class:`_Layout` packs a row into one sortable int64 key, mixed radix with
-the last column least significant (a byte key when the column ranges
-overflow int64).  Enumeration works on keys alone, with no Python per
-vertex: a generator changes only a few columns of a row, so a neighbour's
-key is the key plus a per-generator offset (:func:`_moves`); the
-lexicographic order of the tuples is read off the keys' digits
+:class:`_Layout` packs a row into a sortable key, mixed radix with the
+last column least significant, in as few int64 words as hold the column
+ranges: one int64 when they fit, else a void view of the words.
+Enumeration works on keys alone, with no Python per vertex and no row
+decoded: a generator changes only a few columns of a row, so a neighbour's
+key adds a per-generator offset to the word of each changed column
+(:func:`_moves`); the tuples' order is read off the keys' digits
 (:func:`_order_keys`).  A :class:`CayleyBall` stores the layout and keys
 that built it, and every lookup reads them; its rows and the tuple
 encodings of ``CayleyBall.vertices`` are decoded on first use.  A ball's
@@ -33,7 +34,6 @@ own n + 3 columns (:func:`_tetrahedron_columns`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,13 +204,26 @@ class GroupSpec:
 # element rows
 # ---------------------------------------------------------------------------
 
+def _split(radices) -> tuple:
+    """``(word, place)`` of each column of a mixed-radix number with these
+    radices, last column least significant, in as few int64 words as hold
+    them: word 0 takes columns from the last while they fit, then word 1."""
+    split, w, p = [], 0, 1
+    for radix in np.asarray(radices)[::-1].tolist():
+        w, p = (w + 1, 1) if p * radix >= 2 ** 63 else (w, p)
+        split.append((w, p))
+        p *= radix
+    return tuple(np.array(split[::-1], dtype=np.int64).T)
+
+
 @dataclass(frozen=True, eq=False)
 class _Layout:
     """Row layout of the elements of B(n) and of their neighbours.
 
     Column j of each row lies in [lo[j], hi[j]].  Lamplighter rows hold the
     lamp value at position ``first_pos + j`` in column j and the walker in
-    the last column.
+    the last column.  A row's key packs it into the words of :func:`_split`:
+    column j adds ``(row[j] - lo[j]) * place[j]`` to word ``word[j]``.
     """
 
     lo: np.ndarray
@@ -218,53 +231,54 @@ class _Layout:
     first_pos: int = 0
 
     @cached_property
-    def strides(self):
-        """Mixed-radix place values (last column least significant), or
-        None when the product of the column ranges exceeds int64."""
-        span = [int(h - l) + 1 for l, h in zip(self.lo, self.hi)]
-        if math.prod(span) >= 2 ** 63:
-            return None
-        return np.array([math.prod(span[j + 1:]) for j in range(len(span))],
-                        dtype=np.int64)
+    def split(self) -> tuple:
+        """``(word, place)``: the word that holds each column, and its place value."""
+        return _split(self.hi - self.lo + 1)
 
     @cached_property
-    def _origin(self) -> int:
-        return int(self.lo @ self.strides)
+    def places(self) -> tuple:
+        """Per word, the place value of each column, 0 off the word."""
+        word, place = self.split
+        return tuple(place * (word == np.arange(word[0] + 1)[:, None]))
+
+    @cached_property
+    def words(self) -> int:
+        return len(self.places)
+
+    def pack(self, words: np.ndarray) -> np.ndarray:
+        """Keys of int64 words (..., words): the one word, or a void view."""
+        if self.words == 1:
+            return words[..., 0]
+        return np.ascontiguousarray(words).view(np.dtype((np.void, 8 * self.words)))[..., 0]
+
+    def unpack(self, keys: np.ndarray) -> np.ndarray:
+        """The words of ``keys``, shape (keys, words)."""
+        return np.ascontiguousarray(keys).view(np.int64).reshape(len(keys), self.words)
 
     def keys(self, rows: np.ndarray) -> np.ndarray:
-        """Sortable keys of rows within the bounds: a packed int64 when the
-        column ranges fit, else a byte (void) view of each row.  Equal rows
-        give equal keys either way, and sort, unique and searchsorted treat
-        both kinds alike; packed keys sort like their rows."""
-        if self.strides is not None:
-            return rows @ self.strides - self._origin
-        rows = np.ascontiguousarray(rows)
-        return rows.view(np.dtype((np.void, rows.shape[1] * 8))).ravel()
+        """Sortable keys of rows within the bounds (see :meth:`pack`).  Equal
+        rows give equal keys, sort, unique and searchsorted treat both kinds
+        alike, and one-word keys sort like their rows."""
+        return self.pack((rows - self.lo) @ np.transpose(self.places))
 
     def digits(self, keys: np.ndarray):
         """``(j, row[j] - lo[j])`` for each column j of the rows of ``keys``,
         from the last column to the first, one column at a time."""
-        if self.strides is None:
-            rows = self.rows(keys)
-            for j in reversed(range(len(self.lo))):
-                yield j, rows[:, j] - self.lo[j]
-            return
-        for j in reversed(range(len(self.lo))):
-            span = int(self.hi[j] - self.lo[j]) + 1
-            rest = keys // span
-            yield j, keys - rest * span
-            keys = rest
+        for w, rest in enumerate(self.unpack(keys).T):
+            for j in np.flatnonzero(self.split[0] == w)[::-1]:
+                span = int(self.hi[j] - self.lo[j]) + 1
+                digit, rest = rest, rest // span
+                yield int(j), digit - rest * span
 
     def column(self, keys: np.ndarray, j) -> np.ndarray:
         """Column j of the rows of ``keys``: one index, or one per key."""
-        if self.strides is None:
-            return self.rows(keys)[np.arange(len(keys)), j]
-        return keys // self.strides[j] % (self.hi - self.lo + 1)[j] + self.lo[j]
+        word, place = self.split
+        # one column is a view of its word; one column per key, a gather
+        at = (np.arange(len(keys)) if np.ndim(j) else slice(None), word[j])
+        return self.unpack(keys)[at] // place[j] % (self.hi - self.lo + 1)[j] + self.lo[j]
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`keys`."""
-        if self.strides is None:
-            return keys.view(np.int64).reshape(len(keys), len(self.lo))
         rows = np.empty((len(keys), len(self.lo)), dtype=np.int64)
         # a column at a time, in blocks of keys, each transposed into place
         for start in range(0, len(keys), _DECODE_BLOCK):
@@ -318,19 +332,15 @@ def _moves(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> list:
 
 def _neighbour_keys(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> np.ndarray:
     """Keys of ``row * g`` for the row of every key and every generator,
-    shape (keys, k).  A packed key moves by the changes of :func:`_moves`
-    times their columns' place values; a byte key is rebuilt from its row."""
-    out = np.empty((len(keys), spec.k), dtype=keys.dtype)
-    for i, moves in enumerate(_moves(spec, layout, keys)):
-        if layout.strides is not None:
-            out[:, i] = keys + sum(change * layout.strides[col]
-                                   for col, change in moves)
-        else:
-            rows = layout.rows(keys).copy()
-            for col, change in moves:
-                rows[np.arange(len(keys)), col] += change
-            out[:, i] = layout.keys(rows)
-    return out
+    shape (keys, k).  A move (:func:`_moves`) adds change * place value to
+    its column's word; neighbours lie in the layout, so no carry crosses words."""
+    moves, words = _moves(spec, layout, keys), layout.unpack(keys)
+    out = np.empty((len(keys), spec.k, layout.words), dtype=np.int64)
+    for w, place in enumerate(layout.places):
+        word = words[:, w]
+        for i, changes in enumerate(moves):
+            out[:, i, w] = word + sum(change * place[col] for col, change in changes)
+    return layout.pack(out)
 
 
 def _order_keys(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> list:
@@ -344,27 +354,21 @@ def _order_keys(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> list:
     a later column, and 0 past the last lit lamp; the walker is the last
     digit."""
     lamps = len(layout.lo) - 1 if spec.kind == LAMPLIGHTER else 0
+    word, place = _split(layout.hi - layout.lo + 1 + (np.arange(len(layout.lo)) < lamps))
     lit = np.zeros(len(keys), dtype=bool)
-    out, key, place = [], np.zeros(len(keys), dtype=np.int64), 1
+    out = np.zeros((word[0] + 1, len(keys)), dtype=np.int64)
     for j, digit in layout.digits(keys):
-        radix = int(layout.hi[j] - layout.lo[j]) + 1
         if j < lamps:
             digit = np.where(digit > 0, digit, spec.modulus * lit)
             lit |= digit > 0
-            radix += 1
-        if place * radix >= 2 ** 63:
-            out.append(key)
-            key, place = np.zeros(len(keys), dtype=np.int64), 1
-        key += digit * place
-        place *= radix
-    out.append(key)
-    return out
+        out[word[j]] += digit * place[j]
+    return list(out)
 
 
 def _canonical(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> np.ndarray:
     """Sorted distinct keys in the lexicographic order of their tuples."""
-    if spec.kind != LAMPLIGHTER and layout.strides is not None:
-        return keys     # packed Z^d and Heisenberg keys sort like their rows
+    if spec.kind != LAMPLIGHTER and layout.words == 1:
+        return keys     # one-word Z^d and Heisenberg keys sort like their rows
     order = _order_keys(spec, layout, keys)
     return keys[np.argsort(order[0]) if len(order) == 1 else np.lexsort(order)]
 
@@ -549,14 +553,15 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
     row is decoded.
 
     Raises :class:`BudgetError` once more than ``budget`` vertices (default
-    2e6) have been discovered.  A layer whose neighbours could pass the
-    budget is built from chunks of the frontier and refused as soon as its
-    distinct new keys do.
+    2e6), each counted once per key word, have been discovered.  A layer
+    whose neighbours could pass the budget is built from chunks of the
+    frontier and refused as soon as its distinct new keys do.
     """
     if n < 0:
         raise ValueError("radius must be >= 0")
-    cap = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
     layout = _layout(spec, n)
+    budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
+    cap = budget // layout.words    # no more neighbour-key words than one-word balls
     keys = layout.keys(np.zeros((1, len(layout.lo)), dtype=np.int64))
     layers, neighbours, total = [keys], [], 1
     older, current = keys[:0], keys     # the last two layers, sorted
@@ -570,8 +575,8 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
                                   older, current)
             if total + len(fresh) > cap:
                 raise BudgetError(
-                    f"ball exceeds the vertex budget of {cap} vertices "
-                    f"(group {spec.label()}, radius {n})")
+                    f"ball exceeds the vertex budget of {budget} vertices "
+                    f"(group {spec.label()}, radius {n}, {layout.words}-word keys)")
         total += len(fresh)
         older, current = current, fresh
         keys = _canonical(spec, layout, fresh)
@@ -874,8 +879,8 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     # column by column (lamps lo 0, walker lo -1) without building the rows
     lamps = np.arange(m ** n)[:, None] // m ** np.arange(n)[::-1] % m
     x = np.arange(n + 1)
-    keys = ((lamps @ layout.strides[1:n + 1])[:, None]
-            + (x - layout.lo[-1]) * layout.strides[-1]).ravel()
+    place = layout.split[1]
+    keys = ((lamps @ place[1:n + 1])[:, None] + (x - layout.lo[-1]) * place[-1]).ravel()
     # a shortest word walks right to max(walker, top lit lamp), then back
     top = (np.arange(1, n + 1) * (lamps > 0)).max(axis=1)[:, None]
     word_length = (2 * np.maximum(x, top) - x).astype(np.int32).ravel()

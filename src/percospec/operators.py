@@ -105,9 +105,15 @@ _CSR = namedtuple("_CSR", "indptr indices data")
 
 def _csr(n: int, row, col, data) -> _CSR:
     """Canonical CSR of entries at distinct positions, in any order, less
-    the zeros; indices are int32 where they fit, as in scipy."""
+    the zeros."""
     order = np.argsort(row * n + col)
-    keep = order[data[order] != 0]
+    return _sorted_csr(n, row[order], col[order], data[order])
+
+
+def _sorted_csr(n: int, row, col, data) -> _CSR:
+    """:func:`_csr` of entries in row-major order; indices are int32 where
+    they fit, as in scipy."""
+    keep = data != 0
     index = np.int32 if max(n, len(data)) < 2 ** 31 else np.int64
     indptr = np.r_[0, np.cumsum(np.bincount(row[keep], minlength=n))].astype(index)
     return _CSR(indptr, col[keep].astype(index), data[keep])
@@ -115,17 +121,20 @@ def _csr(n: int, row, col, data) -> _CSR:
 
 def _assemble(n: int, edges, potential) -> _CSR:
     """-A + V from its entries' distinct positions: -1 per edge at each, in
-    either orientation, and on the diagonal the potential less any loops."""
+    either orientation, and on the diagonal the potential less any loops.
+    One sort of the positions; their run lengths are the counts."""
     u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     diag = np.broadcast_to(np.asarray(potential, dtype=np.float64), (n,))
-    pos, count = np.unique(np.concatenate(
-        [u * n + v, v * n + u, np.flatnonzero(diag) * (n + 1)]), return_counts=True)
-    row, col = np.divmod(pos, max(n, 1))
+    pos = np.concatenate([u * n + v, v * n + u, np.flatnonzero(diag) * (n + 1)])
+    pos.sort()
+    start = np.flatnonzero(np.diff(pos, prepend=-1))
+    count = np.diff(start, append=len(pos))
+    row, col = np.divmod(pos[start], max(n, 1))
     data = -count.astype(np.float64)
     loop = row == col
     own = diag[row[loop]]
     data[loop] = own - (count[loop] - (own != 0))
-    return _csr(n, row, col, data)
+    return _sorted_csr(n, row, col, data)
 
 
 def _diag_for(bc: str, k: int, degrees: np.ndarray):

@@ -220,7 +220,7 @@ def test_ball_matches_pinned_digest(name, radius):
 
 def _random_specs(rng):
     """Random generator sets on every family, with radii small enough for
-    the tuple reference; Z^41 with unit generators takes the byte keys."""
+    the tuple reference; Z^41 with unit generators takes two-word keys."""
     out = [(GroupSpec.free_abelian(41), 1), (GroupSpec.free_abelian(41), 2)]
     for _ in range(8):
         d = int(rng.integers(1, 5))
@@ -324,7 +324,7 @@ def test_ball_pickle_round_trip(name, radius):
     lambda: enumerate_ball(GroupSpec.lamplighter(3), 4),
     lambda: enumerate_ball(GroupSpec.free_abelian(41), 1),
     lambda: tetrahedron(2, 5).parent,
-], ids=["packed", "byte-keys", "tetrahedron"])
+], ids=["packed", "two-word-keys", "tetrahedron"])
 def test_ball_pickle_keeps_the_layout_and_keys(make):
     ball = make()
     rows = ball.rows
@@ -334,7 +334,7 @@ def test_ball_pickle_keeps_the_layout_and_keys(make):
         assert np.array_equal(getattr(back.layout, name),
                               getattr(ball.layout, name))
     assert back.layout.first_pos == ball.layout.first_pos
-    assert (back.layout.strides is None) == (ball.layout.strides is None)
+    assert back.layout.words == ball.layout.words
     assert back.keys.dtype == ball.keys.dtype
     assert back.keys.tobytes() == ball.keys.tobytes()
     assert np.array_equal(back.rows, rows)
@@ -419,42 +419,58 @@ def _random_lamp_rows(rng, layout, m, count):
 def test_order_keys_match_the_lexsort_reference():
     rng = np.random.Generator(np.random.Philox(key=np.array([31, 0],
                                                             dtype=np.uint64)))
+    cases = [(GroupSpec.lamplighter(m), n) for m in range(2, 7) for n in (0, 2, 9, 20, 40)]
+    cases += [(GroupSpec.free_abelian(d), 2) for d in (3, 30, 60)]
     regimes = set()
-    for m in range(2, 7):
-        spec = GroupSpec.lamplighter(m)
-        for n in (0, 2, 9, 20, 40):
-            layout = cayley._layout(spec, n)
-            rows = _random_lamp_rows(rng, layout, m, 300)
-            rows = rows[rng.permutation(len(rows))]
-            keys = layout.keys(rows)
-            order = cayley._order_keys(spec, layout, keys)
-            regimes.add((layout.strides is None, len(order) > 1))
-            assert np.array_equal(np.lexsort(order),
-                                  np.lexsort(_lexsort_keys(spec, layout, rows))), (m, n)
-    # one packed key, several packed keys, and the byte-key layout
-    assert {(False, False), (False, True), (True, True)} <= regimes
+    for spec, n in cases:
+        layout = cayley._layout(spec, n)
+        if spec.kind == cayley.LAMPLIGHTER:
+            rows = _random_lamp_rows(rng, layout, spec.modulus, 300)
+        else:
+            rows = np.unique(rng.integers(layout.lo, layout.hi + 1,
+                                          size=(300, len(layout.lo))), axis=0)
+        rows = rows[rng.permutation(len(rows))]
+        keys = layout.keys(rows)
+        order = cayley._order_keys(spec, layout, keys)
+        regimes.add((spec.kind, min(layout.words, 3), len(order) > 1))
+        assert np.array_equal(np.lexsort(order),
+                              np.lexsort(_lexsort_keys(spec, layout, rows))), (spec, n)
+    # one-word keys with one and with several order keys, and layouts of
+    # three words or more
+    assert {(cayley.LAMPLIGHTER, 1, False), (cayley.LAMPLIGHTER, 1, True),
+            (cayley.LAMPLIGHTER, 3, True), (cayley.FREE_ABELIAN, 3, True)} <= regimes
 
 
 def _neighbour_specs(rng):
     """Every family with its own generators, random generator sets on each,
-    Z^41 and a lamplighter with far-apart lamps, which take the byte keys."""
+    Z^60 (three-word keys), a lamplighter with far-apart lamps (two words),
+    and one with a large modulus whose lamp columns cross from word to word
+    as the walker moves."""
     far = GroupSpec.lamplighter(2, generators=[(((0, 1), (70, 1)), 0),
                                                ((), 1), ((), -1)])
+    wide = GroupSpec.lamplighter(1000, generators=[(((0, 1), (8, 1)), 0),
+                                                   (((0, 999), (8, 999)), 0),
+                                                   ((), 1), ((), -1)])
     return ([(spec, radius) for spec, radius in _random_specs(rng)]
             + [(_DIGEST_SPECS[name], 3) for name in sorted(_DIGEST_SPECS)]
-            + [(far, 3)])
+            + [(GroupSpec.free_abelian(60), 1), (far, 3), (wide, 3)])
 
 
 def test_neighbour_keys_match_the_keys_of_the_neighbour_rows():
     rng = np.random.Generator(np.random.Philox(key=np.array([37, 0],
                                                             dtype=np.uint64)))
-    layouts = set()
+    regimes = set()
     for spec, radius in _neighbour_specs(rng):
         ball = enumerate_ball(spec, radius)
         layout = cayley._layout(spec, radius)
-        layouts.add((spec.kind, layout.strides is None))
         some = np.sort(rng.permutation(len(ball))[:150])
-        fast = cayley._neighbour_keys(spec, layout, layout.keys(ball.rows[some]))
+        keys = layout.keys(ball.rows[some])
+        # a move whose column, one per key, lies in different words
+        word = layout.split[0]
+        crossing = any(np.ndim(col) and len(set(word[col].tolist())) > 1
+                       for moves in cayley._moves(spec, layout, keys) for col, _ in moves)
+        regimes.add((spec.kind, min(layout.words, 3), crossing))
+        fast = cayley._neighbour_keys(spec, layout, keys)
         slow = np.stack([
             layout.keys(np.array([cayley._encode(spec, layout, multiply(spec, v, g))
                                   for v in (ball.vertices[i] for i in some)]))
@@ -462,7 +478,8 @@ def test_neighbour_keys_match_the_keys_of_the_neighbour_rows():
         assert fast.shape == slow.shape == (len(some), spec.k)
         assert np.array_equal(layout.rows(fast.ravel()),
                               layout.rows(slow.ravel())), (spec, radius)
-    assert {(cayley.FREE_ABELIAN, True), (cayley.LAMPLIGHTER, True)} <= layouts
+    assert {(cayley.FREE_ABELIAN, 1, False), (cayley.FREE_ABELIAN, 3, False),
+            (cayley.LAMPLIGHTER, 1, False), (cayley.LAMPLIGHTER, 3, True)} <= regimes
 
 
 # ---------------------------------------------------------------------------
@@ -894,7 +911,7 @@ def test_largest_accepted_tetrahedron_packs_into_one_key(n):
     # from the layout alone: the order keys read only the kind and modulus
     layout = cayley._tetrahedron_columns(m, n)
     spec = SimpleNamespace(kind=cayley.LAMPLIGHTER, modulus=m)
-    assert layout.strides is not None
+    assert layout.words == 1
     assert len(cayley._order_keys(spec, layout, np.zeros(1, dtype=np.int64))) == 1
 
 

@@ -1119,32 +1119,81 @@ def test_lamplighter_bytes_do_not_depend_on_blas_threads(tmp_path):
 
 # Runs argv and prints its exit code and wait4 peak RSS (KiB on Linux).  A
 # child spawned by the test process itself would report this process's
-# high-water mark, which the kernel carries across the child's exec.
+# high-water mark, which the kernel carries across the child's exec.  The
+# child's address space is capped at 3 GB, so that a run that would exhaust
+# the machine fails fast instead.
 _WAIT4_LAUNCHER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:])
+import os, resource, subprocess, sys
+cap = 3 * 1024 ** 3
+proc = subprocess.Popen(sys.argv[1:], preexec_fn=lambda: resource.setrlimit(
+    resource.RLIMIT_AS, (cap, cap)))
 _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
+
+
+def _run_measured(tmp_path, subcommand, cfg):
+    """Exit code and peak RSS in KiB of a CLI run in a fresh interpreter."""
+    src = str(Path(percospec.__file__).resolve().parent.parent)
+    path = write_config(tmp_path, "c.json", cfg)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _WAIT4_LAUNCHER, sys.executable, "-m",
+         "percospec.cli", subcommand, "--config", path],
+        env=env, capture_output=True, text=True, timeout=300, check=True)
+    code, peak_kib = map(int, done.stdout.split())
+    return code, peak_kib
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_tetrahedron_near_the_budget_runs_in_little_memory(tmp_path):
     # Z_3 wr Z at depth 9 has 196,830 vertices, one int64 key each on the
     # tetrahedron's own layout
-    src = str(Path(percospec.__file__).resolve().parent.parent)
-    path = write_config(tmp_path, "c.json", base_config(
+    code, peak_kib = _run_measured(tmp_path, "bounds", base_config(
         tmp_path / "o", group={"kind": "lamplighter", "modulus": 3},
         window={"depths": [9]}))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", _WAIT4_LAUNCHER, sys.executable, "-m",
-         "percospec.cli", "bounds", "--config", path],
-        env=env, capture_output=True, text=True, timeout=300, check=True)
-    code, peak_kib = map(int, done.stdout.split())
     assert code == 0
     assert peak_kib < 400 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("rank,peak_mb", [(28, 400), (40, None)])
+def test_multi_word_balls_run_in_bounded_memory(tmp_path, rank, peak_mb):
+    # B(3) of Z^28 (30,913 vertices) has two-word keys, and that of Z^40
+    # (88,641 vertices) three; keys of 8 bytes per column would need 1.5 GB
+    # and 2.1 GB for their neighbours
+    code, peak_kib = _run_measured(tmp_path, "percolate", base_config(
+        tmp_path / "o", group={"kind": "free_abelian", "rank": rank},
+        window={"radius": 3}, percolation={**_SITE, "n_samples": 100}))
+    assert code == 0
+    assert peak_mb is None or peak_kib < peak_mb * 1024
+
+
+def test_vertex_budget_counts_key_words(tmp_path, capsys):
+    # Z^28 B(2) has 1625 vertices on two-word keys, so it counts 3250
+    for budget, want in ((3250, 0), (3249, 2)):
+        out = tmp_path / str(budget)
+        cfg = base_config(out, group={"kind": "free_abelian", "rank": 28},
+                          window={"radius": 2}, percolation=_SITE,
+                          budget_vertices=budget)
+        path = write_config(tmp_path, f"{budget}.json", cfg)
+        assert main(["percolate", "--config", path]) == want
+        assert out.exists() == (want == 0)
+    assert "vertex budget of 3249 vertices" in capsys.readouterr().err
+
+
+def test_many_word_ball_is_refused_fast(tmp_path, capsys):
+    # Z^100 B(3) has 1,353,601 vertices, under the vertex budget, but on
+    # six-word keys it counts 8,121,606
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "free_abelian", "rank": 100},
+                      window={"radius": 3}, percolation=_SITE)
+    start = time.perf_counter()
+    assert main(["percolate", "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert time.perf_counter() - start < 10
+    assert not out.exists()
+    assert "6-word keys" in capsys.readouterr().err
 
 
 def test_vertex_budget_bounds_balls_not_tetrahedra(tmp_path, monkeypatch):
