@@ -2,9 +2,10 @@
 
 Supported families: free abelian groups Z^d, the discrete Heisenberg group
 of 3x3 upper unitriangular integer matrices, and lamplighter wreath products
-Z_m wr Z.  Balls are enumerated breadth first from the identity; the vertex
-order (BFS layer, then lexicographic encoding) is the canonical order that
-every downstream matrix inherits, so results are reproducible bit for bit.
+Z_m wr Z.  A ball's vertex order (word length, then lexicographic encoding)
+is the canonical order that every downstream matrix inherits, so results
+are reproducible bit for bit.  Z^d balls with the ±unit generators are
+built in closed form, the others breadth first from the identity.
 
 Element encodings (``multiply``, ``inverse`` and ``CayleyBall.vertices``):
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -191,6 +193,12 @@ class GroupSpec:
     def k(self) -> int:
         """Degree of the Cayley graph (size of the generator set)."""
         return len(self.generators)
+
+    @property
+    def is_hypercubic(self) -> bool:
+        """Whether this is Z^d with the ±unit vectors, in any order, as generators."""
+        return self.kind == FREE_ABELIAN and set(self.generators) == \
+            set(_default_generators(FREE_ABELIAN, self.rank, 0))
 
     def label(self) -> str:
         if self.kind == FREE_ABELIAN:
@@ -522,45 +530,57 @@ class CayleyBall:
             values[:, i] = layout.column(self.keys, col[i])
         return values
 
-    def adjacency_matrix(self):
-        from scipy import sparse  # no computation here reads it
-
-        u, v = self.edges[:, 0], self.edges[:, 1]
-        return sparse.csr_matrix(
-            (np.ones(2 * len(self.edges)),
-             (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(len(self), len(self)))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Binary search in the sorted edge list."""
-        if u > v:
-            u, v = v, u
-        lo, hi = np.searchsorted(self.edges[:, 0], [u, u + 1])
-        at = lo + np.searchsorted(self.edges[lo:hi, 1], v)
-        return bool(at < hi and self.edges[at, 1] == v)
-
 
 def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> CayleyBall:
-    """Enumerate the ball B(n) by BFS from the identity, a layer at a time.
-
-    The layers are arrays of element keys (see the module docstring), and a
-    neighbour's key is its vertex's key moved by a per-generator offset.
-    The generator set is symmetric, so layer L's neighbours lie in layers
-    L - 1, L and L + 1, and the new layer is the distinct neighbour keys
-    minus those of the first two, put in the order of their tuples.
-    Deterministic: the vertex order is BFS layer then lexicographic
-    encoding, and the edge list is sorted.  The ball keeps the keys; no
-    row is decoded.
-
-    Raises :class:`BudgetError` once more than ``budget`` vertices (default
-    2e6), each counted once per key word, have been discovered.  A layer
-    whose neighbours could pass the budget is built from chunks of the
-    frontier and refused as soon as its distinct new keys do.
-    """
+    """B(n) in ball order (word length, then lexicographic encoding), edges
+    sorted: in closed form on Z^d with the ±unit generators (:func:`_lattice_ball`),
+    else by BFS (:func:`_bfs_ball`).  Raises :class:`BudgetError` before building
+    past ``budget`` vertices (default 2e6), each counted once per key word."""
     if n < 0:
         raise ValueError("radius must be >= 0")
-    layout = _layout(spec, n)
     budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
+    build = _lattice_ball if spec.is_hypercubic else _bfs_ball
+    return build(spec, n, _layout(spec, n), budget)
+
+
+def _refuse(spec: GroupSpec, n: int, layout: _Layout, budget: int):
+    raise BudgetError(f"ball exceeds the vertex budget of {budget} vertices "
+                      f"(group {spec.label()}, radius {n}, {layout.words}-word keys)")
+
+
+def _lattice_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBall:
+    """B(n) of the hypercubic Z^d: the points of L1 norm <= n, whose count
+    is sum_k 2^k C(d, k) C(n, k) (Conway & Sloane, Proc. R. Soc. A 453,
+    1997), checked against the budget before anything is built."""
+    d, cap = spec.rank, budget // layout.words
+    if sum(2 ** k * comb(d, k) * comb(n, k) for k in range(min(d, n) + 1)) > cap:
+        _refuse(spec, n, layout, budget)
+    # a coordinate at a time, a partial row with norm `rest` left takes the values
+    # -rest..rest in turn: tuple order, which a stable sort by word length keeps
+    rest, values, parents = np.array([n]), [], []
+    for _ in range(d):
+        centre = np.cumsum(2 * rest + 1) - rest - 1     # of each row's run of values
+        parents.append(np.repeat(np.arange(len(rest)), 2 * rest + 1))
+        values.append(np.arange(len(parents[-1])) - centre[parents[-1]])
+        rest = rest[parents[-1]] - np.abs(values[-1])
+    at = np.argsort(-rest, kind="stable")
+    word_length = (n - rest[at]).astype(np.int32)
+    rows = np.empty((len(rest), d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):     # each column gathered once, last first
+        rows[:, j], at = values[j][at], parents[j][at]
+    keys = layout.keys(rows)
+    return _ball(spec, n, layout, keys, word_length, _neighbour_keys(spec, layout, keys))
+
+
+def _bfs_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBall:
+    """B(n) by BFS from the identity, a layer of element keys at a time.
+
+    The generator set is symmetric, so layer L's neighbours lie in layers
+    L - 1, L and L + 1, and the new layer is the distinct neighbour keys
+    minus those of the first two, put in the order of their tuples.  A
+    layer whose neighbours could pass the budget is built from chunks of
+    the frontier and refused as soon as its distinct new keys do.
+    """
     cap = budget // layout.words    # no more neighbour-key words than one-word balls
     keys = layout.keys(np.zeros((1, len(layout.lo)), dtype=np.int64))
     layers, neighbours, total = [keys], [], 1
@@ -574,9 +594,7 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
             fresh = sorted_unique(np.concatenate([fresh, neighbours[-1].ravel()]),
                                   older, current)
             if total + len(fresh) > cap:
-                raise BudgetError(
-                    f"ball exceeds the vertex budget of {budget} vertices "
-                    f"(group {spec.label()}, radius {n}, {layout.words}-word keys)")
+                _refuse(spec, n, layout, budget)
         total += len(fresh)
         older, current = current, fresh
         keys = _canonical(spec, layout, fresh)

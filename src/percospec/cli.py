@@ -228,9 +228,7 @@ def validate_config(raw: dict, subcommand: str) -> dict:
 def _torus_ids(group: cayley.GroupSpec) -> bool:
     """Whether ``spectra.free_ids_zd`` is the free IDS of the Cayley graph:
     Z^d with d <= 4 and the ±unit vectors, in any order, as generators."""
-    return group.kind == "free_abelian" and group.rank <= 4 \
-        and set(group.generators) == \
-        set(cayley.GroupSpec.free_abelian(group.rank).generators)
+    return group.is_hypercubic and group.rank <= 4
 
 
 def _line_site_fits(cfg: dict, group: cayley.GroupSpec) -> bool:

@@ -273,6 +273,56 @@ def test_enumerate_ball_matches_tuple_reference():
         assert ball.edges.tolist() == [list(e) for e in edges], (spec, radius)
 
 
+def _bfs_ball(spec, radius):
+    """Slow reference for the closed-form lattice balls: the BFS that
+    builds every other ball."""
+    return cayley._bfs_ball(spec, radius, cayley._layout(spec, radius),
+                            cayley.DEFAULT_VERTEX_BUDGET)
+
+
+def _shuffled_lattice(rng, d):
+    gens = list(GroupSpec.free_abelian(d).generators)
+    return GroupSpec.free_abelian(d, generators=[gens[i] for i in rng.permutation(2 * d)])
+
+
+def test_lattice_ball_matches_the_bfs():
+    rng = np.random.Generator(np.random.Philox(key=np.array([41, 0],
+                                                            dtype=np.uint64)))
+    cases = [(GroupSpec.free_abelian(d), 0) for d in (1, 2, 5)]
+    for _ in range(12):
+        d = int(rng.integers(1, 7))
+        radius = int(rng.integers(1, {1: 60, 2: 20, 3: 10, 4: 7, 5: 5, 6: 4}[d]))
+        cases.append((GroupSpec.free_abelian(d), radius))
+        cases.append((_shuffled_lattice(rng, d), radius))
+    # two- and three-word keys, and shuffled ones
+    cases += [(GroupSpec.free_abelian(28), 2), (GroupSpec.free_abelian(41), 2),
+              (_shuffled_lattice(rng, 28), 2), (_shuffled_lattice(rng, 60), 1)]
+    for spec, radius in cases:
+        assert spec.is_hypercubic
+        ball, ref = enumerate_ball(spec, radius), _bfs_ball(spec, radius)
+        assert ball.keys.dtype == ref.keys.dtype, (spec.rank, radius)
+        assert ball.keys.tobytes() == ref.keys.tobytes(), (spec.rank, radius)
+        assert ball.word_length.dtype == ref.word_length.dtype == np.int32
+        assert np.array_equal(ball.word_length, ref.word_length), (spec.rank, radius)
+        assert ball.edges.dtype == ref.edges.dtype
+        assert np.array_equal(ball.edges, ref.edges), (spec.rank, radius)
+
+
+@pytest.mark.parametrize("spec,hypercubic", [
+    (GroupSpec.free_abelian(1), True),
+    (GroupSpec.free_abelian(3, generators=[(0, 0, -1), (1, 0, 0), (0, 1, 0),
+                                           (0, -1, 0), (0, 0, 1), (-1, 0, 0)]), True),
+    (_DIGEST_SPECS["Z-pm1-pm2"], False),
+    (_DIGEST_SPECS["Z2-diagonal"], False),
+    (GroupSpec.free_abelian(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)]), False),
+    (GroupSpec.free_abelian(2, generators=[(1, 0), (-1, 0)]), False),
+    (GroupSpec.heisenberg(), False),
+    (GroupSpec.lamplighter(2), False),
+])
+def test_is_hypercubic(spec, hypercubic):
+    assert spec.is_hypercubic == hypercubic
+
+
 @pytest.mark.parametrize("name,radius", [("Z", 5), ("Z3", 2), ("heisenberg", 4),
                                          ("lamplighter2", 4), ("lamplighter5", 3)])
 def test_vertices_index_of_round_trip(name, radius):
@@ -311,13 +361,12 @@ def test_line_subgraph_outside_lamplighter_ball():
                                          ("lamplighter3", 5)])
 def test_ball_pickle_round_trip(name, radius):
     ball = enumerate_ball(_DIGEST_SPECS[name], radius)
-    ball.vertices, ball.adjacency_matrix()   # fill the caches
+    ball.vertices, ball.index_of(ball.vertices[-1])   # fill the caches
     back = pickle.loads(pickle.dumps(ball))
     assert back.vertices == ball.vertices
     assert np.array_equal(back.word_length, ball.word_length)
     assert np.array_equal(back.edges, ball.edges)
     assert back.index_of(ball.vertices[-1]) == len(ball) - 1
-    assert (back.adjacency_matrix() != ball.adjacency_matrix()).nnz == 0
 
 
 @pytest.mark.parametrize("make", [
@@ -352,15 +401,37 @@ def test_budget_is_the_ball_size(name, radius):
         enumerate_ball(spec, radius, budget=size - 1)
 
 
-@pytest.mark.parametrize("name,radius", [("Z2", 6), ("heisenberg", 5),
-                                         ("lamplighter3", 6)])
-def test_ball_built_in_chunks_is_the_same_ball(name, radius):
-    spec = _DIGEST_SPECS[name]
+_Z2_SHEARED = GroupSpec.free_abelian(2, generators=[(1, 0), (-1, 0), (1, 1), (-1, -1)])
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (_DIGEST_SPECS["Z2"], 6), (_Z2_SHEARED, 6), (_DIGEST_SPECS["heisenberg"], 5),
+    (_DIGEST_SPECS["lamplighter3"], 6)], ids=["Z2-6", "Z2-sheared-6", "heisenberg-5",
+                                              "lamplighter3-6"])
+def test_ball_built_in_chunks_is_the_same_ball(spec, radius):
     ball = enumerate_ball(spec, radius)
     # at this budget every layer that could cross it is built in chunks
     chunked = enumerate_ball(spec, radius, budget=len(ball))
     for field in ("rows", "word_length", "edges"):
         assert np.array_equal(getattr(chunked, field), getattr(ball, field))
+
+
+@pytest.mark.parametrize("rank,radius,budget,words", [
+    (1, 2001, 4002, 1), (2, 1000, None, 1), (3, 20, 11520, 1), (100, 3, None, 6)])
+def test_lattice_ball_over_the_budget_is_refused_before_it_is_built(
+        monkeypatch, rank, radius, budget, words):
+    # Z B(2001) has 4003 vertices, Z^2 B(1000) 2,002,001 and Z^3 B(20)
+    # 11,521; Z^100 B(3) has 1,353,601 on six-word keys
+    def no_build(*args):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(cayley, "_neighbour_keys", no_build)
+    monkeypatch.setattr(cayley, "_bfs_ball", no_build)
+    budget_text = budget or cayley.DEFAULT_VERTEX_BUDGET
+    with pytest.raises(BudgetError, match=rf"^ball exceeds the vertex budget of "
+                       rf"{budget_text} vertices \(group free_abelian:{rank}, "
+                       rf"radius {radius}, {words}-word keys\)$"):
+        enumerate_ball(GroupSpec.free_abelian(rank), radius, budget)
 
 
 def test_crossing_layer_is_refused_before_it_is_built(monkeypatch):
@@ -600,8 +671,9 @@ def test_line_in_lamplighter():
     els = [ball.vertices[i] for i in line.vertex_indices]
     assert els == [((), -1), ((), 0), ((), 1)]
     # all consecutive pairs adjacent in the Cayley graph
-    for (u, v) in line.edges:
-        assert ball.has_edge(int(u), int(v))
+    edges = set(map(tuple, ball.edges.tolist()))
+    for (u, v) in line.edges.tolist():
+        assert (min(u, v), max(u, v)) in edges
 
 
 def test_line_too_long():
@@ -1007,9 +1079,11 @@ def test_thicken_subgraph():
 # ---------------------------------------------------------------------------
 
 def _neighbor_lists(ball):
-    adj = ball.adjacency_matrix().tocsr()
-    return [adj.indices[adj.indptr[i]:adj.indptr[i + 1]]
-            for i in range(len(ball))]
+    neighbors = [[] for _ in range(len(ball))]
+    for u, v in ball.edges.tolist():
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    return [sorted(vs) for vs in neighbors]
 
 
 def bfs_is_bipartite_reference(ball):
@@ -1100,18 +1174,6 @@ def test_thicken_subgraph_matches_bfs_reference(name):
             assert np.array_equal(got.vertex_indices, ref.vertex_indices)
             assert np.array_equal(got.edges, ref.edges)
             assert got.induced
-
-
-@pytest.mark.parametrize("name", sorted(_QUERY_BALLS))
-def test_has_edge_matches_set_reference(name):
-    ball = _query_ball(name)
-    edges = {(int(u), int(v)) for u, v in ball.edges}
-    for u, v in edges:
-        assert ball.has_edge(u, v) and ball.has_edge(v, u)
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [23, len(ball)], dtype=np.uint64)))
-    for u, v in rng.integers(-1, len(ball) + 1, size=(300, 2)).tolist():
-        assert ball.has_edge(u, v) == ((min(u, v), max(u, v)) in edges)
 
 
 # ---------------------------------------------------------------------------
