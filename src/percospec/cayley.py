@@ -456,7 +456,7 @@ class CayleyBall:
     def __getstate__(self):
         # the decoded caches are rebuilt from the keys on first use
         return {key: value for key, value in self.__dict__.items()
-                if key not in ("rows", "vertices", "_lookup")}
+                if key not in ("rows", "vertices", "_lookup", "band_rank")}
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -465,6 +465,22 @@ class CayleyBall:
     @cached_property
     def vertices(self) -> tuple:
         return _decode(self.spec, self.layout, self.rows)
+
+    @cached_property
+    def band_rank(self) -> np.ndarray:
+        """Each vertex's place in the band order: by row sum, then by row.
+
+        On Z^d with the ±unit generators the row sum is the coordinate sum,
+        so every edge joins adjacent levels, and a level of the r-ball of
+        Z^2 holds at most r + 1 vertices; an operator over the ball orders
+        its band candidates by it (``spectra._band_eigenvalues``).  Ranks
+        restricted to a subset keep their order, so no subset is wider.
+        """
+        rows = self.rows
+        order = np.lexsort([*rows.T[::-1], rows.sum(axis=1)])
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return rank
 
     @cached_property
     def _lookup(self) -> tuple:

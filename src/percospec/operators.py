@@ -9,6 +9,7 @@ float64, so trace identities hold exactly.
 
 Operators are numpy CSR arrays built without scipy, labelled into components
 by ``cayley.connected_components``; the scipy ``.matrix`` is built on demand.
+Each builder records the ball it indexes as the operator's ``window``.
 """
 
 from __future__ import annotations
@@ -37,11 +38,14 @@ class LabeledOperator:
     float64, one entry per position, sorted columns, no stored zeros.  A
     ``matrix`` other than the builders' ``_CSR`` is kept if it is a canonical
     scipy ``csr_matrix``, else copied to one; ``matrix`` is built on first use.
+    ``window`` is the ball whose vertices ``index_set`` indexes, or None; its
+    ``band_rank`` orders the band solves (``spectra._band_eigenvalues``).
     """
 
-    def __init__(self, index_set, matrix, tag: str, k: int, bc: str | None = None):
+    def __init__(self, index_set, matrix, tag: str, k: int, bc: str | None = None,
+                 window: CayleyBall | None = None):
         self.index_set = np.asarray(index_set, dtype=np.int64)
-        self.tag, self.k, self.bc = tag, k, bc
+        self.tag, self.k, self.bc, self.window = tag, k, bc, window
         self._subgraph = None
         if not isinstance(matrix, _CSR):
             from scipy import sparse
@@ -155,7 +159,8 @@ def subgraph_laplacian(sub: FiniteSubgraph, bc: str,
     mat = _assemble(sub.size, sub.local_edges(),
                     _diag_for(bc, sub.parent.k, sub.degrees()))
     op = LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
-                         tag=tag or f"laplacian:{bc}", k=sub.parent.k, bc=bc)
+                         tag=tag or f"laplacian:{bc}", k=sub.parent.k, bc=bc,
+                         window=sub.parent)
     op._subgraph = sub
     return op
 
@@ -169,7 +174,8 @@ def free_laplacian(window: CayleyBall) -> LabeledOperator:
     """
     n = len(window)
     return LabeledOperator(index_set=np.arange(n), tag="free", k=window.k,
-                           bc=ADJACENCY, matrix=_assemble(n, window.edges, window.k))
+                           bc=ADJACENCY, matrix=_assemble(n, window.edges, window.k),
+                           window=window)
 
 
 def percolation_laplacian(sample: PercolationSample, bc: str) -> LabeledOperator:
@@ -182,7 +188,8 @@ def boundary_potential(sample: PercolationSample) -> LabeledOperator:
     sub = sample.subgraph()
     mat = _assemble(sub.size, (), sample.window.k - sub.degrees())
     return LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
-                           tag="boundary_potential", k=sample.window.k)
+                           tag="boundary_potential", k=sample.window.k,
+                           window=sample.window)
 
 
 def extend(op: LabeledOperator, window: CayleyBall, K: float,
@@ -206,7 +213,7 @@ def extend(op: LabeledOperator, window: CayleyBall, K: float,
                np.concatenate([op.data, np.full(len(deleted), float(K))]))
     return LabeledOperator(index_set=np.arange(n, dtype=np.int64), matrix=mat,
                            tag=f"extended:{op.bc or op.tag}:K={K:g}", k=op.k,
-                           bc=op.bc)
+                           bc=op.bc, window=window)
 
 
 def anderson(sample: PercolationSample, window: CayleyBall,
@@ -224,7 +231,8 @@ def anderson(sample: PercolationSample, window: CayleyBall,
     potential = window.k + (~sample.open_marks).astype(np.float64) * coupling
     return LabeledOperator(index_set=np.arange(n),
                            matrix=_assemble(n, window.edges, potential),
-                           tag=f"anderson:lambda={coupling:g}", k=window.k)
+                           tag=f"anderson:lambda={coupling:g}", k=window.k,
+                           window=window)
 
 
 def restrict(op: LabeledOperator, subset) -> LabeledOperator:
@@ -236,7 +244,8 @@ def restrict(op: LabeledOperator, subset) -> LabeledOperator:
     kept = (row >= 0) & (col >= 0)
     return LabeledOperator(index_set=subset,
                            matrix=_csr(len(subset), row[kept], col[kept], op.data[kept]),
-                           tag=f"restricted({op.tag})", k=op.k, bc=op.bc)
+                           tag=f"restricted({op.tag})", k=op.k, bc=op.bc,
+                           window=op.window)
 
 
 def bipartite_conjugate(op: LabeledOperator, coloring: np.ndarray) -> LabeledOperator:
@@ -255,13 +264,6 @@ def bipartite_conjugate(op: LabeledOperator, coloring: np.ndarray) -> LabeledOpe
         raise ValueError("coloring is not proper: adjacent vertices share a color")
     return LabeledOperator(index_set=op.index_set,
                            matrix=_CSR(op.indptr, op.indices, op.data * sign),
-                           tag=f"conjugated({op.tag})", k=op.k, bc=op.bc)
+                           tag=f"conjugated({op.tag})", k=op.k, bc=op.bc,
+                           window=op.window)
 
-
-def export_matrix(op: LabeledOperator, fh) -> None:
-    """Coordinate text format: header, then ``i j value`` for i <= j."""
-    fh.write(f"# n={op.dim} sym=1 tag={op.tag}\n")
-    # row-major, sorted columns: the canonical order
-    for r, c, v in zip(op.entry_rows, op.indices, op.data):
-        if r <= c:
-            fh.write(f"{r} {c} {v:.17g}\n")

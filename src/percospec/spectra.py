@@ -39,12 +39,15 @@ COUNT_TOL = 1e-9
 DENSE_CAP = 4000
 MIN_IDS_SAMPLES = 10
 
-# A component of at least _BAND_FLOOR vertices whose reverse Cuthill-McKee
-# bandwidth b satisfies size >= _BAND_RATIO * (b + 1) is solved in band form.
-# Band time over dense time, one BLAS thread: 0.45 on a 257-vertex Z
-# segment (b = 1), 0.81 on Z^2 B(16) (545 vertices, b = 33), 0.55 on Z^2
-# B(24); but 1.7 on Z^3 B(8) (size / (b + 1) = 5.7) and 4.0 on the
-# lamplighter B(5) of Z_3 wr Z (2.5), so those stay dense.
+# A component of at least _BAND_FLOOR vertices whose band width w (bandwidth
+# plus one) in its window's band order satisfies size >= _BAND_RATIO * w is
+# solved in band form.  Band time over dense time, one BLAS thread, on free
+# Laplacians: 0.32 on a 257-vertex Z segment (w = 2), 0.77 on Z^2 B(11) (265
+# vertices, w = 13), 0.65 on Z^2 B(16) (545, w = 18), 0.42 on Z^2 B(24)
+# (1201, w = 26); but 2.5 on the lamplighter B(5) of Z_3 wr Z (size / w =
+# 3.0), which stays dense.  The ratio was set on reverse Cuthill-McKee's
+# wider orders: Z^3 B(8) (size / w = 13.4) stays dense, though its band
+# solve would take 0.71 of the dense time.
 _BAND_FLOOR = 256
 _BAND_RATIO = 16
 
@@ -91,29 +94,31 @@ def eigenvalues_dense(op: LabeledOperator, dense_cap: int = DENSE_CAP,
                     kernel_dim=_kernel_count(vals, scale))
 
 
-def _band_eigenvalues(block) -> np.ndarray | None:
-    """Eigenvalues of one connected component's matrix in band form.
+def _band_eigenvalues(op: LabeledOperator, members: np.ndarray) -> np.ndarray | None:
+    """Eigenvalues of one connected component of ``op`` in band form.
 
-    Reorders the block by reverse Cuthill-McKee and solves the lower band
-    with ``eig_banded``; returns None, solving nothing, when the reordered
-    bandwidth is too wide for the band solve to beat a dense one.
+    Orders the component's ``members`` (positions in ``op``) by their
+    window's ``band_rank``, or by index on an operator without a window,
+    scatters the lower band straight from the CSR arrays and solves it with
+    ``eig_banded``; returns None, solving nothing, when that band is too
+    wide for the band solve to beat a dense one.
     """
     from scipy import linalg
-    from scipy.sparse import csgraph
 
-    n = block.shape[0]
-    perm = csgraph.reverse_cuthill_mckee(block, symmetric_mode=True)
-    rank = np.empty(n, dtype=np.int64)
-    rank[perm] = np.arange(n)
-    coo = block.tocoo()
-    row, col = rank[coo.row], rank[coo.col]
-    lower = row >= col
+    n = len(members)
+    if op.window is not None:
+        members = members[np.argsort(op.window.band_rank[op.index_set[members]])]
+    rank = np.full(op.dim, -1, dtype=np.int64)
+    rank[members] = np.arange(n)
+    row, col = rank[op.entry_rows], rank[op.indices]
+    # entries join members only to members, so col >= 0 keeps the component
+    lower = (row >= col) & (col >= 0)
     offset = row[lower] - col[lower]
     width = int(offset.max()) + 1
     if n < _BAND_RATIO * width:
         return None
     band = np.zeros((width, n))
-    band[offset, col[lower]] = coo.data[lower]
+    band[offset, col[lower]] = op.data[lower]
     return linalg.eig_banded(band, lower=True, eigvals_only=True,
                              check_finite=False)
 
@@ -123,16 +128,17 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
 
     Percolation operators decompose over clusters, so in the subcritical
     regime components stay small even when the window is large.  A
-    component of at least ``_BAND_FLOOR`` vertices that reverse
-    Cuthill-McKee narrows to a band of at most 1/``_BAND_RATIO`` of its
-    size (giant clusters on Z and Z^2) is solved in band form.  One pass
-    scatters the other components' stored entries into zero-filled dense
-    blocks, one ``(count, size, size)`` stack per component size, with each
-    vertex at its rank by index inside its component; the canonical form
-    stores each position once, so the scatter is a plain assignment.  Each
-    stack then takes one batched LAPACK call, and a size-1 component is
-    just its diagonal entry.  A component above ``dense_cap`` raises
-    :class:`BudgetError`, whichever solve it would take.
+    component of at least ``_BAND_FLOOR`` vertices whose members, ordered
+    by the window's ``band_rank``, form a band of at most 1/``_BAND_RATIO``
+    of its size (giant clusters on Z and Z^2) is solved in band form by
+    :func:`_band_eigenvalues`.  One pass scatters the other components'
+    stored entries into zero-filled dense blocks, one ``(count, size,
+    size)`` stack per component size, with each vertex at its rank by index
+    inside its component; the canonical form stores each position once, so
+    the scatter is a plain assignment.  Each stack then takes one batched
+    LAPACK call, and a size-1 component is just its diagonal entry.  A
+    component above ``dense_cap`` raises :class:`BudgetError`, whichever
+    solve it would take.
     """
     n = op.dim
     if n == 0:
@@ -146,11 +152,7 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     out = []
     dense = np.ones(ncomp, dtype=bool)  # components left for the dense solves
     for c in np.flatnonzero(sizes >= _BAND_FLOOR):
-        block = op.matrix
-        if ncomp > 1:
-            members = np.flatnonzero(labels == c)
-            block = block[members][:, members]
-        vals = _band_eigenvalues(block)
+        vals = _band_eigenvalues(op, np.flatnonzero(labels == c))
         if vals is not None:
             out.append(vals)
             dense[c] = False

@@ -380,9 +380,11 @@ def test_ball_pickle_round_trip(name, radius):
 ], ids=["packed", "two-word-keys", "tetrahedron"])
 def test_ball_pickle_keeps_the_layout_and_keys(make):
     ball = make()
-    rows = ball.rows
+    rows, band_rank = ball.rows, ball.band_rank
     back = pickle.loads(pickle.dumps(ball))
     assert "rows" not in back.__dict__     # decoded again on first use
+    assert "band_rank" not in back.__dict__
+    assert np.array_equal(back.band_rank, band_rank)
     for name in ("lo", "hi"):
         assert np.array_equal(getattr(back.layout, name),
                               getattr(ball.layout, name))
@@ -393,6 +395,39 @@ def test_ball_pickle_keeps_the_layout_and_keys(make):
     assert np.array_equal(back.rows, rows)
     assert back.vertices == ball.vertices
     assert back.find_rows(rows).tolist() == list(range(len(ball)))
+
+
+def _band_width(ball):
+    """Largest |rank(u) - rank(v)| + 1 over the ball's edges and vertices."""
+    rank = ball.band_rank
+    return int(np.abs(rank[ball.edges[:, 0]] - rank[ball.edges[:, 1]]).max(initial=0)) + 1
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(1), 7), (GroupSpec.free_abelian(2), 6),
+    (GroupSpec.free_abelian(3), 4), (_Z2_SHEARED, 5),
+    (GroupSpec.heisenberg(), 3), (GroupSpec.lamplighter(3), 4),
+], ids=["Z", "Z2", "Z3", "Z2-sheared", "heisenberg", "lamplighter3"])
+def test_band_rank_orders_by_row_sum_then_row(spec, radius):
+    ball = enumerate_ball(spec, radius)
+    rank = ball.band_rank
+    assert sorted(rank.tolist()) == list(range(len(ball)))
+    ordered = ball.rows[np.argsort(rank)]
+    keys = [(int(row.sum()), tuple(row.tolist())) for row in ordered]
+    assert keys == sorted(keys)
+
+
+def test_band_rank_grades_the_lattice_balls():
+    # the ±unit generators change the coordinate sum by one along every edge
+    for rank in (1, 2, 3, 4):
+        ball = enumerate_ball(GroupSpec.free_abelian(rank), 5)
+        level = ball.rows.sum(axis=1)
+        assert np.array_equal(np.abs(level[ball.edges[:, 0]] - level[ball.edges[:, 1]]),
+                              np.ones(len(ball.edges), dtype=np.int64))
+    assert _band_width(enumerate_ball(GroupSpec.free_abelian(1), 400)) == 2
+    for radius in (1, 2, 5, 11, 16, 24, 25):
+        # a level x + y = c of the diamond holds at most radius + 1 vertices
+        assert _band_width(enumerate_ball(GroupSpec.free_abelian(2), radius)) <= radius + 2
 
 
 @pytest.mark.parametrize("name,radius", [("Z", 4), ("Z2", 3), ("heisenberg", 3),

@@ -1226,7 +1226,7 @@ def _run_twice(tmp_path, subcommand, cfg_body, files):
         assert a == b, f"{name} differs between workers 1 and 8"
 
 
-def test_ids_byte_determinism_across_workers(tmp_path):
+def test_ids_byte_determinism_across_workers(tmp_path, monkeypatch):
     _run_twice(tmp_path, "ids",
                dict(group={"kind": "free_abelian", "rank": 1},
                     percolation={"kind": "site", "p": 0.5},
@@ -1237,6 +1237,32 @@ def test_ids_byte_determinism_across_workers(tmp_path):
                                              "points": 5}}),
                ["ids_neumann.csv", "ids_adjacency.csv",
                 "ids_neumann_bracket.csv", "ids_report.json"])
+    # Z^2 bond past p_c: giant clusters solved in band form, each worker
+    # ordering them by the band_rank of its own copy of the ball
+    banded = []
+    band = spectra._band_eigenvalues
+
+    def spy(op, members):
+        vals = band(op, members)
+        banded.append(vals is not None)
+        return vals
+
+    monkeypatch.setattr(spectra, "_band_eigenvalues", spy)
+    z2 = tmp_path / "z2"
+    z2.mkdir()
+    _run_twice(z2, "ids",
+               dict(group={"kind": "free_abelian", "rank": 2},
+                    percolation={"kind": "bond", "p": 0.6},
+                    window={"radius": 14},
+                    spectra={"boundary_conditions": ["neumann", "adjacency",
+                                                     "dirichlet"],
+                             "n_samples": 16,
+                             "energy_grid": {"min": 0.0, "max": 8.0,
+                                             "points": 33}}),
+               ["ids_neumann.csv", "ids_adjacency.csv", "ids_dirichlet.csv",
+                "ids_dirichlet_bracket.csv", "ids_report.json"])
+    # the workers=1 run solves in this process: a giant in every sample
+    assert len(banded) >= 16 and all(banded)
 
 
 # The ids output bytes are the reproducibility contract: these sums were

@@ -2,7 +2,7 @@
 
 The CLI, ball enumeration and an ids run whose clusters are small need
 numpy alone; scipy is loaded only by the calls that need LAPACK through
-it or reverse Cuthill-McKee.  ``import scipy`` itself, which the manifest
+it or its sparse matrices.  ``import scipy`` itself, which the manifest
 needs for its version, loads a few private modules and no subpackage;
 those are the baseline.
 """
@@ -69,12 +69,14 @@ def test_small_cluster_ids_run_loads_no_scipy_submodule(tmp_path):
 
 def test_band_path_loads_scipy_linalg_and_keeps_the_pinned_bytes(tmp_path):
     # the benchmark's Z^2 bond run past p_c at seed 0: its giant clusters
-    # take the band solve
+    # take the band solve, which needs no scipy.sparse
     entry = json.loads((_ROOT / "perfbench" / "digests.json").read_text())[
         "ids-z2-bond-super"]
     out = tmp_path / "o"
     cfg = {**entry["config"], "seed": 0, "workers": 1, "output_dir": str(out)}
-    assert "scipy.linalg" in scipy_modules_after(cli_run(tmp_path, "ids", cfg))
+    loaded = scipy_modules_after(cli_run(tmp_path, "ids", cfg))
+    assert "scipy.linalg" in loaded
+    assert not {m for m in loaded if m.split(".")[:2] == ["scipy", "sparse"]}
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in json.loads((out / "manifest.json").read_text())["outputs"]}
     assert got == entry["outputs"]["0"]

@@ -1,7 +1,5 @@
 """Operator assembly: closed forms, trace identities, orderings, symmetries."""
 
-import io
-
 import numpy as np
 import pytest
 from scipy import sparse
@@ -22,7 +20,6 @@ from percospec.operators import (
     anderson,
     bipartite_conjugate,
     boundary_potential,
-    export_matrix,
     extend,
     free_laplacian,
     percolation_laplacian,
@@ -306,6 +303,19 @@ def test_local_of_names_missing_index():
         empty.local_of([0])
 
 
+def test_every_builder_carries_its_window(z2_ball):
+    s = sample(PercolationModel("site", 0.5, 5), z2_ball, 0)
+    op = percolation_laplacian(s, NEUMANN)
+    ops = [op, subgraph_laplacian(induced_subgraph(z2_ball, [0, 1, 2]), ADJACENCY),
+           free_laplacian(z2_ball), boundary_potential(s), anderson(s, z2_ball, 1.0),
+           extend(op, z2_ball, 10.0), restrict(op, op.index_set[:5]),
+           bipartite_conjugate(op, is_bipartite(z2_ball).coloring)]
+    assert all(o.window is z2_ball for o in ops)
+    bare = LabeledOperator(index_set=[0, 1], matrix=sparse.eye(2, format="csr"),
+                           tag="synthetic", k=4)
+    assert bare.window is None and restrict(bare, [1]).window is None
+
+
 # ---------------------------------------------------------------------------
 # bipartite conjugation
 # ---------------------------------------------------------------------------
@@ -386,20 +396,6 @@ def test_anderson_band_gap_on_z():
         ev = np.linalg.eigvalsh(anderson(s, ball, lam).to_dense())
         in_gap = (ev > 4 + eps) & (ev < lam - eps)
         assert not np.any(in_gap)
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def test_matrix_export(z_ball):
-    s = make_site_sample(z_ball, [(0,), (1,)])
-    op = percolation_laplacian(s, ADJACENCY)
-    buf = io.StringIO()
-    export_matrix(op, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# n=2 sym=1 tag=perc:adjacency"
-    assert lines[1:] == ["0 0 2", "0 1 -1", "1 1 2"]
 
 
 # ---------------------------------------------------------------------------

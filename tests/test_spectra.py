@@ -320,7 +320,7 @@ def _shuffled(op, rng):
     perm = rng.permutation(op.dim)
     return LabeledOperator(index_set=op.index_set[perm],
                            matrix=op.matrix[perm][:, perm], tag="shuffled",
-                           k=op.k, bc=op.bc)
+                           k=op.k, bc=op.bc, window=op.window)
 
 
 def _band_spy(monkeypatch):
@@ -328,9 +328,9 @@ def _band_spy(monkeypatch):
     attempts = []
     band = spectra._band_eigenvalues
 
-    def spy(block):
-        vals = band(block)
-        attempts.append((block.shape[0], vals is not None))
+    def spy(op, members):
+        vals = band(op, members)
+        attempts.append((len(members), vals is not None))
         return vals
 
     monkeypatch.setattr(spectra, "_band_eigenvalues", spy)
@@ -352,6 +352,22 @@ def _giant_operators(rng):
             yield restrict(op, op.index_set[op.index_set < inner])
 
 
+def _assert_matches_a_dense_solve(vals, op):
+    """Eigenvalues within 1e-12 ||H|| of a dense solve, and the same counts
+    on a 1/8 grid, at integer eigenvalues and in the kernel; returns the
+    number of integer eigenvalues checked."""
+    grid = np.arange(-4, 8 * 8 + 5) / 8
+    dense = np.linalg.eigvalsh(op.to_dense())
+    scale = op.inf_norm()
+    assert np.abs(vals - dense).max() <= 1e-12 * max(1.0, scale)
+    integers = np.unique(np.round(dense[np.abs(dense - np.round(dense)) < 1e-9]))
+    shifts = np.concatenate([grid, integers])
+    assert np.array_equal(spectra._counts(vals, shifts),
+                          spectra._counts(dense, shifts))
+    assert spectra._kernel_count(vals, scale) == spectra._kernel_count(dense, scale)
+    return len(integers)
+
+
 def test_band_path_matches_a_dense_solve(monkeypatch):
     """Giant Z and Z^2 clusters, in shuffled vertex order, solved in band
     form: eigenvalues within 1e-12 ||H|| of a dense solve, and the same
@@ -359,7 +375,6 @@ def test_band_path_matches_a_dense_solve(monkeypatch):
     rng = np.random.Generator(np.random.Philox(key=np.array([71, 0],
                                                             dtype=np.uint64)))
     attempts = _band_spy(monkeypatch)
-    grid = np.arange(-4, 8 * 8 + 5) / 8
     on_eigenvalue = 0
     banded_ranks = set()
     for op in _giant_operators(rng):
@@ -369,20 +384,71 @@ def test_band_path_matches_a_dense_solve(monkeypatch):
         assert attempts[before:]  # a component above the floor
         if any(banded for _, banded in attempts[before:]):
             banded_ranks.add(op.k // 2)  # k = 2 * rank on Z^d
-        dense = np.linalg.eigvalsh(o.to_dense())
-        scale = o.inf_norm()
-        assert np.abs(vals - dense).max() <= 1e-12 * max(1.0, scale)
-        integers = np.unique(np.round(dense[np.abs(dense - np.round(dense))
-                                            < 1e-9]))
-        on_eigenvalue += len(integers)
-        shifts = np.concatenate([grid, integers])
-        assert np.array_equal(spectra._counts(vals, shifts),
-                              spectra._counts(dense, shifts))
-        assert spectra._kernel_count(vals, scale) == \
-            spectra._kernel_count(dense, scale)
+        on_eigenvalue += _assert_matches_a_dense_solve(vals, o)
     assert on_eigenvalue
     assert banded_ranks == {1, 2}
     assert sum(banded for _, banded in attempts) > len(attempts) / 2
+
+
+def _component_width(op, members):
+    """Band width of the members ranked among themselves in their window's
+    band order."""
+    rank = np.full(op.dim, -1)
+    rank[members[np.argsort(op.window.band_rank[op.index_set[members]])]] = \
+        np.arange(len(members))
+    row, col = rank[op.entry_rows], rank[op.indices]
+    inside = (row >= 0) & (col >= 0)
+    return int(np.abs(row[inside] - col[inside]).max()) + 1
+
+
+def test_giant_components_inherit_the_ball_width(monkeypatch):
+    """Every Z^2 component above the band floor, of random bond p = 0.6 and
+    site p = 0.8 samples and their window compressions, is no wider in the
+    ball's band order than the ball, and is solved in band form unless the
+    band ratio sends it dense: from 16 * 26 = 416 vertices on, it never
+    does."""
+    attempts = _band_spy(monkeypatch)
+    ball = enumerate_ball(GroupSpec.free_abelian(2), 24)
+    ball_width = _component_width(free_laplacian(ball), np.arange(len(ball)))
+    assert ball_width <= 26
+    inner = ball.volume(23)
+    giants = 0
+    for kind, p in (("bond", 0.6), ("site", 0.8)):
+        for i in range(3):
+            s = sample(PercolationModel(kind, p, 2024 + i), ball, i)
+            for bc in (NEUMANN, ADJACENCY, DIRICHLET):
+                op = percolation_laplacian(s, bc)
+                for o in (op, restrict(op, op.index_set[op.index_set < inner])):
+                    assert o.window is ball
+                    _, labels = o.components()
+                    before = len(attempts)
+                    block_eigenvalues(o)
+                    sizes = np.bincount(labels)
+                    big = np.flatnonzero(sizes >= spectra._BAND_FLOOR)
+                    widths = [_component_width(o, np.flatnonzero(labels == c))
+                              for c in big]
+                    assert max(widths, default=0) <= ball_width
+                    assert attempts[before:] == [
+                        (int(sizes[c]), sizes[c] >= spectra._BAND_RATIO * w)
+                        for c, w in zip(big, widths)]
+                    giants += len(big)
+    assert giants >= 30
+
+
+def test_band_order_comes_from_the_window(monkeypatch):
+    """A shuffled Z segment is narrow in its window's band order and wide in
+    index order: with its window it takes the band solve, without it stays
+    dense."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([73, 0],
+                                                            dtype=np.uint64)))
+    attempts = _band_spy(monkeypatch)
+    o = _shuffled(free_laplacian(enumerate_ball(GroupSpec.free_abelian(1), 200)), rng)
+    bare = LabeledOperator(index_set=o.index_set, matrix=o.matrix, tag="bare",
+                           k=o.k, bc=o.bc)
+    assert bare.window is None
+    _assert_matches_a_dense_solve(block_eigenvalues(o), o)
+    assert np.array_equal(block_eigenvalues(bare), np.sort(linalg.eigvalsh(o.to_dense())))
+    assert attempts == [(401, True), (401, False)]
 
 
 def test_band_path_leaves_the_dense_components_bit_identical(monkeypatch):
@@ -410,10 +476,9 @@ def test_band_path_leaves_the_dense_components_bit_identical(monkeypatch):
 
 @pytest.mark.parametrize("spec,radius", [
     (GroupSpec.free_abelian(1), 127),   # 255 vertices: below the floor
-    (GroupSpec.free_abelian(2), 11),    # 265 vertices, bandwidth 23
-    (GroupSpec.free_abelian(3), 8),     # 833 vertices, bandwidth 145
-    (GroupSpec.lamplighter(3), 5),      # 1155 vertices, bandwidth 471
-], ids=["Z1-B127", "Z2-B11", "Z3-B8", "lamplighter3-B5"])
+    (GroupSpec.free_abelian(3), 8),     # 833 vertices, width 62
+    (GroupSpec.lamplighter(3), 5),      # 1155 vertices, width 384
+], ids=["Z1-B127", "Z3-B8", "lamplighter3-B5"])
 def test_wide_or_small_components_stay_dense(monkeypatch, spec, radius):
     attempts = _band_spy(monkeypatch)
     op = free_laplacian(enumerate_ball(spec, radius))
@@ -421,6 +486,17 @@ def test_wide_or_small_components_stay_dense(monkeypatch, spec, radius):
                           np.sort(linalg.eigvalsh(op.to_dense())))
     assert not any(banded for _, banded in attempts)
     assert attempts == ([] if op.dim < spectra._BAND_FLOOR else [(op.dim, False)])
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (GroupSpec.free_abelian(1), 128),   # 257 vertices, width 2
+    (GroupSpec.free_abelian(2), 11),    # 265 vertices, width 13
+], ids=["Z1-B128", "Z2-B11"])
+def test_narrow_components_take_the_band_solve(monkeypatch, spec, radius):
+    attempts = _band_spy(monkeypatch)
+    op = free_laplacian(enumerate_ball(spec, radius))
+    _assert_matches_a_dense_solve(block_eigenvalues(op), op)
+    assert attempts == [(op.dim, True)]
 
 
 def test_count_below_counts_eigenvalue_on_the_shift():
