@@ -36,7 +36,6 @@ from .percolation import (
     sample,
 )
 from .spectra import (
-    CountingFunction,
     IDSEstimate,
     Spectrum,
     count_below,
@@ -54,7 +53,7 @@ __all__ = [
     "ADJACENCY", "DIRICHLET", "NEUMANN",
     "CayleyBall", "FiniteSubgraph", "GroupSpec", "GrowthProfile",
     "LabeledOperator", "PercolationModel", "PercolationSample",
-    "CountingFunction", "IDSEstimate", "Spectrum",
+    "IDSEstimate", "Spectrum",
     "enumerate_ball", "growth_profile", "induced_subgraph",
     "inner_vertex_boundary", "is_bipartite", "line_subgraph", "tetrahedron",
     "anderson", "bipartite_conjugate", "boundary_potential", "extend",

@@ -138,23 +138,6 @@ def fit_lifshitz(energies, values, shift, e_range=(0.005, 0.2)) -> ExponentFit:
                        (float(e[mask].min()), float(e[mask].max())))
 
 
-def double_log_ratio(values_a, values_b) -> np.ndarray:
-    """Diagnostic ratio ln ln |ln a| / ln |ln b| where both are defined.
-
-    Compares how fast two IDS curves vanish; exposed as a diagnostic only,
-    with NaN wherever the iterated logarithms do not exist.
-    """
-    a = np.asarray(values_a, dtype=np.float64)
-    b = np.asarray(values_b, dtype=np.float64)
-    out = np.full(a.shape, np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        la = np.abs(np.log(a))
-        lb = np.abs(np.log(b))
-        ok = (a > 0) & (a < 1) & (b > 0) & (b < 1) & (la > 1) & (lb > 1)
-        out[ok] = np.log(np.log(la[ok])) / np.log(lb[ok])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # two-sided envelope
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ The lower bounds tie the lowest (nonzero) eigenvalue of a finite connected
 subgraph to its volume: lambda^A * phi(|G'|)^2 >= alpha and
 lambda^N * |G'|^2 >= alpha_N.  The upper bounds come from explicit test
 vectors: a radially decaying vector certifies
-lambda^D(B(n)) <= gamma * V(n) / (n^2 V(n//2)), and the linear vector on a
-path certifies lambda^N(L_n) <= gamma_N / n^2.
+lambda^D(B(n)) <= gamma * V(n) / (n^2 V(n//2)).
 """
 
 from __future__ import annotations
@@ -31,10 +30,6 @@ from .spectra import lowest_nonzero
 # how far a computed eigenvalue may sit from the value a check expects
 _TOL = 1e-8
 
-DIRICHLET_RADIAL = "dirichlet_radial"
-NEUMANN_LINEAR = "neumann_linear"
-CUSTOM = "custom"
-
 
 @dataclass(eq=False)
 class TestFunction:
@@ -42,7 +37,6 @@ class TestFunction:
 
     subgraph: FiniteSubgraph
     values: np.ndarray
-    kind: str
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -61,14 +55,7 @@ def dirichlet_radial(ball: CayleyBall, n: int) -> TestFunction:
     wl = ball.word_length[sub.vertex_indices]
     half = int(np.ceil(n / 2))
     values = np.minimum(n - wl, half).astype(np.float64)
-    return TestFunction(subgraph=sub, values=values, kind=DIRICHLET_RADIAL)
-
-
-def neumann_linear(path: FiniteSubgraph) -> TestFunction:
-    """Linear vector along a path: (-n+1)/2, ..., (n-1)/2 in path order."""
-    n = path.size
-    values = np.arange(n, dtype=np.float64) - (n - 1) / 2.0
-    return TestFunction(subgraph=path, values=values, kind=NEUMANN_LINEAR)
+    return TestFunction(subgraph=sub, values=values)
 
 
 def rayleigh(op: LabeledOperator, test: TestFunction) -> float:
@@ -165,10 +152,10 @@ def upper_bound_check_dirichlet(ball: CayleyBall, n_range) -> BoundFit:
     ns = sorted(int(n) for n in n_range)
     per_member = []
     for n in ns:
-        sub = induced_subgraph(ball, ball.ball_indices(n))
-        op = subgraph_laplacian(sub, DIRICHLET)
+        phi = dirichlet_radial(ball, n)
+        op = subgraph_laplacian(phi.subgraph, DIRICHLET)
         lam = lowest_nonzero(op)
-        ray = rayleigh(op, dirichlet_radial(ball, n))
+        ray = rayleigh(op, phi)
         if ray < lam - 1e-10:
             raise OracleViolationError(
                 f"Rayleigh certificate below the smallest eigenvalue at n={n}")

@@ -297,16 +297,26 @@ class _Layout:
 
 
 def _layout(spec: GroupSpec, n: int) -> _Layout:
-    """Column bounds covering B(n + 1): edges look up every neighbour of B(n)."""
+    """Column bounds covering B(n + 1): edges look up every neighbour of B(n).
+    A column spanning 2^63 values or more, past the int64 range of a key
+    word, raises :class:`BudgetError` before anything is allocated."""
     t = n + 1
+    if spec.kind == LAMPLIGHTER:    # the walker's reach; lamps span m values
+        reach = [max(abs(x) for _, x in spec.generators)]
+    else:
+        reach = [max(map(abs, column)) for column in zip(*spec.generators)]
+    if spec.kind == HEISENBERG:
+        # b gains b_g + a * c_g per step, with |a| <= t * max|a_g|
+        a, b, c = reach
+        reach = [a, b + t * a * c, c]
+    span = 2 * t * max(reach) + 1     # in Python ints, which do not overflow
+    if span >= 2 ** 63:
+        raise BudgetError(f"B({n}) of {spec.label()} spans {span} values in a "
+                          f"column, past the int64 range of a key word (2^63)")
     if spec.kind != LAMPLIGHTER:
-        reach = np.abs(np.array(spec.generators, dtype=np.int64)).max(axis=0)
-        if spec.kind == HEISENBERG:
-            # b gains b_g + a * c_g per step, with |a| <= t * max|a_g|
-            a, b, c = reach
-            reach = np.array([a, b + t * a * c, c])
+        reach = np.array(reach, dtype=np.int64)
         return _Layout(lo=-t * reach, hi=t * reach)
-    shift = max(abs(x) for _, x in spec.generators)
+    shift = reach[0]
     pos = [p for lamps, _ in spec.generators for p, _ in lamps] or [0]
     # lamps are lit at x + p by the first t steps, while |x| <= (t - 1) shift
     first = min(pos) - (t - 1) * shift
@@ -926,21 +936,6 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
                           edges=parent.edges, induced=True)
 
 
-def thicken_subgraph(sub: FiniteSubgraph, radius: int) -> FiniteSubgraph:
-    """Union of parent-ball balls of the given radius around each vertex,
-    as an induced subgraph.  Used to reconnect vertex sets under alternative
-    generator choices; the radius is caller supplied, never auto-tuned.
-    """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    edges = sub.parent.edges
-    reached = np.zeros(len(sub.parent), dtype=bool)
-    reached[sub.vertex_indices] = True
-    for _ in range(radius):
-        reached[edges[reached[edges[:, 0]] | reached[edges[:, 1]]]] = True
-    return induced_subgraph(sub.parent, np.flatnonzero(reached))
-
-
 def inner_vertex_boundary(sub: FiniteSubgraph) -> np.ndarray:
     """Vertices of the subgraph with fewer subgraph neighbors than the full
     Cayley degree k, i.e. those seeing at least one outside neighbor in the
@@ -995,14 +990,3 @@ def _odd_cycle(u: int, v: int, parent: np.ndarray, depth: np.ndarray) -> list:
         a = int(parent[a]); path_u.append(a)
         b = int(parent[b]); path_v.append(b)
     return path_u[:-1] + path_v[::-1]
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def export_edge_list(ball: CayleyBall, fh) -> None:
-    """Write the edge-list text format: header, then ``u v`` with u < v."""
-    fh.write(f"# group={ball.spec.label()} n={ball.radius} k={ball.k}\n")
-    for u, v in ball.edges:
-        fh.write(f"{u} {v}\n")

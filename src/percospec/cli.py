@@ -718,6 +718,8 @@ def main(argv=None) -> int:
         code, message = 1, f"validation error: {err}"
     except BudgetError as err:
         code, message = 2, f"resource budget exceeded: {err}"
+    except MemoryError:
+        code, message = 2, "resource budget exceeded: out of memory"
     except OracleViolationError as err:
         code, message = 3, f"oracle violation: {err}"
     except Exception as err:  # noqa: BLE001

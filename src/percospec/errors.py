@@ -2,7 +2,9 @@
 
 
 class BudgetError(RuntimeError):
-    """A configured resource cap (vertex budget, dense eigensolver cap) was hit."""
+    """A resource cap was hit: the vertex budget, the dense eigensolver cap or
+    the int64 range of a ball's key words (a column spanning 2^63 values).
+    The CLI maps it, and a failed allocation's ``MemoryError``, to exit 2."""
 
 
 class OracleViolationError(RuntimeError):

@@ -54,10 +54,6 @@ class PercolationSample:
     open_marks: np.ndarray
     sample_index: int
 
-    @property
-    def n_items(self) -> int:
-        return len(self.open_marks)
-
     def active_vertices(self) -> np.ndarray:
         """Window indices of the active vertex set V(omega), sorted.
 
@@ -226,54 +222,8 @@ def deleted_density_expected(model: PercolationModel, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# critical-parameter bracketing
-# ---------------------------------------------------------------------------
-
-def _touch_fraction(kind, p, seed, window, n_samples):
-    model = PercolationModel(kind, p, seed)
-    hits = 0
-    for j in range(n_samples):
-        dec = decompose(sample(model, window, j))
-        if dec.origin_touches_boundary:
-            hits += 1
-    return hits / n_samples
-
-
-def critical_bracket(kind: str, window: CayleyBall, seed: int,
-                     n_samples: int = 200, threshold: float = 0.05,
-                     iterations: int = 10) -> tuple:
-    """Bracket the critical parameter by bisection on the probability that the
-    origin cluster touches the window boundary.
-
-    Every step reuses samples 0 .. n_samples - 1, so by the monotone
-    coupling the touch fraction is non-decreasing in p and the bisection
-    brackets its one crossing.  Returns (lo, hi): at lo the touch fraction
-    stays below ``threshold``, at hi it does not.  This is a desk-scale
-    estimate; experiments that need a subcritical parameter should use
-    p <= 0.8 * lo.
-    """
-    lo, hi = 0.0, 1.0
-    for _ in range(iterations):
-        mid = 0.5 * (lo + hi)
-        frac = _touch_fraction(kind, mid, seed, window, n_samples)
-        if frac < threshold:
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
-
-def export_sample(sample: PercolationSample, fh) -> None:
-    """Header line, then the open item indices, one per line."""
-    m = sample.model
-    fh.write(f"# model={m.kind} p={m.p:.17g} seed={m.seed} index={sample.sample_index}\n")
-    for j in np.flatnonzero(sample.open_marks):
-        fh.write(f"{j}\n")
-
 
 def export_cluster_stats(stats: ClusterStats, fh) -> None:
     fh.write("n,tail,stderr\n")

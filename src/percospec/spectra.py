@@ -1,4 +1,4 @@
-"""Eigenvalues, counting functions, and the windowed IDS estimator.
+"""Eigenvalues, eigenvalue counts, and the windowed IDS estimator.
 
 Counting is right continuous: ``count(E)`` is the number of eigenvalues
 lambda <= E + count_tol.  Kernel membership uses |lambda| <= kernel_tol
@@ -229,29 +229,6 @@ def lowest_nonzero(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> float:
     if not len(above):
         raise DegenerateSpectrumError("all eigenvalues lie in the kernel")
     return float(above[0])
-
-
-@dataclass
-class CountingFunction:
-    """Right-continuous normalized eigenvalue counting step function."""
-
-    jump_locations: np.ndarray
-    cumulative: np.ndarray
-    normalization: float
-
-    @classmethod
-    def from_eigenvalues(cls, eigenvalues, normalization: float) -> "CountingFunction":
-        vals = np.sort(np.asarray(eigenvalues, dtype=np.float64))
-        locs, counts = np.unique(vals, return_counts=True)
-        return cls(jump_locations=locs, cumulative=np.cumsum(counts),
-                   normalization=float(normalization))
-
-    def counts(self, energies) -> np.ndarray:
-        padded = np.concatenate([[0], self.cumulative])
-        return padded[_counts(self.jump_locations, energies)]
-
-    def __call__(self, energies) -> np.ndarray:
-        return self.counts(energies) / self.normalization
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from percospec.asymptotics import (
-    double_log_ratio,
     fit_growth,
     fit_lifshitz,
     fit_van_hove,
@@ -123,17 +122,6 @@ def test_neumann_lifshitz_slope_moves_toward_half_as_range_shrinks():
     wide = fit_lifshitz(e, values, shift=p * (1 - p), e_range=(0.05, 0.2))
     narrow = fit_lifshitz(e, values, shift=p * (1 - p), e_range=(0.002, 0.05))
     assert abs(narrow.slope - 0.5) < abs(wide.slope - 0.5)
-
-
-def test_double_log_ratio_diagnostic():
-    # doubly exponential numerator against stretched-exponential denominator
-    # with matching rates gives ratio exactly 1
-    e = np.geomspace(0.05, 0.5, 10)
-    ratio = double_log_ratio(np.exp(-np.exp(1 / np.sqrt(e))),
-                             np.exp(-1 / np.sqrt(e)))
-    assert np.allclose(ratio, 1.0, atol=1e-12)
-    with_nan = double_log_ratio(np.zeros(3), np.full(3, 0.5))
-    assert np.all(np.isnan(with_nan))
 
 
 # ---------------------------------------------------------------------------

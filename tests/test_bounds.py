@@ -24,7 +24,6 @@ from percospec.bounds import (
     dirichlet_radial,
     lower_bound_check_adjacency,
     lower_bound_check_neumann,
-    neumann_linear,
     rayleigh,
     sandwich_inputs,
     tetrahedron_checks,
@@ -54,10 +53,7 @@ def test_neumann_linear_on_l3_is_sharp():
     ball = enumerate_ball(GroupSpec.free_abelian(1), 4)
     path = line_subgraph(ball, 3)
     op = subgraph_laplacian(path, NEUMANN)
-    phi = neumann_linear(path)
-    assert phi.values.tolist() == [-1.0, 0.0, 1.0]
-    assert phi.values.sum() == 0.0
-    val = rayleigh(op, phi)
+    val = rayleigh(op, bounds.TestFunction(path, [-1, 0, 1]))
     assert val == pytest.approx(1.0, abs=1e-12)
     assert val == pytest.approx(lowest_nonzero(op), abs=1e-12)
 
@@ -76,8 +72,7 @@ def test_constant_vector_rejected_for_neumann():
     ball = enumerate_ball(GroupSpec.free_abelian(1), 4)
     path = line_subgraph(ball, 4)
     op = subgraph_laplacian(path, NEUMANN)
-    from percospec.bounds import CUSTOM, TestFunction
-    const = TestFunction(subgraph=path, values=np.ones(4), kind=CUSTOM)
+    const = bounds.TestFunction(subgraph=path, values=np.ones(4))
     with pytest.raises(DegenerateSpectrumError):
         rayleigh(op, const)
 
@@ -85,13 +80,11 @@ def test_constant_vector_rejected_for_neumann():
 def test_rayleigh_upper_bounds_lowest_eigenvalue():
     ball = enumerate_ball(GroupSpec.free_abelian(2), 6)
     rng = np.random.Generator(np.random.Philox(key=np.array([2, 0], dtype=np.uint64)))
-    from percospec.bounds import CUSTOM, TestFunction
     for n in (2, 3, 4):
         sub = induced_subgraph(ball, ball.ball_indices(n))
         for bc in (ADJACENCY, DIRICHLET, NEUMANN):
             op = subgraph_laplacian(sub, bc)
-            phi = TestFunction(subgraph=sub, values=rng.normal(size=sub.size),
-                               kind=CUSTOM)
+            phi = bounds.TestFunction(subgraph=sub, values=rng.normal(size=sub.size))
             assert rayleigh(op, phi) >= lowest_nonzero(op) - 1e-10
 
 

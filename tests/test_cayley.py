@@ -1,7 +1,6 @@
 """Ball enumeration, growth tables, special subgraphs, bipartiteness."""
 
 import hashlib
-import io
 import itertools
 import pickle
 from collections import deque
@@ -16,7 +15,6 @@ from percospec.cayley import (
     FiniteSubgraph,
     GroupSpec,
     enumerate_ball,
-    export_edge_list,
     growth_profile,
     identity_element,
     induced_subgraph,
@@ -26,7 +24,6 @@ from percospec.cayley import (
     line_subgraph,
     multiply,
     tetrahedron,
-    thicken_subgraph,
 )
 from percospec.errors import BudgetError
 
@@ -121,6 +118,24 @@ def test_interior_regularity():
 def test_vertex_budget_error():
     with pytest.raises(BudgetError, match="17"):
         enumerate_ball(GroupSpec.free_abelian(2), 4, budget=17)
+
+
+def _z_spec(step):
+    return GroupSpec.free_abelian(1, generators=[(step,), (-step,)])
+
+
+def test_column_span_past_int64_is_refused():
+    # B(9) covers -9 * 2^59 .. 9 * 2^59: 9 * 2^60 + 1 values, past 2^63
+    with pytest.raises(BudgetError, match="int64 range"):
+        enumerate_ball(_z_spec(2 ** 59), 8)
+
+
+def test_column_span_under_int64_builds():
+    ball = enumerate_ball(_z_spec(2 ** 58), 8)
+    assert len(ball) == 17
+    assert ball.vertices[0] == (0,)
+    assert sorted(ball.rows[:, 0].tolist()) == [j * 2 ** 58 for j in range(-8, 9)]
+    assert ball.index_of((8 * 2 ** 58,)) == len(ball) - 1
 
 
 def test_ball_prefix_property():
@@ -1102,14 +1117,6 @@ def test_boundary_of_full_window():
     assert all(ball.word_length[i] == 3 for i in bd)
 
 
-def test_thicken_subgraph():
-    ball = enumerate_ball(GroupSpec.lamplighter(2), 5)
-    tet = induced_subgraph(ball, ball.find_vertices(tetrahedron(2, 2).parent))
-    fat = thicken_subgraph(tet, 1)
-    assert set(tet.vertex_indices.tolist()) <= set(fat.vertex_indices.tolist())
-    assert fat.connected
-
-
 # ---------------------------------------------------------------------------
 # graph queries against neighbor-list references
 # ---------------------------------------------------------------------------
@@ -1137,22 +1144,6 @@ def bfs_is_bipartite_reference(ball):
             elif color[v] == color[u]:
                 return None
     return color
-
-
-def bfs_thicken_reference(sub, radius):
-    neighbors = _neighbor_lists(sub.parent)
-    reached = set(sub.vertex_indices.tolist())
-    frontier = list(reached)
-    for _ in range(radius):
-        nxt = []
-        for u in frontier:
-            for v in neighbors[u]:
-                v = int(v)
-                if v not in reached:
-                    reached.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return induced_subgraph(sub.parent, sorted(reached))
 
 
 _QUERY_BALLS = {
@@ -1197,21 +1188,6 @@ def test_is_bipartite_matches_bfs_reference(name):
         assert res.odd_cycle is None
 
 
-@pytest.mark.parametrize("name", sorted(_QUERY_BALLS))
-def test_thicken_subgraph_matches_bfs_reference(name):
-    ball = _query_ball(name)
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [17, len(ball)], dtype=np.uint64)))
-    tenth = rng.choice(len(ball), size=max(1, len(ball) // 10), replace=False)
-    for sub in (induced_subgraph(ball, [0]), induced_subgraph(ball, tenth)):
-        for radius in range(4):
-            got = thicken_subgraph(sub, radius)
-            ref = bfs_thicken_reference(sub, radius)
-            assert np.array_equal(got.vertex_indices, ref.vertex_indices)
-            assert np.array_equal(got.edges, ref.edges)
-            assert got.induced
-
-
 # ---------------------------------------------------------------------------
 # bipartiteness
 # ---------------------------------------------------------------------------
@@ -1240,18 +1216,3 @@ def test_z_with_doubled_generators_not_bipartite():
     assert not res.bipartite
     assert_odd_closed_walk(ball, res.odd_cycle)
 
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def test_edge_list_export():
-    ball = enumerate_ball(GroupSpec.free_abelian(1), 2)
-    buf = io.StringIO()
-    export_edge_list(ball, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# group=free_abelian:1 n=2 k=2"
-    assert len(lines) == 1 + len(ball.edges)
-    for ln in lines[1:]:
-        u, v = map(int, ln.split())
-        assert u < v

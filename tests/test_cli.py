@@ -1170,6 +1170,34 @@ def test_multi_word_balls_run_in_bounded_memory(tmp_path, rank, peak_mb):
     assert peak_mb is None or peak_kib < peak_mb * 1024
 
 
+_Z = {"kind": "free_abelian", "rank": 1}
+_HUGE_GRID = {"n_samples": 10, "energy_grid": {"min": 0.0, "max": 4.0,
+                                               "points": 10 ** 12}}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the child")
+@pytest.mark.parametrize("subcommand,extra", [
+    # key digits past int64: V(8) came out 16, or a non-finite growth fit
+    ("growth", {"group": {**_Z, "generators": [[2 ** 60], [-2 ** 60]]},
+                "window": {"radius": 8}}),
+    ("ids", {"group": _Z, "percolation": _SITE, "window": {"radius": 10 ** 19},
+             "spectra": {"n_samples": 10, "energy_grid": {"values": [1.0]}}}),
+    ("bounds", {"group": _Z, "fits": {"dirichlet_n_max": 10 ** 19}}),
+    # allocations past the address space
+    ("ids", {"group": _Z, "percolation": _SITE, "window": {"radius": 10},
+             "spectra": _HUGE_GRID}),
+    ("free-ids", {"group": _Z, "spectra": _HUGE_GRID}),
+    ("percolate", {"group": _Z, "percolation": {**_SITE, "tail_max": 10 ** 12},
+                   "window": {"radius": 10}}),
+], ids=["growth-2^60", "ids-radius", "bounds-n_max", "ids-points",
+        "free-ids-points", "percolate-tail_max"])
+def test_overflows_and_exhausted_memory_exit_2(tmp_path, subcommand, extra):
+    out = tmp_path / "o"
+    code, _ = _run_measured(tmp_path, subcommand, base_config(out, **extra))
+    assert code == 2
+    assert not out.exists()
+
+
 def test_vertex_budget_counts_key_words(tmp_path, capsys):
     # Z^28 B(2) has 1625 vertices on two-word keys, so it counts 3250
     for budget, want in ((3250, 0), (3249, 2)):

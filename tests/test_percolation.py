@@ -9,15 +9,12 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from percospec.cayley import GroupSpec, enumerate_ball
-from percospec import percolation
 from percospec.percolation import (
     PercolationModel,
     cluster_stats,
-    critical_bracket,
     decompose,
     deleted_density_expected,
     export_cluster_stats,
-    export_sample,
     item_uniforms,
     sample,
 )
@@ -302,41 +299,9 @@ def test_workers_do_not_change_results():
     assert a.clusters_per_vertex == b.clusters_per_vertex
 
 
-def test_critical_bracket_orders():
-    lo, hi = critical_bracket("site", z2_window(10), seed=4, n_samples=60,
-                              iterations=6)
-    assert 0.0 < lo < hi <= 1.0
-
-
-@pytest.mark.parametrize("kind", ["site", "bond"])
-def test_touch_fraction_monotone_in_p(kind):
-    w = z2_window(6)
-    fractions = [percolation._touch_fraction(kind, p, 8, w, 40)
-                 for p in np.linspace(0.0, 1.0, 21)]
-    assert fractions[0] == 0.0 and fractions[-1] == 1.0
-    assert all(a <= b for a, b in zip(fractions, fractions[1:]))
-
-
-def test_critical_bracket_straddles_threshold():
-    w = z2_window(6)
-    lo, hi = critical_bracket("site", w, seed=8, n_samples=40, iterations=6)
-    assert percolation._touch_fraction("site", lo, 8, w, 40) < 0.05
-    assert percolation._touch_fraction("site", hi, 8, w, 40) >= 0.05
-
-
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
-
-def test_sample_export_format():
-    w = z_window(2)
-    s = sample(PercolationModel("site", 0.5, 3), w, 1)
-    buf = io.StringIO()
-    export_sample(s, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "# model=site p=0.5 seed=3 index=1"
-    assert [int(x) for x in lines[1:]] == np.flatnonzero(s.open_marks).tolist()
-
 
 def test_cluster_stats_export():
     w = z_window(60)

@@ -6,7 +6,7 @@ PUBLIC = [
     "ADJACENCY", "DIRICHLET", "NEUMANN",
     "CayleyBall", "FiniteSubgraph", "GroupSpec", "GrowthProfile",
     "LabeledOperator", "PercolationModel", "PercolationSample",
-    "CountingFunction", "IDSEstimate", "Spectrum",
+    "IDSEstimate", "Spectrum",
     "enumerate_ball", "growth_profile", "induced_subgraph",
     "inner_vertex_boundary", "is_bipartite", "line_subgraph", "tetrahedron",
     "anderson", "bipartite_conjugate", "boundary_potential", "extend",

@@ -1,8 +1,11 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and
+every public function and class is used by the package.
 
 A small stand-in for a linter: parse each source file with ``ast`` and
 compare the names its top-level imports bind with the names it reads.
-``__init__.py`` imports are re-exports and exempt.
+``__init__.py`` imports are re-exports and exempt.  A top-level public
+function or class must be read somewhere in the package (as a name or an
+attribute) or be named in an ``__all__``.
 """
 
 import ast
@@ -39,3 +42,37 @@ def test_unused_imports_detects_leftovers():
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_public_names(sources: dict) -> list:
+    """(module, name) of each top-level public function or class of the
+    ``sources`` (module name -> source text) that none of them reads and no
+    ``__all__`` names."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                read.update(ast.literal_eval(node.value))
+    return sorted((module, node.name) for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_") and node.name not in read)
+
+
+def test_unread_public_names_detects_leftovers():
+    sources = {"a.py": "def called():\n    pass\ndef attribute():\n    pass\n"
+                       "def unread():\n    pass\ndef _private():\n    pass\n"
+                       "class Exported:\n    pass\n",
+               "b.py": "from . import a\nfrom .a import called\n"
+                       "__all__ = ['Exported']\ncalled(a.attribute)\n"}
+    assert unread_public_names(sources) == [("a.py", "unread")]
+
+
+def test_every_public_name_is_read():
+    assert unread_public_names({p.name: p.read_text() for p in SOURCES}) == []
