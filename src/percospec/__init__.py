@@ -19,8 +19,6 @@ from .operators import (
     NEUMANN,
     LabeledOperator,
     anderson,
-    bipartite_conjugate,
-    boundary_potential,
     extend,
     free_laplacian,
     percolation_laplacian,
@@ -56,8 +54,7 @@ __all__ = [
     "IDSEstimate", "Spectrum",
     "enumerate_ball", "growth_profile", "induced_subgraph",
     "inner_vertex_boundary", "is_bipartite", "line_subgraph", "tetrahedron",
-    "anderson", "bipartite_conjugate", "boundary_potential", "extend",
-    "free_laplacian", "percolation_laplacian", "restrict",
+    "anderson", "extend", "free_laplacian", "percolation_laplacian", "restrict",
     "subgraph_laplacian",
     "cluster_stats", "decompose", "deleted_density_expected", "sample",
     "count_below", "eigenvalues_dense", "empirical_ids", "free_ids_ball",

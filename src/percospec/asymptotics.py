@@ -8,7 +8,7 @@ runs out of resolution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,12 +147,10 @@ class SandwichReport:
     a: float | None
     b: float | None
     e_range: tuple
-    n_points: int
     upper_violations: int
     lower_violations: int
     envelope_ok: bool
     empty_measure: bool
-    per_energy: list = field(default_factory=list)
 
 
 def sandwich_check(energies, values, shift, f_inverse, inputs,
@@ -171,7 +169,7 @@ def sandwich_check(energies, values, shift, f_inverse, inputs,
     delta = v - shift
     mask = (e >= e_range[0]) & (e <= e_range[1]) & (delta > 0) & (delta < 1)
     if not np.any(mask):
-        return SandwichReport(a=None, b=None, e_range=tuple(e_range), n_points=0,
+        return SandwichReport(a=None, b=None, e_range=tuple(e_range),
                               upper_violations=0, lower_violations=0,
                               envelope_ok=True, empty_measure=True)
     es, ds = e[mask], delta[mask]
@@ -187,13 +185,8 @@ def sandwich_check(energies, values, shift, f_inverse, inputs,
     upper_violations = int(np.sum(ds > upper * (1 + 1e-12)))
     lower_violations = int(np.sum(ds < lower * (1 - 1e-12)))
     envelope_ok = bool(np.all(upper >= lower * (1 - 1e-12)))
-    per_energy = [{"E": float(x), "delta": float(d), "upper": float(u),
-                   "lower": float(l)}
-                  for x, d, u, l in zip(es, ds, upper, lower)]
     return SandwichReport(a=a, b=b,
                           e_range=(float(es.min()), float(es.max())),
-                          n_points=int(mask.sum()),
                           upper_violations=upper_violations,
                           lower_violations=lower_violations,
-                          envelope_ok=envelope_ok, empty_measure=False,
-                          per_energy=per_energy)
+                          envelope_ok=envelope_ok, empty_measure=False)

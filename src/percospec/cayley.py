@@ -124,7 +124,25 @@ def _validate_element(spec: "GroupSpec", el) -> None:
 # group specification
 # ---------------------------------------------------------------------------
 
-def _default_generators(kind: str, rank: int, modulus: int) -> tuple:
+def _default_generators(kind: str, rank: int, modulus: int,
+                        budget: int | None = None) -> tuple:
+    """The ±unit vectors of Z^rank, the Heisenberg set, or the natural set of
+    Z_modulus wr Z.  Refuses (:class:`BudgetError`), before it is built, a set
+    whose B(1) passes max(``budget``, the default vertex budget), counted as
+    :func:`enumerate_ball` counts it: 2 rank + 1 or 2 modulus + 1 vertices,
+    once per key word of its :func:`_layout`, whose columns span 5 values on
+    Z^d, and are 4 lamps of the modulus's values and a walker of 5 on Z_m wr Z."""
+    if kind == HEISENBERG:
+        return ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
+    if kind == FREE_ABELIAN:    # columns as many to a word as _split puts in one
+        size, words = 2 * rank + 1, -(-rank // int(np.sum(_split([5] * 64)[0] == 0)))
+    else:
+        size, words = 2 * modulus + 1, int(_split([modulus] * 4 + [5])[0][0]) + 1
+    cap = max(DEFAULT_VERTEX_BUDGET, budget or 0)
+    if size * words > cap:
+        raise BudgetError(f"B(1) of {kind}:{rank or modulus} with the default generators "
+                          f"has {size} vertices on {words}-word keys, past the vertex "
+                          f"budget of {cap} vertices")
     if kind == FREE_ABELIAN:
         gens = []
         for i in range(rank):
@@ -135,8 +153,6 @@ def _default_generators(kind: str, rank: int, modulus: int) -> tuple:
             e[i] = -1
             gens.append(tuple(e))
         return tuple(gens)
-    if kind == HEISENBERG:
-        return ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
     # lamplighter natural set: right movers setting the lamp one step ahead,
     # then left movers setting the lamp at the current position
     right = [((), 1)] + [(((1, l),), 1) for l in range(1, modulus)]
@@ -174,9 +190,10 @@ class GroupSpec:
                 raise ValueError(f"generator set not symmetric: missing inverse of {g!r}")
 
     @classmethod
-    def free_abelian(cls, rank: int, generators=None) -> "GroupSpec":
+    def free_abelian(cls, rank: int, generators=None,
+                     budget: int | None = None) -> "GroupSpec":
         gens = tuple(map(tuple, generators)) if generators is not None \
-            else _default_generators(FREE_ABELIAN, rank, 0)
+            else _default_generators(FREE_ABELIAN, rank, 0, budget)
         return cls(FREE_ABELIAN, rank=rank, generators=gens)
 
     @classmethod
@@ -184,9 +201,10 @@ class GroupSpec:
         return cls(HEISENBERG, generators=_default_generators(HEISENBERG, 0, 0))
 
     @classmethod
-    def lamplighter(cls, modulus: int, generators=None) -> "GroupSpec":
+    def lamplighter(cls, modulus: int, generators=None,
+                    budget: int | None = None) -> "GroupSpec":
         gens = tuple(generators) if generators is not None \
-            else _default_generators(LAMPLIGHTER, 0, modulus)
+            else _default_generators(LAMPLIGHTER, 0, modulus, budget)
         return cls(LAMPLIGHTER, modulus=modulus, generators=gens)
 
     @property
@@ -197,8 +215,9 @@ class GroupSpec:
     @property
     def is_hypercubic(self) -> bool:
         """Whether this is Z^d with the ±unit vectors, in any order, as generators."""
-        return self.kind == FREE_ABELIAN and set(self.generators) == \
-            set(_default_generators(FREE_ABELIAN, self.rank, 0))
+        # 2 rank distinct vectors of L1 norm 1 are all the ±unit vectors
+        return self.kind == FREE_ABELIAN and self.k == 2 * self.rank and \
+            all(sum(map(abs, g)) == 1 for g in self.generators)
 
     def label(self) -> str:
         if self.kind == FREE_ABELIAN:
@@ -741,8 +760,7 @@ class FiniteSubgraph:
 
     ``vertex_indices`` are parent-ball indices in a meaningful order (path
     order for line graphs, ascending otherwise); ``edges`` are parent-index
-    pairs.  ``induced`` records whether the edges are exactly the parent
-    edges between the members.
+    pairs.
 
     Construction rejects duplicate members, then locates every edge
     endpoint once with :func:`locate` and rejects an edge leaving the
@@ -754,7 +772,6 @@ class FiniteSubgraph:
     parent: CayleyBall
     vertex_indices: np.ndarray
     edges: np.ndarray
-    induced: bool
 
     def __post_init__(self):
         self.vertex_indices = np.asarray(self.vertex_indices, dtype=np.int64)
@@ -835,7 +852,7 @@ def induced_subgraph(parent: CayleyBall, vertex_indices) -> FiniteSubgraph:
         edges = parent.edges[keep]
     else:
         edges = np.zeros((0, 2), dtype=np.int64)
-    return FiniteSubgraph(parent=parent, vertex_indices=idx, edges=edges, induced=True)
+    return FiniteSubgraph(parent=parent, vertex_indices=idx, edges=edges)
 
 
 def line_subgraph(ball: CayleyBall, n: int) -> FiniteSubgraph:
@@ -865,7 +882,7 @@ def line_subgraph(ball: CayleyBall, n: int) -> FiniteSubgraph:
     edges = np.array([sorted((idx[i], idx[i + 1])) for i in range(n - 1)],
                      dtype=np.int64) if n > 1 else np.zeros((0, 2), dtype=np.int64)
     return FiniteSubgraph(parent=ball, vertex_indices=np.array(idx, dtype=np.int64),
-                          edges=edges, induced=False)
+                          edges=edges)
 
 
 def tetrahedron_vertex_count(m: int, n: int) -> int:
@@ -933,7 +950,7 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     parent = _ball(spec, 2 * n, layout, keys, word_length[order],
                    _neighbour_keys(spec, layout, keys))
     return FiniteSubgraph(parent=parent, vertex_indices=np.arange(len(parent)),
-                          edges=parent.edges, induced=True)
+                          edges=parent.edges)
 
 
 def inner_vertex_boundary(sub: FiniteSubgraph) -> np.ndarray:
@@ -949,44 +966,13 @@ def inner_vertex_boundary(sub: FiniteSubgraph) -> np.ndarray:
 # bipartiteness
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BipartiteResult:
-    bipartite: bool
-    coloring: np.ndarray | None
-    odd_cycle: list | None
-
-
-def is_bipartite(ball: CayleyBall) -> BipartiteResult:
-    """2-coloring of the enumerated ball, or an odd-cycle witness.
+def is_bipartite(ball: CayleyBall) -> bool:
+    """Whether the enumerated ball is bipartite.
 
     Word length is BFS depth from the identity, and an edge joins word
     lengths that differ by at most one.  So the ball is bipartite iff no
     edge joins two vertices of equal word length, and then the parity of
-    the word length is a proper coloring.  Otherwise the first such edge
-    closes an odd cycle through the BFS tree of the edges between layers.
+    the word length is a proper coloring.
     """
     depth = ball.word_length
-    u, v = ball.edges[:, 0], ball.edges[:, 1]
-    level = depth[u] == depth[v]
-    if not level.any():
-        return BipartiteResult(True, ((-1) ** depth).astype(np.int8), None)
-    # vertices are in BFS-layer order and u < v, so a non-level edge goes down
-    down = ~level
-    child, first = np.unique(v[down], return_index=True)
-    parent = np.full(len(ball), -1, dtype=np.int64)
-    parent[child] = u[down][first]
-    a, b = ball.edges[np.argmax(level)]
-    return BipartiteResult(False, None, _odd_cycle(int(a), int(b), parent, depth))
-
-
-def _odd_cycle(u: int, v: int, parent: np.ndarray, depth: np.ndarray) -> list:
-    path_u, path_v = [u], [v]
-    a, b = u, v
-    while depth[a] > depth[b]:
-        a = int(parent[a]); path_u.append(a)
-    while depth[b] > depth[a]:
-        b = int(parent[b]); path_v.append(b)
-    while a != b:
-        a = int(parent[a]); path_u.append(a)
-        b = int(parent[b]); path_v.append(b)
-    return path_u[:-1] + path_v[::-1]
+    return not np.any(depth[ball.edges[:, 0]] == depth[ball.edges[:, 1]])

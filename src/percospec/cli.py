@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from . import asymptotics, bounds as bounds_mod, cayley, percolation, spectra
+from . import asymptotics, bounds as bounds_mod, cayley, operators, percolation, spectra
 from .errors import BudgetError, OracleViolationError, ValidationError
 
 ENV_BUDGET = "PERCOSPEC_BUDGET_VERTICES"
@@ -241,12 +241,13 @@ def _line_site_fits(cfg: dict, group: cayley.GroupSpec) -> bool:
 def build_group(cfg: dict) -> cayley.GroupSpec:
     g = cfg["group"]
     kind = g["kind"]
+    budget = cfg.get("budget_vertices")
     if kind == "free_abelian":
         return cayley.GroupSpec.free_abelian(
-            g["rank"], generators=g.get("generators") or None)
+            g["rank"], generators=g.get("generators") or None, budget=budget)
     if kind == "heisenberg":
         return cayley.GroupSpec.heisenberg()
-    return cayley.GroupSpec.lamplighter(g["modulus"])
+    return cayley.GroupSpec.lamplighter(g["modulus"], budget=budget)
 
 
 def build_model(cfg: dict) -> percolation.PercolationModel:
@@ -560,7 +561,8 @@ def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
         thresholds = [2 * (1 - np.cos(np.pi / n)) for n in ns]
         inputs = bounds_mod.sandwich_inputs(family, thresholds, "neumann",
                                             labels=ns)
-        alpha_n = bounds_mod.lower_bound_check_neumann(family).constants["alpha_N"]
+        # alpha_N of bounds.lower_bound_check_neumann, off the same solves
+        alpha_n = float(np.min(inputs.lambdas * inputs.sizes ** 2))
         # the lower envelope only reaches energies the family certifies
         lo_eff = max(lo, float(np.min(thresholds)))
         sw = asymptotics.sandwich_check(grid, values, shift,
@@ -590,7 +592,7 @@ def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
 def _chain_task(ctx, i):
     s = percolation.sample(ctx["model"], ctx["ball"], i)
     counts = spectra.five_operator_counts(s, ctx["grid"], ctx["couplings"],
-                                          ctx["dense_cap"])
+                                          ctx["dense_cap"], ctx["free"])
     return np.array([counts[name] for name in ctx["names"]])
 
 
@@ -607,8 +609,11 @@ def run_chain(cfg: dict, out: Path) -> tuple[list, dict]:
     names = (["neumann_extended", "free"]
              + [f"anderson:{lam:g}" for lam in couplings]
              + ["adjacency", "dirichlet"])
+    dense_cap = sp.get("dense_cap", spectra.DENSE_CAP)
+    # the free window Laplacian is the same in every sample: one solve per run
+    free = spectra.block_eigenvalues(operators.free_laplacian(ball), dense_cap)
     ctx = {"model": model, "ball": ball, "grid": grid, "couplings": couplings,
-           "dense_cap": sp.get("dense_cap", spectra.DENSE_CAP), "names": names}
+           "dense_cap": dense_cap, "free": free, "names": names}
     rows = run_indexed(_chain_task, range(n_samples), cfg["workers"], ctx)
     stack = np.stack(rows)          # (samples, operators, energies)
     means = stack.mean(axis=0)

@@ -42,10 +42,10 @@ class LabeledOperator:
     ``band_rank`` orders the band solves (``spectra._band_eigenvalues``).
     """
 
-    def __init__(self, index_set, matrix, tag: str, k: int, bc: str | None = None,
+    def __init__(self, index_set, matrix, k: int, bc: str | None = None,
                  window: CayleyBall | None = None):
         self.index_set = np.asarray(index_set, dtype=np.int64)
-        self.tag, self.k, self.bc, self.window = tag, k, bc, window
+        self.k, self.bc, self.window = k, bc, window
         self._subgraph = None
         if not isinstance(matrix, _CSR):
             from scipy import sparse
@@ -151,45 +151,33 @@ def _diag_for(bc: str, k: int, degrees: np.ndarray):
     raise ValueError(f"unknown boundary condition {bc!r}")
 
 
-def subgraph_laplacian(sub: FiniteSubgraph, bc: str,
-                       tag: str | None = None) -> LabeledOperator:
+def subgraph_laplacian(sub: FiniteSubgraph, bc: str) -> LabeledOperator:
     """Laplacian of a finite subgraph under the given boundary condition."""
     if bc not in _BCS:
         raise ValueError(f"unknown boundary condition {bc!r}")
     mat = _assemble(sub.size, sub.local_edges(),
                     _diag_for(bc, sub.parent.k, sub.degrees()))
     op = LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
-                         tag=tag or f"laplacian:{bc}", k=sub.parent.k, bc=bc,
-                         window=sub.parent)
+                         k=sub.parent.k, bc=bc, window=sub.parent)
     op._subgraph = sub
     return op
 
 
 def free_laplacian(window: CayleyBall) -> LabeledOperator:
-    """k*I - A on the whole window, tagged ``free``.
+    """k*I - A on the whole window.
 
     The adjacency Laplacian of the subgraph the window induces on all of
     its vertices, which is also the compression of the full-graph
     Laplacian to the window.
     """
     n = len(window)
-    return LabeledOperator(index_set=np.arange(n), tag="free", k=window.k,
-                           bc=ADJACENCY, matrix=_assemble(n, window.edges, window.k),
-                           window=window)
+    return LabeledOperator(index_set=np.arange(n), k=window.k, bc=ADJACENCY,
+                           matrix=_assemble(n, window.edges, window.k), window=window)
 
 
 def percolation_laplacian(sample: PercolationSample, bc: str) -> LabeledOperator:
     """Laplacian of the percolation subgraph, over the active vertex set."""
-    return subgraph_laplacian(sample.subgraph(), bc, tag=f"perc:{bc}")
-
-
-def boundary_potential(sample: PercolationSample) -> LabeledOperator:
-    """Diagonal potential k - d on the active set; equals Dirichlet - adjacency."""
-    sub = sample.subgraph()
-    mat = _assemble(sub.size, (), sample.window.k - sub.degrees())
-    return LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
-                           tag="boundary_potential", k=sample.window.k,
-                           window=sample.window)
+    return subgraph_laplacian(sample.subgraph(), bc)
 
 
 def extend(op: LabeledOperator, window: CayleyBall, K: float,
@@ -212,8 +200,7 @@ def extend(op: LabeledOperator, window: CayleyBall, K: float,
                np.concatenate([op.index_set[op.indices], deleted]),
                np.concatenate([op.data, np.full(len(deleted), float(K))]))
     return LabeledOperator(index_set=np.arange(n, dtype=np.int64), matrix=mat,
-                           tag=f"extended:{op.bc or op.tag}:K={K:g}", k=op.k,
-                           bc=op.bc, window=window)
+                           k=op.k, bc=op.bc, window=window)
 
 
 def anderson(sample: PercolationSample, window: CayleyBall,
@@ -231,8 +218,7 @@ def anderson(sample: PercolationSample, window: CayleyBall,
     potential = window.k + (~sample.open_marks).astype(np.float64) * coupling
     return LabeledOperator(index_set=np.arange(n),
                            matrix=_assemble(n, window.edges, potential),
-                           tag=f"anderson:lambda={coupling:g}", k=window.k,
-                           window=window)
+                           k=window.k, window=window)
 
 
 def restrict(op: LabeledOperator, subset) -> LabeledOperator:
@@ -244,26 +230,5 @@ def restrict(op: LabeledOperator, subset) -> LabeledOperator:
     kept = (row >= 0) & (col >= 0)
     return LabeledOperator(index_set=subset,
                            matrix=_csr(len(subset), row[kept], col[kept], op.data[kept]),
-                           tag=f"restricted({op.tag})", k=op.k, bc=op.bc,
-                           window=op.window)
-
-
-def bipartite_conjugate(op: LabeledOperator, coloring: np.ndarray) -> LabeledOperator:
-    """Conjugate by the +-1 multiplication operator of a 2-coloring.
-
-    ``coloring`` is indexed by window vertex; entries (u, v) get multiplied
-    by color(u) * color(v).  Off-diagonal entries between equal colors mean
-    the coloring is not proper for this operator and raise a ValueError.
-    """
-    colors = np.asarray(coloring, dtype=np.int64)[op.index_set]
-    if not np.all(np.abs(colors) == 1):
-        raise ValueError("coloring must assign +-1 to every operator vertex")
-    rows = op.entry_rows
-    sign = colors[rows] * colors[op.indices]
-    if np.any(sign[rows != op.indices] != -1):
-        raise ValueError("coloring is not proper: adjacent vertices share a color")
-    return LabeledOperator(index_set=op.index_set,
-                           matrix=_CSR(op.indptr, op.indices, op.data * sign),
-                           tag=f"conjugated({op.tag})", k=op.k, bc=op.bc,
-                           window=op.window)
+                           k=op.k, bc=op.bc, window=op.window)
 

@@ -77,8 +77,7 @@ class PercolationSample:
     def subgraph(self) -> FiniteSubgraph:
         return FiniteSubgraph(parent=self.window,
                               vertex_indices=self.active_vertices(),
-                              edges=self.open_edges(),
-                              induced=self.model.kind == SITE)
+                              edges=self.open_edges())
 
 
 def sample(model: PercolationModel, window: CayleyBall,
@@ -99,36 +98,27 @@ def sample(model: PercolationModel, window: CayleyBall,
 @dataclass(eq=False)
 class ClusterDecomposition:
     active: np.ndarray
-    labels: np.ndarray
     sizes: np.ndarray
     cluster_count: int
     origin_cluster_size: int
-    origin_touches_boundary: bool
 
 
 def decompose(sample: PercolationSample) -> ClusterDecomposition:
     """Connected components of the percolation subgraph inside the window.
 
     The origin is the identity vertex (window index 0); its cluster size is
-    0 when the origin is inactive.  ``origin_touches_boundary`` flags
-    possible truncation of the origin cluster by the window edge.
+    0 when the origin is inactive.
     """
     sub = sample.subgraph()
     active = sub.vertex_indices
     ncomp, labels = sub.components()
     sizes = np.bincount(labels, minlength=ncomp).astype(np.int64)
     origin_size = 0
-    touches = False
     # active is sorted, so the origin (index 0) is active iff it comes first
     if len(active) and active[0] == 0:
-        lab = labels[0]
-        origin_size = int(sizes[lab])
-        wl = sample.window.word_length[active]
-        touches = bool(np.any(wl[labels == lab] == sample.window.radius))
-    return ClusterDecomposition(active=active, labels=labels.astype(np.int64),
-                                sizes=sizes, cluster_count=int(ncomp),
-                                origin_cluster_size=origin_size,
-                                origin_touches_boundary=touches)
+        origin_size = int(sizes[labels[0]])
+    return ClusterDecomposition(active=active, sizes=sizes, cluster_count=int(ncomp),
+                                origin_cluster_size=origin_size)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,6 @@ class ClusterStats:
     tail_grid: np.ndarray
     tail: np.ndarray
     tail_stderr: np.ndarray
-    tail_hits: np.ndarray
     tau_fit: TailFit
     clusters_per_vertex: tuple
     deleted_density: tuple
@@ -207,7 +196,7 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
         se = float(x.std(ddof=1) / np.sqrt(len(x))) if len(x) > 1 else 0.0
         return (float(x.mean()), se)
     return ClusterStats(samples=n_samples, tail_grid=tail_grid, tail=tail,
-                        tail_stderr=tail_stderr, tail_hits=hits, tau_fit=fit,
+                        tail_stderr=tail_stderr, tau_fit=fit,
                         clusters_per_vertex=mean_se(cpv),
                         deleted_density=mean_se(dd))
 

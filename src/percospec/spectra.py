@@ -345,7 +345,7 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
         else window_mask[ball.edges].all(axis=1)
 
     # the boundary condition whose solve gives each one's spectra
-    reflect = is_bipartite(ball).bipartite
+    reflect = is_bipartite(ball)
     source = {name: NEUMANN if reflect and name == DIRICHLET else name
               for name in bcs}
 
@@ -392,7 +392,7 @@ def export_ids_csv(est: IDSEstimate, fh) -> None:
 # ---------------------------------------------------------------------------
 
 def five_operator_counts(s: PercolationSample, energy_grid, couplings,
-                         dense_cap: int = DENSE_CAP) -> dict:
+                         dense_cap: int = DENSE_CAP, free=None) -> dict:
     """Normalized eigenvalue counts of the comparison chain on one sample.
 
     For a site sample on a window, counts (per energy, divided by the
@@ -400,7 +400,9 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     Laplacian, the two-valued-potential Hamiltonian at each coupling, and
     the adjacency and Dirichlet operators of the active set.  The form
     ordering makes these counting functions pointwise decreasing along
-    that list, sample by sample.
+    that list, sample by sample.  ``free`` is the sorted spectrum of the
+    free window Laplacian, the same for every sample, so a run of many
+    samples solves it once; it is solved here when not given.
     """
     grid = np.asarray(energy_grid, dtype=np.float64)
     window = s.window
@@ -411,7 +413,7 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
         return _counts(block_eigenvalues(op, dense_cap), grid) / norm
 
     def perc(bc):
-        return subgraph_laplacian(sub, bc, tag=f"perc:{bc}")
+        return subgraph_laplacian(sub, bc)
 
     neumann = block_eigenvalues(perc(NEUMANN), dense_cap)
     out = {}
@@ -419,12 +421,14 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     # window vertex outside the active set
     out["neumann_extended"] = (_counts(neumann, grid) + (len(window) - sub.size)
                                * (grid >= -COUNT_TOL)) / norm
-    out["free"] = counts(free_laplacian(window))
+    if free is None:
+        free = block_eigenvalues(free_laplacian(window), dense_cap)
+    out["free"] = _counts(free, grid) / norm
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))
     out["adjacency"] = counts(perc(ADJACENCY))
     out["dirichlet"] = (_counts(_reflected(neumann, window.k), grid) / norm
-                        if is_bipartite(window).bipartite
+                        if is_bipartite(window)
                         else counts(perc(DIRICHLET)))
     return out
 
@@ -437,7 +441,6 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
 class FreeIDSValue:
     value: float
     error: float
-    clamped: bool
     method: str
 
 
@@ -453,17 +456,17 @@ def free_ids_zd(d: int, energy: float) -> FreeIDSValue:
     theta_i) <= E } over the torus.  Dimensions 1 and 2 are deterministic
     (closed form / adaptive quadrature, absolute error <= 1e-6); dimensions
     3 and 4 use Monte Carlo with a reported standard error.  Energies
-    outside [0, 4d] clamp to 0 or 1 with a flag.
+    outside [0, 4d] clamp to 0 or 1, with method ``clamped``.
     """
     if not 1 <= d <= 4:
         raise ValueError("dimension must be between 1 and 4")
     if energy <= 0.0:
-        return FreeIDSValue(0.0, 0.0, energy < 0.0, "clamped" if energy < 0 else "exact")
+        return FreeIDSValue(0.0, 0.0, "clamped" if energy < 0 else "exact")
     if energy >= 4.0 * d:
-        return FreeIDSValue(1.0, 0.0, energy > 4.0 * d, "clamped" if energy > 4 * d else "exact")
+        return FreeIDSValue(1.0, 0.0, "clamped" if energy > 4 * d else "exact")
     if d == 1:
         return FreeIDSValue(float(np.arccos(1.0 - energy / 2.0) / np.pi),
-                            1e-12, False, "closed-form")
+                            1e-12, "closed-form")
     if d == 2:
         from scipy import integrate  # slow to import; only d == 2 needs it
 
@@ -478,7 +481,7 @@ def free_ids_zd(d: int, energy: float) -> FreeIDSValue:
         value = val / np.pi ** 2
         if err / np.pi ** 2 > 1e-6:
             raise RuntimeError("quadrature error estimate above 1e-6")
-        return FreeIDSValue(float(value), float(err / np.pi ** 2), False, "quadrature")
+        return FreeIDSValue(float(value), float(err / np.pi ** 2), "quadrature")
     gen = np.random.Generator(np.random.Philox(key=np.array(
         [_MC_SEED, d], dtype=np.uint64)))
     theta = gen.random((_MC_SAMPLES, d)) * np.pi
@@ -486,7 +489,7 @@ def free_ids_zd(d: int, energy: float) -> FreeIDSValue:
     value = inside.mean()
     return FreeIDSValue(float(value),
                         float(np.sqrt(value * (1 - value) / _MC_SAMPLES)),
-                        False, "monte-carlo")
+                        "monte-carlo")
 
 
 @dataclass

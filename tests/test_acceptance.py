@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from percospec import asymptotics, bounds, cayley, percolation, spectra
+from percospec import asymptotics, bounds, cayley
 from percospec.cayley import GroupSpec, enumerate_ball
 from percospec.cli import main
 from percospec.operators import (

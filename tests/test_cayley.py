@@ -342,6 +342,30 @@ def test_is_hypercubic(spec, hypercubic):
     assert spec.is_hypercubic == hypercubic
 
 
+@pytest.mark.parametrize("kind,columns", [
+    ("free_abelian", 1), ("free_abelian", 27), ("free_abelian", 28),
+    ("free_abelian", 55), ("lamplighter", 2), ("lamplighter", 40000)])
+def test_default_set_refusal_counts_b1_as_enumerate_ball(monkeypatch, kind, columns):
+    """A default generator set is refused when its B(1), 2 columns + 1
+    vertices once per key word of the ball's layout, passes the larger of
+    the given and the default vertex budget."""
+    build = getattr(GroupSpec, kind)
+    spec = build(columns)
+    if columns < 100:
+        assert len(enumerate_ball(spec, 1)) == 2 * columns + 1
+    count = (2 * columns + 1) * cayley._layout(spec, 1).words
+    monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", count)
+    assert build(columns) == spec
+    monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET", count - 1)
+    with pytest.raises(BudgetError, match=rf"^B\(1\) of {kind}:{columns} .* has "
+                                          rf"{2 * columns + 1} vertices on "
+                                          rf"{count // (2 * columns + 1)}-word keys"):
+        build(columns)
+    with pytest.raises(BudgetError):
+        build(columns, budget=count - 1)
+    assert build(columns, budget=count) == spec
+
+
 @pytest.mark.parametrize("name,radius", [("Z", 5), ("Z3", 2), ("heisenberg", 4),
                                          ("lamplighter2", 4), ("lamplighter5", 3)])
 def test_vertices_index_of_round_trip(name, radius):
@@ -747,8 +771,7 @@ def test_subgraph_local_edges_match_dict_reference():
         inside[members] = True
         edges = ball.edges[inside[ball.edges[:, 0]] & inside[ball.edges[:, 1]]]
         edges = rng.permutation(edges)
-        sub = FiniteSubgraph(parent=ball, vertex_indices=members, edges=edges,
-                             induced=True)
+        sub = FiniteSubgraph(parent=ball, vertex_indices=members, edges=edges)
         pos = {int(p): i for i, p in enumerate(members)}
         expect = [[pos[int(u)], pos[int(v)]] for u, v in edges]
         assert sub.local_edges().tolist() == expect
@@ -771,7 +794,7 @@ def test_subgraph_local_edges_in_path_order():
 
 def test_empty_subgraph():
     ball = enumerate_ball(GroupSpec.free_abelian(2), 2)
-    sub = FiniteSubgraph(parent=ball, vertex_indices=[], edges=[], induced=True)
+    sub = FiniteSubgraph(parent=ball, vertex_indices=[], edges=[])
     assert sub.size == 0
     assert sub.local_edges().shape == (0, 2)
     assert sub.degrees().shape == (0,)
@@ -780,8 +803,7 @@ def test_empty_subgraph():
 
 def test_connected_and_components():
     ball = enumerate_ball(GroupSpec.free_abelian(2), 3)
-    empty = FiniteSubgraph(parent=ball, vertex_indices=[], edges=[],
-                           induced=True)
+    empty = FiniteSubgraph(parent=ball, vertex_indices=[], edges=[])
     assert empty.components()[0] == 0 and len(empty.components()[1]) == 0
     assert not empty.connected
     single = induced_subgraph(ball, [5])
@@ -856,12 +878,12 @@ def test_prefix_members_are_their_own_positions():
         # the same members in another order are located one by one
         order = np.arange(prefix.size)[::-1]
         other = FiniteSubgraph(parent=ball, vertex_indices=order,
-                               edges=prefix.edges, induced=True)
+                               edges=prefix.edges)
         assert np.array_equal(order[other.local_edges()], prefix.edges)
     assert ball.edges.flags.writeable
     with pytest.raises(ValueError, match=r"^edge \(-1, 2\) leaves"):
         FiniteSubgraph(parent=ball, vertex_indices=[0, 1, 2],
-                       edges=[[0, 1], [-1, 2]], induced=False)
+                       edges=[[0, 1], [-1, 2]])
 
 
 def test_sorted_unique_matches_np_unique():
@@ -887,7 +909,7 @@ def test_subgraph_rejects_duplicate_vertices():
     ball = enumerate_ball(GroupSpec.free_abelian(1), 3)
     with pytest.raises(ValueError, match="vertex_indices contains duplicates"):
         FiniteSubgraph(parent=ball, vertex_indices=[4, 1, 2, 1],
-                       edges=[[1, 2]], induced=False)
+                       edges=[[1, 2]])
 
 
 def test_subgraph_rejects_escaping_edge():
@@ -895,10 +917,9 @@ def test_subgraph_rejects_escaping_edge():
     with pytest.raises(ValueError,
                        match=r"^edge \(2, 6\) leaves the vertex subset$"):
         FiniteSubgraph(parent=ball, vertex_indices=[0, 1, 2],
-                       edges=[[0, 1], [2, 6], [5, 1]], induced=False)
+                       edges=[[0, 1], [2, 6], [5, 1]])
     with pytest.raises(ValueError, match=r"^edge \(0, 1\) leaves"):
-        FiniteSubgraph(parent=ball, vertex_indices=[], edges=[[0, 1]],
-                       induced=False)
+        FiniteSubgraph(parent=ball, vertex_indices=[], edges=[[0, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -1011,7 +1032,7 @@ def test_neighbour_key_budget_refuses_before_allocating(monkeypatch, m, n):
 def test_tetrahedron_is_its_induced_parent():
     tet = tetrahedron(3, 3)
     ref = induced_subgraph(tet.parent, np.arange(len(tet.parent)))
-    assert tet.induced and np.array_equal(tet.vertex_indices, ref.vertex_indices)
+    assert np.array_equal(tet.vertex_indices, ref.vertex_indices)
     assert np.array_equal(tet.edges, ref.edges)
     assert np.array_equal(tet.local_edges(), ref.local_edges())
     assert tet.parent.edges.flags.writeable and not tet.local_edges().flags.writeable
@@ -1072,7 +1093,8 @@ def test_tetrahedron_matches_multiply_reference(m):
              for r in range(2, 2 * depths[-1] + 3, 2)}
     for n in depths:
         tet = tetrahedron(m, n)
-        assert tet.induced
+        assert np.array_equal(tet.edges,
+                              induced_subgraph(tet.parent, tet.vertex_indices).edges)
         assert tet.vertex_indices.tolist() == list(range(tet.size))
         idx, edges = multiply_tetrahedron(m, n, balls[2 * n])
         # located in B(2n), and at the same indices in the bigger B(2n + 2)
@@ -1166,26 +1188,13 @@ def _query_ball(name):
     return enumerate_ball(spec, radius)
 
 
-def assert_odd_closed_walk(ball, cycle):
-    assert len(cycle) % 2 == 1 and len(cycle) >= 3
-    edges = {(int(u), int(v)) for u, v in ball.edges}
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        assert (min(a, b), max(a, b)) in edges
-
-
 @pytest.mark.parametrize("name", sorted(_QUERY_BALLS))
 def test_is_bipartite_matches_bfs_reference(name):
     ball = _query_ball(name)
-    res = is_bipartite(ball)
     ref = bfs_is_bipartite_reference(ball)
-    assert res.bipartite == (ref is not None)
-    if ref is None:
-        assert res.coloring is None
-        assert_odd_closed_walk(ball, res.odd_cycle)
-    else:
-        assert res.coloring.dtype == np.int8
-        assert np.array_equal(res.coloring, ref)
-        assert res.odd_cycle is None
+    assert is_bipartite(ball) is (ref is not None)
+    if ref is not None:     # the BFS coloring is the word length's parity
+        assert np.array_equal((-1) ** ball.word_length, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -1193,17 +1202,16 @@ def test_is_bipartite_matches_bfs_reference(name):
 # ---------------------------------------------------------------------------
 
 def test_zd_bipartite():
-    res = is_bipartite(enumerate_ball(GroupSpec.free_abelian(2), 4))
-    assert res.bipartite
     ball = enumerate_ball(GroupSpec.free_abelian(2), 4)
+    assert is_bipartite(ball)
+    # the coordinate sum alone alternates along every edge
     for u, v in ball.edges:
-        assert res.coloring[u] * res.coloring[v] == -1
+        assert (sum(ball.vertices[u]) - sum(ball.vertices[v])) % 2 == 1
 
 
 def test_lamplighter_bipartite():
     ball = enumerate_ball(GroupSpec.lamplighter(2), 4)
-    res = is_bipartite(ball)
-    assert res.bipartite
+    assert is_bipartite(ball)
     # the walker coordinate alone alternates along every edge
     for u, v in ball.edges:
         assert (ball.vertices[u][1] - ball.vertices[v][1]) % 2 == 1
@@ -1211,8 +1219,5 @@ def test_lamplighter_bipartite():
 
 def test_z_with_doubled_generators_not_bipartite():
     spec = GroupSpec.free_abelian(1, generators=[(1,), (-1,), (2,), (-2,)])
-    ball = enumerate_ball(spec, 4)
-    res = is_bipartite(ball)
-    assert not res.bipartite
-    assert_odd_closed_walk(ball, res.odd_cycle)
+    assert is_bipartite(enumerate_ball(spec, 4)) is False
 

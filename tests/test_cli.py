@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.sparse import csgraph
 
 import percospec
-from percospec import bounds, cayley, cli, percolation, spectra
+from percospec import bounds, cayley, cli, operators, percolation, spectra
 from percospec.cli import main, validate_config
 from percospec.errors import BudgetError, ValidationError
 
@@ -462,6 +462,38 @@ def test_exponents_sandwich_reaches_into_the_lifshitz_range(tmp_path):
     lo, hi = sandwich["range"]
     assert 2 * (1 - math.cos(math.pi / 7)) <= lo <= hi <= 0.2
     assert sandwich["a"] is not None and sandwich["b"] is not None
+
+
+def _counted(monkeypatch, modules, name):
+    """The calls of ``name`` through each of ``modules`` from now on."""
+    calls = []
+    for module in modules:
+        original = getattr(module, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_exponents_solves_each_line_once(tmp_path, monkeypatch):
+    # the sandwich thresholds and alpha_N read the same 7 Neumann solves
+    calls = _counted(monkeypatch, [bounds], "lowest_nonzero")
+    cfg = base_config(tmp_path / "o", group=_Z1, percolation=_SITE,
+                      fits={"line_max": 8})
+    assert main(["exponents", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+    assert len(calls) == 7
+
+
+def test_chain_solves_the_free_laplacian_once_per_run(tmp_path, monkeypatch):
+    calls = _counted(monkeypatch, [operators, spectra], "free_laplacian")
+    cfg = base_config(tmp_path / "o", group=_Z2, window={"radius": 3},
+                      percolation=_SITE,
+                      spectra={"n_samples": 5, "energy_grid": {"values": [1.0, 4.0]}})
+    assert main(["chain", "--config", write_config(tmp_path, "c.json", cfg)]) == 0
+    assert len(calls) == 1
 
 
 def _strict_json(path):
@@ -1133,7 +1165,7 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 
 def _run_measured(tmp_path, subcommand, cfg):
-    """Exit code and peak RSS in KiB of a CLI run in a fresh interpreter."""
+    """Exit code, peak RSS in KiB and stderr of a CLI run in a fresh interpreter."""
     src = str(Path(percospec.__file__).resolve().parent.parent)
     path = write_config(tmp_path, "c.json", cfg)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -1143,14 +1175,14 @@ def _run_measured(tmp_path, subcommand, cfg):
          "percospec.cli", subcommand, "--config", path],
         env=env, capture_output=True, text=True, timeout=300, check=True)
     code, peak_kib = map(int, done.stdout.split())
-    return code, peak_kib
+    return code, peak_kib, done.stderr
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_tetrahedron_near_the_budget_runs_in_little_memory(tmp_path):
     # Z_3 wr Z at depth 9 has 196,830 vertices, one int64 key each on the
     # tetrahedron's own layout
-    code, peak_kib = _run_measured(tmp_path, "bounds", base_config(
+    code, peak_kib, _ = _run_measured(tmp_path, "bounds", base_config(
         tmp_path / "o", group={"kind": "lamplighter", "modulus": 3},
         window={"depths": [9]}))
     assert code == 0
@@ -1163,7 +1195,7 @@ def test_multi_word_balls_run_in_bounded_memory(tmp_path, rank, peak_mb):
     # B(3) of Z^28 (30,913 vertices) has two-word keys, and that of Z^40
     # (88,641 vertices) three; keys of 8 bytes per column would need 1.5 GB
     # and 2.1 GB for their neighbours
-    code, peak_kib = _run_measured(tmp_path, "percolate", base_config(
+    code, peak_kib, _ = _run_measured(tmp_path, "percolate", base_config(
         tmp_path / "o", group={"kind": "free_abelian", "rank": rank},
         window={"radius": 3}, percolation={**_SITE, "n_samples": 100}))
     assert code == 0
@@ -1193,7 +1225,7 @@ _HUGE_GRID = {"n_samples": 10, "energy_grid": {"min": 0.0, "max": 4.0,
         "free-ids-points", "percolate-tail_max"])
 def test_overflows_and_exhausted_memory_exit_2(tmp_path, subcommand, extra):
     out = tmp_path / "o"
-    code, _ = _run_measured(tmp_path, subcommand, base_config(out, **extra))
+    code, _, _ = _run_measured(tmp_path, subcommand, base_config(out, **extra))
     assert code == 2
     assert not out.exists()
 
@@ -1233,6 +1265,24 @@ def test_vertex_budget_bounds_balls_not_tetrahedra(tmp_path, monkeypatch):
     assert main(["bounds", "--config", path]) == 0
     tets = json.loads((out / "bounds_report.json").read_text())["tetrahedron"]
     assert [t["vertex_count"] for t in tets.values()] == [12, 32]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("group", [
+    {"kind": "free_abelian", "rank": 10 ** 9},
+    {"kind": "free_abelian", "rank": 10 ** 5},
+    # B(1) has 10,401 vertices on 193-word keys: 2,007,393, just past the budget
+    {"kind": "free_abelian", "rank": 5200},
+    {"kind": "lamplighter", "modulus": 10 ** 19},
+], ids=["rank-1e9", "rank-1e5", "rank-5200", "modulus-1e19"])
+def test_huge_default_generator_sets_are_refused_unbuilt(tmp_path, group):
+    out = tmp_path / "o"
+    code, peak_kib, err = _run_measured(tmp_path, "growth", base_config(
+        out, group=group, window={"radius": 8}))
+    assert code == 2
+    assert not out.exists()
+    assert peak_kib < 200 * 1024
+    assert "vertex budget of 2000000 vertices" in err and "out of memory" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from percospec.cayley import (
     GroupSpec,
     enumerate_ball,
     induced_subgraph,
-    is_bipartite,
     multiply,
 )
 from percospec.errors import UnsupportedModelError
@@ -18,8 +17,6 @@ from percospec.operators import (
     NEUMANN,
     LabeledOperator,
     anderson,
-    bipartite_conjugate,
-    boundary_potential,
     extend,
     free_laplacian,
     percolation_laplacian,
@@ -82,7 +79,7 @@ def test_free_laplacian_matches_direct_assembly(spec, radius):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert op.matrix.shape == (n, n)
     assert np.array_equal(op.index_set, np.arange(n))
-    assert (op.tag, op.k, op.bc) == ("free", ball.k, ADJACENCY)
+    assert (op.k, op.bc) == (ball.k, ADJACENCY)
 
 
 def test_free_laplacian_row_sums(z2_ball):
@@ -111,7 +108,8 @@ def test_two_site_cluster_matrices(z_ball):
     assert np.allclose(np.linalg.eigvalsh(n), [0, 2])
     assert np.allclose(np.linalg.eigvalsh(a), [1, 3])
     assert np.allclose(np.linalg.eigvalsh(d), [2, 4])
-    w = boundary_potential(s).to_dense()
+    # the boundary potential k - d of the active set
+    w = np.diag(z_ball.k - s.subgraph().degrees())
     assert np.array_equal(d, a + w)
     assert np.array_equal(n, a - w)
 
@@ -121,7 +119,6 @@ def test_isolated_site_z2(z2_ball):
     assert percolation_laplacian(s, NEUMANN).to_dense().tolist() == [[0.0]]
     assert percolation_laplacian(s, ADJACENCY).to_dense().tolist() == [[4.0]]
     assert percolation_laplacian(s, DIRICHLET).to_dense().tolist() == [[8.0]]
-    assert boundary_potential(s).to_dense().tolist() == [[4.0]]
 
 
 def test_dirichlet_plus_neumann_is_twice_adjacency(z2_ball):
@@ -132,8 +129,8 @@ def test_dirichlet_plus_neumann_is_twice_adjacency(z2_ball):
         a = percolation_laplacian(s, ADJACENCY)
         d = percolation_laplacian(s, DIRICHLET)
         assert (d.matrix + n.matrix - 2 * a.matrix).nnz == 0
-        w = boundary_potential(s)
-        assert abs(d.matrix - a.matrix - w.matrix).nnz == 0
+        w = sparse.diags(z2_ball.k - s.subgraph().degrees(), dtype=np.float64)
+        assert abs(d.matrix - a.matrix - w).nnz == 0
 
 
 def test_empty_active_set(z2_ball):
@@ -281,7 +278,7 @@ def test_local_of_matches_dict_reference():
     for n in (1, 2, 17, 300):
         index_set = rng.permutation(3 * n)[:n]
         op = LabeledOperator(index_set=index_set, matrix=sparse.eye(n, format="csr"),
-                             tag="synthetic", k=2)
+                             k=2)
         pos = {int(w): r for r, w in enumerate(index_set)}
         wanted = rng.choice(index_set, size=2 * n)
         assert op.local_of(wanted).tolist() == [pos[int(w)] for w in wanted]
@@ -290,14 +287,14 @@ def test_local_of_matches_dict_reference():
 
 def test_local_of_names_missing_index():
     op = LabeledOperator(index_set=[7, 3, 5], matrix=sparse.eye(3, format="csr"),
-                         tag="synthetic", k=2)
+                         k=2)
     for wanted, missing in (([3, 4, 9], 4), ([9], 9), ([-1], -1)):
         with pytest.raises(ValueError,
                            match=f"^window index {missing} not in the operator "
                                  "index set$"):
             op.local_of(wanted)
     empty = LabeledOperator(index_set=[], matrix=sparse.csr_matrix((0, 0)),
-                            tag="synthetic", k=2)
+                            k=2)
     assert empty.local_of([]).tolist() == []
     with pytest.raises(ValueError, match="window index 0 not in"):
         empty.local_of([0])
@@ -307,40 +304,19 @@ def test_every_builder_carries_its_window(z2_ball):
     s = sample(PercolationModel("site", 0.5, 5), z2_ball, 0)
     op = percolation_laplacian(s, NEUMANN)
     ops = [op, subgraph_laplacian(induced_subgraph(z2_ball, [0, 1, 2]), ADJACENCY),
-           free_laplacian(z2_ball), boundary_potential(s), anderson(s, z2_ball, 1.0),
-           extend(op, z2_ball, 10.0), restrict(op, op.index_set[:5]),
-           bipartite_conjugate(op, is_bipartite(z2_ball).coloring)]
+           free_laplacian(z2_ball), anderson(s, z2_ball, 1.0),
+           extend(op, z2_ball, 10.0), restrict(op, op.index_set[:5])]
     assert all(o.window is z2_ball for o in ops)
     bare = LabeledOperator(index_set=[0, 1], matrix=sparse.eye(2, format="csr"),
-                           tag="synthetic", k=4)
+                           k=4)
     assert bare.window is None and restrict(bare, [1]).window is None
 
 
 # ---------------------------------------------------------------------------
-# bipartite conjugation
+# bipartite reflection
 # ---------------------------------------------------------------------------
 
-def test_diagonal_operator_fixed_point(z2_ball):
-    s = sample(PercolationModel("site", 0.5, 2), z2_ball, 0)
-    w = boundary_potential(s)
-    colors = is_bipartite(z2_ball).coloring
-    conj = bipartite_conjugate(w, colors)
-    assert abs(conj.matrix - w.matrix).nnz == 0
-
-
-def test_two_site_conjugation_identity(z_ball):
-    s = make_site_sample(z_ball, [(0,), (1,)])
-    a = percolation_laplacian(s, ADJACENCY)
-    colors = is_bipartite(z_ball).coloring
-    conj = bipartite_conjugate(a, colors)
-    # 2k*I - U A U = A for the adjacency Laplacian of a bipartite subgraph
-    lhs = 2 * z_ball.k * np.eye(2) - conj.to_dense()
-    assert np.array_equal(lhs, a.to_dense())
-    assert np.array_equal(lhs, [[2, -1], [-1, 2]])
-
-
 def test_neumann_dirichlet_reflection(z2_ball):
-    colors = is_bipartite(z2_ball).coloring
     model = PercolationModel("site", 0.5, 6)
     for i in range(8):
         s = sample(model, z2_ball, i)
@@ -349,14 +325,6 @@ def test_neumann_dirichlet_reflection(z2_ball):
         evn = np.linalg.eigvalsh(n.to_dense())
         evd = np.linalg.eigvalsh(d.to_dense())
         assert np.allclose(evn, np.sort(2 * z2_ball.k - evd), atol=1e-10)
-
-
-def test_invalid_coloring_rejected(z_ball):
-    s = make_site_sample(z_ball, [(0,), (1,)])
-    a = percolation_laplacian(s, ADJACENCY)
-    bad = np.ones(len(z_ball), dtype=np.int64)
-    with pytest.raises(ValueError, match="not proper"):
-        bipartite_conjugate(a, bad)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +398,6 @@ def _ref_free(window):
                           ADJACENCY)
 
 
-def _ref_boundary_potential(s):
-    sub = s.subgraph()
-    diag = s.window.k - sub.degrees().astype(np.float64)
-    mat = sparse.diags(diag, format="csr", shape=(sub.size, sub.size)) \
-        if sub.size else sparse.csr_matrix((0, 0))
-    return mat.tocsr()
-
-
 def _ref_extend(op, n, K):
     deleted = np.setdiff1d(np.arange(n, dtype=np.int64), op.index_set)
     coo = op.matrix.tocoo()
@@ -461,14 +421,6 @@ def _ref_anderson(s, window, coupling):
 def _ref_restrict(op, subset):
     positions = op.local_of(subset)
     mat = op.matrix[positions][:, positions].tocsr()
-    mat.sort_indices()
-    return mat
-
-
-def _ref_conjugate(op, coloring):
-    d = sparse.diags(np.asarray(coloring, dtype=np.float64)[op.index_set],
-                     format="csr")
-    mat = (d @ op.matrix @ d).tocsr()
     mat.sort_indices()
     return mat
 
@@ -498,7 +450,6 @@ def test_constructors_are_canonical_and_equal_the_reference(spec, radius):
                                                             dtype=np.uint64)))
     ball = enumerate_ball(spec, radius)
     n = len(ball)
-    colors = is_bipartite(ball).coloring
     _assert_same_csr(free_laplacian(ball).matrix, _ref_free(ball))
     for i in range(10):
         kind = ("site", "bond")[i % 2]
@@ -516,10 +467,6 @@ def test_constructors_are_canonical_and_equal_the_reference(spec, radius):
             subset = rng.permutation(op.index_set)[:op.dim // 2]
             _assert_same_csr(restrict(op, subset).matrix,
                              _ref_restrict(op, subset))
-            if colors is not None:
-                _assert_same_csr(bipartite_conjugate(op, colors).matrix,
-                                 _ref_conjugate(op, colors))
-        _assert_same_csr(boundary_potential(s).matrix, _ref_boundary_potential(s))
         if kind == "site":
             for coupling in (0.0, 1.5, 10.0):
                 _assert_same_csr(anderson(s, ball, coupling).matrix,
@@ -540,7 +487,7 @@ def test_non_canonical_input_becomes_a_canonical_copy():
                 sparse.csr_matrix(_non_canonical().toarray().astype(np.int64))):
         before = mat.copy()
         dense = mat.toarray()
-        op = LabeledOperator(index_set=np.arange(4), matrix=mat, tag="synthetic",
+        op = LabeledOperator(index_set=np.arange(4), matrix=mat,
                              k=2)
         assert op.matrix is not mat
         _assert_canonical(op.matrix)
@@ -556,7 +503,7 @@ def test_non_canonical_input_becomes_a_canonical_copy():
     # (0, 0) sums -1 + 0.5; the stored zero at (1, 1) and the cancelling
     # pair at (3, 2) go
     op = LabeledOperator(index_set=np.arange(4), matrix=_non_canonical(),
-                         tag="synthetic", k=2)
+                         k=2)
     assert op.matrix.indptr.tolist() == [0, 3, 4, 5, 6]
     assert op.matrix.indices.tolist() == [0, 1, 2, 0, 3, 3]
     assert op.matrix.data.tolist() == [-0.5, 3.0, 0.5, -1.0, 2.0, 4.0]
@@ -564,7 +511,7 @@ def test_non_canonical_input_becomes_a_canonical_copy():
 
 def test_canonical_input_is_kept():
     mat = sparse.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    op = LabeledOperator(index_set=np.arange(2), matrix=mat, tag="synthetic", k=2)
+    op = LabeledOperator(index_set=np.arange(2), matrix=mat, k=2)
     assert op.matrix is mat
 
 
@@ -604,14 +551,6 @@ def _scipy_extend(op, n, K):
           np.concatenate([op.index_set[coo.col], deleted]))), shape=(n, n)))
 
 
-def _scipy_conjugate(op, coloring):
-    colors = np.asarray(coloring, dtype=np.int64)[op.index_set]
-    coo = op.matrix.tocoo()
-    mat = op.matrix.copy()
-    mat.data *= colors[coo.row] * colors[coo.col]
-    return mat
-
-
 def _assert_same_arrays(op, want):
     """The operator's arrays and its ``matrix`` both equal ``want``."""
     for attr in ("indptr", "indices", "data"):
@@ -638,7 +577,7 @@ def test_numpy_builders_equal_the_scipy_construction():
         potential = levels[rng.integers(0, len(levels), size=n)]
         got, want = _assemble(n, edges, potential), _scipy_assemble(n, edges, potential)
         index_set = rng.permutation(3 * n)[:n]
-        op = LabeledOperator(index_set=index_set, matrix=got, tag="synthetic", k=4)
+        op = LabeledOperator(index_set=index_set, matrix=got, k=4)
         _assert_same_arrays(op, want)
         # restriction to a subset in any order
         for size in {0, n // 2, n}:
@@ -648,14 +587,3 @@ def test_numpy_builders_equal_the_scipy_construction():
         for K in (0.0, 9.0, 0.1):
             ext = extend(op, range(3 * n), K, check_separation=False)
             _assert_same_arrays(ext, _scipy_extend(op, 3 * n, K))
-        # conjugation by a colouring, proper for the edges between colours
-        coloring = rng.choice([-1, 1], size=3 * n)
-        colors = coloring[index_set]
-        cross = colors[edges[:, 0]] != colors[edges[:, 1]]
-        bip = LabeledOperator(index_set=index_set, tag="synthetic", k=4,
-                              matrix=_assemble(n, edges[cross], potential))
-        _assert_same_arrays(bipartite_conjugate(bip, coloring),
-                            _scipy_conjugate(bip, coloring))
-        if np.any(~cross & (edges[:, 0] != edges[:, 1])):
-            with pytest.raises(ValueError, match="not proper"):
-                bipartite_conjugate(op, coloring)

@@ -131,7 +131,6 @@ def test_decompose_single_segment_on_z():
     dec = decompose(s)
     assert dec.cluster_count == 1
     assert dec.origin_cluster_size == 3
-    assert not dec.origin_touches_boundary
 
 
 def test_decompose_single_bond():
@@ -187,8 +186,7 @@ def local_map_decompose(s):
     active = s.active_vertices()
     n = len(active)
     if n == 0:
-        return (active, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                0, 0, False)
+        return active, np.zeros(0, dtype=np.int64), 0, 0
     local = np.full(len(s.window), -1, dtype=np.int64)
     local[active] = np.arange(n)
     edges = s.open_edges()
@@ -197,14 +195,8 @@ def local_map_decompose(s):
         shape=(n, n))
     ncomp, labels = csgraph.connected_components(g, directed=False)
     sizes = np.bincount(labels, minlength=ncomp).astype(np.int64)
-    origin_size, touches = 0, False
-    if local[0] >= 0:
-        lab = labels[local[0]]
-        origin_size = int(sizes[lab])
-        wl = s.window.word_length[active]
-        touches = bool(np.any(wl[labels == lab] == s.window.radius))
-    return (active, labels.astype(np.int64), sizes, int(ncomp), origin_size,
-            touches)
+    origin_size = int(sizes[labels[local[0]]]) if local[0] >= 0 else 0
+    return active, sizes, int(ncomp), origin_size
 
 
 @pytest.mark.parametrize("kind", ["site", "bond"])
@@ -219,12 +211,12 @@ def test_decompose_matches_local_map_reference(kind, spec, radius):
         for i in range(6):
             s = sample(model, w, i)
             dec = decompose(s)
-            got = (dec.active, dec.labels, dec.sizes, dec.cluster_count,
-                   dec.origin_cluster_size, dec.origin_touches_boundary)
+            got = (dec.active, dec.sizes, dec.cluster_count,
+                   dec.origin_cluster_size)
             want = local_map_decompose(s)
-            for a, b in zip(got[:3], want[:3]):
+            for a, b in zip(got[:2], want[:2]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert got[3:] == want[3:]
+            assert got[2:] == want[2:]
             seen.add("empty" if not len(dec.active)
                      else "origin in" if dec.origin_cluster_size
                      else "origin out")

@@ -239,7 +239,7 @@ def _split_entries(op):
     indptr = np.concatenate([[0], np.cumsum(2 * counts)])
     mat = sparse.csr_matrix((np.repeat(m.data / 2, 2), np.repeat(m.indices, 2),
                              indptr), shape=m.shape)
-    return LabeledOperator(index_set=op.index_set, matrix=mat, tag="split",
+    return LabeledOperator(index_set=op.index_set, matrix=mat,
                            k=op.k, bc=op.bc)
 
 
@@ -293,7 +293,7 @@ def test_block_eigenvalues_of_a_non_canonical_input():
         indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
         mat = sparse.csr_matrix((data[order], cols[order], indptr), shape=(n, n))
         assert not mat.has_canonical_format and np.any(mat.data == 0)
-        messy = LabeledOperator(index_set=op.index_set, matrix=mat, tag="messy",
+        messy = LabeledOperator(index_set=op.index_set, matrix=mat,
                                 k=op.k, bc=bc)
         assert len(np.unique(csgraph.connected_components(messy.matrix)[1])) > 1
         assert np.allclose(block_eigenvalues(messy),
@@ -318,7 +318,7 @@ def _shuffled(op, rng):
     """The operator with its vertices in a random order."""
     perm = rng.permutation(op.dim)
     return LabeledOperator(index_set=op.index_set[perm],
-                           matrix=op.matrix[perm][:, perm], tag="shuffled",
+                           matrix=op.matrix[perm][:, perm],
                            k=op.k, bc=op.bc, window=op.window)
 
 
@@ -442,7 +442,7 @@ def test_band_order_comes_from_the_window(monkeypatch):
                                                             dtype=np.uint64)))
     attempts = _band_spy(monkeypatch)
     o = _shuffled(free_laplacian(enumerate_ball(GroupSpec.free_abelian(1), 200)), rng)
-    bare = LabeledOperator(index_set=o.index_set, matrix=o.matrix, tag="bare",
+    bare = LabeledOperator(index_set=o.index_set, matrix=o.matrix,
                            k=o.k, bc=o.bc)
     assert bare.window is None
     _assert_matches_a_dense_solve(block_eigenvalues(o), o)
@@ -502,7 +502,7 @@ def test_count_below_counts_eigenvalue_on_the_shift():
     # an eigenvalue exactly at E + tol is counted, also above the cap
     diag = np.array([1.0 + COUNT_TOL, 5.0])
     op = LabeledOperator(index_set=np.arange(2),
-                         matrix=sparse.diags(diag, format="csr"), tag="synthetic",
+                         matrix=sparse.diags(diag, format="csr"),
                          k=2)
     for cap in (1, 2):
         assert count_below(op, 1.0, dense_cap=cap) == 1
@@ -663,8 +663,7 @@ def window_cut_reference(s, window_mask):
         active_w = full.vertex_indices[window_mask[full.vertex_indices]]
     else:
         active_w = np.unique(open_w)
-    return FiniteSubgraph(parent=s.window, vertex_indices=active_w,
-                          edges=open_w, induced=s.model.kind == "site")
+    return FiniteSubgraph(parent=s.window, vertex_indices=active_w, edges=open_w)
 
 
 @pytest.mark.parametrize("window", ["radius", "depth"])
@@ -674,9 +673,9 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
     seen = []
     laplacian = spectra.subgraph_laplacian
 
-    def recording_laplacian(sub, bc, tag=None):
+    def recording_laplacian(sub, bc):
         seen.append(sub)
-        return laplacian(sub, bc, tag)
+        return laplacian(sub, bc)
 
     # both operators of a sample are built by spectra's subgraph_laplacian
     monkeypatch.setattr(spectra, "subgraph_laplacian", recording_laplacian)
@@ -702,7 +701,9 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
         assert got.edges.dtype == ref.edges.dtype
         assert np.array_equal(got.vertex_indices, ref.vertex_indices)
         assert np.array_equal(got.edges, ref.edges)
-        assert got.induced == ref.induced
+        if kind == "site":
+            assert np.array_equal(
+                got.edges, induced_subgraph(ball, got.vertex_indices).edges)
 
 
 def _ids_context(monkeypatch, group, model, window,
@@ -920,7 +921,7 @@ def test_dirichlet_spectrum_is_the_reflected_neumann_one(group, radius, kind):
     submatrices of their operators, each Dirichlet eigenvalue is 2k minus
     a Neumann one."""
     ball = enumerate_ball(group, radius)
-    assert is_bipartite(ball).bipartite
+    assert is_bipartite(ball)
     rng = np.random.default_rng(radius)
     for i in range(6):
         sub = sample(PercolationModel(kind, rng.uniform(0.3, 0.9), 41),
@@ -979,20 +980,24 @@ def five_operator_counts_reference(s, grid, couplings):
 def test_five_operator_counts_match_the_direct_solves(monkeypatch, group,
                                                       radius):
     """One Neumann solve gives the extended Neumann and, on a bipartite
-    window, the Dirichlet counts; the rows equal those of solving both."""
+    window, the Dirichlet counts; the rows equal those of solving both,
+    also with the free spectrum solved once and passed in."""
     ball = enumerate_ball(group, radius)
     grid = np.linspace(-1.0, 2.0 * group.k + 1.0, 4 * group.k + 5)
-    bipartite = is_bipartite(ball).bipartite
+    bipartite = is_bipartite(ball)
+    free = block_eigenvalues(free_laplacian(ball))
     for p in (0.0, 0.3, 0.6, 1.0):
         for i in range(4):
             s = sample(PercolationModel("site", p, 8), ball, i)
             calls = _count_solves(monkeypatch)
             got = five_operator_counts(s, grid, couplings=(1.0, 10.0))
             monkeypatch.undo()
+            given = five_operator_counts(s, grid, (1.0, 10.0), free=free)
             want = five_operator_counts_reference(s, grid, (1.0, 10.0))
-            assert list(got) == list(want)
+            assert list(got) == list(given) == list(want)
             for name in want:
                 assert np.array_equal(got[name], want[name]), (p, i, name)
+                assert np.array_equal(given[name], want[name]), (p, i, name)
             solved = Counter(bc for _, bc in calls)
             assert solved[NEUMANN] == 1
             assert solved[DIRICHLET] == (0 if bipartite else 1)
@@ -1007,8 +1012,8 @@ def test_free_ids_zd_closed_points():
     for d in (1, 2, 3, 4):
         assert free_ids_zd(d, 0.0).value == 0.0
         assert free_ids_zd(d, 4.0 * d).value == 1.0
-        assert free_ids_zd(d, -1.0).clamped
-        assert free_ids_zd(d, 4.0 * d + 1).clamped
+        assert free_ids_zd(d, -1.0).method == "clamped"
+        assert free_ids_zd(d, 4.0 * d + 1).method == "clamped"
 
 
 def test_free_ids_z2_quadrature_accuracy():

@@ -1,5 +1,5 @@
-"""Every module-level import in the package is used by its module, and
-every public function and class is used by the package.
+"""Every module-level import in the package and its tests is used by its
+module, and every public function and class is used by the package.
 
 A small stand-in for a linter: parse each source file with ``ast`` and
 compare the names its top-level imports bind with the names it reads.
@@ -15,6 +15,7 @@ import pytest
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "percospec")
                  .glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -38,7 +39,7 @@ def test_unused_imports_detects_leftovers():
     assert unused_imports(source) == [(1, "deque"), (3, "FiniteSubgraph")]
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"] + TESTS,
                          ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
