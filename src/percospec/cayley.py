@@ -130,14 +130,17 @@ def _default_generators(kind: str, rank: int, modulus: int,
     Z_modulus wr Z.  Refuses (:class:`BudgetError`), before it is built, a set
     whose B(1) passes max(``budget``, the default vertex budget), counted as
     :func:`enumerate_ball` counts it: 2 rank + 1 or 2 modulus + 1 vertices,
-    once per key word of its :func:`_layout`, whose columns span 5 values on
-    Z^d, and are 4 lamps of the modulus's values and a walker of 5 on Z_m wr Z."""
+    once per key word of its :func:`_layout`, which covers B(2): each step moves
+    a Z^d column or the walker by at most 1, and the natural set lights lamps
+    0 and 1 next to the walker."""
     if kind == HEISENBERG:
         return ((1, 0, 0), (-1, 0, 0), (0, 0, 1), (0, 0, -1))
+    span = _span(2, 1)
     if kind == FREE_ABELIAN:    # columns as many to a word as _split puts in one
-        size, words = 2 * rank + 1, -(-rank // int(np.sum(_split([5] * 64)[0] == 0)))
-    else:
-        size, words = 2 * modulus + 1, int(_split([modulus] * 4 + [5])[0][0]) + 1
+        size, words = 2 * rank + 1, -(-rank // int(np.sum(_split([span] * 64)[0] == 0)))
+    else:   # _layout's lamp window at t = 2: positions 0 and 1, walker shift 1
+        lamps = 1 + _span(1, 1)
+        size, words = 2 * modulus + 1, int(_split([modulus] * lamps + [span])[0][0]) + 1
     cap = max(DEFAULT_VERTEX_BUDGET, budget or 0)
     if size * words > cap:
         raise BudgetError(f"B(1) of {kind}:{rank or modulus} with the default generators "
@@ -315,6 +318,12 @@ class _Layout:
         return rows
 
 
+def _span(t: int, reach: int) -> int:
+    """Values a column spans after t steps that each move it by at most
+    ``reach`` either way, in Python ints, which do not overflow."""
+    return 2 * t * reach + 1
+
+
 def _layout(spec: GroupSpec, n: int) -> _Layout:
     """Column bounds covering B(n + 1): edges look up every neighbour of B(n).
     A column spanning 2^63 values or more, past the int64 range of a key
@@ -328,7 +337,7 @@ def _layout(spec: GroupSpec, n: int) -> _Layout:
         # b gains b_g + a * c_g per step, with |a| <= t * max|a_g|
         a, b, c = reach
         reach = [a, b + t * a * c, c]
-    span = 2 * t * max(reach) + 1     # in Python ints, which do not overflow
+    span = _span(t, max(reach))
     if span >= 2 ** 63:
         raise BudgetError(f"B({n}) of {spec.label()} spans {span} values in a "
                           f"column, past the int64 range of a key word (2^63)")
@@ -339,7 +348,7 @@ def _layout(spec: GroupSpec, n: int) -> _Layout:
     pos = [p for lamps, _ in spec.generators for p, _ in lamps] or [0]
     # lamps are lit at x + p by the first t steps, while |x| <= (t - 1) shift
     first = min(pos) - (t - 1) * shift
-    width = max(pos) + (t - 1) * shift - first + 1
+    width = max(pos) - min(pos) + _span(t - 1, shift)
     lo = np.zeros(width + 1, dtype=np.int64)
     hi = np.full(width + 1, spec.modulus - 1, dtype=np.int64)
     lo[-1], hi[-1] = -t * shift, t * shift

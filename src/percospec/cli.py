@@ -561,8 +561,7 @@ def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
         thresholds = [2 * (1 - np.cos(np.pi / n)) for n in ns]
         inputs = bounds_mod.sandwich_inputs(family, thresholds, "neumann",
                                             labels=ns)
-        # alpha_N of bounds.lower_bound_check_neumann, off the same solves
-        alpha_n = float(np.min(inputs.lambdas * inputs.sizes ** 2))
+        alpha_n = bounds_mod.neumann_alpha(inputs.lambdas, inputs.sizes)
         # the lower envelope only reaches energies the family certifies
         lo_eff = max(lo, float(np.min(thresholds)))
         sw = asymptotics.sandwich_check(grid, values, shift,
@@ -592,7 +591,7 @@ def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
 def _chain_task(ctx, i):
     s = percolation.sample(ctx["model"], ctx["ball"], i)
     counts = spectra.five_operator_counts(s, ctx["grid"], ctx["couplings"],
-                                          ctx["dense_cap"], ctx["free"])
+                                          ctx["free"], ctx["dense_cap"])
     return np.array([counts[name] for name in ctx["names"]])
 
 

@@ -391,8 +391,8 @@ def export_ids_csv(est: IDSEstimate, fh) -> None:
 # five-operator counting audit
 # ---------------------------------------------------------------------------
 
-def five_operator_counts(s: PercolationSample, energy_grid, couplings,
-                         dense_cap: int = DENSE_CAP, free=None) -> dict:
+def five_operator_counts(s: PercolationSample, energy_grid, couplings, free,
+                         dense_cap: int = DENSE_CAP) -> dict:
     """Normalized eigenvalue counts of the comparison chain on one sample.
 
     For a site sample on a window, counts (per energy, divided by the
@@ -402,7 +402,7 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     ordering makes these counting functions pointwise decreasing along
     that list, sample by sample.  ``free`` is the sorted spectrum of the
     free window Laplacian, the same for every sample, so a run of many
-    samples solves it once; it is solved here when not given.
+    samples solves it once.
     """
     grid = np.asarray(energy_grid, dtype=np.float64)
     window = s.window
@@ -421,8 +421,6 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings,
     # window vertex outside the active set
     out["neumann_extended"] = (_counts(neumann, grid) + (len(window) - sub.size)
                                * (grid >= -COUNT_TOL)) / norm
-    if free is None:
-        free = block_eigenvalues(free_laplacian(window), dense_cap)
     out["free"] = _counts(free, grid) / norm
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))

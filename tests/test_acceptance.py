@@ -17,6 +17,7 @@ from percospec.operators import (
     ADJACENCY,
     DIRICHLET,
     NEUMANN,
+    free_laplacian,
     percolation_laplacian,
 )
 from percospec.percolation import PercolationModel, cluster_stats, decompose, sample
@@ -132,10 +133,11 @@ def test_criterion_05_five_operator_ids_chain():
     grid = np.linspace(0.0, 2 * ball.k + 1.0, 50)
     order = ["neumann_extended", "free", "anderson:1", "anderson:10",
              "anderson:100", "adjacency", "dirichlet"]
+    free = block_eigenvalues(free_laplacian(ball))
     stacks = []
     for i in range(100):
         counts = five_operator_counts(sample(model, ball, i), grid,
-                                      couplings=(1.0, 10.0, 100.0))
+                                      (1.0, 10.0, 100.0), free)
         stacks.append(np.array([counts[name] for name in order]))
     arr = np.stack(stacks)
     means = arr.mean(axis=0)

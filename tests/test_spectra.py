@@ -944,9 +944,10 @@ def test_five_operator_chain_ordering():
     ball = enumerate_ball(GroupSpec.free_abelian(2), 5)
     model = PercolationModel("site", 0.5, 8)
     grid = np.linspace(0.0, 9.0, 19)
+    free = block_eigenvalues(free_laplacian(ball))
     for i in range(5):
         s = sample(model, ball, i)
-        c = five_operator_counts(s, grid, couplings=(1.0, 10.0, 100.0))
+        c = five_operator_counts(s, grid, (1.0, 10.0, 100.0), free)
         chain = [c["neumann_extended"], c["free"], c["anderson:1"],
                  c["anderson:10"], c["anderson:100"], c["adjacency"],
                  c["dirichlet"]]
@@ -954,9 +955,10 @@ def test_five_operator_chain_ordering():
             assert np.all(upper >= lower - 1e-12)
 
 
-def five_operator_counts_reference(s, grid, couplings):
-    """The chain with every operator solved on its own: the zero-extended
-    Neumann operator built, and the Dirichlet one solved."""
+def five_operator_counts_reference(s, grid, couplings, free):
+    """The chain with every sample operator solved on its own: the
+    zero-extended Neumann operator built, and the Dirichlet one solved.
+    ``free`` is the free window spectrum, solved once per window."""
     window, norm = s.window, float(len(s.window))
     sub = s.subgraph()
 
@@ -965,7 +967,7 @@ def five_operator_counts_reference(s, grid, couplings):
 
     out = {"neumann_extended": counts(extend(
         subgraph_laplacian(sub, NEUMANN), window, 0.0, check_separation=False)),
-        "free": counts(free_laplacian(window))}
+        "free": spectra._counts(free, grid) / norm}
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))
     for bc in (ADJACENCY, DIRICHLET):
@@ -980,8 +982,7 @@ def five_operator_counts_reference(s, grid, couplings):
 def test_five_operator_counts_match_the_direct_solves(monkeypatch, group,
                                                       radius):
     """One Neumann solve gives the extended Neumann and, on a bipartite
-    window, the Dirichlet counts; the rows equal those of solving both,
-    also with the free spectrum solved once and passed in."""
+    window, the Dirichlet counts; the rows equal those of solving both."""
     ball = enumerate_ball(group, radius)
     grid = np.linspace(-1.0, 2.0 * group.k + 1.0, 4 * group.k + 5)
     bipartite = is_bipartite(ball)
@@ -990,14 +991,12 @@ def test_five_operator_counts_match_the_direct_solves(monkeypatch, group,
         for i in range(4):
             s = sample(PercolationModel("site", p, 8), ball, i)
             calls = _count_solves(monkeypatch)
-            got = five_operator_counts(s, grid, couplings=(1.0, 10.0))
+            got = five_operator_counts(s, grid, (1.0, 10.0), free)
             monkeypatch.undo()
-            given = five_operator_counts(s, grid, (1.0, 10.0), free=free)
-            want = five_operator_counts_reference(s, grid, (1.0, 10.0))
-            assert list(got) == list(given) == list(want)
+            want = five_operator_counts_reference(s, grid, (1.0, 10.0), free)
+            assert list(got) == list(want)
             for name in want:
                 assert np.array_equal(got[name], want[name]), (p, i, name)
-                assert np.array_equal(given[name], want[name]), (p, i, name)
             solved = Counter(bc for _, bc in calls)
             assert solved[NEUMANN] == 1
             assert solved[DIRICHLET] == (0 if bipartite else 1)
