@@ -27,16 +27,38 @@ class ExponentFit:
     flags: tuple = ()
 
 
+def least_squares(x, y) -> tuple:
+    """``(slope, intercept, r, stderr)`` of the least-squares line through
+    (x, y), n >= 2 points, by ``scipy.stats.linregress``'s own formulas, so
+    bit for bit its values (scipy 1.17), without importing ``scipy.stats``.
+
+    r is NaN when a variance and the covariance are 0 (a constant y), 0 when
+    only a variance is, and is clipped to [-1, 1]; the slope's stderr is
+    0 at n = 2.  Raises ``ValueError`` when every x is equal.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if np.amax(x) == np.amin(x):
+        raise ValueError("Cannot calculate a linear regression "
+                         "if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.nan if ssxym == 0 else 0.0
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    df = len(x) - 2
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / df) if df else 0.0
+    return slope, intercept, r, stderr
+
+
 def _linear_fit(kind: str, x: np.ndarray, y: np.ndarray, fit_range,
                 flags=()) -> ExponentFit:
     if len(x) < 3:
         raise ValueError(f"{kind}: need at least 3 points, got {len(x)}")
-    from scipy.stats import linregress  # slow to import; only fits need it
-
-    res = linregress(x, y)
-    return ExponentFit(kind=kind, slope=float(res.slope),
-                       intercept=float(res.intercept),
-                       stderr=float(res.stderr), r2=float(res.rvalue ** 2),
+    slope, intercept, r, stderr = least_squares(x, y)
+    return ExponentFit(kind=kind, slope=float(slope), intercept=float(intercept),
+                       stderr=float(stderr), r2=float(r ** 2),
                        fit_range=tuple(fit_range), n_points=len(x),
                        flags=tuple(flags))
 

@@ -75,7 +75,7 @@ def rayleigh(op: LabeledOperator, test: TestFunction) -> float:
     if norm2 <= 1e-24 * max(1.0, float(test.values @ test.values)):
         raise DegenerateSpectrumError(
             "test vector lies in the kernel after orthogonalisation")
-    return float(phi @ (op.matrix @ phi)) / norm2
+    return float(phi @ op.matvec(phi)) / norm2
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +294,11 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
 
     From ``_CERTIFICATE_FLOOR`` vertices on (:func:`tetrahedron_solve`),
     (b) and (c) are read off the closed-form eigenvector f of
-    :func:`_certificate`, with one sparse product and no eigensolve:
-    ``eigenvalue_gap`` is the residual ||Lf - lambda f||_2 / ||f||_2, which
-    bounds the distance from lambda to the spectrum of L, and
-    ``boundary_ratio`` is max |f| on the inner boundary over max |f|, which
-    is exactly 0.  ``eigenspace_dim`` is the closed-form multiplicity.
+    :func:`_certificate`, with one sparse product (``op.matvec``) and no
+    eigensolve: ``eigenvalue_gap`` is the residual ||Lf - lambda f||_2 /
+    ||f||_2, which bounds the distance from lambda to the spectrum of L,
+    and ``boundary_ratio`` is max |f| on the inner boundary over max |f|,
+    which is exactly 0.  ``eigenspace_dim`` is the closed-form multiplicity.
     Below the floor one full ``eigh`` gives the gap to the nearest
     eigenvalue, the eigenspace within ``_TOL`` of lambda, whose dimension
     must equal the closed form, and the flattest direction of that
@@ -322,7 +322,7 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
                 f"multiplicity {found}, expected {dim}")
     else:
         f = _certificate(tet, n)
-        residual = op.matrix @ f - target * f
+        residual = op.matvec(f) - target * f
         # numpy's pairwise sums, not BLAS: the same bits on any thread count
         gap = float(np.sqrt(np.sum(residual * residual))
                     / np.sqrt(np.sum(f * f)))

@@ -35,7 +35,7 @@ own n + 3 columns (:func:`_tetrahedron_columns`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
 
@@ -165,12 +165,17 @@ def _default_generators(kind: str, rank: int, modulus: int,
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """A finitely generated group with a fixed symmetric generator set."""
+    """A finitely generated group with a fixed symmetric generator set.
+
+    ``inverse_slots[i]`` is the position of the inverse of generator i in
+    ``generators``, recorded when the set is checked for symmetry.
+    """
 
     kind: str
     rank: int = 0
     modulus: int = 0
     generators: tuple = ()
+    inverse_slots: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -181,16 +186,18 @@ class GroupSpec:
             raise ValueError("lamplighter modulus must be >= 2")
         if not self.generators:
             raise ValueError("generator set must be nonempty")
-        ident = identity_element(self)
-        seen = set(self.generators)
-        if len(seen) != len(self.generators):
+        slot = {g: i for i, g in enumerate(self.generators)}
+        if len(slot) != len(self.generators):
             raise ValueError("generator set contains duplicates")
-        if ident in seen:
+        if identity_element(self) in slot:
             raise ValueError("generator set must not contain the identity")
+        inverses = []
         for g in self.generators:
             _validate_element(self, g)
-            if inverse(self, g) not in seen:
+            inverses.append(slot.get(inverse(self, g)))
+            if inverses[-1] is None:
                 raise ValueError(f"generator set not symmetric: missing inverse of {g!r}")
+        object.__setattr__(self, "inverse_slots", tuple(inverses))
 
     @classmethod
     def free_abelian(cls, rank: int, generators=None,
@@ -214,6 +221,13 @@ class GroupSpec:
     def k(self) -> int:
         """Degree of the Cayley graph (size of the generator set)."""
         return len(self.generators)
+
+    @property
+    def edge_slots(self) -> tuple:
+        """The first slot of each inverse pair {g, g^-1}, in order.  An edge
+        u -- ug is found from u when g's slot is kept, else from ug, whose
+        neighbour through g^-1 is u; an involution's from both ends."""
+        return tuple(i for i, j in enumerate(self.inverse_slots) if i <= j)
 
     @property
     def is_hypercubic(self) -> bool:
@@ -355,33 +369,35 @@ def _layout(spec: GroupSpec, n: int) -> _Layout:
     return _Layout(lo=lo, hi=hi, first_pos=first)
 
 
-def _moves(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> list:
-    """For each generator g, the columns of a row that ``row * g`` changes,
-    as ``(column, change)`` pairs; either is one value for every key or one
-    per key.  These need the rows' a (Heisenberg), or their walker and the
-    lamps g lights next to it (lamplighter), and nothing else."""
+def _moves(spec: GroupSpec, layout: _Layout, keys: np.ndarray, slots=None) -> list:
+    """For each generator g (of the given slots, default all), the columns
+    of a row that ``row * g`` changes, as ``(column, change)`` pairs; either
+    is one value for every key or one per key.  These need the rows' a
+    (Heisenberg), or their walker and the lamps g lights next to it
+    (lamplighter), and nothing else."""
+    gens = spec.generators if slots is None else [spec.generators[i] for i in slots]
     if spec.kind == FREE_ABELIAN:
-        return [[(j, x) for j, x in enumerate(g) if x] for g in spec.generators]
+        return [[(j, x) for j, x in enumerate(g) if x] for g in gens]
     if spec.kind == HEISENBERG:
         a = layout.column(keys, 0)
-        return [[(0, ga), (1, gb + a * gc), (2, gc)]
-                for ga, gb, gc in spec.generators]
+        return [[(0, ga), (1, gb + a * gc), (2, gc)] for ga, gb, gc in gens]
     m, walker = spec.modulus, len(layout.lo) - 1
     # column of the lamp under each row's walker
     at = layout.column(keys, walker) - layout.first_pos
-    lamp = {p: layout.column(keys, at + p)
-            for lamps, _ in spec.generators for p, _ in lamps}
+    lamp = {p: layout.column(keys, at + p) for lamps, _ in gens for p, _ in lamps}
     return [[(walker, shift)]
             + [(at + p, (lamp[p] + val) % m - lamp[p]) for p, val in lamps]
-            for lamps, shift in spec.generators]
+            for lamps, shift in gens]
 
 
-def _neighbour_keys(spec: GroupSpec, layout: _Layout, keys: np.ndarray) -> np.ndarray:
-    """Keys of ``row * g`` for the row of every key and every generator,
-    shape (keys, k).  A move (:func:`_moves`) adds change * place value to
-    its column's word; neighbours lie in the layout, so no carry crosses words."""
-    moves, words = _moves(spec, layout, keys), layout.unpack(keys)
-    out = np.empty((len(keys), spec.k, layout.words), dtype=np.int64)
+def _neighbour_keys(spec: GroupSpec, layout: _Layout, keys: np.ndarray,
+                    slots=None) -> np.ndarray:
+    """Keys of ``row * g`` for the row of every key and every generator of
+    the given slots (default all), shape (keys, slots).  A move
+    (:func:`_moves`) adds change * place value to its column's word;
+    neighbours lie in the layout, so no carry crosses words."""
+    moves, words = _moves(spec, layout, keys, slots), layout.unpack(keys)
+    out = np.empty((len(keys), len(moves), layout.words), dtype=np.int64)
     for w, place in enumerate(layout.places):
         word = words[:, w]
         for i, changes in enumerate(moves):
@@ -623,7 +639,8 @@ def _lattice_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> Cayl
     for j in range(d - 1, -1, -1):     # each column gathered once, last first
         rows[:, j], at = values[j][at], parents[j][at]
     keys = layout.keys(rows)
-    return _ball(spec, n, layout, keys, word_length, _neighbour_keys(spec, layout, keys))
+    return _ball(spec, n, layout, keys, word_length,
+                 _neighbour_keys(spec, layout, keys, spec.edge_slots))
 
 
 def _bfs_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBall:
@@ -633,27 +650,30 @@ def _bfs_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBa
     L - 1, L and L + 1, and the new layer is the distinct neighbour keys
     minus those of the first two, put in the order of their tuples.  A
     layer whose neighbours could pass the budget is built from chunks of
-    the frontier and refused as soon as its distinct new keys do.
+    the frontier and refused as soon as its distinct new keys do.  The
+    edges keep the neighbours of ``spec.edge_slots`` only, and the last
+    layer computes no others.
     """
     cap = budget // layout.words    # no more neighbour-key words than one-word balls
     keys = layout.keys(np.zeros((1, len(layout.lo)), dtype=np.int64))
     layers, neighbours, total = [keys], [], 1
     older, current = keys[:0], keys     # the last two layers, sorted
+    slots = list(spec.edge_slots)
     for _ in range(n):
         # one chunk unless the frontier's neighbours could pass the budget
         step = max(1, (cap - total) // spec.k)
         fresh = keys[:0]
         for start in range(0, len(keys), step):
-            neighbours.append(_neighbour_keys(spec, layout, keys[start:start + step]))
-            fresh = sorted_unique(np.concatenate([fresh, neighbours[-1].ravel()]),
-                                  older, current)
+            ahead = _neighbour_keys(spec, layout, keys[start:start + step])
+            neighbours.append(ahead[:, slots])
+            fresh = sorted_unique(np.concatenate([fresh, ahead.ravel()]), older, current)
             if total + len(fresh) > cap:
                 _refuse(spec, n, layout, budget)
         total += len(fresh)
         older, current = current, fresh
         keys = _canonical(spec, layout, fresh)
         layers.append(keys)
-    neighbours.append(_neighbour_keys(spec, layout, keys))
+    neighbours.append(_neighbour_keys(spec, layout, keys, slots))
 
     return _ball(spec, n, layout, np.concatenate(layers),
                  np.repeat(np.arange(n + 1, dtype=np.int32),
@@ -675,21 +695,32 @@ def sorted_unique(values: np.ndarray, *seen: np.ndarray) -> np.ndarray:
 
 def _ball(spec: GroupSpec, radius: int, layout: _Layout, keys: np.ndarray,
           word_length: np.ndarray, neighbours: np.ndarray) -> CayleyBall:
-    """Ball-ordered vertices, joined where row i of ``neighbours`` holds a key."""
+    """Ball-ordered vertices, joined where row i of ``neighbours``, the
+    neighbour keys of ``spec.edge_slots``, holds a key."""
     ball = CayleyBall(spec=spec, radius=radius, layout=layout, keys=keys,
                       word_length=word_length, edges=None, k=spec.k)
-    ball.edges = _edges(*ball._lookup, neighbours)
+    slots = spec.edge_slots
+    involution = np.array([spec.inverse_slots[i] == i for i in slots])
+    ball.edges = _edges(*ball._lookup, neighbours, involution)
     return ball
 
 
-def _edges(ordered: np.ndarray, sorter: np.ndarray, neighbours: np.ndarray) -> np.ndarray:
+def _edges(ordered: np.ndarray, sorter: np.ndarray, neighbours: np.ndarray,
+           involution: np.ndarray) -> np.ndarray:
     """Sorted edges (u, v), u < v, where row u of ``neighbours`` holds the
-    key of vertex v, given the sorted vertex keys and their ``argsort``."""
+    key of vertex v, given the sorted vertex keys and their ``argsort``.
+
+    Column c holds one generator g of an inverse pair, so it finds each
+    edge of g once, from one end, unless g is its own inverse
+    (``involution[c]``): then it finds it from both ends, kept as u < v."""
+    width = neighbours.shape[1]
     found, at = _search(ordered, neighbours.ravel())
-    u = np.flatnonzero(found) // neighbours.shape[1]
-    v = sorter[at]
+    hit = np.flatnonzero(found)
+    u, v = hit // width, sorter[at]
+    keep = (v > u) | ~involution[hit % width]
+    u, v = u[keep], v[keep]
     # the pairs are distinct, so one sort of u * n + v orders them
-    pairs = np.sort((u * len(sorter) + v)[v > u])
+    pairs = np.sort(np.minimum(u, v) * len(sorter) + np.maximum(u, v))
     return np.stack(np.divmod(pairs, len(sorter)), axis=1)
 
 
@@ -957,7 +988,7 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     order = np.lexsort([*_order_keys(spec, layout, keys), word_length])
     keys = keys[order]
     parent = _ball(spec, 2 * n, layout, keys, word_length[order],
-                   _neighbour_keys(spec, layout, keys))
+                   _neighbour_keys(spec, layout, keys, spec.edge_slots))
     return FiniteSubgraph(parent=parent, vertex_indices=np.arange(len(parent)),
                           edges=parent.edges)
 

@@ -8,7 +8,9 @@ supported on the inner vertex boundary.  Entries are integers stored in
 float64, so trace identities hold exactly.
 
 Operators are numpy CSR arrays built without scipy, labelled into components
-by ``cayley.connected_components``; the scipy ``.matrix`` is built on demand.
+by ``cayley.connected_components`` and multiplied by ``LabeledOperator.matvec``.
+The scipy ``.matrix`` is built on demand; it is the tests' reference, and no
+code of the package reads it.
 Each builder records the ball it indexes as the operator's ``window``.
 """
 
@@ -37,7 +39,8 @@ class LabeledOperator:
     Stored as CSR arrays ``indptr``, ``indices``, ``data`` in canonical form:
     float64, one entry per position, sorted columns, no stored zeros.  A
     ``matrix`` other than the builders' ``_CSR`` is kept if it is a canonical
-    scipy ``csr_matrix``, else copied to one; ``matrix`` is built on first use.
+    scipy ``csr_matrix``, else copied to one; ``matrix`` is built on first use,
+    as the tests' scipy reference: the package multiplies by :meth:`matvec`.
     ``window`` is the ball whose vertices ``index_set`` indexes, or None; its
     ``band_rank`` orders the band solves (``spectra._band_eigenvalues``).
     """
@@ -80,6 +83,23 @@ class LabeledOperator:
         if self._subgraph is not None:
             return self._subgraph.components()
         return connected_components(self.dim, np.stack([self.entry_rows, self.indices], 1))
+
+    def matvec(self, x) -> np.ndarray:
+        """The product with a vector, in numpy, bit for bit ``matrix @ x``.
+
+        scipy's ``csr_matvec`` sums each row from 0 in stored order, so this
+        adds one stored slot of every row at a time: slot j of each row that
+        has more than j entries.  ``np.add.reduceat`` sums in another order
+        and can differ in the last bits.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        out = np.zeros(self.dim)
+        starts, counts = self.indptr[:-1], np.diff(self.indptr)
+        for j in range(int(counts.max(initial=0))):
+            rows = np.flatnonzero(counts > j)
+            at = starts[rows] + j
+            out[rows] += self.data[at] * x[self.indices[at]]
+        return out
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.dim, self.dim))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._parallel import run_indexed
+from .asymptotics import least_squares
 from .cayley import CayleyBall, FiniteSubgraph, sorted_unique
 
 SITE = "site"
@@ -175,12 +176,10 @@ def cluster_stats(model: PercolationModel, window: CayleyBall, n_samples: int,
 
     usable = (hits >= 30) & (tail > 0)
     if usable.sum() >= 2:
-        from scipy.stats import linregress  # slow to import; only fits need it
-
-        res = linregress(tail_grid[usable], np.log(tail[usable]))
+        slope, _, r, _ = least_squares(tail_grid[usable], np.log(tail[usable]))
         # a flat tail (p = 1) decays at rate 0.0, not -0.0, and has no R^2
-        fit = TailFit(tau=0.0 - float(res.slope),
-                      r2=float(res.rvalue ** 2) if np.ptp(tail[usable]) else None,
+        fit = TailFit(tau=0.0 - float(slope),
+                      r2=float(r ** 2) if np.ptp(tail[usable]) else None,
                       n_points=int(usable.sum()),
                       fit_range=(int(tail_grid[usable].min()),
                                  int(tail_grid[usable].max())),

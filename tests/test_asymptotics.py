@@ -7,12 +7,66 @@ from percospec.asymptotics import (
     fit_growth,
     fit_lifshitz,
     fit_van_hove,
+    least_squares,
     sandwich_check,
 )
 from percospec.bounds import sandwich_inputs
 from percospec.cayley import GroupSpec, enumerate_ball, growth_profile, line_subgraph
 from percospec.operators import NEUMANN
 from percospec.spectra import free_ids_zd, line_site_ids_oracle
+
+
+# ---------------------------------------------------------------------------
+# least squares: scipy.stats.linregress, bit for bit
+# ---------------------------------------------------------------------------
+
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+def _fit_inputs():
+    rng = np.random.Generator(np.random.Philox(key=np.array([41, 0], dtype=np.uint64)))
+    cases = [(np.array([1.0, 2.0]), np.array([3.0, 5.0])),      # n = 2
+             (np.array([1, 4]), np.array([2.0, 2.0])),          # n = 2, flat
+             (np.arange(1, 6), np.zeros(5)),                    # constant y: r is NaN
+             (np.arange(1, 6), np.full(5, 0.1)),
+             (np.array([1e-200, 2e-200, 3e-200]), np.array([1.0, 2.0, 4.0])),  # ssxm = 0
+             (np.arange(1, 9), 2.0 * np.arange(1, 9) - 1.0)]    # r clipped
+    for i in range(300):
+        n = int(rng.integers(2, 40))
+        if i % 3 == 0:      # integer x, as the percolate tail grid
+            x = rng.integers(-50, 50, size=n)
+            y = np.log(rng.uniform(size=n))
+        elif i % 3 == 1:
+            x = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+        else:               # nearly exact lines, where r is clipped
+            x = rng.normal(size=n)
+            y = rng.normal() * x + rng.normal()
+        if np.ptp(x):
+            cases.append((x, y))
+    return cases
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_least_squares_is_linregress_bit_for_bit():
+    from scipy.stats import linregress
+
+    for x, y in _fit_inputs():
+        want = linregress(x, y)
+        got = least_squares(x, y)
+        assert [_bits(v) for v in got] == [_bits(want.slope), _bits(want.intercept),
+                                           _bits(want.rvalue), _bits(want.stderr)], (x, y)
+
+
+def test_least_squares_refuses_identical_x_as_linregress():
+    from scipy.stats import linregress
+
+    x, y = np.full(4, 2.5), np.arange(4.0)
+    with pytest.raises(ValueError) as want:
+        linregress(x, y)
+    with pytest.raises(ValueError, match="^" + str(want.value) + "$"):
+        least_squares(x, y)
 
 
 # ---------------------------------------------------------------------------

@@ -628,6 +628,53 @@ def test_neighbour_keys_match_the_keys_of_the_neighbour_rows():
             (cayley.LAMPLIGHTER, 1, False), (cayley.LAMPLIGHTER, 3, True)} <= regimes
 
 
+def _all_slot_edges(ball):
+    """Slow reference: the neighbour keys of every vertex and every
+    generator, searched in the ball, each pair kept once as u < v."""
+    keys = cayley._neighbour_keys(ball.spec, ball.layout, ball.keys)
+    ordered, sorter = ball._lookup
+    found, at = cayley._search(ordered, keys.ravel())
+    u, v = np.flatnonzero(found) // ball.k, sorter[at]
+    return np.array(sorted(zip(u[v > u].tolist(), v[v > u].tolist())),
+                    dtype=np.int64).reshape(-1, 2)
+
+
+# Z_2 wr Z with the bare lamp switch, an involution, beside the walker steps
+_SWITCH = GroupSpec.lamplighter(2, generators=[((), 1), ((), -1), (((0, 1),), 0)])
+
+
+def test_inverse_slots_pair_each_generator_with_its_inverse():
+    for spec in [*_DIGEST_SPECS.values(), _SWITCH]:
+        for i, j in enumerate(spec.inverse_slots):
+            assert spec.generators[j] == inverse(spec, spec.generators[i])
+        assert spec.edge_slots == tuple(i for i, j in enumerate(spec.inverse_slots)
+                                        if i <= j)
+    assert _SWITCH.inverse_slots == (1, 0, 2) and _SWITCH.edge_slots == (0, 2)
+    assert GroupSpec.free_abelian(2).edge_slots == (0, 2)
+
+
+def test_edges_from_one_slot_per_inverse_pair_match_the_all_slot_edges():
+    wide = GroupSpec.lamplighter(1000, generators=[(((0, 1), (8, 1)), 0),
+                                                   (((0, 999), (8, 999)), 0),
+                                                   ((), 1), ((), -1)])
+    diagonal = GroupSpec.free_abelian(41, generators=[
+        *GroupSpec.free_abelian(41).generators, (1,) * 41, (-1,) * 41])
+    cases = ([(_DIGEST_SPECS[name], 4) for name in sorted(_DIGEST_SPECS)]
+             + [(_SWITCH, 6), (GroupSpec.lamplighter(2, generators=[
+                 *_SWITCH.generators, (((0, 1),), 1), (((-1, 1),), -1)]), 4),
+                (GroupSpec.free_abelian(41), 2), (diagonal, 1),
+                (GroupSpec.free_abelian(60), 1), (wide, 3)])
+    words = set()
+    for spec, radius in cases:
+        ball = enumerate_ball(spec, radius)
+        words.add(ball.layout.words)
+        assert np.array_equal(ball.edges, _all_slot_edges(ball)), (spec, radius)
+    for m, n in [(2, 3), (3, 3)]:
+        parent = tetrahedron(m, n).parent
+        assert np.array_equal(parent.edges, _all_slot_edges(parent))
+    assert words == {1, 2, 3}
+
+
 # ---------------------------------------------------------------------------
 # group laws (property tests)
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Which scipy modules a run loads, each checked in a fresh interpreter.
 
-The CLI, ball enumeration and an ids run whose clusters are small need
-numpy alone; scipy is loaded only by the calls that need LAPACK through
-it or its sparse matrices.  ``import scipy`` itself, which the manifest
-needs for its version, loads a few private modules and no subpackage;
-those are the baseline.
+The CLI, ball enumeration, the fits, the operators and their products, and
+an ids run whose clusters are small need numpy alone: ``growth`` and
+``percolate`` load no scipy subpackage, and ``exponents``, ``bounds`` and
+``lamplighter`` load ``scipy.linalg`` for their eigensolves and neither
+``scipy.stats`` nor ``scipy.sparse``.  ``import scipy`` itself, which the
+manifest needs for its version, loads a few private modules and no
+subpackage; those are the baseline.
 """
 
 import hashlib
@@ -13,6 +15,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import percospec
 
@@ -80,3 +84,41 @@ def test_band_path_loads_scipy_linalg_and_keeps_the_pinned_bytes(tmp_path):
     got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
            for f in json.loads((out / "manifest.json").read_text())["outputs"]}
     assert got == entry["outputs"]["0"]
+
+
+def _subpackages(modules: set) -> set:
+    """The public scipy subpackages that have a module among ``modules``."""
+    return {m.split(".")[1] for m in modules
+            if m.count(".") and not m.split(".")[1].startswith("_")}
+
+
+_Z1 = {"kind": "free_abelian", "rank": 1}
+_Z2 = {"kind": "free_abelian", "rank": 2}
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("growth", {"group": _Z2, "window": {"radius": 8}}),
+    ("percolate", {"group": _Z2, "window": {"radius": 6},
+                   "percolation": {"kind": "site", "p": 0.6, "n_samples": 100}}),
+], ids=["growth", "percolate"])
+def test_fit_runs_load_no_scipy_submodule(tmp_path, subcommand, cfg):
+    cfg = {**cfg, "seed": 1, "workers": 1, "output_dir": str(tmp_path / "o")}
+    baseline = scipy_modules_after("import scipy")
+    assert scipy_modules_after(cli_run(tmp_path, subcommand, cfg)) <= baseline
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("exponents", {"group": _Z1, "window": {"radius": 8},
+                   "percolation": {"kind": "site", "p": 0.5},
+                   "fits": {"line_max": 8}}),
+    ("bounds", {"group": _Z2, "fits": {"dirichlet_n_max": 4, "line_max": 8}}),
+    ("bounds", {"group": {"kind": "lamplighter", "modulus": 2},
+                "window": {"depths": [2, 6]}}),
+    ("lamplighter", {"group": {"kind": "lamplighter", "modulus": 2},
+                     "window": {"depths": [2, 6], "return_max": 4}}),
+], ids=["exponents", "bounds-z2", "bounds-lamplighter", "lamplighter"])
+def test_solving_runs_load_scipy_linalg_alone(tmp_path, subcommand, cfg):
+    # depth 2 takes the full eigh, depth 6 (448 vertices) the certificate
+    cfg = {**cfg, "seed": 1, "workers": 1, "output_dir": str(tmp_path / "o")}
+    loaded = scipy_modules_after(cli_run(tmp_path, subcommand, cfg))
+    assert _subpackages(loaded - scipy_modules_after("import scipy")) == {"linalg"}

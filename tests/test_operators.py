@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from percospec.bounds import _certificate
 from percospec.cayley import (
     GroupSpec,
     enumerate_ball,
     induced_subgraph,
     multiply,
+    tetrahedron,
 )
 from percospec.errors import UnsupportedModelError
 from percospec.operators import (
@@ -587,3 +589,30 @@ def test_numpy_builders_equal_the_scipy_construction():
         for K in (0.0, 9.0, 0.1):
             ext = extend(op, range(3 * n), K, check_separation=False)
             _assert_same_arrays(ext, _scipy_extend(op, 3 * n, K))
+
+
+# ---------------------------------------------------------------------------
+# the numpy product: scipy's CSR product, bit for bit
+# ---------------------------------------------------------------------------
+
+def test_matvec_is_the_scipy_product_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(key=np.array([43, 0], dtype=np.uint64)))
+    empty_rows = 0
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        mat = sparse.random(n, n, density=rng.uniform(0.0, 0.4), format="csr",
+                            random_state=int(rng.integers(2 ** 31)))
+        op = LabeledOperator(np.arange(n), mat * 10.0 ** rng.uniform(-3, 3), k=4)
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-5, 5)
+        empty_rows += int(np.sum(np.diff(op.indptr) == 0))
+        assert op.matvec(x).tobytes() == (op.matrix @ x).tobytes()
+    assert empty_rows > 0
+
+
+@pytest.mark.parametrize("m,n", [(3, 4), (3, 5), (2, 8), (5, 4), (4, 5)])
+def test_matvec_on_tetrahedra_is_the_scipy_product_bit_for_bit(m, n):
+    tet = tetrahedron(m, n)
+    op = subgraph_laplacian(tet, ADJACENCY)
+    rng = np.random.Generator(np.random.Philox(key=np.array([m, n], dtype=np.uint64)))
+    for x in (_certificate(tet, n), rng.normal(size=op.dim)):
+        assert op.matvec(x).tobytes() == (op.matrix @ x).tobytes()
