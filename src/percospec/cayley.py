@@ -4,8 +4,11 @@ Supported families: free abelian groups Z^d, the discrete Heisenberg group
 of 3x3 upper unitriangular integer matrices, and lamplighter wreath products
 Z_m wr Z.  A ball's vertex order (word length, then lexicographic encoding)
 is the canonical order that every downstream matrix inherits, so results
-are reproducible bit for bit.  Z^d balls with the ±unit generators are
-built in closed form, the others breadth first from the identity.
+are reproducible bit for bit.  Z^d balls with the ±unit generators and
+Z_m wr Z balls with the natural generators, whose word lengths and
+K_{m,m} cells have a closed form (:func:`enumerate_ball`), are built in
+closed form; the others (Heisenberg, other Z^d and lamplighter sets)
+breadth first from the identity.  Both give the same ball.
 
 Element encodings (``multiply``, ``inverse`` and ``CayleyBall.vertices``):
 
@@ -236,6 +239,14 @@ class GroupSpec:
         return self.kind == FREE_ABELIAN and self.k == 2 * self.rank and \
             all(sum(map(abs, g)) == 1 for g in self.generators)
 
+    @property
+    def is_natural_lamplighter(self) -> bool:
+        """Whether this is Z_m wr Z with its natural set, in any order, as generators."""
+        # 2m distinct steps that can set only the lamp they cross are all of them
+        return self.kind == LAMPLIGHTER and self.k == 2 * self.modulus and \
+            all(abs(x) == 1 and len(lamps) <= 1 and all(p == max(x, 0) for p, _ in lamps)
+                for lamps, x in self.generators)
+
     def label(self) -> str:
         if self.kind == FREE_ABELIAN:
             return f"free_abelian:{self.rank}"
@@ -317,9 +328,15 @@ class _Layout:
     def column(self, keys: np.ndarray, j) -> np.ndarray:
         """Column j of the rows of ``keys``: one index, or one per key."""
         word, place = self.split
-        # one column is a view of its word; one column per key, a gather
-        at = (np.arange(len(keys)) if np.ndim(j) else slice(None), word[j])
-        return self.unpack(keys)[at] // place[j] % (self.hi - self.lo + 1)[j] + self.lo[j]
+        words = self.unpack(keys)
+        # one word, or one column, is a view; one column per key, a gather
+        if self.words == 1:
+            words = words[:, 0]
+        elif np.ndim(j):
+            words = words[np.arange(len(keys)), word[j]]
+        else:
+            words = words[:, word[j]]
+        return words // place[j] % (self.hi - self.lo + 1)[j] + self.lo[j]
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`keys`."""
@@ -603,13 +620,27 @@ class CayleyBall:
 
 def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> CayleyBall:
     """B(n) in ball order (word length, then lexicographic encoding), edges
-    sorted: in closed form on Z^d with the ±unit generators (:func:`_lattice_ball`),
-    else by BFS (:func:`_bfs_ball`).  Raises :class:`BudgetError` before building
-    past ``budget`` vertices (default 2e6), each counted once per key word."""
+    sorted: in closed form on Z^d with the ±unit generators (:func:`_lattice_ball`)
+    and on Z_m wr Z with the natural ones (:func:`_lamplighter_ball`), else by
+    BFS (:func:`_bfs_ball`).  Raises :class:`BudgetError` before building past
+    ``budget`` vertices (default 2e6), each counted once per key word.
+
+    On Z_m wr Z with the natural generators, lamp p switches only on a step
+    across walker positions p - 1 and p: a right mover sets lamp x + 1, a
+    left mover lamp x.  A word for (lamps, x) walks from 0 to x over [a, b],
+    a = min(0, x, lowest lit - 1) and b = max(0, x, highest lit), setting
+    each lamp on its last crossing, so the shortest goes to the nearer end
+    first: 2(b - a) - |x| steps (Parry, Trans. AMS 331, 1992).  A right step
+    from (L, x) reaches (L', x + 1) for each L' that agrees with L off lamp
+    x + 1, so (L, x) and (L', x + 1) are adjacent exactly then, and the 2m
+    vertices whose lamps agree off x + 1, at x and x + 1, form a K_{m,m}
+    cell: the Cayley graph is the Diestel-Leader graph DL(m, m) (Woess,
+    Combin. Probab. Comput. 14, 2005)."""
     if n < 0:
         raise ValueError("radius must be >= 0")
     budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
-    build = _lattice_ball if spec.is_hypercubic else _bfs_ball
+    build = _lattice_ball if spec.is_hypercubic else \
+        _lamplighter_ball if spec.is_natural_lamplighter else _bfs_ball
     return build(spec, n, _layout(spec, n), budget)
 
 
@@ -641,6 +672,182 @@ def _lattice_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> Cayl
     keys = layout.keys(rows)
     return _ball(spec, n, layout, keys, word_length,
                  _neighbour_keys(spec, layout, keys, spec.edge_slots))
+
+
+def _natural_word_length(x, first, last):
+    """Word length of (lamps, x) in Z_m wr Z with the natural generators, whose
+    lit lamps span positions ``first .. last`` (``first, last = 1, 0`` if
+    none is lit): 2(b - a) - |x|, a = min(0, x, first - 1), b = max(0, x,
+    last) (see :func:`enumerate_ball`)."""
+    a = np.minimum(np.minimum(x, first - 1), 0)
+    b = np.maximum(np.maximum(x, last), 0)
+    return 2 * (b - a) - np.abs(x)
+
+
+def _lamp_patterns(m: int, n: int) -> tuple:
+    """``(value, span)`` of every lamp pattern of B(n) of Z_m wr Z, in tuple
+    order, after the empty pattern (0, -1).  A pattern lights lamps at
+    offsets 0 .. span from its first lit lamp, both ends lit, span < n;
+    ``value`` is the base-m number of its lamp values.
+
+    Tuple order is the order of the patterns' order digits (see
+    :func:`_order_keys`): a lit lamp's value, m for an unlit lamp before the
+    last lit one, 0 after it.  So tails of k digits come in this order: the
+    empty tail (all 0), each lit digit 1 .. m - 1 before every tail of
+    k - 1 digits, then the unlit digit m before every nonempty one.  A
+    pattern is a lit digit before a tail of n - 1 digits."""
+    if n == 0:
+        return np.zeros(1, dtype=np.int64), np.full(1, -1)
+    # the tails' digits up to the last lit one, and their base-m value
+    length, value = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    lit = np.arange(1, m, dtype=np.int64)[:, None]
+    for _ in range(n - 1):
+        length, value = (np.concatenate([[0], np.tile(length + 1, m - 1), length[1:] + 1]),
+                         np.concatenate([[0], (lit * m ** length + value).ravel(), value[1:]]))
+    return (np.concatenate([[0], (lit * m ** length + value).ravel()]),
+            np.concatenate([[-1], np.tile(length, m - 1)]))
+
+
+def _lamplighter_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBall:
+    """B(n) of Z_m wr Z with the natural generators, in closed form.
+
+    Its vertices fall in groups: walker x and no lamp lit, or walker x and
+    lamps lit at p .. p + s with both ends lit, which has m - 1 lamp
+    patterns if s = 0, else (m - 1)^2 m^(s - 1).  A group's word length is
+    :func:`_natural_word_length` (x, p, p + s), so the ball's size is
+    checked against the budget before anything is built.  Ball order is one
+    int64 sort key: word length, then the column of the first lit lamp (0
+    if none), then the pattern's place in tuple order (:func:`_lamp_patterns`),
+    then x; its range is bounded in Python ints first.  The edges join the
+    K_{m,m} cells (:func:`_cell_edges`), and no neighbour key is made."""
+    m, lamps = spec.modulus, len(layout.lo) - 1
+    # the first lit lamp is at p >= 1 - n, past column 0 (position -n)
+    x, first, span = (axis.ravel() for axis in np.meshgrid(
+        np.arange(-n, n + 1), np.arange(1, lamps), np.arange(n), indexing="ij"))
+    length = _natural_word_length(x, first + layout.first_pos, first + span + layout.first_pos)
+    lit, walker = length <= n, np.arange(-n, n + 1)
+    # the groups: no lamp lit (first column 0, bucket 0), then lamps lit in
+    # columns first .. first + span (bucket span + 1)
+    x, first = np.r_[walker, x[lit]], np.r_[0 * walker, first[lit]]
+    bucket, length = np.r_[0 * walker, span[lit] + 1], np.r_[np.abs(walker), length[lit]]
+    # patterns per bucket
+    sizes = [1, m - 1] + [(m - 1) ** 2 * m ** (s - 1) for s in range(1, n)]
+    if sum(sizes[b] * int(c) for b, c in enumerate(np.bincount(bucket))) > \
+            budget // layout.words:
+        _refuse(spec, n, layout, budget)
+    width, patterns = 2 * n + 1, sum(sizes[:n + 1])
+    # this bound is also past m^n, the patterns' largest base-m value
+    bound = (n + 1) * lamps * patterns * width
+    if bound >= 2 ** 63:
+        raise BudgetError(f"B({n}) of {spec.label()} orders its vertices by {bound} "
+                          f"sort keys, past the int64 range (2^63)")
+
+    value, pattern_span = _lamp_patterns(m, n)
+    # places in tuple order of the patterns of each bucket, buckets in turn
+    by_bucket = np.argsort(pattern_span, kind="stable")
+    sizes = np.array(sizes[:n + 1], dtype=np.int64)
+    count = sizes[bucket]
+    order = np.repeat(((length * lamps + first) * patterns) * width + x + n, count)
+    at = np.repeat(np.cumsum(sizes)[bucket] - sizes[bucket] - (np.cumsum(count) - count), count)
+    at += np.arange(len(at))
+    order += by_bucket[at] * width
+    del at
+    order.sort()
+
+    x = order % width - n
+    order //= width
+    pattern = order % patterns
+    order //= patterns
+    first = order % lamps
+    word_length = (order // lamps).astype(np.int32)
+    del order
+    keys = _pattern_keys(layout, m ** np.arange(n + 1), value[pattern], first,
+                         first + pattern_span[pattern], x)
+    del pattern, first
+    return CayleyBall(spec=spec, radius=n, layout=layout, keys=keys, word_length=word_length,
+                      edges=_cell_edges(layout, keys, x), k=spec.k)
+
+
+def _pattern_keys(layout: _Layout, powers: np.ndarray, value: np.ndarray,
+                  first: np.ndarray, last: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Keys of lamplighter elements whose lit lamps are the base-m digits of
+    ``value`` in columns ``first .. last``, walker ``x``; ``powers`` holds
+    m^0, m^1, ... up to m^(last - first + 1).  A word takes the digits of
+    the columns it holds, each at its column's place."""
+    word, place = layout.split
+    lamps = len(layout.lo) - 1
+    words = np.zeros((len(value), layout.words), dtype=np.int64)
+    for w in range(layout.words):
+        columns = np.flatnonzero(word[:lamps] == w)
+        if not len(columns):
+            continue
+        if len(columns) == lamps:     # every lamp column: value needs no split
+            words[:, w] = value * place[last]
+            continue
+        # the digits in columns first .. last and in this word, if any
+        top = np.minimum(last, columns[-1])
+        digits = np.maximum(top - np.maximum(first, columns[0]) + 1, 0)
+        below = np.minimum(last - top, len(powers) - 1)
+        words[:, w] = value // powers[below] % powers[digits] * place[top]
+    words[:, word[-1]] += (x - layout.lo[-1]) * place[-1]
+    return layout.pack(words)
+
+
+def _clear_lamp(layout: _Layout, keys: np.ndarray, j: np.ndarray, back: int) -> np.ndarray:
+    """Keys of lamplighter rows with lamp column ``j`` (one per key) cleared
+    and the walker moved back by ``back``."""
+    lamp, words = layout.column(keys, j), layout.unpack(keys)
+    out = np.empty_like(words)
+    for w, places in enumerate(layout.places):
+        out[:, w] = words[:, w] - lamp * places[j] - back * places[-1]
+    return layout.pack(out)
+
+
+def _runs(ids: np.ndarray) -> tuple:
+    """``(order, start, count, id)`` of the runs of equal ``ids``: the
+    ``argsort`` of the ids, and each run's start in it, length and id."""
+    order = np.argsort(ids)
+    ids = ids[order]
+    start = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    return order, start, np.diff(np.r_[start, len(ids)]), ids[start]
+
+
+def _cell_edges(layout: _Layout, keys: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sorted edges (u, v), u < v, of a ball of Z_m wr Z with the natural
+    generators, from its vertices' keys and walkers ``x``.
+
+    A vertex's right cell id is its key with lamp x + 1 cleared, its left
+    cell id its key with lamp x cleared and the walker one back; each cell
+    joins every vertex of its right run to every vertex of its left run
+    (:func:`_runs`).  A cell's pairs are built from its side with fewer
+    vertices, a member at a time, and all pairs are sorted once."""
+    col = x - layout.first_pos     # of lamp x
+    runs = [_runs(_clear_lamp(layout, keys, j, back)) for j, back in ((col + 1, 0), (col, 1))]
+    del col
+    found, at = _search(runs[1][3], runs[0][3])
+    sides = [(order, start[pick], count[pick])
+             for (order, start, count, _), pick in zip(runs, (found, at))]
+    del runs, found, at
+    pairs = np.empty(int(sides[0][2] @ sides[1][2]), dtype=np.int64)
+    filled, swap, size = 0, sides[0][2] > sides[1][2], len(keys)
+    for keep, ((few, few_start, few_count), (many, many_start, many_count)) in (
+            (~swap, sides), (swap, sides[::-1])):
+        few_start, few_count = few_start[keep], few_count[keep]
+        many_start, many_count = many_start[keep], many_count[keep]
+        for j in range(few_count.max(initial=0)):
+            here = few_count > j
+            count = many_count[here]
+            u = np.repeat(few[few_start[here] + j], count)
+            v = many[np.repeat(many_start[here] - np.cumsum(count) + count, count)
+                     + np.arange(len(u))]
+            pairs[filled:filled + len(u)] = np.minimum(u, v) * size + np.maximum(u, v)
+            filled += len(u)
+            del u, v
+    del sides
+    pairs.sort()
+    edges = np.empty((len(pairs), 2), dtype=np.int64)
+    np.divmod(pairs, size, out=(edges[:, 0], edges[:, 1]))
+    return edges
 
 
 def _bfs_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBall:
@@ -982,9 +1189,9 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     x = np.arange(n + 1)
     place = layout.split[1]
     keys = ((lamps @ place[1:n + 1])[:, None] + (x - layout.lo[-1]) * place[-1]).ravel()
-    # a shortest word walks right to max(walker, top lit lamp), then back
+    # the lit lamps lie in 1 .. top, top = 0 if none: a = 0 for every member
     top = (np.arange(1, n + 1) * (lamps > 0)).max(axis=1)[:, None]
-    word_length = (2 * np.maximum(x, top) - x).astype(np.int32).ravel()
+    word_length = _natural_word_length(x, 1, top).astype(np.int32).ravel()
     order = np.lexsort([*_order_keys(spec, layout, keys), word_length])
     keys = keys[order]
     parent = _ball(spec, 2 * n, layout, keys, word_length[order],

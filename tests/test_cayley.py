@@ -314,13 +314,134 @@ def test_lattice_ball_matches_the_bfs():
               (_shuffled_lattice(rng, 28), 2), (_shuffled_lattice(rng, 60), 1)]
     for spec, radius in cases:
         assert spec.is_hypercubic
-        ball, ref = enumerate_ball(spec, radius), _bfs_ball(spec, radius)
-        assert ball.keys.dtype == ref.keys.dtype, (spec.rank, radius)
-        assert ball.keys.tobytes() == ref.keys.tobytes(), (spec.rank, radius)
-        assert ball.word_length.dtype == ref.word_length.dtype == np.int32
-        assert np.array_equal(ball.word_length, ref.word_length), (spec.rank, radius)
-        assert ball.edges.dtype == ref.edges.dtype
-        assert np.array_equal(ball.edges, ref.edges), (spec.rank, radius)
+        _assert_same_ball(enumerate_ball(spec, radius), _bfs_ball(spec, radius),
+                          (spec.rank, radius))
+
+
+def _assert_same_ball(ball, ref, case):
+    assert ball.keys.dtype == ref.keys.dtype, case
+    assert ball.keys.tobytes() == ref.keys.tobytes(), case
+    assert ball.word_length.dtype == ref.word_length.dtype == np.int32
+    assert np.array_equal(ball.word_length, ref.word_length), case
+    assert ball.edges.dtype == ref.edges.dtype
+    assert np.array_equal(ball.edges, ref.edges), case
+
+
+# Z_3 wr Z with the lamp switch beside the natural set: built breadth first
+_LAMPLIGHTER3_SWITCH = GroupSpec.lamplighter(3, generators=[
+    *_DIGEST_SPECS["lamplighter3"].generators, (((0, 1),), 0), (((0, 2),), 0)])
+
+
+def _shuffled_lamplighter(rng, m):
+    gens = list(GroupSpec.lamplighter(m).generators)
+    return GroupSpec.lamplighter(m, generators=[gens[i] for i in rng.permutation(2 * m)])
+
+
+def test_lamplighter_ball_matches_the_bfs(monkeypatch):
+    rng = np.random.Generator(np.random.Philox(key=np.array([43, 0],
+                                                            dtype=np.uint64)))
+    radii = {2: 10, 3: 8, 4: 7, 5: 5, 7: 5, 20: 3, 100: 2}
+    cases = [(GroupSpec.lamplighter(m), radius) for m, top in radii.items()
+             for radius in range(top + 1)]
+    cases += [(_shuffled_lamplighter(rng, m), top) for m, top in radii.items()]
+    built = []
+    real = cayley._lamplighter_ball
+
+    def closed_form(spec, *args):
+        built.append(spec)
+        return real(spec, *args)
+
+    monkeypatch.setattr(cayley, "_lamplighter_ball", closed_form)
+    for spec, radius in cases:
+        assert spec.is_natural_lamplighter
+        _assert_same_ball(enumerate_ball(spec, radius), _bfs_ball(spec, radius),
+                          (spec.modulus, radius))
+    assert built == [spec for spec, _ in cases]
+    # a custom set is built breadth first
+    enumerate_ball(_LAMPLIGHTER3_SWITCH, 3)
+    assert len(built) == len(cases)
+
+
+@pytest.mark.parametrize("spec,natural", [
+    (GroupSpec.lamplighter(2), True),
+    (GroupSpec.lamplighter(3, generators=[(((0, 2),), -1), ((), 1), (((1, 1),), 1),
+                                          ((), -1), (((0, 1),), -1), (((1, 2),), 1)]),
+     True),
+    (GroupSpec.lamplighter(2, generators=[((), 1), ((), -1), (((0, 1),), 0)]), False),
+    # the natural set of Z_2 wr Z's other hand: right movers set the lamp they leave
+    (GroupSpec.lamplighter(2, generators=[((), 1), ((), -1), (((0, 1),), 1),
+                                          (((-1, 1),), -1)]), False),
+    (GroupSpec.lamplighter(2, generators=[((), 1), ((), -1)]), False),
+    (GroupSpec.free_abelian(2), False),
+    (GroupSpec.heisenberg(), False),
+])
+def test_is_natural_lamplighter(spec, natural):
+    assert spec.is_natural_lamplighter == natural
+
+
+def test_two_word_lamplighter_ball():
+    # Z_40000 wr Z: B(1) has 80,001 vertices on two-word keys, the identity
+    # joined to every other vertex
+    m = 40000
+    spec = GroupSpec.lamplighter(m)
+    ball = enumerate_ball(spec, 1)
+    assert ball.layout.words == 2 and len(ball) == 2 * m + 1
+    assert ball.keys.tobytes() == ball.layout.keys(ball.rows).tobytes()
+    right = [(((1, v),) if v else (), 1) for v in range(m)]
+    left = [(((0, v),) if v else (), -1) for v in range(m)]
+    assert ball.vertices == (((), 0), *sorted(left + right))
+    assert ball.word_length.tolist() == [0] + [1] * 2 * m
+    assert ball.edges.tolist() == [[0, v] for v in range(1, 2 * m + 1)]
+
+
+def test_lamplighter_ball_splits_lamp_patterns_across_key_words():
+    # a walker column wide enough to push lamp columns into a second key
+    # word, so that lamp patterns straddle the words, as no default layout
+    # under the budget does
+    budget = cayley.DEFAULT_VERTEX_BUDGET
+    for m, radius, reach in [(3, 6, 2 ** 50), (2, 8, 2 ** 50), (5, 4, 2 ** 45),
+                             (7, 3, 2 ** 50), (3, 5, 2 ** 58)]:
+        spec = GroupSpec.lamplighter(m)
+        layout = cayley._layout(spec, radius)
+        lo, hi = layout.lo.copy(), layout.hi.copy()
+        lo[-1], hi[-1] = -reach, reach
+        wide = cayley._Layout(lo=lo, hi=hi, first_pos=layout.first_pos)
+        # lamp columns 0 and 1 at least, and the walker, in different words
+        assert wide.words == 2 and 2 <= np.sum(wide.split[0] == 1) < len(lo) - 1
+        _assert_same_ball(cayley._lamplighter_ball(spec, radius, wide, budget),
+                          cayley._bfs_ball(spec, radius, wide, budget), (m, radius))
+
+
+@pytest.mark.parametrize("m,radius,budget,words", [
+    (3, 10, 311444, 1), (3, 11, 938546, 1), (2, 40, None, 2), (200, 3, None, 2),
+    (40000, 2, None, 2)])
+def test_lamplighter_ball_over_the_budget_is_refused_before_it_is_built(
+        monkeypatch, m, radius, budget, words):
+    # Z_3 wr Z B(10) has 311,445 vertices and B(11) 938,547; Z_2 wr Z B(40),
+    # Z_200 wr Z B(3) and Z_40000 wr Z B(2) are past the default budget
+    def no_build(*args):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(cayley, "_neighbour_keys", no_build)
+    monkeypatch.setattr(cayley, "_bfs_ball", no_build)
+    monkeypatch.setattr(cayley, "_lamp_patterns", no_build)
+    budget_text = budget or cayley.DEFAULT_VERTEX_BUDGET
+    with pytest.raises(BudgetError, match=rf"^ball exceeds the vertex budget of "
+                       rf"{budget_text} vertices \(group lamplighter:{m}, "
+                       rf"radius {radius}, {words}-word keys\)$"):
+        enumerate_ball(GroupSpec.lamplighter(m), radius, budget)
+
+
+def test_lamplighter_sort_key_past_int64_is_refused(monkeypatch):
+    # B(60) of Z_2 wr Z is under a budget of 2^80 vertices, but orders its
+    # 2^59 lamp patterns by keys past 2^63
+    def no_build(*args):
+        raise AssertionError("the ball was built")
+
+    monkeypatch.setattr(cayley, "_lamp_patterns", no_build)
+    with pytest.raises(BudgetError, match=r"^B\(60\) of lamplighter:2 orders its "
+                                          r"vertices by \d+ sort keys, past the int64"):
+        enumerate_ball(GroupSpec.lamplighter(2), 60, budget=2 ** 80)
 
 
 # the same Cayley graph as Z^2's, from generators that are not the unit vectors
@@ -481,8 +602,8 @@ def test_budget_is_the_ball_size(name, radius):
 
 @pytest.mark.parametrize("spec,radius", [
     (_DIGEST_SPECS["Z2"], 6), (_Z2_SHEARED, 6), (_DIGEST_SPECS["heisenberg"], 5),
-    (_DIGEST_SPECS["lamplighter3"], 6)], ids=["Z2-6", "Z2-sheared-6", "heisenberg-5",
-                                              "lamplighter3-6"])
+    (_LAMPLIGHTER3_SWITCH, 6)], ids=["Z2-6", "Z2-sheared-6", "heisenberg-5",
+                                     "lamplighter3-switch-6"])
 def test_ball_built_in_chunks_is_the_same_ball(spec, radius):
     ball = enumerate_ball(spec, radius)
     # at this budget every layer that could cross it is built in chunks
@@ -510,7 +631,7 @@ def test_lattice_ball_over_the_budget_is_refused_before_it_is_built(
 
 
 def test_crossing_layer_is_refused_before_it_is_built(monkeypatch):
-    spec = GroupSpec.lamplighter(3)
+    spec = _LAMPLIGHTER3_SWITCH
     ball = enumerate_ball(spec, 7)
     built = []
     real = cayley._neighbour_keys
