@@ -328,15 +328,9 @@ class _Layout:
     def column(self, keys: np.ndarray, j) -> np.ndarray:
         """Column j of the rows of ``keys``: one index, or one per key."""
         word, place = self.split
-        words = self.unpack(keys)
-        # one word, or one column, is a view; one column per key, a gather
-        if self.words == 1:
-            words = words[:, 0]
-        elif np.ndim(j):
-            words = words[np.arange(len(keys)), word[j]]
-        else:
-            words = words[:, word[j]]
-        return words // place[j] % (self.hi - self.lo + 1)[j] + self.lo[j]
+        # one column is a view of its word; one column per key, a gather
+        at = (np.arange(len(keys)) if np.ndim(j) else slice(None), word[j])
+        return self.unpack(keys)[at] // place[j] % (self.hi - self.lo + 1)[j] + self.lo[j]
 
     def rows(self, keys: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`keys`."""
@@ -708,44 +702,63 @@ def _lamp_patterns(m: int, n: int) -> tuple:
             np.concatenate([[-1], np.tile(length, m - 1)]))
 
 
+def _lit_groups(n: int, layout: _Layout):
+    """For s = 0 .. n - 1 in turn, ``(x, first, length)`` of the groups of
+    B(n) of Z_m wr Z (natural generators) whose lamps are lit in columns
+    first .. first + s, both ends lit: their walker, first column and word
+    length (:func:`_natural_word_length`)."""
+    # the first lit lamp is at p >= 1 - n, past column 0 (position -n)
+    x, first = (axis.ravel() for axis in np.meshgrid(
+        np.arange(-n, n + 1), np.arange(1, len(layout.lo) - 1), indexing="ij"))
+    for s in range(n):
+        length = _natural_word_length(x, first + layout.first_pos,
+                                      first + s + layout.first_pos)
+        lit = length <= n
+        yield x[lit], first[lit], length[lit]
+
+
 def _lamplighter_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBall:
     """B(n) of Z_m wr Z with the natural generators, in closed form.
 
     Its vertices fall in groups: walker x and no lamp lit, or walker x and
     lamps lit at p .. p + s with both ends lit, which has m - 1 lamp
-    patterns if s = 0, else (m - 1)^2 m^(s - 1).  A group's word length is
-    :func:`_natural_word_length` (x, p, p + s), so the ball's size is
-    checked against the budget before anything is built.  Ball order is one
-    int64 sort key: word length, then the column of the first lit lamp (0
-    if none), then the pattern's place in tuple order (:func:`_lamp_patterns`),
-    then x; its range is bounded in Python ints first.  The edges join the
-    K_{m,m} cells (:func:`_cell_edges`), and no neighbour key is made."""
-    m, lamps = spec.modulus, len(layout.lo) - 1
-    # the first lit lamp is at p >= 1 - n, past column 0 (position -n)
-    x, first, span = (axis.ravel() for axis in np.meshgrid(
-        np.arange(-n, n + 1), np.arange(1, lamps), np.arange(n), indexing="ij"))
-    length = _natural_word_length(x, first + layout.first_pos, first + span + layout.first_pos)
-    lit, walker = length <= n, np.arange(-n, n + 1)
-    # the groups: no lamp lit (first column 0, bucket 0), then lamps lit in
-    # columns first .. first + span (bucket span + 1)
-    x, first = np.r_[walker, x[lit]], np.r_[0 * walker, first[lit]]
-    bucket, length = np.r_[0 * walker, span[lit] + 1], np.r_[np.abs(walker), length[lit]]
-    # patterns per bucket
-    sizes = [1, m - 1] + [(m - 1) ** 2 * m ** (s - 1) for s in range(1, n)]
-    if sum(sizes[b] * int(c) for b, c in enumerate(np.bincount(bucket))) > \
-            budget // layout.words:
+    patterns if s = 0, else (m - 1)^2 m^(s - 1) (:func:`_lit_groups`).  The
+    ball's size is checked against the budget before anything is built:
+    first against m^(n // 2), the patterns of lamps 1 .. n // 2 with the
+    walker at 0, which bounds n before any group is listed, then group by
+    group.  Ball order is one int64 sort key: word length, then the column
+    of the first lit lamp (0 if none), then the pattern's place in tuple
+    order (:func:`_lamp_patterns`), then x; its range is bounded in Python
+    ints first.  The edges join the K_{m,m} cells (:func:`_cell_edges`),
+    and no neighbour key is made."""
+    m, lamps, cap = spec.modulus, len(layout.lo) - 1, budget // layout.words
+    # B(n) holds the m^(n // 2) patterns of lamps 1 .. n // 2 with the walker at 0
+    if m ** (n // 2) > cap:
         _refuse(spec, n, layout, budget)
-    width, patterns = 2 * n + 1, sum(sizes[:n + 1])
+    # patterns per bucket: no lamp lit (bucket 0), then lamps lit in s + 1
+    # columns (bucket s + 1)
+    sizes = ([1, m - 1] + [(m - 1) ** 2 * m ** (s - 1) for s in range(1, n)])[:n + 1]
+    total = 2 * n + 1
+    for size, (x, _, _) in zip(sizes[1:], _lit_groups(n, layout)):
+        total += size * len(x)
+        if total > cap:
+            _refuse(spec, n, layout, budget)
+    width, patterns = 2 * n + 1, sum(sizes)
     # this bound is also past m^n, the patterns' largest base-m value
     bound = (n + 1) * lamps * patterns * width
     if bound >= 2 ** 63:
         raise BudgetError(f"B({n}) of {spec.label()} orders its vertices by {bound} "
                           f"sort keys, past the int64 range (2^63)")
 
+    walker = np.arange(-n, n + 1)
+    groups = [(walker, 0 * walker, np.abs(walker)), *_lit_groups(n, layout)]
+    x, first, length = (np.concatenate(axis) for axis in zip(*groups))
+    bucket = np.repeat(np.arange(n + 1), [len(group[0]) for group in groups])
+    del groups
     value, pattern_span = _lamp_patterns(m, n)
     # places in tuple order of the patterns of each bucket, buckets in turn
     by_bucket = np.argsort(pattern_span, kind="stable")
-    sizes = np.array(sizes[:n + 1], dtype=np.int64)
+    sizes = np.array(sizes, dtype=np.int64)
     count = sizes[bucket]
     order = np.repeat(((length * lamps + first) * patterns) * width + x + n, count)
     at = np.repeat(np.cumsum(sizes)[bucket] - sizes[bucket] - (np.cumsum(count) - count), count)
@@ -780,9 +793,6 @@ def _pattern_keys(layout: _Layout, powers: np.ndarray, value: np.ndarray,
     for w in range(layout.words):
         columns = np.flatnonzero(word[:lamps] == w)
         if not len(columns):
-            continue
-        if len(columns) == lamps:     # every lamp column: value needs no split
-            words[:, w] = value * place[last]
             continue
         # the digits in columns first .. last and in this word, if any
         top = np.minimum(last, columns[-1])

@@ -432,6 +432,22 @@ def test_lamplighter_ball_over_the_budget_is_refused_before_it_is_built(
         enumerate_ball(GroupSpec.lamplighter(m), radius, budget)
 
 
+@pytest.mark.parametrize("m,radius,words", [(2, 1000, 33), (3, 500, 26), (2, 300, 10)])
+def test_lamplighter_ball_of_a_large_radius_is_refused_before_listing_groups(
+        monkeypatch, m, radius, words):
+    # B(n) holds the m^(n // 2) patterns of lamps 1 .. n // 2, far past the
+    # budget here, so no group of walker and lit lamps is listed
+    def no_build(*args):
+        raise AssertionError("the groups were listed")
+
+    for name in ("_lit_groups", "_lamp_patterns", "_bfs_ball", "_neighbour_keys"):
+        monkeypatch.setattr(cayley, name, no_build)
+    with pytest.raises(BudgetError, match=rf"^ball exceeds the vertex budget of "
+                       rf"{cayley.DEFAULT_VERTEX_BUDGET} vertices \(group "
+                       rf"lamplighter:{m}, radius {radius}, {words}-word keys\)$"):
+        enumerate_ball(GroupSpec.lamplighter(m), radius)
+
+
 def test_lamplighter_sort_key_past_int64_is_refused(monkeypatch):
     # B(60) of Z_2 wr Z is under a budget of 2^80 vertices, but orders its
     # 2^59 lamp patterns by keys past 2^63
