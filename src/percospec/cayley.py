@@ -298,7 +298,7 @@ class _Layout:
 
     @cached_property
     def words(self) -> int:
-        return len(self.places)
+        return int(self.split[0][0]) + 1     # the first column's word is the last
 
     def pack(self, words: np.ndarray) -> np.ndarray:
         """Keys of int64 words (..., words): the one word, or a void view."""

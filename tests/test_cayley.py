@@ -432,7 +432,8 @@ def test_lamplighter_ball_over_the_budget_is_refused_before_it_is_built(
         enumerate_ball(GroupSpec.lamplighter(m), radius, budget)
 
 
-@pytest.mark.parametrize("m,radius,words", [(2, 1000, 33), (3, 500, 26), (2, 300, 10)])
+@pytest.mark.parametrize("m,radius,words", [(2, 1000, 33), (3, 500, 26), (2, 300, 10),
+                                             (2, 30000, 969)])
 def test_lamplighter_ball_of_a_large_radius_is_refused_before_listing_groups(
         monkeypatch, m, radius, words):
     # B(n) holds the m^(n // 2) patterns of lamps 1 .. n // 2, far past the
@@ -442,10 +443,14 @@ def test_lamplighter_ball_of_a_large_radius_is_refused_before_listing_groups(
 
     for name in ("_lit_groups", "_lamp_patterns", "_bfs_ball", "_neighbour_keys"):
         monkeypatch.setattr(cayley, name, no_build)
+    layouts, real = [], cayley._layout
+    monkeypatch.setattr(cayley, "_layout", lambda *args: layouts.append(real(*args)) or layouts[-1])
     with pytest.raises(BudgetError, match=rf"^ball exceeds the vertex budget of "
                        rf"{cayley.DEFAULT_VERTEX_BUDGET} vertices \(group "
                        rf"lamplighter:{m}, radius {radius}, {words}-word keys\)$"):
         enumerate_ball(GroupSpec.lamplighter(m), radius)
+    # the key words are counted without the words x columns table of places
+    assert "places" not in vars(layouts[0])
 
 
 def test_lamplighter_sort_key_past_int64_is_refused(monkeypatch):
