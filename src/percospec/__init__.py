@@ -19,9 +19,7 @@ from .operators import (
     NEUMANN,
     LabeledOperator,
     anderson,
-    extend,
     free_laplacian,
-    percolation_laplacian,
     restrict,
     subgraph_laplacian,
 )
@@ -35,9 +33,7 @@ from .percolation import (
 )
 from .spectra import (
     IDSEstimate,
-    Spectrum,
     count_below,
-    eigenvalues_dense,
     empirical_ids,
     free_ids_ball,
     free_ids_zd,
@@ -50,13 +46,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ADJACENCY", "DIRICHLET", "NEUMANN",
     "CayleyBall", "FiniteSubgraph", "GroupSpec", "GrowthProfile",
-    "LabeledOperator", "PercolationModel", "PercolationSample",
-    "IDSEstimate", "Spectrum",
+    "LabeledOperator", "PercolationModel", "PercolationSample", "IDSEstimate",
     "enumerate_ball", "growth_profile", "induced_subgraph",
     "inner_vertex_boundary", "is_bipartite", "line_subgraph", "tetrahedron",
-    "anderson", "extend", "free_laplacian", "percolation_laplacian", "restrict",
-    "subgraph_laplacian",
+    "anderson", "free_laplacian", "restrict", "subgraph_laplacian",
     "cluster_stats", "decompose", "deleted_density_expected", "sample",
-    "count_below", "eigenvalues_dense", "empirical_ids", "free_ids_ball",
-    "free_ids_zd", "lowest_nonzero", "return_probability",
+    "count_below", "empirical_ids", "free_ids_ball", "free_ids_zd",
+    "lowest_nonzero", "return_probability",
 ]

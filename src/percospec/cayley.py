@@ -633,6 +633,11 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
     if n < 0:
         raise ValueError("radius must be >= 0")
     budget = DEFAULT_VERTEX_BUDGET if budget is None else int(budget)
+    # a generator that moves the walker has 2n + 1 distinct powers in B(n),
+    # so such a radius is refused before the layout's O(n) columns are built
+    if spec.kind == LAMPLIGHTER and 2 * n + 1 > budget and any(x for _, x in spec.generators):
+        raise BudgetError(f"ball exceeds the vertex budget of {budget} vertices (group "
+                          f"{spec.label()}, radius {n}, {2 * n + 1} walker positions)")
     build = _lattice_ball if spec.is_hypercubic else \
         _lamplighter_ball if spec.is_natural_lamplighter else _bfs_ball
     return build(spec, n, _layout(spec, n), budget)
@@ -1146,16 +1151,20 @@ def tetrahedron_vertex_count(m: int, n: int) -> int:
     """(n+1) m^n, the vertex count of the depth-n tetrahedron of Z_m wr Z.
 
     Raises :class:`BudgetError` above the default vertex budget, from the
-    arithmetic alone, and ``ValueError`` below depth 1.
+    arithmetic alone, and ``ValueError`` below depth 1.  m^n is at least
+    2^(n (bits of m - 1)): past 2^64 it is not computed, and the message
+    gives the count as (n+1) * m^n.
     """
     if n < 1:
         raise ValueError("depth must be >= 1")
-    size = (n + 1) * m ** n
-    if size > DEFAULT_VERTEX_BUDGET:
-        raise BudgetError(
-            f"the depth-{n} tetrahedron of Z_{m} wr Z has {size} vertices, "
-            f"above the vertex budget of {DEFAULT_VERTEX_BUDGET}")
-    return size
+    if n * (m.bit_length() - 1) <= 64:
+        size = (n + 1) * m ** n
+        if size <= DEFAULT_VERTEX_BUDGET:
+            return size
+    else:
+        size = f"{n + 1} * {m}^{n}"
+    raise BudgetError(f"the depth-{n} tetrahedron of Z_{m} wr Z has {size} vertices, "
+                      f"above the vertex budget of {DEFAULT_VERTEX_BUDGET}")
 
 
 def tetrahedron_key_count(m: int, n: int) -> int:

@@ -387,8 +387,8 @@ def run_percolate(cfg: dict, out: Path) -> tuple[list, dict]:
     stats = percolation.cluster_stats(model, window, n_samples,
                                       tail_grid=range(1, tail_max + 1),
                                       workers=cfg["workers"])
-    with open(out / "tail.csv", "w") as fh:
-        percolation.export_cluster_stats(stats, fh)
+    write_csv(out / "tail.csv", ["n", "tail", "stderr"],
+              zip(stats.tail_grid, stats.tail, stats.tail_stderr))
     write_json(out / "percolate_report.json", {
         "samples": stats.samples,
         "tau_fit": vars(stats.tau_fit),
@@ -418,8 +418,13 @@ def run_ids(cfg: dict, out: Path) -> tuple[list, dict]:
     outputs = []
     summary = {}
     for bc, est in ests.items():
-        with open(out / f"ids_{bc}.csv", "w") as fh:
-            spectra.export_ids_csv(est, fh)
+        par = est.params
+        # a depth window writes its depth in the radius column
+        fixed = (par["n_samples"], bc, par["model"], par["p"],
+                 par.get("radius", par.get("depth")), par["seed"])
+        write_csv(out / f"ids_{bc}.csv", ["E", "mean", "stderr", "n_samples", "bc",
+                                          "model", "p", "radius", "seed"],
+                  [row + fixed for row in zip(est.energies, est.mean, est.stderr)])
         write_csv(out / f"ids_{bc}_bracket.csv", ["E", "low", "high"],
                   zip(est.energies, est.bracket_low, est.bracket_high))
         summary[bc] = {"n_at_zero": est.n_at_zero[0],
@@ -682,7 +687,12 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as done:
+        # argparse exits 0 after --help and 2 after a usage mistake, which is
+        # a validation error here: 2 is the resource-budget code
+        return 1 if done.code else 0
 
     started = time.time()
     work = None     # the run writes here, and out gets the files on success
@@ -690,7 +700,9 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
+        except (OSError, ValueError) as err:
+            # a JSONDecodeError, bad UTF-8 and an integer of more digits
+            # than Python converts are all ValueErrors
             raise ValidationError(f"cannot read config: {err}")
         if not isinstance(raw, dict):
             raise ValidationError("config must be a JSON object")

@@ -7,6 +7,8 @@ D - A.  They differ by the boundary potential W = k*I - D, which is
 supported on the inner vertex boundary.  Entries are integers stored in
 float64, so trace identities hold exactly.
 
+The builders are the subgraph Laplacians, the free window Laplacian, the
+two-valued-potential Hamiltonian and the principal submatrix (``restrict``).
 Operators are numpy CSR arrays built without scipy, labelled into components
 by ``cayley.connected_components`` and multiplied by ``LabeledOperator.matvec``.
 The scipy ``.matrix`` is built on demand; it is the tests' reference, and no
@@ -16,7 +18,6 @@ Each builder records the ball it indexes as the operator's ``window``.
 
 from __future__ import annotations
 
-import warnings
 from collections import namedtuple
 from functools import cached_property
 
@@ -106,9 +107,6 @@ class LabeledOperator:
         out[self.entry_rows, self.indices] = self.data
         return out
 
-    def trace(self) -> float:
-        return float(self.data[self.entry_rows == self.indices].sum())
-
     def inf_norm(self) -> float:
         """Max row sum of absolute entries; the scale for kernel tolerances."""
         starts = self.indptr[:-1][np.diff(self.indptr) > 0]
@@ -193,34 +191,6 @@ def free_laplacian(window: CayleyBall) -> LabeledOperator:
     n = len(window)
     return LabeledOperator(index_set=np.arange(n), k=window.k, bc=ADJACENCY,
                            matrix=_assemble(n, window.edges, window.k), window=window)
-
-
-def percolation_laplacian(sample: PercolationSample, bc: str) -> LabeledOperator:
-    """Laplacian of the percolation subgraph, over the active vertex set."""
-    return subgraph_laplacian(sample.subgraph(), bc)
-
-
-def extend(op: LabeledOperator, window: CayleyBall, K: float,
-           check_separation: bool = True) -> LabeledOperator:
-    """Extend to the whole window by K on each deleted vertex, uncoupled.
-
-    The spectrum becomes spectrum(op) together with K at multiplicity
-    #deleted.  When K falls inside [0, 2k] the extension eigenvalues can mix
-    with the percolation spectrum; a warning is emitted unless the caller
-    opts out (the zero-extended Neumann operator does this on purpose).
-    """
-    n = len(window)
-    deleted = np.setdiff1d(np.arange(n, dtype=np.int64), op.index_set)
-    if check_separation and 0.0 <= K <= 2.0 * op.k:
-        warnings.warn(f"extension constant K={K} lies inside [0, {2 * op.k}]; "
-                      "extension eigenvalues may mix with the spectrum",
-                      stacklevel=2)
-    # K = 0 entries are dropped by the canonical form
-    mat = _csr(n, np.concatenate([op.index_set[op.entry_rows], deleted]),
-               np.concatenate([op.index_set[op.indices], deleted]),
-               np.concatenate([op.data, np.full(len(deleted), float(K))]))
-    return LabeledOperator(index_set=np.arange(n, dtype=np.int64), matrix=mat,
-                           k=op.k, bc=op.bc, window=window)
 
 
 def anderson(sample: PercolationSample, window: CayleyBall,

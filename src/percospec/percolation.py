@@ -207,13 +207,3 @@ def deleted_density_expected(model: PercolationModel, k: int) -> float:
     if model.kind == SITE:
         return 1.0 - model.p
     return (1.0 - model.p) ** k
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def export_cluster_stats(stats: ClusterStats, fh) -> None:
-    fh.write("n,tail,stderr\n")
-    for n, t, se in zip(stats.tail_grid, stats.tail, stats.tail_stderr):
-        fh.write(f"{n},{t:.17g},{se:.17g}\n")

@@ -1,5 +1,8 @@
 """Eigenvalues, eigenvalue counts, and the windowed IDS estimator.
 
+Operators are solved by :func:`block_eigenvalues`, one solve per connected
+component; only :func:`free_ids_ball` takes eigenvectors, from a dense ``eigh``.
+
 Counting is right continuous: ``count(E)`` is the number of eigenvalues
 lambda <= E + count_tol.  Kernel membership uses |lambda| <= kernel_tol
 relative to the max-row-sum norm; the matrices here have integer entries,
@@ -53,45 +56,11 @@ _BAND_RATIO = 16
 
 
 # ---------------------------------------------------------------------------
-# dense spectra
+# per-component spectra
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Spectrum:
-    eigenvalues: np.ndarray
-    dim: int
-    kernel_dim: int
-
 
 def _kernel_count(eigenvalues: np.ndarray, scale: float) -> int:
     return int((np.abs(eigenvalues) <= KERNEL_TOL * scale).sum())
-
-
-def eigenvalues_dense(op: LabeledOperator, dense_cap: int = DENSE_CAP,
-                      validate: bool = False) -> Spectrum:
-    """Full spectrum, from the per-component solves of :func:`block_eigenvalues`.
-
-    Refuses dimensions above ``dense_cap``; use :func:`count_below` there.
-    With ``validate=True`` each eigenvalue is checked against an
-    eigenvector of a dense ``eigh``: the residual must stay below
-    1e-8 * ||H||.
-    """
-    if op.dim > dense_cap:
-        raise BudgetError(
-            f"operator dimension {op.dim} exceeds the dense cap {dense_cap}; "
-            "use count_below for counting at this size")
-    vals = block_eigenvalues(op, dense_cap)
-    scale = op.inf_norm()
-    if validate:
-        from scipy import linalg
-
-        dense = op.to_dense()
-        vecs = linalg.eigh(dense)[1]
-        resid = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
-        if np.any(resid > 1e-8 * max(scale, 1.0)):
-            raise RuntimeError("eigenpair residual above tolerance")
-    return Spectrum(eigenvalues=vals, dim=op.dim,
-                    kernel_dim=_kernel_count(vals, scale))
 
 
 def _band_eigenvalues(op: LabeledOperator, members: np.ndarray) -> np.ndarray | None:
@@ -376,15 +345,6 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
             solve="direct" if source[name] == name
             else f"reflected from {source[name]}")
     return out[bc] if single else out
-
-
-def export_ids_csv(est: IDSEstimate, fh) -> None:
-    p = est.params
-    fh.write("E,mean,stderr,n_samples,bc,model,p,radius,seed\n")
-    radius = p.get("radius", p.get("depth"))
-    for e, m, se in zip(est.energies, est.mean, est.stderr):
-        fh.write(f"{e:.17g},{m:.17g},{se:.17g},{p['n_samples']},{p['bc']},"
-                 f"{p['model']},{p['p']:.17g},{radius},{p['seed']}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,42 @@ def test_unknown_nested_key_rejected(tmp_path):
     assert main(["growth", "--config", path]) == 1
 
 
+@pytest.mark.parametrize("section,key", [(None, "seed"), ("window", "radius")])
+def test_config_integer_past_the_digit_limit_is_unreadable(tmp_path, capsys,
+                                                           section, key):
+    # Python converts at most 4300 digits to an int, so json.load raises a
+    # ValueError that is not a JSONDecodeError
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "free_abelian", "rank": 1},
+                      window={"radius": 4})
+    (cfg[section] if section else cfg)[key] = "HUGE"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg).replace('"HUGE"', "9" * 5000))
+    assert main(["growth", "--config", str(path)]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth"], ["nosuch", "--config", "c.json"],
+    ["growth", "--config", "c.json", "--seed", "x"]],
+    ids=["no-config", "unknown-subcommand", "seed-not-an-integer"])
+def test_usage_mistakes_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # argparse exits 2, the resource-budget code here
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, "c.json", base_config(
+        tmp_path / "o", group={"kind": "free_abelian", "rank": 1},
+        window={"radius": 4}))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage: percospec")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: percospec")
+
+
 def test_budget_exceeded_exit_code(tmp_path, monkeypatch):
     monkeypatch.setenv("PERCOSPEC_BUDGET_VERTICES", "10")
     cfg = base_config(tmp_path / "o", group={"kind": "free_abelian", "rank": 2},
@@ -826,6 +862,9 @@ def test_percolate_artifacts(tmp_path):
                       window={"radius": 60})
     path = write_config(tmp_path, "c.json", cfg)
     assert main(["percolate", "--config", path]) == 0
+    lines = (out / "tail.csv").read_text().strip().splitlines()
+    assert lines[0] == "n,tail,stderr"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2", "3", "4", "5", "6"]
     rep = json.loads((out / "percolate_report.json").read_text())
     assert abs(rep["deleted_density"]["value"] - 0.5) < 0.05
     assert rep["deleted_density_expected"] == 0.5
@@ -1046,11 +1085,14 @@ def test_no_tetrahedron_depths(tmp_path, subcommand):
 
 @pytest.mark.parametrize("subcommand,m,depth", [
     ("lamplighter", 2, 30), ("lamplighter", 3, 11), ("lamplighter", 2, 1),
-    ("bounds", 3, 11), ("bounds", 2, 17), ("bounds", 2, 1)])
+    ("bounds", 3, 11), ("bounds", 2, 17), ("bounds", 2, 1),
+    ("lamplighter", 3, 10 ** 5), ("lamplighter", 3, 10 ** 9),
+    ("bounds", 3, 10 ** 5), ("bounds", 3, 10 ** 9)])
 def test_tetrahedron_depths_near_the_vertex_budget(tmp_path, capsys,
                                                    subcommand, m, depth):
     # (3, 11) has 2,125,764 vertices and (2, 17) 2,359,296, just over the
-    # default vertex budget of 2,000,000; depth 1 is a user's mistake
+    # default vertex budget of 2,000,000; depth 1 is a user's mistake; the
+    # count of depth 10^5 has more digits than Python prints
     out = tmp_path / "o"
     cfg = base_config(out, group={"kind": "lamplighter", "modulus": m},
                       window={"depths": [depth], "return_max": 2})
@@ -1064,6 +1106,29 @@ def test_tetrahedron_depths_near_the_vertex_budget(tmp_path, capsys,
         assert code == 1 and "window.depths" in err
     else:
         assert code == 2 and f"depth-{depth} tetrahedron" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("subcommand,extra", [
+    ("growth", {"window": {"radius": 10 ** 6}}),
+    ("growth", {"window": {"radius": 10 ** 18}}),
+    ("ids", {"window": {"depth": 10 ** 6}, "percolation": _SITE,
+             "spectra": {"n_samples": 10, "energy_grid": {"values": [1.0]}}})],
+    ids=["growth-1e6", "growth-1e18", "ids-depth-1e6"])
+def test_huge_lamplighter_radius_is_refused_before_its_layout(
+        tmp_path, capsys, monkeypatch, subcommand, extra):
+    # B(n) holds the 2n + 1 powers of a walker step, past the budget here,
+    # so the layout's O(n) columns are never listed
+    def no_layout(*args):
+        raise AssertionError("the layout was built")
+
+    monkeypatch.setattr(cayley, "_layout", no_layout)
+    out = tmp_path / "o"
+    cfg = base_config(out, group={"kind": "lamplighter", "modulus": 2}, **extra)
+    started = time.perf_counter()
+    assert main([subcommand, "--config", write_config(tmp_path, "c.json", cfg)]) == 2
+    assert time.perf_counter() - started < 1.0
+    assert "walker positions" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -19,13 +19,12 @@ from percospec.operators import (
     NEUMANN,
     LabeledOperator,
     anderson,
-    extend,
     free_laplacian,
-    percolation_laplacian,
     restrict,
     subgraph_laplacian,
 )
 from percospec.percolation import PercolationModel, sample
+from percospec.spectra import block_eigenvalues, five_operator_counts
 
 
 def make_site_sample(window, open_elements, p=0.5, seed=0):
@@ -101,9 +100,10 @@ def test_free_laplacian_row_sums(z2_ball):
 
 def test_two_site_cluster_matrices(z_ball):
     s = make_site_sample(z_ball, [(0,), (1,)])
-    n = percolation_laplacian(s, NEUMANN).to_dense()
-    a = percolation_laplacian(s, ADJACENCY).to_dense()
-    d = percolation_laplacian(s, DIRICHLET).to_dense()
+    sub = s.subgraph()
+    n = subgraph_laplacian(sub, NEUMANN).to_dense()
+    a = subgraph_laplacian(sub, ADJACENCY).to_dense()
+    d = subgraph_laplacian(sub, DIRICHLET).to_dense()
     assert np.array_equal(n, [[1, -1], [-1, 1]])
     assert np.array_equal(a, [[2, -1], [-1, 2]])
     assert np.array_equal(d, [[3, -1], [-1, 3]])
@@ -117,27 +117,27 @@ def test_two_site_cluster_matrices(z_ball):
 
 
 def test_isolated_site_z2(z2_ball):
-    s = make_site_sample(z2_ball, [(0, 0)])
-    assert percolation_laplacian(s, NEUMANN).to_dense().tolist() == [[0.0]]
-    assert percolation_laplacian(s, ADJACENCY).to_dense().tolist() == [[4.0]]
-    assert percolation_laplacian(s, DIRICHLET).to_dense().tolist() == [[8.0]]
+    sub = make_site_sample(z2_ball, [(0, 0)]).subgraph()
+    assert subgraph_laplacian(sub, NEUMANN).to_dense().tolist() == [[0.0]]
+    assert subgraph_laplacian(sub, ADJACENCY).to_dense().tolist() == [[4.0]]
+    assert subgraph_laplacian(sub, DIRICHLET).to_dense().tolist() == [[8.0]]
 
 
 def test_dirichlet_plus_neumann_is_twice_adjacency(z2_ball):
     model = PercolationModel("site", 0.55, 42)
     for i in range(10):
-        s = sample(model, z2_ball, i)
-        n = percolation_laplacian(s, NEUMANN)
-        a = percolation_laplacian(s, ADJACENCY)
-        d = percolation_laplacian(s, DIRICHLET)
+        sub = sample(model, z2_ball, i).subgraph()
+        n = subgraph_laplacian(sub, NEUMANN)
+        a = subgraph_laplacian(sub, ADJACENCY)
+        d = subgraph_laplacian(sub, DIRICHLET)
         assert (d.matrix + n.matrix - 2 * a.matrix).nnz == 0
-        w = sparse.diags(z2_ball.k - s.subgraph().degrees(), dtype=np.float64)
+        w = sparse.diags(z2_ball.k - sub.degrees(), dtype=np.float64)
         assert abs(d.matrix - a.matrix - w).nnz == 0
 
 
 def test_empty_active_set(z2_ball):
     s = make_site_sample(z2_ball, [])
-    op = percolation_laplacian(s, NEUMANN)
+    op = subgraph_laplacian(s.subgraph(), NEUMANN)
     assert op.dim == 0
 
 
@@ -150,16 +150,18 @@ def test_trace_identities(z2_ball):
             nv = len(s.active_vertices())
             ne = len(s.open_edges())
             k = z2_ball.k
-            assert percolation_laplacian(s, ADJACENCY).trace() == k * nv
-            assert percolation_laplacian(s, NEUMANN).trace() == 2 * ne
-            assert percolation_laplacian(s, DIRICHLET).trace() == 2 * k * nv - 2 * ne
+            trace = {bc: np.trace(subgraph_laplacian(s.subgraph(), bc).to_dense())
+                     for bc in (ADJACENCY, NEUMANN, DIRICHLET)}
+            assert trace[ADJACENCY] == k * nv
+            assert trace[NEUMANN] == 2 * ne
+            assert trace[DIRICHLET] == 2 * k * nv - 2 * ne
 
 
 def test_form_ordering_eigenvalues(z2_ball):
     model = PercolationModel("site", 0.5, 13)
     for i in range(15):
         s = sample(model, z2_ball, i)
-        ev = {bc: np.linalg.eigvalsh(percolation_laplacian(s, bc).to_dense())
+        ev = {bc: np.linalg.eigvalsh(subgraph_laplacian(s.subgraph(), bc).to_dense())
               for bc in (NEUMANN, ADJACENCY, DIRICHLET)}
         assert np.all(ev[NEUMANN] <= ev[ADJACENCY] + 1e-10)
         assert np.all(ev[ADJACENCY] <= ev[DIRICHLET] + 1e-10)
@@ -168,31 +170,30 @@ def test_form_ordering_eigenvalues(z2_ball):
 
 
 # ---------------------------------------------------------------------------
-# extension
+# zero extension
 # ---------------------------------------------------------------------------
+# The Neumann operator extended by 0 to the whole window is never built:
+# five_operator_counts counts its spectrum, the Neumann one plus 0 once per
+# window vertex outside the active set.
+
+def _zero_extended_counts(s, grid):
+    """Eigenvalue counts (not normalized) of the zero-extended Neumann operator."""
+    free = block_eigenvalues(free_laplacian(s.window))
+    counts = five_operator_counts(s, grid, (), free)["neumann_extended"]
+    return np.rint(counts * len(s.window)).astype(int).tolist()
+
 
 def test_extend_empty_active_set(z_ball):
     window = enumerate_ball(GroupSpec.free_abelian(1), 2)
     s = make_site_sample(window, [])
-    op = percolation_laplacian(s, NEUMANN)
-    ext = extend(op, window, K=9.0)
-    assert np.allclose(np.linalg.eigvalsh(ext.to_dense()), [9] * 5)
+    assert _zero_extended_counts(s, [-0.5, 0.0, 9.0]) == [0, 5, 5]
 
 
 def test_extend_two_site_cluster():
+    # the Neumann spectrum {0, 2}, and 0 on the three closed sites
     window = enumerate_ball(GroupSpec.free_abelian(1), 2)
     s = make_site_sample(window, [(0,), (1,)])
-    op = percolation_laplacian(s, NEUMANN)
-    ext = extend(op, window, K=5.0)
-    assert np.allclose(np.linalg.eigvalsh(ext.to_dense()), [0, 2, 5, 5, 5])
-
-
-def test_extend_warns_inside_band():
-    window = enumerate_ball(GroupSpec.free_abelian(1), 2)
-    s = make_site_sample(window, [(0,), (1,)])
-    op = percolation_laplacian(s, NEUMANN)
-    with pytest.warns(UserWarning, match="K=0"):
-        extend(op, window, K=0.0)
+    assert _zero_extended_counts(s, [-0.5, 0.0, 1.9, 2.0, 5.0]) == [0, 4, 4, 5, 5]
 
 
 def test_neumann_zero_extension_kernel(z2_ball):
@@ -202,13 +203,9 @@ def test_neumann_zero_extension_kernel(z2_ball):
     model = PercolationModel("site", 0.5, 3)
     for i in range(5):
         s = sample(model, z2_ball, i)
-        op = percolation_laplacian(s, NEUMANN)
-        ext = extend(op, z2_ball, K=0.0, check_separation=False)
-        ev = np.linalg.eigvalsh(ext.to_dense())
-        kernel = int((np.abs(ev) <= 1e-9 * max(ext.inf_norm(), 1)).sum())
         dec = decompose(s)
         deleted = len(z2_ball) - len(dec.active)
-        assert kernel == deleted + dec.cluster_count
+        assert _zero_extended_counts(s, [0.0]) == [deleted + dec.cluster_count]
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +252,7 @@ def test_restrict_free_z(z_ball):
 
 def test_restrict_identity(z2_ball):
     s = sample(PercolationModel("site", 0.6, 9), z2_ball, 0)
-    op = percolation_laplacian(s, ADJACENCY)
+    op = subgraph_laplacian(s.subgraph(), ADJACENCY)
     again = restrict(op, op.index_set)
     assert abs(op.matrix - again.matrix).nnz == 0
 
@@ -269,7 +266,7 @@ def test_restrict_free_equals_adjacency_laplacian(z2_ball):
 
 def test_restrict_outside_raises(z_ball):
     s = make_site_sample(z_ball, [(0,), (1,)])
-    op = percolation_laplacian(s, ADJACENCY)
+    op = subgraph_laplacian(s.subgraph(), ADJACENCY)
     with pytest.raises(ValueError):
         restrict(op, [z_ball.index_of((3,))])
 
@@ -304,10 +301,10 @@ def test_local_of_names_missing_index():
 
 def test_every_builder_carries_its_window(z2_ball):
     s = sample(PercolationModel("site", 0.5, 5), z2_ball, 0)
-    op = percolation_laplacian(s, NEUMANN)
+    op = subgraph_laplacian(s.subgraph(), NEUMANN)
     ops = [op, subgraph_laplacian(induced_subgraph(z2_ball, [0, 1, 2]), ADJACENCY),
            free_laplacian(z2_ball), anderson(s, z2_ball, 1.0),
-           extend(op, z2_ball, 10.0), restrict(op, op.index_set[:5])]
+           restrict(op, op.index_set[:5])]
     assert all(o.window is z2_ball for o in ops)
     bare = LabeledOperator(index_set=[0, 1], matrix=sparse.eye(2, format="csr"),
                            k=4)
@@ -322,8 +319,8 @@ def test_neumann_dirichlet_reflection(z2_ball):
     model = PercolationModel("site", 0.5, 6)
     for i in range(8):
         s = sample(model, z2_ball, i)
-        n = percolation_laplacian(s, NEUMANN)
-        d = percolation_laplacian(s, DIRICHLET)
+        n = subgraph_laplacian(s.subgraph(), NEUMANN)
+        d = subgraph_laplacian(s.subgraph(), DIRICHLET)
         evn = np.linalg.eigvalsh(n.to_dense())
         evd = np.linalg.eigvalsh(d.to_dense())
         assert np.allclose(evn, np.sort(2 * z2_ball.k - evd), atol=1e-10)
@@ -348,8 +345,8 @@ def test_translation_equivariance():
         s_t = sample(model, big, i)
         s_t.open_marks = marks_big
         for bc in (ADJACENCY, DIRICHLET, NEUMANN):
-            ev_a = np.linalg.eigvalsh(percolation_laplacian(s, bc).to_dense())
-            ev_b = np.linalg.eigvalsh(percolation_laplacian(s_t, bc).to_dense())
+            ev_a = np.linalg.eigvalsh(subgraph_laplacian(s.subgraph(), bc).to_dense())
+            ev_b = np.linalg.eigvalsh(subgraph_laplacian(s_t.subgraph(), bc).to_dense())
             assert np.allclose(ev_a, ev_b, atol=1e-10)
 
 
@@ -400,19 +397,6 @@ def _ref_free(window):
                           ADJACENCY)
 
 
-def _ref_extend(op, n, K):
-    deleted = np.setdiff1d(np.arange(n, dtype=np.int64), op.index_set)
-    coo = op.matrix.tocoo()
-    rows, cols, data = op.index_set[coo.row], op.index_set[coo.col], coo.data
-    if len(deleted) and K != 0.0:
-        rows = np.concatenate([rows, deleted])
-        cols = np.concatenate([cols, deleted])
-        data = np.concatenate([data, np.full(len(deleted), float(K))])
-    mat = sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    mat.sort_indices()
-    return mat
-
-
 def _ref_anderson(s, window, coupling):
     closed = (~s.open_marks).astype(np.float64) * coupling
     mat = (_ref_free(window) + sparse.diags(closed, format="csr")).tocsr()
@@ -451,7 +435,6 @@ def test_constructors_are_canonical_and_equal_the_reference(spec, radius):
     rng = np.random.Generator(np.random.Philox(key=np.array([909, radius],
                                                             dtype=np.uint64)))
     ball = enumerate_ball(spec, radius)
-    n = len(ball)
     _assert_same_csr(free_laplacian(ball).matrix, _ref_free(ball))
     for i in range(10):
         kind = ("site", "bond")[i % 2]
@@ -462,10 +445,6 @@ def test_constructors_are_canonical_and_equal_the_reference(spec, radius):
         for bc in (ADJACENCY, DIRICHLET, NEUMANN):
             op = subgraph_laplacian(sub, bc)
             _assert_same_csr(op.matrix, _ref_laplacian(sub, bc))
-            _assert_same_csr(percolation_laplacian(s, bc).matrix, op.matrix)
-            for K in (0.0, 9.0):
-                _assert_same_csr(extend(op, ball, K, check_separation=False).matrix,
-                                 _ref_extend(op, n, K))
             subset = rng.permutation(op.index_set)[:op.dim // 2]
             _assert_same_csr(restrict(op, subset).matrix,
                              _ref_restrict(op, subset))
@@ -544,15 +523,6 @@ def _scipy_restrict(op, subset):
     return _scipy_canonical(op.matrix[positions][:, positions])
 
 
-def _scipy_extend(op, n, K):
-    deleted = np.setdiff1d(np.arange(n, dtype=np.int64), op.index_set)
-    coo = op.matrix.tocoo()
-    return _scipy_canonical(sparse.csr_matrix(
-        (np.concatenate([coo.data, np.full(len(deleted), float(K))]),
-         (np.concatenate([op.index_set[coo.row], deleted]),
-          np.concatenate([op.index_set[coo.col], deleted]))), shape=(n, n)))
-
-
 def _assert_same_arrays(op, want):
     """The operator's arrays and its ``matrix`` both equal ``want``."""
     for attr in ("indptr", "indices", "data"):
@@ -585,10 +555,6 @@ def test_numpy_builders_equal_the_scipy_construction():
         for size in {0, n // 2, n}:
             subset = rng.permutation(index_set)[:size]
             _assert_same_arrays(restrict(op, subset), _scipy_restrict(op, subset))
-        # extension to a window of 3n vertices; extend reads only its length
-        for K in (0.0, 9.0, 0.1):
-            ext = extend(op, range(3 * n), K, check_separation=False)
-            _assert_same_arrays(ext, _scipy_extend(op, 3 * n, K))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Sampling determinism, cluster decomposition, and subcritical statistics."""
 
-import io
 import itertools
 
 import numpy as np
@@ -9,12 +8,12 @@ from scipy import sparse
 from scipy.sparse import csgraph
 
 from percospec.cayley import GroupSpec, enumerate_ball
+from percospec.cli import write_csv
 from percospec.percolation import (
     PercolationModel,
     cluster_stats,
     decompose,
     deleted_density_expected,
-    export_cluster_stats,
     item_uniforms,
     sample,
 )
@@ -291,19 +290,21 @@ def test_workers_do_not_change_results():
     assert a.clusters_per_vertex == b.clusters_per_vertex
 
 
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def test_cluster_stats_export():
+def test_cluster_stats_export(tmp_path):
+    # tail.csv is written by the generic CSV writer, one row per tail point
     w = z_window(60)
     stats = cluster_stats(PercolationModel("site", 0.5, 10), w, 150,
                           tail_grid=range(1, 4))
-    buf = io.StringIO()
-    export_cluster_stats(stats, buf)
-    lines = buf.getvalue().strip().splitlines()
+    path = tmp_path / "tail.csv"
+    write_csv(path, ["n", "tail", "stderr"],
+              zip(stats.tail_grid, stats.tail, stats.tail_stderr))
+    lines = path.read_text().strip().splitlines()
     assert lines[0] == "n,tail,stderr"
     assert len(lines) == 4
+    rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+    assert np.array_equal(rows[:, 0], [1, 2, 3])
+    assert np.array_equal(rows[:, 1], stats.tail)
+    assert np.array_equal(rows[:, 2], stats.tail_stderr)
 
 
 def test_model_seed_must_fit_the_64_bit_key():

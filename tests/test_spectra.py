@@ -25,9 +25,7 @@ from percospec.operators import (
     NEUMANN,
     LabeledOperator,
     anderson,
-    extend,
     free_laplacian,
-    percolation_laplacian,
     restrict,
     subgraph_laplacian,
 )
@@ -36,7 +34,6 @@ from percospec.spectra import (
     COUNT_TOL,
     block_eigenvalues,
     count_below,
-    eigenvalues_dense,
     empirical_ids,
     five_operator_counts,
     free_ids_ball,
@@ -67,23 +64,33 @@ def path_neumann_eigenvalues(n):
     return 2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n))
 
 
+def _assert_eigenpairs(vals, op):
+    """Each eigenvalue is within a residual of 1e-8 ||H|| of an eigenpair of
+    a dense ``eigh``: ||H v - lambda v|| for its eigenvector v."""
+    dense = op.to_dense()
+    vecs = linalg.eigh(dense)[1]
+    resid = np.linalg.norm(dense @ vecs - vecs * vals, axis=0)
+    assert np.all(resid <= 1e-8 * max(op.inf_norm(), 1.0))
+
+
 # ---------------------------------------------------------------------------
-# dense spectra
+# spectra
 # ---------------------------------------------------------------------------
 
 def test_two_site_neumann_spectrum(z_ball):
     s = make_site_sample(z_ball, [(0,), (1,)])
-    spec = eigenvalues_dense(percolation_laplacian(s, NEUMANN), validate=True)
-    assert np.allclose(spec.eigenvalues, [0, 2], atol=1e-12)
-    assert spec.kernel_dim == 1
+    op = subgraph_laplacian(s.subgraph(), NEUMANN)
+    vals = block_eigenvalues(op)
+    _assert_eigenpairs(vals, op)
+    assert np.allclose(vals, [0, 2], atol=1e-12)
+    assert spectra._kernel_count(vals, op.inf_norm()) == 1
 
 
 def test_path_neumann_closed_form(z_ball):
     for n in (3, 5, 8):
         s = make_site_sample(z_ball, [(j,) for j in range(-(n // 2), n - n // 2)])
-        spec = eigenvalues_dense(percolation_laplacian(s, NEUMANN))
-        assert np.allclose(spec.eigenvalues, np.sort(path_neumann_eigenvalues(n)),
-                           atol=1e-10)
+        vals = block_eigenvalues(subgraph_laplacian(s.subgraph(), NEUMANN))
+        assert np.allclose(vals, np.sort(path_neumann_eigenvalues(n)), atol=1e-10)
 
 
 def test_bipartite_spectrum_symmetric_about_k():
@@ -91,14 +98,15 @@ def test_bipartite_spectrum_symmetric_about_k():
     model = PercolationModel("site", 0.6, 3)
     for i in range(5):
         s = sample(model, ball, i)
-        vals = eigenvalues_dense(percolation_laplacian(s, ADJACENCY)).eigenvalues
+        vals = block_eigenvalues(subgraph_laplacian(s.subgraph(), ADJACENCY))
         assert np.allclose(vals, np.sort(2 * ball.k - vals), atol=1e-10)
 
 
 def test_dense_cap(z_ball):
+    # the free Laplacian of B(8) of Z is one component of 17 vertices
     op = free_laplacian(z_ball)
-    with pytest.raises(BudgetError, match="count_below"):
-        eigenvalues_dense(op, dense_cap=5)
+    with pytest.raises(BudgetError, match="dimension 17 exceeds the dense cap 5"):
+        block_eigenvalues(op, dense_cap=5)
 
 
 def test_block_eigenvalues_matches_dense():
@@ -106,11 +114,9 @@ def test_block_eigenvalues_matches_dense():
     model = PercolationModel("site", 0.5, 9)
     for i in range(5):
         s = sample(model, ball, i)
-        op = percolation_laplacian(s, NEUMANN)
+        op = subgraph_laplacian(s.subgraph(), NEUMANN)
         direct = np.linalg.eigvalsh(op.to_dense())
         assert np.allclose(block_eigenvalues(op), direct, atol=1e-10)
-        assert np.array_equal(eigenvalues_dense(op).eigenvalues,
-                              block_eigenvalues(op))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +125,7 @@ def test_block_eigenvalues_matches_dense():
 
 def test_count_below_two_site(z_ball):
     s = make_site_sample(z_ball, [(0,), (1,)])
-    op = percolation_laplacian(s, ADJACENCY)  # eigenvalues {1, 3}
+    op = subgraph_laplacian(s.subgraph(), ADJACENCY)  # eigenvalues {1, 3}
     assert count_below(op, 2.0) == 1
     assert count_below(op, -0.5) == 0
     assert count_below(op, 2 * z_ball.k) == 2
@@ -151,7 +157,7 @@ def test_count_below_matches_eigvalsh_above_cap(rank, radius, kind, p_range):
                                  int(rng.integers(1 << 30)))
         s = sample(model, ball, i)
         for bc in (NEUMANN, ADJACENCY, DIRICHLET):
-            op = percolation_laplacian(s, bc)
+            op = subgraph_laplacian(s.subgraph(), bc)
             for o in (op, restrict(op, op.index_set[op.index_set < inner])):
                 cap = int(_component_sizes(o).max())
                 assert o.dim > cap
@@ -178,8 +184,8 @@ def test_count_below_connected_above_cap_raises_budget_error():
 
 def test_no_dense_matrix_above_the_cap(monkeypatch):
     ball = enumerate_ball(GroupSpec.free_abelian(1), 40)
-    op = percolation_laplacian(sample(PercolationModel("site", 0.5, 3), ball, 0),
-                               NEUMANN)
+    op = subgraph_laplacian(
+        sample(PercolationModel("site", 0.5, 3), ball, 0).subgraph(), NEUMANN)
     cap = int(_component_sizes(op).max())
     small = restrict(op, op.index_set[:cap])
     assert small.dim <= cap < op.dim
@@ -195,9 +201,8 @@ def test_no_dense_matrix_above_the_cap(monkeypatch):
     assert count_below(op, 1.0, dense_cap=cap) == \
         int((block_eigenvalues(op, cap) <= 1.0 + COUNT_TOL).sum())
     assert lowest_nonzero(op, dense_cap=cap) > 0
-    with pytest.raises(BudgetError, match="count_below"):
-        eigenvalues_dense(op, dense_cap=cap)
-    assert eigenvalues_dense(small, dense_cap=cap, validate=True).dim == small.dim
+    # within the cap an operator may be made dense, as the residual check does
+    _assert_eigenpairs(block_eigenvalues(small, dense_cap=cap), small)
 
 
 def test_block_eigenvalues_bond_all_bcs():
@@ -206,9 +211,9 @@ def test_block_eigenvalues_bond_all_bcs():
     for i in range(5):
         s = sample(model, ball, i)
         for bc in (NEUMANN, ADJACENCY, DIRICHLET):
-            op = percolation_laplacian(s, bc)
+            op = subgraph_laplacian(s.subgraph(), bc)
             assert np.allclose(block_eigenvalues(op),
-                               eigenvalues_dense(op).eigenvalues, atol=1e-10)
+                               np.linalg.eigvalsh(op.to_dense()), atol=1e-10)
 
 
 def _block_eigenvalues_reference(op):
@@ -261,7 +266,7 @@ def test_block_eigenvalues_bit_identical_to_reference(spec, radius):
                                  int(rng.integers(1 << 30)))
         s = sample(model, ball, i)
         for bc in (NEUMANN, ADJACENCY, DIRICHLET):
-            op = percolation_laplacian(s, bc)
+            op = subgraph_laplacian(s.subgraph(), bc)
             compressed = restrict(op, op.index_set[op.index_set < len(window)])
             for o in (op, compressed, _split_entries(op)):
                 assert np.array_equal(block_eigenvalues(o),
@@ -281,8 +286,8 @@ def test_block_eigenvalues_of_a_non_canonical_input():
     rng = np.random.Generator(np.random.Philox(key=np.array([44, 0],
                                                             dtype=np.uint64)))
     for bc in (NEUMANN, ADJACENCY, DIRICHLET):
-        op = percolation_laplacian(
-            sample(PercolationModel("site", 0.5, 11), ball, 0), bc)
+        op = subgraph_laplacian(
+            sample(PercolationModel("site", 0.5, 11), ball, 0).subgraph(), bc)
         n, coo = op.dim, op.matrix.tocoo()
         diag = np.arange(n)
         rows = np.concatenate([coo.row, coo.row, diag])
@@ -305,7 +310,7 @@ def test_block_eigenvalues_dense_cap_applies_per_component():
     # clusters of sizes 3, 1 and 5 (the last one is the whole right end)
     s = make_site_sample(ball, [(-6,), (-5,), (-4,), (-2,),
                                 (2,), (3,), (4,), (5,), (6,)])
-    op = percolation_laplacian(s, NEUMANN)
+    op = subgraph_laplacian(s.subgraph(), NEUMANN)
     assert np.array_equal(block_eigenvalues(op, dense_cap=5),
                           _block_eigenvalues_reference(op))
     with pytest.raises(BudgetError, match="dimension 5 exceeds the dense cap 4"):
@@ -346,7 +351,7 @@ def _giant_operators(rng):
         inner = ball.volume(radius - 1)
         s = sample(PercolationModel(kind, p, int(rng.integers(1 << 30))), ball, 0)
         for bc in (NEUMANN, ADJACENCY, DIRICHLET):
-            op = percolation_laplacian(s, bc)
+            op = subgraph_laplacian(s.subgraph(), bc)
             yield op
             yield restrict(op, op.index_set[op.index_set < inner])
 
@@ -416,7 +421,7 @@ def test_giant_components_inherit_the_ball_width(monkeypatch):
         for i in range(3):
             s = sample(PercolationModel(kind, p, 2024 + i), ball, i)
             for bc in (NEUMANN, ADJACENCY, DIRICHLET):
-                op = percolation_laplacian(s, bc)
+                op = subgraph_laplacian(s.subgraph(), bc)
                 for o in (op, restrict(op, op.index_set[op.index_set < inner])):
                     assert o.window is ball
                     _, labels = o.components()
@@ -516,16 +521,16 @@ def test_counting_function_right_continuous():
 
 def test_lowest_nonzero(z_ball):
     s = make_site_sample(z_ball, [(-1,), (0,), (1,)])
-    assert lowest_nonzero(percolation_laplacian(s, NEUMANN)) == pytest.approx(1.0)
+    assert lowest_nonzero(subgraph_laplacian(s.subgraph(), NEUMANN)) == pytest.approx(1.0)
     iso = make_site_sample(z_ball, [(0,)])
     with pytest.raises(DegenerateSpectrumError):
-        lowest_nonzero(percolation_laplacian(iso, NEUMANN))
+        lowest_nonzero(subgraph_laplacian(iso.subgraph(), NEUMANN))
 
 
 def test_lowest_nonzero_single_vertex_z2():
     ball = enumerate_ball(GroupSpec.free_abelian(2), 1)
     s = make_site_sample(ball, [(0, 0)])
-    assert lowest_nonzero(percolation_laplacian(s, ADJACENCY)) == pytest.approx(4.0)
+    assert lowest_nonzero(subgraph_laplacian(s.subgraph(), ADJACENCY)) == pytest.approx(4.0)
 
 
 def test_neumann_line_scaling(z_ball):
@@ -533,7 +538,7 @@ def test_neumann_line_scaling(z_ball):
     big = enumerate_ball(GroupSpec.free_abelian(1), 40)
     for n in (4, 8, 16, 32):
         s = make_site_sample(big, [(j,) for j in range(-(n // 2), n - n // 2)])
-        lam = lowest_nonzero(percolation_laplacian(s, NEUMANN))
+        lam = lowest_nonzero(subgraph_laplacian(s.subgraph(), NEUMANN))
         assert lam * n * n <= np.pi ** 2 + 1e-9
 
 
@@ -547,7 +552,7 @@ def test_ids_p_one_equals_free_window():
     est = empirical_ids(group, PercolationModel("site", 1.0, 1), ADJACENCY,
                         radius=4, n_samples=10, energy_grid=grid)
     ball = enumerate_ball(group, 4)
-    free_vals = eigenvalues_dense(free_laplacian(ball)).eigenvalues
+    free_vals = block_eigenvalues(free_laplacian(ball))
     assert np.allclose(est.mean, spectra._counts(free_vals, grid) / len(ball))
     assert np.all(est.stderr < 1e-12)
 
@@ -955,6 +960,15 @@ def test_five_operator_chain_ordering():
             assert np.all(upper >= lower - 1e-12)
 
 
+def _zero_extended(op, n):
+    """``op`` on window indices 0 .. n - 1, with zero rows and columns off
+    its index set: the zero extension, built with scipy."""
+    coo = op.matrix.tocoo()
+    return LabeledOperator(np.arange(n), sparse.csr_matrix(
+        (coo.data, (op.index_set[coo.row], op.index_set[coo.col])), shape=(n, n)),
+        k=op.k)
+
+
 def five_operator_counts_reference(s, grid, couplings, free):
     """The chain with every sample operator solved on its own: the
     zero-extended Neumann operator built, and the Dirichlet one solved.
@@ -965,8 +979,8 @@ def five_operator_counts_reference(s, grid, couplings, free):
     def counts(op):
         return spectra._counts(block_eigenvalues(op), grid) / norm
 
-    out = {"neumann_extended": counts(extend(
-        subgraph_laplacian(sub, NEUMANN), window, 0.0, check_separation=False)),
+    out = {"neumann_extended": counts(_zero_extended(
+        subgraph_laplacian(sub, NEUMANN), len(window))),
         "free": spectra._counts(free, grid) / norm}
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))

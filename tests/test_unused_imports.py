@@ -5,7 +5,9 @@ A small stand-in for a linter: parse each source file with ``ast`` and
 compare the names its top-level imports bind with the names it reads.
 ``__init__.py`` imports are re-exports and exempt.  A top-level public
 function or class must be read somewhere in the package (as a name or an
-attribute) or be named in an ``__all__``.
+attribute); being named in an ``__all__`` does not count, since an export
+that no run reads is what this check is for.  ``UNREAD_ALLOWED`` lists the
+exceptions, each with its reason.
 """
 
 import ast
@@ -16,6 +18,12 @@ import pytest
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "percospec")
                  .glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+
+# public names no package module reads, kept on purpose
+UNREAD_ALLOWED = {
+    # the counting entry point; counting above the dense cap is to come in here
+    ("spectra.py", "count_below"),
+}
 
 
 def unused_imports(source: str) -> list:
@@ -47,8 +55,8 @@ def test_no_unused_module_imports(path):
 
 def unread_public_names(sources: dict) -> list:
     """(module, name) of each top-level public function or class of the
-    ``sources`` (module name -> source text) that none of them reads and no
-    ``__all__`` names."""
+    ``sources`` (module name -> source text) that none of them reads; an
+    ``__all__`` entry or an import is not a read."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -57,9 +65,6 @@ def unread_public_names(sources: dict) -> list:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-            elif isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                read.update(ast.literal_eval(node.value))
     return sorted((module, node.name) for module, tree in trees.items()
                   for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -70,10 +75,14 @@ def test_unread_public_names_detects_leftovers():
     sources = {"a.py": "def called():\n    pass\ndef attribute():\n    pass\n"
                        "def unread():\n    pass\ndef _private():\n    pass\n"
                        "class Exported:\n    pass\n",
-               "b.py": "from . import a\nfrom .a import called\n"
+               "b.py": "from . import a\nfrom .a import called, Exported\n"
                        "__all__ = ['Exported']\ncalled(a.attribute)\n"}
-    assert unread_public_names(sources) == [("a.py", "unread")]
+    # exported and imported, but read by no module
+    assert unread_public_names(sources) == [("a.py", "Exported"), ("a.py", "unread")]
 
 
 def test_every_public_name_is_read():
-    assert unread_public_names({p.name: p.read_text() for p in SOURCES}) == []
+    unread = unread_public_names({p.name: p.read_text() for p in SOURCES})
+    assert sorted(set(unread) - UNREAD_ALLOWED) == []
+    # an allowance whose name is read or gone is stale
+    assert sorted(UNREAD_ALLOWED - set(unread)) == []
