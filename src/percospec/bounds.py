@@ -20,7 +20,7 @@ from .cayley import (
     induced_subgraph,
     inner_vertex_boundary,
     tetrahedron,
-    tetrahedron_key_count,
+    tetrahedron_edge_count,
     tetrahedron_vertex_count,
 )
 from .errors import DegenerateSpectrumError, OracleViolationError
@@ -234,13 +234,13 @@ def tetrahedron_solve(m: int, n: int) -> str:
     """How the check of the depth-n tetrahedron of Z_m wr Z proves facts (b)
     and (c): ``FULL_SOLVE`` below ``_CERTIFICATE_FLOOR`` vertices, else
     ``CERTIFICATE``.  Below ``MIN_TETRAHEDRON_DEPTH`` it raises
-    ``ValueError``, above the vertex or neighbour-key budget :class:`BudgetError`
-    (:func:`~percospec.cayley.tetrahedron_key_count`).  Nothing is built,
+    ``ValueError``, above the vertex or edge budget :class:`BudgetError`
+    (:func:`~percospec.cayley.tetrahedron_edge_count`).  Nothing is built,
     so a list of depths can be refused before any check."""
     if n < MIN_TETRAHEDRON_DEPTH:
         raise ValueError(f"the tetrahedron facts need depth n >= "
                          f"{MIN_TETRAHEDRON_DEPTH}, got {n}")
-    tetrahedron_key_count(m, n)
+    tetrahedron_edge_count(m, n)
     size = tetrahedron_vertex_count(m, n)
     return FULL_SOLVE if size < _CERTIFICATE_FLOOR else CERTIFICATE
 

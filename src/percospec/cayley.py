@@ -48,8 +48,6 @@ from .errors import BudgetError
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
 
-_TETRAHEDRON_KEY_BUDGET = 4 * DEFAULT_VERTEX_BUDGET
-
 # keys decoded to rows at a time: a block's columns stay in cache
 _DECODE_BLOCK = 1 << 14
 
@@ -638,6 +636,14 @@ def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> Cayley
     if spec.kind == LAMPLIGHTER and 2 * n + 1 > budget and any(x for _, x in spec.generators):
         raise BudgetError(f"ball exceeds the vertex budget of {budget} vertices (group "
                           f"{spec.label()}, radius {n}, {2 * n + 1} walker positions)")
+    # with the natural set B(n) also holds the m^(n // 2) patterns of lamps
+    # 1 .. n // 2 with the walker at 0; m >= 2, so n // 2 at or past the
+    # budget's bit length is past the budget without forming the power
+    half = n // 2
+    if spec.is_natural_lamplighter and (
+            half >= budget.bit_length() or spec.modulus ** half > budget):
+        raise BudgetError(f"ball exceeds the vertex budget of {budget} vertices (group "
+                          f"{spec.label()}, radius {n}, {spec.modulus}^{half} lamp patterns)")
     build = _lattice_ball if spec.is_hypercubic else \
         _lamplighter_ball if spec.is_natural_lamplighter else _bfs_ball
     return build(spec, n, _layout(spec, n), budget)
@@ -1167,16 +1173,16 @@ def tetrahedron_vertex_count(m: int, n: int) -> int:
                       f"above the vertex budget of {DEFAULT_VERTEX_BUDGET}")
 
 
-def tetrahedron_key_count(m: int, n: int) -> int:
-    """(n+1) m^n * 2m, the neighbour keys that building the depth-n
-    tetrahedron of Z_m wr Z holds.  Raises as :func:`tetrahedron_vertex_count`,
-    and :class:`BudgetError` above the keys of a budget-sized ball of degree 4."""
-    size = tetrahedron_vertex_count(m, n)
-    if size * 2 * m > _TETRAHEDRON_KEY_BUDGET:
+def tetrahedron_edge_count(m: int, n: int) -> int:
+    """n m^(n+1), the edges of the depth-n tetrahedron of Z_m wr Z: n walker
+    steps, m^(n-1) K_{m,m} cells a step, m^2 edges a cell.  Raises as
+    :func:`tetrahedron_vertex_count`, and :class:`BudgetError` above 4e6 edges."""
+    size, edges = tetrahedron_vertex_count(m, n), n * m ** (n + 1)
+    if edges > 2 * DEFAULT_VERTEX_BUDGET:
         raise BudgetError(f"the depth-{n} tetrahedron of Z_{m} wr Z has {size} vertices "
-                          f"with {size * 2 * m} neighbour keys, above the budget of "
-                          f"{_TETRAHEDRON_KEY_BUDGET} keys")
-    return size * 2 * m
+                          f"and {edges} edges, above the budget of "
+                          f"{2 * DEFAULT_VERTEX_BUDGET} edges")
+    return edges
 
 
 def _tetrahedron_columns(m: int, n: int) -> _Layout:
@@ -1192,14 +1198,15 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     Vertex set: pairs (lamps, x) with 0 <= x <= n and lamp support inside
     {1, ..., n}; contains exactly (n+1) * m^n vertices.  The parent holds
     exactly these members, with their word lengths, in the order of every
-    ball B(r), r >= 2n, and with every Cayley edge between them, so the
+    ball B(r), r >= 2n, and with every Cayley edge between them, joined
+    through the K_{m,m} cells as in a ball (:func:`_cell_edges`), so the
     subgraph is induced.  Its layout is its own n + 3 columns
     (:func:`_tetrahedron_columns`), so below the budget a member is one
     int64 key and its tuple order one int64.  Raises :class:`BudgetError`
-    above the default vertex budget or the neighbour-key budget, before
-    allocating (:func:`tetrahedron_key_count`).
+    above the default vertex or edge budget, before allocating
+    (:func:`tetrahedron_edge_count`).
     """
-    tetrahedron_key_count(m, n)
+    tetrahedron_edge_count(m, n)
     spec = GroupSpec.lamplighter(m)
     layout = _tetrahedron_columns(m, n)
     # every lamp pattern on {1, ..., n}, at every walker position 0..n, packed
@@ -1212,9 +1219,9 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     top = (np.arange(1, n + 1) * (lamps > 0)).max(axis=1)[:, None]
     word_length = _natural_word_length(x, 1, top).astype(np.int32).ravel()
     order = np.lexsort([*_order_keys(spec, layout, keys), word_length])
-    keys = keys[order]
-    parent = _ball(spec, 2 * n, layout, keys, word_length[order],
-                   _neighbour_keys(spec, layout, keys, spec.edge_slots))
+    keys, x = keys[order], np.tile(x, m ** n)[order]
+    parent = CayleyBall(spec=spec, radius=2 * n, layout=layout, keys=keys, k=spec.k,
+                        word_length=word_length[order], edges=_cell_edges(layout, keys, x))
     return FiniteSubgraph(parent=parent, vertex_indices=np.arange(len(parent)),
                           edges=parent.edges)
 

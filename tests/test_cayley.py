@@ -437,20 +437,33 @@ def test_lamplighter_ball_over_the_budget_is_refused_before_it_is_built(
 def test_lamplighter_ball_of_a_large_radius_is_refused_before_listing_groups(
         monkeypatch, m, radius, words):
     # B(n) holds the m^(n // 2) patterns of lamps 1 .. n // 2, far past the
-    # budget here, so no group of walker and lit lamps is listed
+    # budget here, so neither the layout nor any group of walker and lit
+    # lamps is built
     def no_build(*args):
-        raise AssertionError("the groups were listed")
+        raise AssertionError("the layout or the groups were built")
 
-    for name in ("_lit_groups", "_lamp_patterns", "_bfs_ball", "_neighbour_keys"):
+    real = cayley._layout
+    for name in ("_layout", "_lit_groups", "_lamp_patterns", "_bfs_ball", "_neighbour_keys"):
         monkeypatch.setattr(cayley, name, no_build)
-    layouts, real = [], cayley._layout
-    monkeypatch.setattr(cayley, "_layout", lambda *args: layouts.append(real(*args)) or layouts[-1])
     with pytest.raises(BudgetError, match=rf"^ball exceeds the vertex budget of "
                        rf"{cayley.DEFAULT_VERTEX_BUDGET} vertices \(group "
-                       rf"lamplighter:{m}, radius {radius}, {words}-word keys\)$"):
+                       rf"lamplighter:{m}, radius {radius}, {m}\^{radius // 2} lamp patterns\)$"):
         enumerate_ball(GroupSpec.lamplighter(m), radius)
-    # the key words are counted without the words x columns table of places
-    assert "places" not in vars(layouts[0])
+    # the layout it skips would have keys of this many words
+    assert real(GroupSpec.lamplighter(m), radius).words == words
+
+
+@pytest.mark.parametrize("radius", [300_000, 999_999])
+def test_natural_lamplighter_radius_is_refused_before_its_layout(monkeypatch, radius):
+    # 2n + 1 walker positions fit the budget, but the 2^(n // 2) lamp
+    # patterns do not: refused from the bit lengths, before the O(n) layout
+    def no_layout(*args):
+        raise AssertionError("the layout was built")
+
+    assert 2 * radius + 1 <= cayley.DEFAULT_VERTEX_BUDGET
+    monkeypatch.setattr(cayley, "_layout", no_layout)
+    with pytest.raises(BudgetError, match=rf"radius {radius}, 2\^{radius // 2} lamp patterns\)$"):
+        enumerate_ball(GroupSpec.lamplighter(2), radius)
 
 
 def test_lamplighter_sort_key_past_int64_is_refused(monkeypatch):
@@ -1192,29 +1205,32 @@ def test_lamp_values_match_the_decoded_vertices(m):
         enumerate_ball(GroupSpec.free_abelian(1), 2).lamp_values([0])
 
 
-@pytest.mark.parametrize("m,n,keys", [
-    (2, 16, 4_456_448), (3, 10, 3_897_234), (4, 8, 4_718_592),
-    (5, 7, 6_250_000), (31, 2, 178_746), (110, 2, 7_986_000)])
-def test_neighbour_key_budget_accepts(m, n, keys):
+@pytest.mark.parametrize("m,n,edges", [
+    (2, 16, 2_097_152), (3, 10, 1_771_470), (4, 8, 2_097_152),
+    (5, 7, 2_734_375), (31, 2, 59_582), (110, 2, 2_662_000),
+    (111, 2, 2_735_262), (32, 3, 3_145_728), (125, 2, 3_906_250), (33, 3, 3_557_763)])
+def test_neighbour_key_budget_accepts(m, n, edges):
     # the deepest Z_2, Z_3, Z_4 and Z_5 tetrahedra under the vertex budget,
-    # the Z_31 one the CLI tests check, and the largest m at depth 2
-    assert cayley.tetrahedron_key_count(m, n) == keys
-    assert keys <= cayley._TETRAHEDRON_KEY_BUDGET
+    # the Z_31 one the CLI tests check, and at depths 2 and 3 the largest m
+    # under 4e6 edges (125 and 33) and some below them (110, 111 and 32)
+    assert cayley.tetrahedron_edge_count(m, n) == edges
+    assert edges <= 2 * cayley.DEFAULT_VERTEX_BUDGET
 
 
-@pytest.mark.parametrize("m,n", [(816, 2), (111, 2), (7, 6), (32, 3)])
+@pytest.mark.parametrize("m,n", [(816, 2), (126, 2), (7, 6), (34, 3)])
 def test_neighbour_key_budget_refuses_before_allocating(monkeypatch, m, n):
-    # under the vertex budget, but over (n+1) m^n * 2m > 8e6 neighbour keys:
-    # Z_816 wr Z at depth 2 has 1,997,568 vertices and would hold 3.3e9
+    # under the vertex budget, but over n m^(n+1) > 4e6 edges: Z_816 wr Z
+    # at depth 2 has 1,997,568 vertices and would have 1.1e9 edges
     def no_build(*args):
         raise AssertionError("the tetrahedron was built")
 
     monkeypatch.setattr(cayley, "_tetrahedron_columns", no_build)
-    monkeypatch.setattr(cayley, "_neighbour_keys", no_build)
+    monkeypatch.setattr(cayley, "_cell_edges", no_build)
     size = cayley.tetrahedron_vertex_count(m, n)
     with pytest.raises(BudgetError,
                        match=rf"^the depth-{n} tetrahedron of Z_{m} wr Z has "
-                             rf"{size} vertices with {size * 2 * m} neighbour keys"):
+                             rf"{size} vertices and {n * m ** (n + 1)} edges, "
+                             rf"above the budget of 4000000 edges$"):
         tetrahedron(m, n)
 
 
@@ -1275,13 +1291,21 @@ def multiply_tetrahedron(m, n, ball):
     return idx, [list(e) for e in sorted(edges)]
 
 
-@pytest.mark.parametrize("m", [2, 3])
-def test_tetrahedron_matches_multiply_reference(m):
-    depths = range(1, 6 if m == 2 else 5)
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_tetrahedron_matches_multiply_reference(monkeypatch, m):
+    # the edges join the K_{m,m} cells, as in a natural ball, with no
+    # neighbour keys; a cell takes m passes of _cell_edges' member loop
+    def no_build(*args):
+        raise AssertionError("neighbour keys were built")
+
+    monkeypatch.setattr(cayley, "_neighbour_keys", no_build)
+    monkeypatch.setattr(cayley, "_edges", no_build)
+    depths = range(1, {2: 6, 3: 5}.get(m, 3))
     balls = {r: enumerate_ball(GroupSpec.lamplighter(m), r)
              for r in range(2, 2 * depths[-1] + 3, 2)}
     for n in depths:
         tet = tetrahedron(m, n)
+        assert len(tet.edges) == cayley.tetrahedron_edge_count(m, n)
         assert np.array_equal(tet.edges,
                               induced_subgraph(tet.parent, tet.vertex_indices).edges)
         assert tet.vertex_indices.tolist() == list(range(tet.size))

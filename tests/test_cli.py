@@ -1136,7 +1136,7 @@ def test_huge_lamplighter_radius_is_refused_before_its_layout(
 def test_tetrahedron_neighbour_keys_over_the_budget(tmp_path, capsys,
                                                     subcommand):
     # Z_816 wr Z at depth 2: 1,997,568 vertices, under the vertex budget,
-    # whose build would hold 3.3e9 neighbour keys
+    # and 1.1e9 edges, over the edge budget
     out = tmp_path / "o"
     cfg = base_config(out, group={"kind": "lamplighter", "modulus": 816},
                       window={"depths": [2], "return_max": 2})
@@ -1145,7 +1145,7 @@ def test_tetrahedron_neighbour_keys_over_the_budget(tmp_path, capsys,
     assert main([subcommand, "--config", path]) == 2
     assert time.perf_counter() - started < 1.0
     err = capsys.readouterr().err
-    assert "depth-2 tetrahedron" in err and "neighbour keys" in err
+    assert "depth-2 tetrahedron" in err and "edges" in err
     assert not out.exists()
 
 
@@ -1252,6 +1252,19 @@ def test_tetrahedron_near_the_budget_runs_in_little_memory(tmp_path):
         window={"depths": [9]}))
     assert code == 0
     assert peak_kib < 400 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_largest_accepted_tetrahedron_runs_in_bounded_memory(tmp_path):
+    # Z_125 wr Z at depth 2, the largest m under the edge budget: 46,875
+    # vertices and 3,906,250 edges.  It peaked at 564 MB (Linux, Python
+    # 3.11, numpy 2.4); the bound keeps the headroom of the depth-9 Z_3 test
+    # above, whose run peaked at 129 MB under its 400 MB bound
+    code, peak_kib, _ = _run_measured(tmp_path, "bounds", base_config(
+        tmp_path / "o", group={"kind": "lamplighter", "modulus": 125},
+        window={"depths": [2]}))
+    assert code == 0
+    assert peak_kib < 850 * 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
