@@ -11,8 +11,8 @@ The builders are the subgraph Laplacians, the free window Laplacian, the
 two-valued-potential Hamiltonian and the principal submatrix (``restrict``).
 Operators are numpy CSR arrays built without scipy, labelled into components
 by ``cayley.connected_components`` and multiplied by ``LabeledOperator.matvec``.
-The scipy ``.matrix`` is built on demand; it is the tests' reference, and no
-code of the package reads it.
+The scipy ``.matrix`` is built on demand; it and ``restrict`` are the tests'
+references, and no run reads either.
 Each builder records the ball it indexes as the operator's ``window``.
 """
 
@@ -30,8 +30,6 @@ from .percolation import SITE, PercolationSample
 ADJACENCY = "adjacency"
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
-
-_BCS = (ADJACENCY, DIRICHLET, NEUMANN)
 
 
 class LabeledOperator:
@@ -125,16 +123,9 @@ class LabeledOperator:
 _CSR = namedtuple("_CSR", "indptr indices data")
 
 
-def _csr(n: int, row, col, data) -> _CSR:
-    """Canonical CSR of entries at distinct positions, in any order, less
-    the zeros."""
-    order = np.argsort(row * n + col)
-    return _sorted_csr(n, row[order], col[order], data[order])
-
-
 def _sorted_csr(n: int, row, col, data) -> _CSR:
-    """:func:`_csr` of entries in row-major order; indices are int32 where
-    they fit, as in scipy."""
+    """Canonical CSR of entries at distinct positions in row-major order,
+    less the zeros; indices are int32 where they fit, as in scipy."""
     keep = data != 0
     index = np.int32 if max(n, len(data)) < 2 ** 31 else np.int64
     indptr = np.r_[0, np.cumsum(np.bincount(row[keep], minlength=n))].astype(index)
@@ -169,12 +160,13 @@ def _diag_for(bc: str, k: int, degrees: np.ndarray):
     raise ValueError(f"unknown boundary condition {bc!r}")
 
 
-def subgraph_laplacian(sub: FiniteSubgraph, bc: str) -> LabeledOperator:
-    """Laplacian of a finite subgraph under the given boundary condition."""
-    if bc not in _BCS:
-        raise ValueError(f"unknown boundary condition {bc!r}")
+def subgraph_laplacian(sub: FiniteSubgraph, bc: str, degrees=None) -> LabeledOperator:
+    """Laplacian of a finite subgraph under the given boundary condition,
+    with D the given ``degrees`` of its vertices, by default their own."""
+    if degrees is None:
+        degrees = sub.degrees()
     mat = _assemble(sub.size, sub.local_edges(),
-                    _diag_for(bc, sub.parent.k, sub.degrees()))
+                    _diag_for(bc, sub.parent.k, degrees))
     op = LabeledOperator(index_set=sub.vertex_indices, matrix=mat,
                          k=sub.parent.k, bc=bc, window=sub.parent)
     op._subgraph = sub
@@ -217,8 +209,9 @@ def restrict(op: LabeledOperator, subset) -> LabeledOperator:
     new = np.full(op.dim, -1, dtype=np.int64)
     new[op.local_of(subset)] = np.arange(len(subset))
     row, col = new[op.entry_rows], new[op.indices]
-    kept = (row >= 0) & (col >= 0)
+    kept = np.flatnonzero((row >= 0) & (col >= 0))
+    kept = kept[np.argsort(row[kept] * len(subset) + col[kept])]
     return LabeledOperator(index_set=subset,
-                           matrix=_csr(len(subset), row[kept], col[kept], op.data[kept]),
+                           matrix=_sorted_csr(len(subset), row[kept], col[kept], op.data[kept]),
                            k=op.k, bc=op.bc, window=op.window)
 

@@ -19,6 +19,7 @@ import numpy as np
 from ._parallel import run_indexed
 from .cayley import (
     CayleyBall,
+    FiniteSubgraph,
     GroupSpec,
     enumerate_ball,
     is_bipartite,
@@ -32,7 +33,6 @@ from .operators import (
     LabeledOperator,
     anderson,
     free_laplacian,
-    restrict,
     subgraph_laplacian,
 )
 from .percolation import SITE, PercolationModel, PercolationSample, sample
@@ -226,9 +226,13 @@ def _ids_sample_task(ctx, i):
     # the window-induced percolation subgraph: the sample with every item
     # outside the window closed
     sub_int = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
-    sub_big = s.subgraph()
-    # the full-sample operator is compressed onto its window vertices
-    subset = sub_big.vertex_indices[ctx["window_mask"][sub_big.vertex_indices]]
+    # the full-sample operator compressed onto its window vertices has the
+    # intrinsic edges and, on its diagonal, the degrees in the full sample
+    active = s.active_vertices()
+    subset = active[ctx["window_mask"][active]]
+    sub_comp = FiniteSubgraph(parent=ctx["ball"], vertex_indices=subset,
+                              edges=sub_int.edges)
+    degrees = np.bincount(s.open_edges().ravel(), minlength=len(ctx["ball"]))[subset]
 
     # the boundary conditions share the subgraphs and differ in the diagonal;
     # each one solved gives both window spectra and the intrinsic kernel scale
@@ -237,15 +241,13 @@ def _ids_sample_task(ctx, i):
         op_int = subgraph_laplacian(sub_int, bc)
         vals_int = block_eigenvalues(op_int, dense_cap)
         if bc == ADJACENCY:
-            # the compression keeps diagonal k and the open edges inside the
-            # window, which are the intrinsic ones; a window vertex whose
+            # the compression keeps diagonal k, so a window vertex whose
             # open edges all leave the window (bond only: it is not in
             # sub_int) is isolated in it, with eigenvalue k
             vals_comp = np.sort(np.concatenate(
                 [vals_int, np.full(len(subset) - sub_int.size, float(op_int.k))]))
         else:
-            op_comp = restrict(subgraph_laplacian(sub_big, bc), subset)
-            vals_comp = block_eigenvalues(op_comp, dense_cap)
+            vals_comp = block_eigenvalues(subgraph_laplacian(sub_comp, bc, degrees), dense_cap)
         solved[bc] = vals_int, vals_comp, op_int.inf_norm()
 
     rows = []
@@ -268,12 +270,14 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
     """Monte Carlo estimate of the IDS from finite-window eigenvalue counts.
 
     The window is the ball B(radius) (polynomial growth) or the depth-n
-    tetrahedron (lamplighter); each sample lives on a one-step-larger ball
-    so both the intrinsic window operator and the compression of the
-    full-sample operator onto the window can be counted.  The reported mean
-    is the intrinsic count; the bracket columns envelope both conventions,
-    which monitors the finite-window boundary bias.  ``n_at_zero`` is the
-    normalized kernel mass of the intrinsic operator.
+    tetrahedron (lamplighter).  Each sample counts the intrinsic window
+    operator and the compression of the full-sample operator onto the
+    window, which share the intrinsic edges; the sample's one-step-larger
+    ball serves only the open edges that leave the window, which the
+    compression's degrees count.  The reported mean is the intrinsic count;
+    the bracket columns envelope both conventions, which monitors the
+    finite-window boundary bias.  ``n_at_zero`` is the normalized kernel
+    mass of the intrinsic operator.
 
     ``bc`` is one boundary condition, which returns an :class:`IDSEstimate`,
     or a sequence of distinct ones, which returns ``{bc: IDSEstimate}`` in

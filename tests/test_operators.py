@@ -123,6 +123,12 @@ def test_isolated_site_z2(z2_ball):
     assert subgraph_laplacian(sub, DIRICHLET).to_dense().tolist() == [[8.0]]
 
 
+def test_unknown_boundary_condition_raises(z2_ball):
+    sub = make_site_sample(z2_ball, [(0, 0), (1, 0)]).subgraph()
+    with pytest.raises(ValueError, match="unknown boundary condition 'robin'"):
+        subgraph_laplacian(sub, "robin")
+
+
 def test_dirichlet_plus_neumann_is_twice_adjacency(z2_ball):
     model = PercolationModel("site", 0.55, 42)
     for i in range(10):

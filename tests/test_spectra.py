@@ -29,7 +29,7 @@ from percospec.operators import (
     restrict,
     subgraph_laplacian,
 )
-from percospec.percolation import PercolationModel, sample
+from percospec.percolation import PercolationModel, PercolationSample, sample
 from percospec.spectra import (
     COUNT_TOL,
     block_eigenvalues,
@@ -678,9 +678,9 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
     seen = []
     laplacian = spectra.subgraph_laplacian
 
-    def recording_laplacian(sub, bc):
+    def recording_laplacian(sub, bc, degrees=None):
         seen.append(sub)
-        return laplacian(sub, bc)
+        return laplacian(sub, bc, degrees)
 
     # both operators of a sample are built by spectra's subgraph_laplacian
     monkeypatch.setattr(spectra, "subgraph_laplacian", recording_laplacian)
@@ -692,7 +692,8 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
     else:
         empirical_ids(GroupSpec.lamplighter(2), model, NEUMANN, depth=2,
                       n_samples=n, energy_grid=[1.0])
-    # each sample builds its intrinsic window operator first, then the full one
+    # each sample builds its intrinsic window operator first, then the
+    # compression, on the active window vertices and the intrinsic edges
     assert len(seen) == 2 * n
     ball = seen[0].parent
     window_mask = np.zeros(len(ball), dtype=bool)
@@ -700,8 +701,12 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
         window_mask[:ball.volume(3)] = True
     else:
         window_mask[ball.find_vertices(tetrahedron(2, 2).parent)] = True
-    for i, got in enumerate(seen[::2]):
-        ref = window_cut_reference(sample(model, ball, i), window_mask)
+    for i, (got, comp) in enumerate(zip(seen[::2], seen[1::2])):
+        s = sample(model, ball, i)
+        ref = window_cut_reference(s, window_mask)
+        active = s.subgraph().vertex_indices
+        assert np.array_equal(comp.vertex_indices, active[window_mask[active]])
+        assert np.array_equal(comp.edges, got.edges)
         assert got.vertex_indices.dtype == ref.vertex_indices.dtype
         assert got.edges.dtype == ref.edges.dtype
         assert np.array_equal(got.vertex_indices, ref.vertex_indices)
@@ -790,19 +795,42 @@ _SHORTCUT_WINDOWS = [
     (GroupSpec.lamplighter(2), {"radius": 3}),
     (GroupSpec.lamplighter(2), {"depth": 2}),
 ]
+_SHORTCUT_IDS = ["Z1", "Z2", "heisenberg", "lamplighter2", "lamplighter2-depth"]
 
 
-@pytest.mark.parametrize("group,window", _SHORTCUT_WINDOWS,
-                         ids=["Z1", "Z2", "heisenberg", "lamplighter2",
-                              "lamplighter2-depth"])
+def _compressions(monkeypatch, ctx, i):
+    """{bc: operator} of the compressions the sample task hands
+    block_eigenvalues for Neumann and Dirichlet, each solved directly."""
+    seen = []
+    solve = spectra.block_eigenvalues
+
+    def recording(op, *args):
+        seen.append(op)
+        return solve(op, *args)
+
+    monkeypatch.setattr(spectra, "block_eigenvalues", recording)
+    spectra._ids_sample_task({**ctx, "source": {bc: bc for bc in ctx["bcs"]}}, i)
+    monkeypatch.setattr(spectra, "block_eigenvalues", solve)
+    # per boundary condition the intrinsic operator is solved first
+    return {bc: [op for op in seen if op.bc == bc][1]
+            for bc in (NEUMANN, DIRICHLET)}
+
+
+@pytest.mark.parametrize("group,window", _SHORTCUT_WINDOWS + [
+    (GroupSpec.free_abelian(1, [(1,), (-1,), (2,), (-2,)]), {"radius": 20}),
+    (GroupSpec.lamplighter(3), {"radius": 2})],
+    ids=_SHORTCUT_IDS + ["Z-steps-1-2", "lamplighter3"])
 @pytest.mark.parametrize("kind", ["site", "bond"])
-@pytest.mark.parametrize("p", [0.3, 0.6, 0.9])
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, 1.0])
 def test_adjacency_compression_is_the_intrinsic_operator(monkeypatch, group,
                                                         window, kind, p):
     """The adjacency compression of the full sample onto the window is the
     intrinsic adjacency operator on the intrinsic vertices and k alone on
     every other window vertex, so the sample task reads its spectrum off
-    the intrinsic one; its rows equal those of both solves."""
+    the intrinsic one; its rows equal those of both solves.  The Neumann
+    and Dirichlet compressions it solves, built on the intrinsic edges with
+    the full sample's degrees, are bit for bit the full-sample operator's
+    principal submatrix, components included."""
     ctx = _ids_context(monkeypatch, group, PercolationModel(kind, p, 17),
                         window)
     isolated = 0
@@ -827,39 +855,60 @@ def test_adjacency_compression_is_the_intrinsic_operator(monkeypatch, group,
             lo, hi = comp.matrix.indptr[r], comp.matrix.indptr[r + 1]
             assert comp.matrix.indices[lo:hi].tolist() == [r]
             assert comp.matrix.data[lo:hi].tolist() == [float(group.k)]
+        for bc, got in _compressions(monkeypatch, ctx, i).items():
+            want = restrict(subgraph_laplacian(sub_big, bc), subset)
+            for field in ("index_set", "indptr", "indices", "data"):
+                have, ref = getattr(got, field), getattr(want, field)
+                assert have.dtype == ref.dtype and np.array_equal(have, ref), \
+                    (bc, field)
+            assert got.components()[0] == want.components()[0]
+            assert np.array_equal(got.components()[1], want.components()[1])
         assert np.array_equal(spectra._ids_sample_task(ctx, i),
                               _ids_sample_task_reference(ctx, i))
-    if kind == "bond" and p < 0.9:
+    if kind == "bond" and 0 < p < 0.9:
         assert isolated
 
 
 def _count_solves(monkeypatch):
-    """(function name, boundary condition) of every restrict and
+    """(function name, boundary condition) of every subgraph_laplacian and
     block_eigenvalues call spectra makes from now on."""
     calls = []
-    for name in ("restrict", "block_eigenvalues"):
+    for name in ("subgraph_laplacian", "block_eigenvalues"):
         original = getattr(spectra, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append((_name, args[0].bc))
-            return _original(*args, **kwargs)
+            out = _original(*args, **kwargs)
+            # the operator built, or the operator solved
+            calls.append((_name, (out if _name == "subgraph_laplacian"
+                                  else args[0]).bc))
+            return out
 
         monkeypatch.setattr(spectra, name, counted)
     return calls
 
 
 def test_adjacency_compression_is_not_solved(monkeypatch):
-    """One restrict and two solves per sample for Neumann, which on the
-    bipartite Z^2 also serves Dirichlet, and one solve for the adjacency
-    one."""
+    """Two operators and two solves per sample for Neumann, which on the
+    bipartite Z^2 also serves Dirichlet, and one of each for the adjacency
+    one; each sample builds its subgraph once, from the window's items."""
     calls = _count_solves(monkeypatch)
+    subgraphs = []
+    subgraph = PercolationSample.subgraph
+
+    def counted_subgraph(self):
+        subgraphs.append(self.sample_index)
+        return subgraph(self)
+
+    monkeypatch.setattr(PercolationSample, "subgraph", counted_subgraph)
     est = empirical_ids(GroupSpec.free_abelian(2),
                         PercolationModel("bond", 0.6, 5),
                         [NEUMANN, ADJACENCY, DIRICHLET], radius=4,
                         n_samples=10, energy_grid=[1.0])
     assert Counter(calls) == {
-        ("restrict", NEUMANN): 10, ("block_eigenvalues", NEUMANN): 20,
+        ("subgraph_laplacian", NEUMANN): 20, ("block_eigenvalues", NEUMANN): 20,
+        ("subgraph_laplacian", ADJACENCY): 10,
         ("block_eigenvalues", ADJACENCY): 10}
+    assert subgraphs == list(range(10))
     assert {bc: e.solve for bc, e in est.items()} == {
         NEUMANN: "direct", ADJACENCY: "direct",
         DIRICHLET: "reflected from neumann"}
@@ -870,9 +919,7 @@ _BC_LISTS = [list(order) for r in (1, 2, 3)
              for order in permutations([NEUMANN, ADJACENCY, DIRICHLET], r)]
 
 
-@pytest.mark.parametrize("group,window", _SHORTCUT_WINDOWS,
-                         ids=["Z1", "Z2", "heisenberg", "lamplighter2",
-                              "lamplighter2-depth"])
+@pytest.mark.parametrize("group,window", _SHORTCUT_WINDOWS, ids=_SHORTCUT_IDS)
 @pytest.mark.parametrize("kind", ["site", "bond"])
 def test_dirichlet_read_off_neumann_matches_the_direct_solves(
         monkeypatch, group, window, kind):
@@ -908,7 +955,7 @@ def test_non_bipartite_generators_solve_dirichlet_directly(monkeypatch):
                                   _ids_sample_task_reference(ctx, i))
         monkeypatch.undo()
         assert Counter(calls)[("block_eigenvalues", DIRICHLET)] == 20
-        assert Counter(calls)[("restrict", DIRICHLET)] == 10
+        assert Counter(calls)[("subgraph_laplacian", DIRICHLET)] == 20
         assert Counter(calls)[("block_eigenvalues", NEUMANN)] == \
             (20 if NEUMANN in bcs else 0)
     est = empirical_ids(group, model, DIRICHLET, radius=30, n_samples=10,
@@ -1011,7 +1058,8 @@ def test_five_operator_counts_match_the_direct_solves(monkeypatch, group,
             assert list(got) == list(want)
             for name in want:
                 assert np.array_equal(got[name], want[name]), (p, i, name)
-            solved = Counter(bc for _, bc in calls)
+            solved = Counter(bc for name, bc in calls
+                             if name == "block_eigenvalues")
             assert solved[NEUMANN] == 1
             assert solved[DIRICHLET] == (0 if bipartite else 1)
 
