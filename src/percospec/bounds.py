@@ -196,13 +196,16 @@ MIN_TETRAHEDRON_DEPTH = 2
 FULL_SOLVE = "full"
 CERTIFICATE = "certificate"
 
-# Below this many vertices the check keeps the full solve, only for the
-# pinned criterion-13 sum of lamplighter_report.json (m=2, depth 2, 12
-# vertices), whose eigenvalue_gap and boundary_ratio are rounding-level
-# values of that solve.  Like the lone-component branch of
-# spectra.block_eigenvalues, it can go when the pinned sums are re-recorded;
-# below it the full solve costs at most about 15 ms.
-_CERTIFICATE_FLOOR = 256
+# Below this many vertices the check keeps the full solve.  The depth-2
+# tetrahedron of Z_2 wr Z (12 vertices) is the only one below it, since
+# every other has at least 27, and it keeps the solve only for the pinned
+# criterion-13 sum of lamplighter_report.json (m=2, depth 2), whose
+# eigenvalue_gap and boundary_ratio are rounding-level values of that solve.
+# Like the lone-component branch of spectra.block_eigenvalues, it can go when
+# the pinned sums are re-recorded.  The solve itself is a 12 x 12 eigh, but a
+# run that checks that depth imports scipy.linalg for it, which no other
+# tetrahedron check does.
+_CERTIFICATE_FLOOR = 13
 
 
 def tetrahedron_eigenvalue(m: int, n: int) -> float:
@@ -232,9 +235,10 @@ def tetrahedron_multiplicity(m: int, n: int) -> int:
 
 def tetrahedron_solve(m: int, n: int) -> str:
     """How the check of the depth-n tetrahedron of Z_m wr Z proves facts (b)
-    and (c): ``FULL_SOLVE`` below ``_CERTIFICATE_FLOOR`` vertices, else
-    ``CERTIFICATE``.  Below ``MIN_TETRAHEDRON_DEPTH`` it raises
-    ``ValueError``, above the vertex or edge budget :class:`BudgetError`
+    and (c): ``FULL_SOLVE`` below ``_CERTIFICATE_FLOOR`` vertices, which
+    only the depth-2 tetrahedron of Z_2 wr Z is, else ``CERTIFICATE``.
+    Below ``MIN_TETRAHEDRON_DEPTH`` it raises ``ValueError``, above the
+    vertex or edge budget :class:`BudgetError`
     (:func:`~percospec.cayley.tetrahedron_edge_count`).  Nothing is built,
     so a list of depths can be refused before any check."""
     if n < MIN_TETRAHEDRON_DEPTH:
@@ -292,14 +296,15 @@ def tetrahedron_checks(m: int, n: int) -> TetrahedronReport:
     budget raises :class:`BudgetError` before it is built
     (:func:`tetrahedron_solve`).
 
-    From ``_CERTIFICATE_FLOOR`` vertices on (:func:`tetrahedron_solve`),
-    (b) and (c) are read off the closed-form eigenvector f of
-    :func:`_certificate`, with one sparse product (``op.matvec``) and no
-    eigensolve: ``eigenvalue_gap`` is the residual ||Lf - lambda f||_2 /
-    ||f||_2, which bounds the distance from lambda to the spectrum of L,
-    and ``boundary_ratio`` is max |f| on the inner boundary over max |f|,
-    which is exactly 0.  ``eigenspace_dim`` is the closed-form multiplicity.
-    Below the floor one full ``eigh`` gives the gap to the nearest
+    From ``_CERTIFICATE_FLOOR`` vertices on (:func:`tetrahedron_solve`), that
+    is for every tetrahedron but the depth-2 one of Z_2 wr Z, (b) and (c) are
+    read off the closed-form eigenvector f of :func:`_certificate`, with one
+    sparse product (``op.matvec``) and no eigensolve: ``eigenvalue_gap`` is
+    the residual ||Lf - lambda f||_2 / ||f||_2, which bounds the distance
+    from lambda to the spectrum of L, and ``boundary_ratio`` is max |f| on
+    the inner boundary over max |f|, which is exactly 0.  ``eigenspace_dim``
+    is the closed-form multiplicity.  Below the floor one full ``eigh``, for
+    which ``scipy.linalg`` is imported, gives the gap to the nearest
     eigenvalue, the eigenspace within ``_TOL`` of lambda, whose dimension
     must equal the closed form, and the flattest direction of that
     eigenspace on the boundary.

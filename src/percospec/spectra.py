@@ -230,8 +230,11 @@ def _ids_sample_task(ctx, i):
     # intrinsic edges and, on its diagonal, the degrees in the full sample
     active = s.active_vertices()
     subset = active[ctx["window_mask"][active]]
-    sub_comp = FiniteSubgraph(parent=ctx["ball"], vertex_indices=subset,
-                              edges=sub_int.edges)
+    # sub_int's vertices are among these, in the same ascending order, so an
+    # equal count means the same subgraph, as always in the site model; its
+    # located edges and cached components then serve the compression too
+    sub_comp = sub_int if len(subset) == sub_int.size else FiniteSubgraph(
+        parent=ctx["ball"], vertex_indices=subset, edges=sub_int.edges)
     degrees = np.bincount(s.open_edges().ravel(), minlength=len(ctx["ball"]))[subset]
 
     # the boundary conditions share the subgraphs and differ in the diagonal;

@@ -243,8 +243,10 @@ def full_tetrahedron_reference(m, n):
                              boundary_ratio=ratio)
 
 
-@pytest.mark.parametrize("m,n", [(2, 6), (3, 4), (3, 5), (4, 3), (5, 3),
-                                 (10, 2)])
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 4), (2, 5), (3, 2), (3, 3),
+                                 (4, 2), (5, 2), (6, 2), (7, 2), (8, 2),
+                                 (9, 2), (2, 6), (3, 4), (3, 5), (4, 3),
+                                 (5, 3), (10, 2)])
 def test_certificate_matches_the_full_solve(m, n):
     assert tetrahedron_solve(m, n) == CERTIFICATE
     rep, ref = tetrahedron_checks(m, n), full_tetrahedron_reference(m, n)
@@ -265,13 +267,16 @@ def test_small_tetrahedron_keeps_the_full_solve():
             == vars(full_tetrahedron_reference(2, 2)))
 
 
-@pytest.mark.parametrize("m,n,solve", [(2, 5, FULL_SOLVE),
+@pytest.mark.parametrize("m,n,solve", [(2, 2, FULL_SOLVE),
+                                       (2, 3, CERTIFICATE),
+                                       (3, 2, CERTIFICATE),
                                        (4, 3, CERTIFICATE),
                                        (2, 6, CERTIFICATE)])
 def test_eigenvectors_only_for_the_target_above_the_floor(monkeypatch, m, n,
                                                           solve):
-    # (2, 5) has 192 vertices, (4, 3) 256 and (2, 6) 448; from 256 on the
-    # one eigenvector is the closed-form one, and nothing is solved
+    # (2, 2) has 12 vertices, (3, 2) 27, (2, 3) 32, (4, 3) 256 and (2, 6)
+    # 448; from 13 on the one eigenvector is the closed-form one, and
+    # nothing is solved
     calls = []
 
     def spying(module, name):
@@ -290,9 +295,9 @@ def test_eigenvectors_only_for_the_target_above_the_floor(monkeypatch, m, n,
     assert calls == (["eigh", "svd"] if solve == FULL_SOLVE else [])
 
 
-@pytest.mark.parametrize("m,n", [(2, 5), (2, 6)])
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 5), (2, 6)])
 def test_missing_eigenvalue_names_the_depth_and_target(monkeypatch, m, n):
-    # one side of the window-solve floor each: 192 and 448 vertices
+    # 12 vertices, below the certificate floor, and 32, 192 and 448 above it
     target = bounds.tetrahedron_eigenvalue(m, n) + 1e-6
     monkeypatch.setattr(bounds, "tetrahedron_eigenvalue", lambda m, n: target)
     with pytest.raises(OracleViolationError) as err:

@@ -2,11 +2,14 @@
 
 The CLI, ball enumeration, the fits, the operators and their products, and
 an ids run whose clusters are small need numpy alone: ``growth`` and
-``percolate`` load no scipy subpackage, and ``exponents``, ``bounds`` and
-``lamplighter`` load ``scipy.linalg`` for their eigensolves and neither
-``scipy.stats`` nor ``scipy.sparse``.  ``import scipy`` itself, which the
-manifest needs for its version, loads a few private modules and no
-subpackage; those are the baseline.
+``percolate`` load no scipy subpackage, and ``exponents`` and ``bounds``
+load ``scipy.linalg`` for their eigensolves and neither ``scipy.stats`` nor
+``scipy.sparse``.  The tetrahedron checks of ``lamplighter`` and of
+``bounds`` on a lamplighter group solve nothing, so those runs load no
+scipy subpackage, except that the depth-2 tetrahedron of Z_2 wr Z keeps a
+full ``scipy.linalg`` solve.  ``import scipy`` itself, which the manifest
+needs for its version, loads a few private modules and no subpackage;
+those are the baseline.
 """
 
 import hashlib
@@ -86,6 +89,30 @@ def test_band_path_loads_scipy_linalg_and_keeps_the_pinned_bytes(tmp_path):
     assert got == entry["outputs"]["0"]
 
 
+_M3 = json.loads((_ROOT / "perfbench" / "digests.json").read_text())[
+    "lamplighter-m3"]["config"]
+_M2 = {"kind": "lamplighter", "modulus": 2}
+
+
+@pytest.mark.parametrize("subcommand,cfg", [
+    ("lamplighter", _M3),
+    ("bounds", _M3),
+    ("lamplighter", {"group": _M2, "window": {"depths": [3, 6], "return_max": 4}}),
+    ("bounds", {"group": _M2, "window": {"depths": [3, 6]}}),
+], ids=["lamplighter-m3", "bounds-m3", "lamplighter-m2", "bounds-m2"])
+def test_certified_tetrahedron_runs_load_no_scipy_submodule(tmp_path, subcommand,
+                                                            cfg):
+    # every tetrahedron but depth 2 of Z_2 wr Z takes the certificate: the
+    # benchmark's Z_3 wr Z depths 2-5 (27 to 1458 vertices), and Z_2 wr Z
+    # depths 3 (32) and 6 (448)
+    cfg = {**cfg, "seed": 1, "workers": 1, "output_dir": str(tmp_path / "o")}
+    baseline = scipy_modules_after("import scipy")
+    assert scipy_modules_after(cli_run(tmp_path, subcommand, cfg)) <= baseline
+    solves = json.loads((tmp_path / "o" / "manifest.json").read_text())[
+        "tetrahedron_solves"]
+    assert set(solves.values()) == {"certificate"}
+
+
 def _subpackages(modules: set) -> set:
     """The public scipy subpackages that have a module among ``modules``."""
     return {m.split(".")[1] for m in modules
@@ -118,7 +145,8 @@ def test_fit_runs_load_no_scipy_submodule(tmp_path, subcommand, cfg):
                      "window": {"depths": [2, 6], "return_max": 4}}),
 ], ids=["exponents", "bounds-z2", "bounds-lamplighter", "lamplighter"])
 def test_solving_runs_load_scipy_linalg_alone(tmp_path, subcommand, cfg):
-    # depth 2 takes the full eigh, depth 6 (448 vertices) the certificate
+    # on Z_2 wr Z depth 2 (12 vertices), the one tetrahedron below the
+    # certificate floor, takes the full eigh, depth 6 (448) the certificate
     cfg = {**cfg, "seed": 1, "workers": 1, "output_dir": str(tmp_path / "o")}
     loaded = scipy_modules_after(cli_run(tmp_path, subcommand, cfg))
     assert _subpackages(loaded - scipy_modules_after("import scipy")) == {"linalg"}
