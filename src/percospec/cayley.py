@@ -1034,7 +1034,9 @@ class FiniteSubgraph:
     endpoint once with :func:`locate` and rejects an edge leaving the
     member set.  The resulting positions are kept and returned by
     :meth:`local_edges`; members 0 .. size - 1, in order, are their own
-    positions, and their edges are only checked to lie among them.
+    positions, and their edges are only checked to lie among them.  Its
+    Laplacians (``operators.subgraph_laplacian``) need distinct, loop-free
+    edges, as every subgraph of a ball has.
     """
 
     parent: CayleyBall

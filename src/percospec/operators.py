@@ -9,6 +9,8 @@ float64, so trace identities hold exactly.
 
 The builders are the subgraph Laplacians, the free window Laplacian, the
 two-valued-potential Hamiltonian and the principal submatrix (``restrict``).
+Each takes a simple graph's distinct, loop-free edges, as a Cayley graph of
+distinct non-identity generators has them, and raises on a repeat.
 Operators are numpy CSR arrays built without scipy, labelled into components
 by ``cayley.connected_components`` and multiplied by ``LabeledOperator.matvec``.
 The scipy ``.matrix`` is built on demand; it and ``restrict`` are the tests'
@@ -124,29 +126,33 @@ _CSR = namedtuple("_CSR", "indptr indices data")
 
 
 def _sorted_csr(n: int, row, col, data) -> _CSR:
-    """Canonical CSR of entries at distinct positions in row-major order,
-    less the zeros; indices are int32 where they fit, as in scipy."""
-    keep = data != 0
+    """Canonical CSR of nonzero entries at distinct positions in row-major
+    order; indices are int32 where they fit, as in scipy."""
     index = np.int32 if max(n, len(data)) < 2 ** 31 else np.int64
-    indptr = np.r_[0, np.cumsum(np.bincount(row[keep], minlength=n))].astype(index)
-    return _CSR(indptr, col[keep].astype(index), data[keep])
+    indptr = np.r_[0, np.cumsum(np.bincount(row, minlength=n))].astype(index)
+    return _CSR(indptr, col.astype(index), data)
 
 
 def _assemble(n: int, edges, potential) -> _CSR:
-    """-A + V from its entries' distinct positions: -1 per edge at each, in
-    either orientation, and on the diagonal the potential less any loops.
-    One sort of the positions; their run lengths are the counts."""
+    """-A + V of a simple graph: -1 at both positions of each edge, and the
+    potential on the diagonal where it is nonzero.  The edges must be
+    distinct and loop-free: after the one sort of the positions, a repeated
+    position (a repeated edge, one given in both orientations, or a loop)
+    raises ``ValueError``."""
     u, v = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     diag = np.broadcast_to(np.asarray(potential, dtype=np.float64), (n,))
     pos = np.concatenate([u * n + v, v * n + u, np.flatnonzero(diag) * (n + 1)])
     pos.sort()
-    start = np.flatnonzero(np.diff(pos, prepend=-1))
-    count = np.diff(start, append=len(pos))
-    row, col = np.divmod(pos[start], max(n, 1))
-    data = -count.astype(np.float64)
-    loop = row == col
-    own = diag[row[loop]]
-    data[loop] = own - (count[loop] - (own != 0))
+    repeat = np.flatnonzero(pos[1:] == pos[:-1])
+    if len(repeat):
+        a, b = divmod(int(pos[repeat[0]]), n)
+        raise ValueError(f"edge ({a}, {b}) is repeated or a loop; operators are "
+                         "built from a simple graph's distinct, loop-free edges")
+    row, col = np.divmod(pos, max(n, 1))
+    del pos
+    data = np.full(len(row), -1.0)
+    loop = np.flatnonzero(row == col)
+    data[loop] = diag[row[loop]]
     return _sorted_csr(n, row, col, data)
 
 

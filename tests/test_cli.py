@@ -1257,9 +1257,9 @@ def test_tetrahedron_near_the_budget_runs_in_little_memory(tmp_path):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_largest_accepted_tetrahedron_runs_in_bounded_memory(tmp_path):
     # Z_125 wr Z at depth 2, the largest m under the edge budget: 46,875
-    # vertices and 3,906,250 edges.  It peaked at 564 MB (Linux, Python
+    # vertices and 3,906,250 edges.  It peaked at 314 MB (Linux, Python
     # 3.11, numpy 2.4); the bound keeps the headroom of the depth-9 Z_3 test
-    # above, whose run peaked at 129 MB under its 400 MB bound
+    # above, whose run peaked at 86 MB under its 400 MB bound
     code, peak_kib, _ = _run_measured(tmp_path, "bounds", base_config(
         tmp_path / "o", group={"kind": "lamplighter", "modulus": 125},
         window={"depths": [2]}))

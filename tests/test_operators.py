@@ -1,11 +1,14 @@
 """Operator assembly: closed forms, trace identities, orderings, symmetries."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from percospec.bounds import _certificate
 from percospec.cayley import (
+    FiniteSubgraph,
     GroupSpec,
     enumerate_ball,
     induced_subgraph,
@@ -542,16 +545,15 @@ def test_numpy_builders_equal_the_scipy_construction():
 
     rng = np.random.Generator(np.random.Philox(key=np.array([313, 0],
                                                             dtype=np.uint64)))
-    # potentials whose sums with the edges' -1 entries are exact, so the
-    # order in which scipy adds a loop's entries cannot show
     levels = np.array([0.0, 0.0, 1.0, 2.0, 3.5, -0.25, 4.0])
     for trial in range(60):
         n = int(rng.integers(0, 40))
         m = int(rng.integers(0, 3 * n + 1))
-        # repeats and, when trial is odd, loops
+        # distinct, loop-free edges, each in the orientation drawn first
         edges = rng.integers(0, max(n, 1), size=(m if n else 0, 2))
-        if trial % 2 == 0:
-            edges = edges[edges[:, 0] != edges[:, 1]]
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        _, first = np.unique(np.sort(edges, axis=1), axis=0, return_index=True)
+        edges = edges[np.sort(first)]
         potential = levels[rng.integers(0, len(levels), size=n)]
         got, want = _assemble(n, edges, potential), _scipy_assemble(n, edges, potential)
         index_set = rng.permutation(3 * n)[:n]
@@ -561,6 +563,40 @@ def test_numpy_builders_equal_the_scipy_construction():
         for size in {0, n // 2, n}:
             subset = rng.permutation(index_set)[:size]
             _assert_same_arrays(restrict(op, subset), _scipy_restrict(op, subset))
+
+
+@pytest.mark.parametrize("edges,pair", [
+    ([[0, 1], [2, 3], [0, 1]], (0, 1)),   # a repeated edge
+    ([[3, 2], [1, 0], [2, 3]], (2, 3)),   # an edge in both orientations
+    ([[0, 1], [2, 2]], (2, 2)),           # a loop
+])
+def test_assembly_refuses_a_graph_that_is_not_simple(edges, pair):
+    from percospec.operators import _assemble
+
+    message = rf"^edge \({pair[0]}, {pair[1]}\) is repeated or a loop"
+    for potential in (0.0, 4.0):
+        with pytest.raises(ValueError, match=message):
+            _assemble(4, edges, potential)
+
+
+def test_subgraph_with_a_repeated_edge_has_no_laplacian(z_ball):
+    sub = induced_subgraph(z_ball, [z_ball.index_of((0,)), z_ball.index_of((1,))])
+    twice = FiniteSubgraph(z_ball, sub.vertex_indices, np.repeat(sub.edges, 2, axis=0))
+    with pytest.raises(ValueError, match=r"^edge \(0, 1\) is repeated or a loop"):
+        subgraph_laplacian(twice, ADJACENCY)
+
+
+def test_assembly_peak_memory_is_proportional_to_the_entries():
+    # one sorted int64 position per entry, then its row, column and value
+    # and the int32 column: about 29 bytes an entry at the peak
+    tet = tetrahedron(15, 3)
+    tracemalloc.start()
+    try:
+        op = subgraph_laplacian(tet, ADJACENCY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(op.data)
 
 
 # ---------------------------------------------------------------------------
