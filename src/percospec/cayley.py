@@ -960,14 +960,13 @@ def _edges(ordered: np.ndarray, sorter: np.ndarray, neighbours: np.ndarray,
 class GrowthProfile:
     """Ball volumes V(0..n_max) and the inverse growth function.
 
-    ``phi(t)`` is the smallest radius n >= 0 with V(n) > t, tabulated for
+    ``phi(t)`` is the smallest radius n >= 0 with V(n) > t, for
     0 <= t < V(n_max).
     """
 
     spec: GroupSpec
     radii: np.ndarray
     volumes: np.ndarray
-    phi_values: np.ndarray
 
     @property
     def n_max(self) -> int:
@@ -980,22 +979,19 @@ class GrowthProfile:
         t_arr = np.asarray(t)
         if np.any(t_arr < 0) or np.any(t_arr >= self.volumes[-1]):
             raise ValueError(
-                f"phi tabulated only for 0 <= t < {int(self.volumes[-1])}")
-        out = self.phi_values[t_arr]
+                f"phi is defined only for 0 <= t < {int(self.volumes[-1])}")
+        out = np.searchsorted(self.volumes, t_arr, side="right")
         return int(out) if np.isscalar(t) else out
 
 
 def growth_profile(ball: CayleyBall) -> GrowthProfile:
-    """Tabulate V(0..n) and phi over [0, V(n)) on an enumerated ball B(n)."""
+    """Tabulate V(0..n) on an enumerated ball B(n), which defines phi over [0, V(n))."""
     if ball.radius < 2:
         raise ValueError("need a ball of radius >= 2")
     radii = np.arange(ball.radius + 1)
     volumes = np.searchsorted(ball.word_length, radii, side="right")
-    ts = np.arange(volumes[-1])
-    phi_values = np.searchsorted(volumes, ts, side="right")
     return GrowthProfile(spec=ball.spec, radii=radii,
-                         volumes=volumes.astype(np.int64),
-                         phi_values=phi_values.astype(np.int64))
+                         volumes=volumes.astype(np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -63,8 +63,9 @@ def _int(minimum=None, **for_subcommand):
 
 def _num(lo=-math.inf, hi=math.inf):
     def check(value, path, subcommand):
+        # compared, not converted: an int past the float64 range is refused
         if not isinstance(value, (int, float)) or isinstance(value, bool) \
-                or not math.isfinite(value) or not lo <= value <= hi:
+                or not abs(value) <= sys.float_info.max or not lo <= value <= hi:
             raise ValidationError(f"{path} must be a finite number in [{lo}, {hi}]")
     return check
 
@@ -199,6 +200,11 @@ def validate_config(raw: dict, subcommand: str) -> dict:
         if eg.get("scale") == "log" and min(eg["min"], eg["max"]) <= 0:
             raise ValidationError(
                 "spectra.energy_grid.min and .max must be > 0 on a log scale")
+        # a linear grid steps by (max - min) / (points - 1)
+        if eg.get("scale") != "log" and \
+                not math.isfinite(float(eg["max"]) - float(eg["min"])):
+            raise ValidationError("spectra.energy_grid.max - .min must be a "
+                                  "finite float64 on a linear scale")
     for key in ("van_hove_range", "lifshitz_range"):
         span = fits.get(key)
         if span is not None and (len(span) != 2 or not 0 < span[0] < span[1]):

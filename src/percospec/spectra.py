@@ -19,7 +19,6 @@ import numpy as np
 from ._parallel import run_indexed
 from .cayley import (
     CayleyBall,
-    FiniteSubgraph,
     GroupSpec,
     enumerate_ball,
     is_bipartite,
@@ -31,6 +30,7 @@ from .operators import (
     DIRICHLET,
     NEUMANN,
     LabeledOperator,
+    _diag_for,
     anderson,
     free_laplacian,
     subgraph_laplacian,
@@ -226,31 +226,26 @@ def _ids_sample_task(ctx, i):
     # the window-induced percolation subgraph: the sample with every item
     # outside the window closed
     sub_int = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
-    # the full-sample operator compressed onto its window vertices has the
-    # intrinsic edges and, on its diagonal, the degrees in the full sample
-    active = s.active_vertices()
-    subset = active[ctx["window_mask"][active]]
-    # sub_int's vertices are among these, in the same ascending order, so an
-    # equal count means the same subgraph, as always in the site model; its
-    # located edges and cached components then serve the compression too
-    sub_comp = sub_int if len(subset) == sub_int.size else FiniteSubgraph(
-        parent=ctx["ball"], vertex_indices=subset, edges=sub_int.edges)
-    degrees = np.bincount(s.open_edges().ravel(), minlength=len(ctx["ball"]))[subset]
+    # the full-sample operator compressed onto the window: sub_int with the
+    # full sample's degrees, plus an isolated vertex for each window vertex
+    # whose open edges all leave the window (bond only: not in sub_int)
+    full = np.bincount(s.open_edges().ravel(), minlength=len(ctx["ball"]))
+    degrees = full[sub_int.vertex_indices]
+    full[sub_int.vertex_indices] = 0
+    isolated = full[ctx["window_mask"] & (full > 0)]
 
-    # the boundary conditions share the subgraphs and differ in the diagonal;
-    # each one solved gives both window spectra and the intrinsic kernel scale
+    # the boundary conditions share sub_int and its labels and differ in the
+    # diagonal; each solve gives both window spectra and the kernel scale
     solved = {}
     for bc in dict.fromkeys(source.values()):
         op_int = subgraph_laplacian(sub_int, bc)
         vals_int = block_eigenvalues(op_int, dense_cap)
-        if bc == ADJACENCY:
-            # the compression keeps diagonal k, so a window vertex whose
-            # open edges all leave the window (bond only: it is not in
-            # sub_int) is isolated in it, with eigenvalue k
-            vals_comp = np.sort(np.concatenate(
-                [vals_int, np.full(len(subset) - sub_int.size, float(op_int.k))]))
-        else:
-            vals_comp = block_eigenvalues(subgraph_laplacian(sub_comp, bc, degrees), dense_cap)
+        # the adjacency diagonal is k whatever the degrees
+        vals_comp = vals_int if bc == ADJACENCY else block_eigenvalues(
+            subgraph_laplacian(sub_int, bc, degrees), dense_cap)
+        # an isolated vertex's eigenvalue is its diagonal entry
+        vals_comp = np.sort(np.concatenate(
+            [vals_comp, np.broadcast_to(_diag_for(bc, k, isolated), isolated.shape)]))
         solved[bc] = vals_int, vals_comp, op_int.inf_norm()
 
     rows = []
@@ -275,9 +270,10 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
     The window is the ball B(radius) (polynomial growth) or the depth-n
     tetrahedron (lamplighter).  Each sample counts the intrinsic window
     operator and the compression of the full-sample operator onto the
-    window, which share the intrinsic edges; the sample's one-step-larger
-    ball serves only the open edges that leave the window, which the
-    compression's degrees count.  The reported mean is the intrinsic count;
+    window, both built on the one intrinsic subgraph: the compression takes
+    the full sample's degrees, counted on the one-step-larger ball, and each
+    window vertex whose open edges all leave the window (bond only) adds its
+    diagonal entry as an eigenvalue.  The reported mean is the intrinsic count;
     the bracket columns envelope both conventions, which monitors the
     finite-window boundary bias.  ``n_at_zero`` is the normalized kernel
     mass of the intrinsic operator.

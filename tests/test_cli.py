@@ -310,6 +310,48 @@ def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand", ["ids", "chain", "free-ids"])
+def test_linear_energy_grid_with_an_overflowing_span_is_refused(
+        tmp_path, capsys, subcommand):
+    """A linear grid steps by (max - min) / (points - 1), so a span past the
+    float64 range would write nan and inf energies; a span just inside it,
+    or the same ends on a log scale, pass validation."""
+    out = tmp_path / "o"
+    body = _BASES[subcommand]
+
+    def with_grid(grid):
+        return base_config(out, **{**body, "spectra": {**body["spectra"],
+                                                       "energy_grid": grid}})
+
+    path = write_config(tmp_path, "c.json", with_grid(
+        {"min": -1e308, "max": 1e308, "points": 5}))
+    assert main([subcommand, "--config", path]) == 1
+    assert "spectra.energy_grid.max - .min" in capsys.readouterr().err
+    assert not out.exists()
+    validate_config(with_grid({"min": -8e307, "max": 8e307, "points": 5}),
+                    subcommand)
+    validate_config(with_grid({"min": 1e-308, "max": 1e308, "points": 5,
+                               "scale": "log"}), subcommand)
+
+
+@pytest.mark.parametrize("key", ["energy_grid.max", "couplings"])
+def test_integer_past_the_float64_range_is_refused(tmp_path, capsys, key):
+    # json reads a 401-digit number as an int, which no float64 holds
+    out = tmp_path / "o"
+    spectra_cfg = {**_BASES["chain"]["spectra"]}
+    if key == "couplings":
+        spectra_cfg["couplings"] = ["HUGE"]
+    else:
+        spectra_cfg["energy_grid"] = {"min": 0, "max": "HUGE", "points": 5}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(base_config(
+        out, **{**_BASES["chain"], "spectra": spectra_cfg})).replace(
+            '"HUGE"', "1" + "0" * 400))
+    assert main(["chain", "--config", str(path)]) == 1
+    assert f"spectra.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # one small config per subcommand that runs in well under a second
 _BASES = {
     "growth": {"group": _Z1, "window": {"radius": 8}},

@@ -9,7 +9,7 @@ import pytest
 from scipy import linalg, sparse
 from scipy.sparse import csgraph
 
-from percospec import spectra
+from percospec import cayley, operators, spectra
 from percospec.cayley import (
     FiniteSubgraph,
     GroupSpec,
@@ -693,7 +693,7 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
         empirical_ids(GroupSpec.lamplighter(2), model, NEUMANN, depth=2,
                       n_samples=n, energy_grid=[1.0])
     # each sample builds its intrinsic window operator first, then the
-    # compression, on the active window vertices and the intrinsic edges
+    # compression, both on the one intrinsic subgraph
     assert len(seen) == 2 * n
     ball = seen[0].parent
     window_mask = np.zeros(len(ball), dtype=bool)
@@ -704,9 +704,7 @@ def test_ids_window_cut_matches_reference(monkeypatch, window, kind, p):
     for i, (got, comp) in enumerate(zip(seen[::2], seen[1::2])):
         s = sample(model, ball, i)
         ref = window_cut_reference(s, window_mask)
-        active = s.subgraph().vertex_indices
-        assert np.array_equal(comp.vertex_indices, active[window_mask[active]])
-        assert np.array_equal(comp.edges, got.edges)
+        assert comp is got
         assert got.vertex_indices.dtype == ref.vertex_indices.dtype
         assert got.edges.dtype == ref.edges.dtype
         assert np.array_equal(got.vertex_indices, ref.vertex_indices)
@@ -824,17 +822,17 @@ def _compressions(monkeypatch, ctx, i):
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.6, 0.9, 1.0])
 def test_adjacency_compression_is_the_intrinsic_operator(monkeypatch, group,
                                                         window, kind, p):
-    """The adjacency compression of the full sample onto the window is the
-    intrinsic adjacency operator on the intrinsic vertices and k alone on
-    every other window vertex, so the sample task reads its spectrum off
-    the intrinsic one; its rows equal those of both solves.  The Neumann
-    and Dirichlet compressions it solves, built on the intrinsic edges with
-    the full sample's degrees, are bit for bit the full-sample operator's
-    principal submatrix, components included.  In the site model they are
-    built on the intrinsic subgraph itself, whose components are labelled
-    once."""
+    """The compression of the full sample onto the window is its principal
+    submatrix on the active window vertices.  On the intrinsic vertices it
+    is the intrinsic subgraph's Laplacian with the full sample's degrees,
+    which the sample task builds for Neumann and Dirichlet on the intrinsic
+    subgraph itself, sharing its labels; for adjacency it is the intrinsic
+    operator, whose spectrum the task reads.  Every other window vertex
+    (bond only) holds its diagonal entry alone, the eigenvalue the task
+    appends.  The task's rows equal those of solving the submatrix."""
     ctx = _ids_context(monkeypatch, group, PercolationModel(kind, p, 17),
                         window)
+    k = group.k
     isolated = 0
     for i in range(10):
         s = sample(ctx["model"], ctx["ball"], i)
@@ -843,34 +841,77 @@ def test_adjacency_compression_is_the_intrinsic_operator(monkeypatch, group,
         sub_big = s.subgraph()
         subset = sub_big.vertex_indices[
             ctx["window_mask"][sub_big.vertex_indices]]
-        comp = restrict(subgraph_laplacian(sub_big, ADJACENCY), subset)
-        intrinsic = subgraph_laplacian(sub_int, ADJACENCY)
-        inside = restrict(comp, sub_int.vertex_indices).matrix
-        for field in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(inside, field),
-                                  getattr(intrinsic.matrix, field)), field
+        degree = np.bincount(s.open_edges().ravel(),
+                             minlength=len(ctx["ball"]))[subset]
         others = np.flatnonzero(~np.isin(subset, sub_int.vertex_indices))
         isolated += len(others)
         if kind == "site":
             assert not len(others)
-        for r in others:
-            lo, hi = comp.matrix.indptr[r], comp.matrix.indptr[r + 1]
-            assert comp.matrix.indices[lo:hi].tolist() == [r]
-            assert comp.matrix.data[lo:hi].tolist() == [float(group.k)]
-        for bc, (op_int, got) in _compressions(monkeypatch, ctx, i).items():
-            want = restrict(subgraph_laplacian(sub_big, bc), subset)
+        solved = _compressions(monkeypatch, ctx, i)
+        solved[ADJACENCY] = (None, subgraph_laplacian(sub_int, ADJACENCY))
+        for bc, (op_int, got) in solved.items():
+            comp = restrict(subgraph_laplacian(sub_big, bc), subset).matrix
+            diagonal = {ADJACENCY: np.full_like(degree, k), NEUMANN: degree,
+                        DIRICHLET: 2 * k - degree}[bc]
+            for r in others:
+                lo, hi = comp.indptr[r], comp.indptr[r + 1]
+                assert comp.indices[lo:hi].tolist() == [r]
+                assert comp.data[lo:hi].tolist() == [float(diagonal[r])]
+            want = restrict(subgraph_laplacian(sub_big, bc),
+                            sub_int.vertex_indices)
             for field in ("index_set", "indptr", "indices", "data"):
                 have, ref = getattr(got, field), getattr(want, field)
                 assert have.dtype == ref.dtype and np.array_equal(have, ref), \
                     (bc, field)
             assert got.components()[0] == want.components()[0]
             assert np.array_equal(got.components()[1], want.components()[1])
-            if kind == "site":
+            if op_int is not None:
                 assert got.components() is op_int.components()
         assert np.array_equal(spectra._ids_sample_task(ctx, i),
                               _ids_sample_task_reference(ctx, i))
     if kind == "bond" and 0 < p < 0.9:
         assert isolated
+
+
+@pytest.mark.parametrize("kind,p", [("site", 0.5), ("bond", 0.9)])
+def test_ids_sample_builds_and_labels_one_subgraph(monkeypatch, kind, p):
+    """Every sample builds one FiniteSubgraph, its intrinsic one, and labels
+    it once for all its operators.  On Z^2 B(2) at bond p = 0.9 the
+    intrinsic subgraph is often one dense component beside window vertices
+    whose open edges all leave the window; those samples' rows still equal
+    the full-sample reference."""
+    ctx = _ids_context(monkeypatch, GroupSpec.free_abelian(2),
+                       PercolationModel(kind, p, 4242), {"radius": 2})
+    built, labelled = [], []
+    post_init = FiniteSubgraph.__post_init__
+    label = cayley.connected_components
+
+    def counted_post_init(self):
+        built.append(self)
+        post_init(self)
+
+    def counted_label(*args):
+        labelled.append(args)
+        return label(*args)
+
+    lone_with_isolated = 0
+    for i in range(40):
+        with monkeypatch.context() as patch:
+            patch.setattr(FiniteSubgraph, "__post_init__", counted_post_init)
+            patch.setattr(cayley, "connected_components", counted_label)
+            patch.setattr(operators, "connected_components", counted_label)
+            rows = spectra._ids_sample_task(ctx, i)
+        assert len(built) == len(labelled) == 1, i
+        sub_int = built.pop()
+        labelled.pop()
+        active = sample(ctx["model"], ctx["ball"], i).active_vertices()
+        extra = np.count_nonzero(ctx["window_mask"][active]) - sub_int.size
+        if kind == "site":
+            assert extra == 0
+        lone_with_isolated += sub_int.connected and extra > 0
+        assert np.array_equal(rows, _ids_sample_task_reference(ctx, i))
+    if kind == "bond":
+        assert lone_with_isolated
 
 
 def _count_solves(monkeypatch):
