@@ -30,8 +30,9 @@ decoded: a generator changes only a few columns of a row, so a neighbour's
 key adds a per-generator offset to the word of each changed column
 (:func:`_moves`); the tuples' order is read off the keys' digits
 (:func:`_order_keys`).  A :class:`CayleyBall` stores the layout and keys
-that built it, and every lookup reads them; its rows and the tuple
-encodings of ``CayleyBall.vertices`` are decoded on first use.  A ball's
+that built it, and every lookup reads them; its rows, the tuple
+encodings of ``CayleyBall.vertices`` and its edges are built from them on
+first use, so enumeration builds no edge.  A ball's
 layout comes from :func:`_layout` (spec, radius), a tetrahedron's from its
 own n + 3 columns (:func:`_tetrahedron_columns`).
 """
@@ -500,9 +501,10 @@ class CayleyBall:
     docstring).  ``rows[i]``, vertex ``i`` as an element row, and
     ``vertices[i]``, its tuple encoding, are decoded on first use; vertex
     0 is the identity.  ``edges`` lists each undirected edge once as
-    (u, v) with u < v.  Vertices are sorted by word length first, so the
-    sub-ball of radius r <= radius is exactly the index prefix
-    0 .. volume(r) - 1.
+    (u, v) with u < v, built from the layout and keys on first read and
+    kept, so a ball whose edges nobody reads (``growth``) builds none.
+    Vertices are sorted by word length first, so the sub-ball of radius
+    r <= radius is exactly the index prefix 0 .. volume(r) - 1.
     """
 
     spec: GroupSpec
@@ -510,14 +512,14 @@ class CayleyBall:
     layout: _Layout
     keys: np.ndarray
     word_length: np.ndarray
-    edges: np.ndarray
     k: int
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __getstate__(self):
-        # the decoded caches are rebuilt from the keys on first use
+        # the decoded caches are rebuilt from the keys on first use; built
+        # edges are shipped
         return {key: value for key, value in self.__dict__.items()
                 if key not in ("rows", "vertices", "_lookup", "band_rank")}
 
@@ -550,6 +552,19 @@ class CayleyBall:
         """``(ordered, sorter)``: the vertex keys sorted, and their ``argsort``."""
         sorter = np.argsort(self.keys, kind="stable")
         return self.keys[sorter], sorter
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """Sorted int64 edges (u, v), u < v: joined through the K_{m,m}
+        cells on Z_m wr Z with the natural generators (:func:`_cell_edges`),
+        else where a vertex's neighbour key through a generator of
+        ``spec.edge_slots`` is a vertex key (:func:`_edges`)."""
+        spec, layout, keys = self.spec, self.layout, self.keys
+        if spec.is_natural_lamplighter:
+            return _cell_edges(layout, keys, layout.column(keys, len(layout.lo) - 1))
+        slots = spec.edge_slots
+        involution = np.array([spec.inverse_slots[i] == i for i in slots])
+        return _edges(*self._lookup, _neighbour_keys(spec, layout, keys, slots), involution)
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vertex index of each element row, -1 for rows not in the ball."""
@@ -611,11 +626,13 @@ class CayleyBall:
 
 
 def enumerate_ball(spec: GroupSpec, n: int, budget: int | None = None) -> CayleyBall:
-    """B(n) in ball order (word length, then lexicographic encoding), edges
-    sorted: in closed form on Z^d with the ±unit generators (:func:`_lattice_ball`)
-    and on Z_m wr Z with the natural ones (:func:`_lamplighter_ball`), else by
-    BFS (:func:`_bfs_ball`).  Raises :class:`BudgetError` before building past
-    ``budget`` vertices (default 2e6), each counted once per key word.
+    """B(n) in ball order (word length, then lexicographic encoding): in
+    closed form on Z^d with the ±unit generators (:func:`_lattice_ball`) and
+    on Z_m wr Z with the natural ones (:func:`_lamplighter_ball`), else by
+    BFS (:func:`_bfs_ball`).  It builds the keys and word lengths; the edges
+    are built on their first read (:attr:`CayleyBall.edges`).  Raises
+    :class:`BudgetError` before building past ``budget`` vertices (default
+    2e6), each counted once per key word.
 
     On Z_m wr Z with the natural generators, lamp p switches only on a step
     across walker positions p - 1 and p: a right mover sets lamp x + 1, a
@@ -674,9 +691,8 @@ def _lattice_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> Cayl
     rows = np.empty((len(rest), d), dtype=np.int64)
     for j in range(d - 1, -1, -1):     # each column gathered once, last first
         rows[:, j], at = values[j][at], parents[j][at]
-    keys = layout.keys(rows)
-    return _ball(spec, n, layout, keys, word_length,
-                 _neighbour_keys(spec, layout, keys, spec.edge_slots))
+    return CayleyBall(spec=spec, radius=n, layout=layout, keys=layout.keys(rows),
+                      word_length=word_length, k=spec.k)
 
 
 def _natural_word_length(x, first, last):
@@ -740,8 +756,8 @@ def _lamplighter_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> 
     group.  Ball order is one int64 sort key: word length, then the column
     of the first lit lamp (0 if none), then the pattern's place in tuple
     order (:func:`_lamp_patterns`), then x; its range is bounded in Python
-    ints first.  The edges join the K_{m,m} cells (:func:`_cell_edges`),
-    and no neighbour key is made."""
+    ints first.  Its edges, read later, join the K_{m,m} cells
+    (:func:`_cell_edges`), and no neighbour key is made."""
     m, lamps, cap = spec.modulus, len(layout.lo) - 1, budget // layout.words
     # B(n) holds the m^(n // 2) patterns of lamps 1 .. n // 2 with the walker at 0
     if m ** (n // 2) > cap:
@@ -787,9 +803,8 @@ def _lamplighter_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> 
     del order
     keys = _pattern_keys(layout, m ** np.arange(n + 1), value[pattern], first,
                          first + pattern_span[pattern], x)
-    del pattern, first
     return CayleyBall(spec=spec, radius=n, layout=layout, keys=keys, word_length=word_length,
-                      edges=_cell_edges(layout, keys, x), k=spec.k)
+                      k=spec.k)
 
 
 def _pattern_keys(layout: _Layout, powers: np.ndarray, value: np.ndarray,
@@ -878,22 +893,19 @@ def _bfs_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBa
     L - 1, L and L + 1, and the new layer is the distinct neighbour keys
     minus those of the first two, put in the order of their tuples.  A
     layer whose neighbours could pass the budget is built from chunks of
-    the frontier and refused as soon as its distinct new keys do.  The
-    edges keep the neighbours of ``spec.edge_slots`` only, and the last
-    layer computes no others.
+    the frontier and refused as soon as its distinct new keys do.  No
+    neighbour key outlives its layer: the edges look their own up when read.
     """
     cap = budget // layout.words    # no more neighbour-key words than one-word balls
     keys = layout.keys(np.zeros((1, len(layout.lo)), dtype=np.int64))
-    layers, neighbours, total = [keys], [], 1
+    layers, total = [keys], 1
     older, current = keys[:0], keys     # the last two layers, sorted
-    slots = list(spec.edge_slots)
     for _ in range(n):
         # one chunk unless the frontier's neighbours could pass the budget
         step = max(1, (cap - total) // spec.k)
         fresh = keys[:0]
         for start in range(0, len(keys), step):
             ahead = _neighbour_keys(spec, layout, keys[start:start + step])
-            neighbours.append(ahead[:, slots])
             fresh = sorted_unique(np.concatenate([fresh, ahead.ravel()]), older, current)
             if total + len(fresh) > cap:
                 _refuse(spec, n, layout, budget)
@@ -901,12 +913,9 @@ def _bfs_ball(spec: GroupSpec, n: int, layout: _Layout, budget: int) -> CayleyBa
         older, current = current, fresh
         keys = _canonical(spec, layout, fresh)
         layers.append(keys)
-    neighbours.append(_neighbour_keys(spec, layout, keys, slots))
-
-    return _ball(spec, n, layout, np.concatenate(layers),
-                 np.repeat(np.arange(n + 1, dtype=np.int32),
-                           [len(layer) for layer in layers]),
-                 np.concatenate(neighbours))
+    word_length = np.repeat(np.arange(n + 1, dtype=np.int32), [len(layer) for layer in layers])
+    return CayleyBall(spec=spec, radius=n, layout=layout, keys=np.concatenate(layers),
+                      word_length=word_length, k=spec.k)
 
 
 def sorted_unique(values: np.ndarray, *seen: np.ndarray) -> np.ndarray:
@@ -919,18 +928,6 @@ def sorted_unique(values: np.ndarray, *seen: np.ndarray) -> np.ndarray:
     for old in seen:
         keep &= ~_search(old, values)[0]
     return values[keep]
-
-
-def _ball(spec: GroupSpec, radius: int, layout: _Layout, keys: np.ndarray,
-          word_length: np.ndarray, neighbours: np.ndarray) -> CayleyBall:
-    """Ball-ordered vertices, joined where row i of ``neighbours``, the
-    neighbour keys of ``spec.edge_slots``, holds a key."""
-    ball = CayleyBall(spec=spec, radius=radius, layout=layout, keys=keys,
-                      word_length=word_length, edges=None, k=spec.k)
-    slots = spec.edge_slots
-    involution = np.array([spec.inverse_slots[i] == i for i in slots])
-    ball.edges = _edges(*ball._lookup, neighbours, involution)
-    return ball
 
 
 def _edges(ordered: np.ndarray, sorter: np.ndarray, neighbours: np.ndarray,
@@ -1217,9 +1214,8 @@ def tetrahedron(m: int, n: int) -> FiniteSubgraph:
     top = (np.arange(1, n + 1) * (lamps > 0)).max(axis=1)[:, None]
     word_length = _natural_word_length(x, 1, top).astype(np.int32).ravel()
     order = np.lexsort([*_order_keys(spec, layout, keys), word_length])
-    keys, x = keys[order], np.tile(x, m ** n)[order]
-    parent = CayleyBall(spec=spec, radius=2 * n, layout=layout, keys=keys, k=spec.k,
-                        word_length=word_length[order], edges=_cell_edges(layout, keys, x))
+    parent = CayleyBall(spec=spec, radius=2 * n, layout=layout, keys=keys[order], k=spec.k,
+                        word_length=word_length[order])
     return FiniteSubgraph(parent=parent, vertex_indices=np.arange(len(parent)),
                           edges=parent.edges)
 

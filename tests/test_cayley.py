@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import pickle
 from collections import deque
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -589,6 +590,85 @@ def test_ball_pickle_keeps_the_layout_and_keys(make):
     assert np.array_equal(back.rows, rows)
     assert back.vertices == ball.vertices
     assert back.find_rows(rows).tolist() == list(range(len(ball)))
+
+
+# one ball of each family: closed form (Z^2, Z^3, natural Z_m wr Z) and
+# breadth first (the others)
+_LAZY_CASES = {
+    "Z2": (_DIGEST_SPECS["Z2"], 6),
+    "Z3": (_DIGEST_SPECS["Z3"], 4),
+    "Z-pm1-pm2": (_DIGEST_SPECS["Z-pm1-pm2"], 6),
+    "Z2-diagonal": (_DIGEST_SPECS["Z2-diagonal"], 4),
+    "heisenberg": (_DIGEST_SPECS["heisenberg"], 4),
+    "lamplighter2": (_DIGEST_SPECS["lamplighter2"], 6),
+    "lamplighter3": (_DIGEST_SPECS["lamplighter3"], 4),
+    "lamplighter3-switch": (_LAMPLIGHTER3_SWITCH, 3),
+}
+
+
+def _forbid_edge_builders(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("edges were built")
+
+    for name in ("_edges", "_cell_edges"):
+        monkeypatch.setattr(cayley, name, no_build)
+
+
+def _assert_reference_edges(edges, ref):
+    ref = np.array(ref, dtype=np.int64).reshape(-1, 2)
+    assert edges.dtype == np.int64 and edges.shape == ref.shape
+    assert edges.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_LAZY_CASES))
+def test_ball_edges_are_built_on_first_read(monkeypatch, name):
+    spec, radius = _LAZY_CASES[name]
+    with monkeypatch.context() as patch:
+        _forbid_edge_builders(patch)
+        ball = enumerate_ball(spec, radius)
+        # growth and the vertex lookups read no edge
+        growth_profile(ball)
+        assert ball.index_of(ball.vertices[-1]) == len(ball) - 1
+        ball.band_rank
+        assert "edges" not in ball.__dict__
+    edges = ball.edges
+    _assert_reference_edges(edges, tuple_ball(spec, radius)[2])
+    assert ball.__dict__["edges"] is edges and ball.edges is edges
+
+
+@pytest.mark.parametrize("m,n", [(2, 4), (3, 3)])
+def test_tetrahedron_parent_edges_are_built_on_first_read(monkeypatch, m, n):
+    tet = tetrahedron(m, n)
+    # the subgraph is built from its parent's edges; an unread copy of the
+    # parent builds them again from its layout and keys
+    assert "edges" in tet.parent.__dict__
+    with monkeypatch.context() as patch:
+        _forbid_edge_builders(patch)
+        parent = replace(tet.parent)
+        assert "edges" not in parent.__dict__
+        assert parent.find_rows(tet.parent.rows).tolist() == list(range(len(parent)))
+    _assert_reference_edges(parent.edges, tet.edges.tolist())
+    assert len(parent.edges) == cayley.tetrahedron_edge_count(m, n)
+    ball = enumerate_ball(GroupSpec.lamplighter(m), 2 * n)
+    _, ref = multiply_tetrahedron(m, n, ball)
+    assert ball.find_vertices(parent)[parent.edges].tolist() == ref
+
+
+@pytest.mark.parametrize("name", ["Z2", "Z-pm1-pm2", "heisenberg", "lamplighter3",
+                                  "lamplighter3-switch"])
+def test_ball_pickle_ships_only_built_edges(monkeypatch, name):
+    spec, radius = _LAZY_CASES[name]
+    ball = enumerate_ball(spec, radius)
+    back = pickle.loads(pickle.dumps(ball))
+    assert "edges" not in back.__dict__
+    ref = tuple_ball(spec, radius)[2]
+    _assert_reference_edges(back.edges, ref)
+    # read before pickling, the edges travel with the ball
+    ball.edges
+    back = pickle.loads(pickle.dumps(ball))
+    assert "edges" in back.__dict__
+    _forbid_edge_builders(monkeypatch)
+    _assert_reference_edges(back.edges, ref)
 
 
 def _band_width(ball):

@@ -1590,6 +1590,56 @@ def test_c13_bytes_match_the_recorded_sums(tmp_path, subcommand):
     assert got == _C13_SHA256[subcommand]
 
 
+# growth and exponents read word lengths and line subgraphs, never a
+# ball's edges; sums recorded when every enumeration still built them
+_GROWTH_GROUPS = {
+    "Z3": ({"kind": "free_abelian", "rank": 3}, 10),
+    "heisenberg": ({"kind": "heisenberg"}, 8),
+    "lamplighter3": ({"kind": "lamplighter", "modulus": 3}, 8),
+}
+_GROWTH_SHA256 = {
+    ("growth", "Z3"): {
+        "growth.csv": "8194c0ff5bea79e97170e9f5420dbd347bf1e80f05ed8b631950fe3c3a678a51",
+        "growth_fit.json": "6cee2da94b883d4a15e2840062eef3bba4d342a8184fce29356d0fa71560fa7d",
+    },
+    ("growth", "heisenberg"): {
+        "growth.csv": "e4bcb5d4d3968a71718d44b3376e940f7562abb25114ac23416122b333462bc8",
+        "growth_fit.json": "752cfba8225ee3bc4b627409fb7530db448a1dbbf10d6048fc13c09eda84f485",
+    },
+    ("growth", "lamplighter3"): {
+        "growth.csv": "460edf3e7e0dc6505bbceba54e65ad0a806a38a2fad7199ecbb01c97eb963b14",
+        "growth_fit.json": "81a1cae0927ef6ca23049d6287c830aa01ada662178eea166a9ee0efe9219580",
+    },
+    ("exponents", "Z3"): {
+        "exponents.json": "b366150c9e9c18cc0c53eec244e4c5542e4da3bc9fc13b259ff2beb39d8e3f38",
+    },
+    ("exponents", "heisenberg"): {
+        "exponents.json": "2cce7b4c73df6a200f0c5682614296682a93d58e952f83ac7993eba1104f2e2b",
+    },
+    ("exponents", "lamplighter3"): {
+        "exponents.json": "c1da5877c07c2004942c0906decb85fab236d89fe1bf0e4ce476a0be7a53be4d",
+    },
+}
+
+
+@pytest.mark.parametrize("subcommand,group", sorted(_GROWTH_SHA256))
+def test_growth_runs_build_no_edges(tmp_path, monkeypatch, subcommand, group):
+    def no_build(*args):
+        raise AssertionError("edges were built")
+
+    for name in ("_edges", "_cell_edges"):
+        monkeypatch.setattr(cayley, name, no_build)
+    body, radius = _GROWTH_GROUPS[group]
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json",
+                        {"seed": 13013, "workers": 1, "output_dir": str(out),
+                         "group": body, "window": {"radius": radius}})
+    assert main([subcommand, "--config", path]) == 0
+    got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+           for f in json.loads((out / "manifest.json").read_text())["outputs"]}
+    assert got == _GROWTH_SHA256[subcommand, group]
+
+
 def test_z2_bond_giant_cluster_bytes_match_the_benchmark_digests(tmp_path):
     """The Z^2 bond run past p_c of the benchmark, at seed 0: one giant
     cluster per sample, so the band solve and the adjacency shortcut both

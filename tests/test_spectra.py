@@ -618,6 +618,25 @@ def test_ids_workers_identical():
     assert np.array_equal(a.stderr, b.stderr)
 
 
+@pytest.mark.parametrize("window,group", [
+    ({"radius": 4}, GroupSpec.free_abelian(2)),
+    ({"depth": 2}, GroupSpec.lamplighter(2))])
+@pytest.mark.parametrize("kind", ["site", "bond"])
+def test_ids_builds_the_ball_edges_before_the_samples(monkeypatch, window, group, kind):
+    # the edges ship with the ball to every worker, which builds none
+    shipped = []
+    real = spectra.run_indexed
+
+    def recording(task, indices, workers, ctx):
+        shipped.append("edges" in ctx["ball"].__dict__)
+        return real(task, indices, workers, ctx)
+
+    monkeypatch.setattr(spectra, "run_indexed", recording)
+    empirical_ids(group, PercolationModel(kind, 0.5, 3), NEUMANN, n_samples=10,
+                  energy_grid=np.linspace(0.0, 4.0, 3), **window)
+    assert shipped == [True]
+
+
 def test_ids_tetrahedron_window():
     group = GroupSpec.lamplighter(2)
     grid = np.linspace(0.0, 8.0, 5)
