@@ -6,6 +6,8 @@ index order, so the worker count never influences the reduced numbers.
 
 from __future__ import annotations
 
+import os
+
 _CTX = None
 _TASK = None
 
@@ -24,10 +26,12 @@ def run_indexed(task, indices, workers, ctx):
     """Evaluate ``task(ctx, i)`` for each index, in order.
 
     ``task`` must be a module-level function and ``ctx`` picklable when
-    workers > 1.  The context is shipped once per worker process.
+    workers > 1.  The context is shipped once per worker process.  A pool
+    starts all its workers at once: no more than tasks or cores.
     """
     indices = list(indices)
-    if workers is None or workers <= 1 or len(indices) <= 1:
+    workers = min(workers or 1, len(indices), os.cpu_count() or 1)
+    if workers <= 1:
         return [task(ctx, i) for i in indices]
     from concurrent.futures import ProcessPoolExecutor
 

@@ -56,6 +56,8 @@ def _linear_fit(kind: str, x: np.ndarray, y: np.ndarray, fit_range,
                 flags=()) -> ExponentFit:
     if len(x) < 3:
         raise ValueError(f"{kind}: need at least 3 points, got {len(x)}")
+    if np.amax(y) == np.amin(y):
+        raise ValueError(f"{kind}: all {len(y)} fitted values are equal")
     slope, intercept, r, stderr = least_squares(x, y)
     return ExponentFit(kind=kind, slope=float(slope), intercept=float(intercept),
                        stderr=float(stderr), r2=float(r ** 2),

@@ -558,13 +558,17 @@ class CayleyBall:
         """Sorted int64 edges (u, v), u < v: joined through the K_{m,m}
         cells on Z_m wr Z with the natural generators (:func:`_cell_edges`),
         else where a vertex's neighbour key through a generator of
-        ``spec.edge_slots`` is a vertex key (:func:`_edges`)."""
+        ``spec.edge_slots`` is a vertex key (:func:`_edges`), for blocks of
+        slots whose keys hold at most ``DEFAULT_VERTEX_BUDGET`` words."""
         spec, layout, keys = self.spec, self.layout, self.keys
         if spec.is_natural_lamplighter:
             return _cell_edges(layout, keys, layout.column(keys, len(layout.lo) - 1))
         slots = spec.edge_slots
         involution = np.array([spec.inverse_slots[i] == i for i in slots])
-        return _edges(*self._lookup, _neighbour_keys(spec, layout, keys, slots), involution)
+        step = max(1, DEFAULT_VERTEX_BUDGET // (len(keys) * layout.words))
+        return _edges(*self._lookup, (
+            (_neighbour_keys(spec, layout, keys, slots[at:at + step]),
+             involution[at:at + step]) for at in range(0, len(slots), step)))
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Vertex index of each element row, -1 for rows not in the ball."""
@@ -930,22 +934,25 @@ def sorted_unique(values: np.ndarray, *seen: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def _edges(ordered: np.ndarray, sorter: np.ndarray, neighbours: np.ndarray,
-           involution: np.ndarray) -> np.ndarray:
-    """Sorted edges (u, v), u < v, where row u of ``neighbours`` holds the
-    key of vertex v, given the sorted vertex keys and their ``argsort``.
+def _edges(ordered: np.ndarray, sorter: np.ndarray, blocks) -> np.ndarray:
+    """Sorted edges (u, v), u < v, where row u of a block's ``neighbours``
+    holds the key of vertex v, given the sorted vertex keys, their
+    ``argsort`` and ``(neighbours, involution)`` blocks of columns.
 
     Column c holds one generator g of an inverse pair, so it finds each
     edge of g once, from one end, unless g is its own inverse
     (``involution[c]``): then it finds it from both ends, kept as u < v."""
-    width = neighbours.shape[1]
-    found, at = _search(ordered, neighbours.ravel())
-    hit = np.flatnonzero(found)
-    u, v = hit // width, sorter[at]
-    keep = (v > u) | ~involution[hit % width]
-    u, v = u[keep], v[keep]
+    pairs = []
+    for neighbours, involution in blocks:
+        width = neighbours.shape[1]
+        found, at = _search(ordered, neighbours.ravel())
+        hit = np.flatnonzero(found)
+        u, v = hit // width, sorter[at]
+        keep = (v > u) | ~involution[hit % width]
+        u, v = u[keep], v[keep]
+        pairs.append(np.minimum(u, v) * len(sorter) + np.maximum(u, v))
     # the pairs are distinct, so one sort of u * n + v orders them
-    pairs = np.sort(np.minimum(u, v) * len(sorter) + np.maximum(u, v))
+    pairs = np.sort(np.concatenate(pairs))
     return np.stack(np.divmod(pairs, len(sorter)), axis=1)
 
 
@@ -968,9 +975,6 @@ class GrowthProfile:
     @property
     def n_max(self) -> int:
         return int(self.radii[-1])
-
-    def volume(self, n: int) -> int:
-        return int(self.volumes[n])
 
     def phi(self, t) -> np.ndarray | int:
         t_arr = np.asarray(t)
@@ -1110,12 +1114,9 @@ def induced_subgraph(parent: CayleyBall, vertex_indices) -> FiniteSubgraph:
         raise ValueError("vertex index out of range for the parent ball")
     mask = np.zeros(len(parent), dtype=bool)
     mask[idx] = True
-    if len(parent.edges):
-        keep = mask[parent.edges[:, 0]] & mask[parent.edges[:, 1]]
-        edges = parent.edges[keep]
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-    return FiniteSubgraph(parent=parent, vertex_indices=idx, edges=edges)
+    edges = parent.edges
+    return FiniteSubgraph(parent=parent, vertex_indices=idx,
+                          edges=edges[mask[edges[:, 0]] & mask[edges[:, 1]]])
 
 
 def line_subgraph(ball: CayleyBall, n: int) -> FiniteSubgraph:

@@ -26,7 +26,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from . import asymptotics, bounds as bounds_mod, cayley, operators, percolation, spectra
@@ -150,9 +149,9 @@ def _walk(section, schema, path, subcommand):
             rule(value, where, subcommand)
 
 
-def validate_config(raw: dict, subcommand: str) -> dict:
-    """Check a config for ``subcommand`` and return a copy with ``workers``
-    and ``output_dir`` defaulted; raise ValidationError on the first fault."""
+def validate_config(raw: dict, subcommand: str) -> tuple[dict, cayley.GroupSpec]:
+    """Check a config for ``subcommand``: a copy with ``workers`` and ``output_dir``
+    defaulted, and the run's group; raise ValidationError on the first fault."""
     if "seed" not in raw:
         raise ValidationError("seed is mandatory (config key or --seed)")
     cfg = {"workers": 1, "output_dir": "out", **raw}
@@ -164,7 +163,7 @@ def validate_config(raw: dict, subcommand: str) -> dict:
         section, _, key = path.partition(".")
         if section not in cfg or key and key not in cfg[section]:
             raise ValidationError(f"{path} is required for {subcommand}")
-    # the group is built as the run will build it, so its checks are the library's
+    # the run reads this group, so its checks are the library's
     try:
         group = build_group(cfg)
     except KeyError as err:
@@ -228,7 +227,7 @@ def validate_config(raw: dict, subcommand: str) -> dict:
             raise ValidationError(
                 f"window.return_max is {return_max}{default}, but return "
                 f"probabilities on {group.label()} are exact only up to n = {limit}")
-    return cfg
+    return cfg, group
 
 
 def _torus_ids(group: cayley.GroupSpec) -> bool:
@@ -328,13 +327,13 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 def _run_environment(workers: int) -> dict:
     """What a run's timing and last float bits depend on besides its config:
-    library versions, cores, workers, the BLAS build and its thread pins
-    (null when unset)."""
+    library versions (scipy's null when the run loaded none of it), cores,
+    workers, the BLAS build and its thread pins (null when unset)."""
     blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "cpu_count": os.cpu_count(),
         "workers": workers,
         "blas": blas,
@@ -362,8 +361,7 @@ def write_manifest(out: Path, subcommand: str, cfg: dict, outputs: list,
 # subcommands
 # ---------------------------------------------------------------------------
 
-def run_growth(cfg: dict, out: Path) -> tuple[list, dict]:
-    group = build_group(cfg)
+def run_growth(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     n_max = cfg["window"]["radius"]
     fits = cfg.get("fits", {})
     n_min = fits.get("growth_n_min", _GROWTH_N_MIN)
@@ -382,8 +380,7 @@ def run_growth(cfg: dict, out: Path) -> tuple[list, dict]:
     return ["growth.csv", "growth_fit.json"], {}
 
 
-def run_percolate(cfg: dict, out: Path) -> tuple[list, dict]:
-    group = build_group(cfg)
+def run_percolate(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     model = build_model(cfg)
     radius = cfg["window"]["radius"]
     pc = cfg["percolation"]
@@ -408,8 +405,7 @@ def run_percolate(cfg: dict, out: Path) -> tuple[list, dict]:
     return ["tail.csv", "percolate_report.json"], {}
 
 
-def run_ids(cfg: dict, out: Path) -> tuple[list, dict]:
-    group = build_group(cfg)
+def run_ids(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     model = build_model(cfg)
     window = cfg["window"]
     sp = cfg["spectra"]
@@ -441,8 +437,7 @@ def run_ids(cfg: dict, out: Path) -> tuple[list, dict]:
         "solves": {bc: est.solve for bc, est in ests.items()}}
 
 
-def run_free_ids(cfg: dict, out: Path) -> tuple[list, dict]:
-    group = build_group(cfg)
+def run_free_ids(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     grid = energy_grid(cfg)
     outputs = []
     if _torus_ids(group):
@@ -475,8 +470,7 @@ def _tetrahedron_reports(cfg: dict, m: int) -> tuple[dict, dict]:
     return reports, solves
 
 
-def run_bounds(cfg: dict, out: Path) -> tuple[list, dict]:
-    group = build_group(cfg)
+def run_bounds(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     fits = cfg.get("fits", {})
     n_max = fits.get("dirichlet_n_max", 8)
     line_max = fits.get("line_max", _LINE_MAX)
@@ -510,17 +504,16 @@ def run_bounds(cfg: dict, out: Path) -> tuple[list, dict]:
 
 
 def _range_fit(key: str, lo: float, hi: float, fit, *args, context: str = ""):
-    """``fit(*args, e_range=(lo, hi))``.  A range that leaves the fit too few
-    usable points is a config mistake, reported against ``fits.<key>``."""
+    """``fit(*args, e_range=(lo, hi))``.  A range with too few usable points, or
+    equal values only, is a config mistake, reported against ``fits.<key>``."""
     try:
         return fit(*args, e_range=(lo, hi))
     except ValueError as err:
-        raise ValidationError(f"fits.{key} [{lo}, {hi}]{context} leaves too few "
-                              f"usable points: {err}") from None
+        raise ValidationError(f"fits.{key} [{lo}, {hi}]{context} leaves no "
+                              f"line to fit: {err}") from None
 
 
-def run_exponents(cfg: dict, out: Path) -> tuple[list, dict]:
-    group = build_group(cfg)
+def run_exponents(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     fits = cfg.get("fits", {})
     digest = config_digest(cfg)
     reports = []
@@ -606,9 +599,8 @@ def _chain_task(ctx, i):
     return np.array([counts[name] for name in ctx["names"]])
 
 
-def run_chain(cfg: dict, out: Path) -> tuple[list, dict]:
+def run_chain(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     from ._parallel import run_indexed
-    group = build_group(cfg)
     model = build_model(cfg)
     radius = cfg["window"]["radius"]
     sp = cfg["spectra"]
@@ -641,8 +633,7 @@ def run_chain(cfg: dict, out: Path) -> tuple[list, dict]:
     return ["chain.csv", "chain_report.json"], {}
 
 
-def run_lamplighter(cfg: dict, out: Path) -> tuple[list, dict]:
-    group = build_group(cfg)
+def run_lamplighter(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     return_max = cfg.get("window", {}).get("return_max", _RETURN_MAX)
     tets, solves = _tetrahedron_reports(cfg, group.modulus)
     # every walk's B(n) is a prefix of the largest one
@@ -725,14 +716,14 @@ def main(argv=None) -> int:
             except ValueError:
                 raise ValidationError(
                     f"{ENV_BUDGET} must be an integer, got {env_budget!r}")
-        cfg = validate_config(raw, args.subcommand)
+        cfg, group = validate_config(raw, args.subcommand)
         out = Path(cfg["output_dir"])
         try:
             work = _work_dir(out)
         except (OSError, ValueError) as err:
             raise ValidationError(f"output_dir {str(out)!r} cannot be a "
                                   f"directory: {err}") from None
-        outputs, notes = _SUBCOMMANDS[args.subcommand](cfg, work)
+        outputs, notes = _SUBCOMMANDS[args.subcommand](cfg, group, work)
         write_manifest(work, args.subcommand, cfg, outputs, started, notes)
         _publish(work, out)
         return 0

@@ -69,8 +69,6 @@ class PercolationSample:
         """Window-index pairs of the open adjacency."""
         edges = self.window.edges
         if self.model.kind == SITE:
-            if not len(edges):
-                return np.zeros((0, 2), dtype=np.int64)
             keep = self.open_marks[edges[:, 0]] & self.open_marks[edges[:, 1]]
             return edges[keep]
         return edges[self.open_marks]

@@ -114,6 +114,19 @@ def test_van_hove_flags_nonpositive_values():
     assert fit.n_points == 11
 
 
+def test_fits_of_equal_values_raise():
+    # a flat y has r = NaN, which would be written as r2 and stderr
+    e = np.geomspace(1e-3, 1e-1, 20)
+    with pytest.raises(ValueError, match="van-hove: all 20 fitted values are equal"):
+        fit_van_hove(e, np.full(20, 5e-6))
+    with pytest.raises(ValueError, match=r"lifshitz: all \d+ fitted values are equal"):
+        fit_lifshitz(e, np.full(20, 0.75), shift=0.25)
+    # only exactly equal values are refused
+    v = np.full(20, 5e-6)
+    v[0] *= 1 + 1e-12
+    assert fit_van_hove(e, v).n_points == 20
+
+
 # ---------------------------------------------------------------------------
 # growth classification
 # ---------------------------------------------------------------------------

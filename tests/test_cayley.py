@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import pickle
+import tracemalloc
 from collections import deque
 from dataclasses import replace
 from types import SimpleNamespace
@@ -910,6 +911,50 @@ def test_edges_from_one_slot_per_inverse_pair_match_the_all_slot_edges():
     assert words == {1, 2, 3}
 
 
+def test_edge_search_of_a_wide_generator_set_stays_within_the_budget():
+    """B(1) of Z^500 has 1001 vertices but 500 slots of 19-word keys: all
+    its neighbour keys at once are 9.5M words.  The search holds a block of
+    slots at a time, at most the vertex budget's words."""
+    ball = enumerate_ball(GroupSpec.free_abelian(500), 1)
+    tracemalloc.start()
+    try:
+        edges = ball.edges
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 8 * cayley.DEFAULT_VERTEX_BUDGET
+    assert len(edges) == 1000 and set(edges[:, 0].tolist()) == {0}
+
+
+@pytest.mark.parametrize("spec,radius", [
+    (_DIGEST_SPECS["Z"], 6), (_DIGEST_SPECS["Z2"], 4),
+    (_DIGEST_SPECS["Z-pm1-pm2"], 6), (_DIGEST_SPECS["heisenberg"], 4),
+    (GroupSpec.free_abelian(40), 2)])
+@pytest.mark.parametrize("per_block", [1, 3])
+def test_edges_searched_in_blocks_of_slots_match_one_block(monkeypatch, spec,
+                                                           radius, per_block):
+    """With the budget patched down to ``per_block`` slots of neighbour keys,
+    the edges come from several blocks (the last one short on Z^40) and
+    equal the one-block edges byte for byte."""
+    ball = enumerate_ball(spec, radius)
+    whole = ball.edges
+    widths = []
+    neighbour_keys = cayley._neighbour_keys
+
+    def spy(spec, layout, keys, slots=None):
+        widths.append(len(slots))
+        return neighbour_keys(spec, layout, keys, slots)
+
+    monkeypatch.setattr(cayley, "_neighbour_keys", spy)
+    monkeypatch.setattr(cayley, "DEFAULT_VERTEX_BUDGET",
+                        per_block * len(ball) * ball.layout.words)
+    edges = replace(ball).edges
+    slots = len(spec.edge_slots)
+    assert widths == [min(per_block, slots - at) for at in range(0, slots, per_block)]
+    assert edges.dtype == whole.dtype and edges.shape == whole.shape
+    assert edges.tobytes() == whole.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # group laws (property tests)
 # ---------------------------------------------------------------------------
@@ -978,7 +1023,7 @@ def test_phi_inverse_relation():
     for spec in (GroupSpec.free_abelian(2), GroupSpec.lamplighter(2)):
         prof = growth_profile(enumerate_ball(spec, 5))
         for n in range(prof.n_max):
-            assert prof.phi(prof.volume(n)) == n + 1
+            assert prof.phi(prof.volumes[n]) == n + 1
 
 
 def test_growth_monotone():
@@ -998,7 +1043,7 @@ def test_ball_doubling_polynomial_growth():
         ratios = prof.volumes[1:] / ns.astype(float) ** d
         a, b = ratios.min(), ratios.max()
         for n in range(1, 7):
-            assert prof.volume(2 * n) <= 2 ** d * (b / a) * prof.volume(n)
+            assert prof.volumes[2 * n] <= 2 ** d * (b / a) * prof.volumes[n]
 
 
 # ---------------------------------------------------------------------------

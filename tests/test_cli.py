@@ -300,6 +300,19 @@ _Z1_STEPS_1_2 = {**_Z1, "generators": [[1], [-1], [2], [-2]]}
     ("exponents", {"group": _Z1, "percolation": _SITE,
                    "fits": {"line_max": 6}},
      "fits.line_max"),
+    # the IDS is constant over these ranges: no line to fit, no r2 to write
+    ("exponents", {"group": _Z1, "percolation": _SITE,
+                   "fits": {"lifshitz_range": [4.5, 5.0]}},
+     "fits.lifshitz_range"),
+    ("exponents", {"group": _Z1, "percolation": _SITE,
+                   "fits": {"lifshitz_range": [1e300, 1e301]}},
+     "fits.lifshitz_range"),
+    ("exponents", {"group": _Z1, "percolation": {"kind": "site", "p": 0.9},
+                   "fits": {"lifshitz_range": [10, 20]}},
+     "fits.lifshitz_range"),
+    ("exponents", {"group": {"kind": "free_abelian", "rank": 3},
+                   "fits": {"van_hove_range": [0.003, 0.0031]}},
+     "fits.van_hove_range"),
 ])
 def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
                                           key):
@@ -469,7 +482,7 @@ def readme_ids_example() -> dict:
 def test_readme_ids_example_validates():
     text = _README.read_text()
     example = readme_ids_example()
-    cfg = validate_config(example, "ids")
+    cfg, _ = validate_config(example, "ids")
     assert cfg["output_dir"] == example["output_dir"]
     # and the README's key table names every key of the schema
     for path in _PATHS:
@@ -505,7 +518,7 @@ def test_failed_run_keeps_what_another_run_wrote_beside_it(tmp_path,
     # the run creates sweep/ for sweep/r1; another run writes sweep/r2 meanwhile
     out, other = tmp_path / "sweep" / "r1", tmp_path / "sweep" / "r2"
 
-    def other_run_then_budget(cfg, out):
+    def other_run_then_budget(cfg, group, out):
         other.mkdir()
         (other / "keep.txt").write_text("theirs")
         raise BudgetError("over budget")
@@ -661,6 +674,61 @@ def test_smallest_configs_exit_cleanly_with_strict_json(tmp_path):
     assert ("percolate", 0) in seen
 
 
+def _edge_value_configs():
+    """``(subcommand, body)`` params with values that pass every key check
+    but sit at the edges of what a run can use: fit ranges below, inside,
+    across the top of and above the spectrum of Z^d (which ends at 4d),
+    energy grids at +-1e308, and couplings of 1e300."""
+    spans = {"below": [1e-300, 1e-299], "low": [1e-3, 1e-1],
+             "inside": [0.5, 1.5], "top": [3.0, 30.0], "above": [30.0, 40.0],
+             "far": [1e300, 1e301]}
+    for name, span in spans.items():
+        for rank in (1, 2, 3):
+            yield pytest.param("exponents", {
+                "group": {"kind": "free_abelian", "rank": rank},
+                "window": {"radius": 8}, "fits": {"van_hove_range": span}},
+                id=f"van_hove-{name}-Z{rank}")
+        for p in (0.1, 0.5, 0.9):
+            yield pytest.param("exponents", {
+                "group": _Z1, "percolation": {"kind": "site", "p": p},
+                "window": {"radius": 8},
+                "fits": {"lifshitz_range": span, "line_max": 8}},
+                id=f"lifshitz-{name}-p{p}")
+    grids = {"values": {"values": [-1e308, 0.0, 1e308]},
+             "linear": {"min": -1e308, "max": 0.0, "points": 3},
+             "log": {"min": 1e-308, "max": 1e308, "points": 3, "scale": "log"}}
+    for name, grid in grids.items():
+        yield pytest.param("ids", {
+            "group": _Z2, "window": {"radius": 3}, "percolation": _SITE,
+            "spectra": {"n_samples": 10, "energy_grid": grid}}, id=f"ids-{name}")
+        yield pytest.param("free-ids", {
+            "group": _Z2, "window": {"radius": 3},
+            "spectra": {"energy_grid": grid}}, id=f"free-ids-{name}")
+        yield pytest.param("chain", {
+            "group": _Z2, "window": {"radius": 2}, "percolation": _SITE,
+            "spectra": {"n_samples": 2, "energy_grid": grid,
+                        "couplings": [0, 1e300]}}, id=f"chain-{name}")
+    yield pytest.param("chain", {
+        "group": _Z2, "window": {"radius": 2}, "percolation": _SITE,
+        "spectra": {"n_samples": 2, "energy_grid": {"values": [0.0, 1.0, 1e300]},
+                    "couplings": [1e300]}}, id="chain-couplings")
+
+
+@pytest.mark.parametrize("subcommand,body", _edge_value_configs())
+def test_edge_values_exit_cleanly_with_strict_json(tmp_path, subcommand, body):
+    """Never an internal error: exit 0 with strict JSON, or 1 or 2 with no
+    output directory."""
+    out = tmp_path / "o"
+    path = write_config(tmp_path, "c.json", base_config(out, **body))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([subcommand, "--config", path])
+    assert code in (0, 1, 2), err.getvalue()
+    assert out.exists() == (code == 0), err.getvalue()
+    for f in out.glob("*.json"):
+        _strict_json(f)
+
+
 def _near_budget_configs():
     """(subcommand, body) for every ball-reading subcommand on Z, Z^2,
     Heisenberg and Z_2 wr Z at small sizes; lamplighter bounds read no ball."""
@@ -784,7 +852,7 @@ def test_exponents_skips_torus_and_line_fits_for_other_generators(tmp_path):
 def test_exponents_reads_growth_n_max_and_ignores_depth(tmp_path):
     # window.depth is an ids key; exponents never reads it
     cfg = base_config("o", group=_Z1, window={"radius": 8, "depth": 2})
-    assert validate_config(cfg, "exponents")["window"] == {"radius": 8, "depth": 2}
+    assert validate_config(cfg, "exponents")[0]["window"] == {"radius": 8, "depth": 2}
     # the growth fit stops at fits.growth_n_max, as it does for growth
     out = tmp_path / "o"
     path = write_config(tmp_path, "c.json",
@@ -836,7 +904,7 @@ def test_failed_rerun_leaves_the_earlier_run_and_no_temporary_directory(
     assert manifest["config"]["output_dir"] == str(out)
     before = _files(out)
 
-    def write_then_fail(cfg, work):
+    def write_then_fail(cfg, group, work):
         (work / "growth.csv").write_text("partial")
         raise BudgetError("over budget")
 

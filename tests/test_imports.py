@@ -7,8 +7,9 @@ load ``scipy.linalg`` for their eigensolves and neither ``scipy.stats`` nor
 ``scipy.sparse``.  The tetrahedron checks of ``lamplighter`` and of
 ``bounds`` on a lamplighter group solve nothing, so those runs load no
 scipy subpackage, except that the depth-2 tetrahedron of Z_2 wr Z keeps a
-full ``scipy.linalg`` solve.  ``import scipy`` itself, which the manifest
-needs for its version, loads a few private modules and no subpackage;
+full ``scipy.linalg`` solve.  ``import percospec.cli`` loads no scipy at
+all, and the manifest records scipy's version only when the run loaded it.
+``import scipy`` itself loads a few private modules and no subpackage;
 those are the baseline.
 """
 
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 import percospec
 
@@ -56,8 +58,22 @@ def test_import_scipy_loads_no_subpackage():
 
 
 def test_cli_import_loads_no_scipy_submodule():
-    baseline = scipy_modules_after("import scipy")
-    assert scipy_modules_after("import percospec.cli") <= baseline
+    assert scipy_modules_after("import percospec.cli") == set()
+
+
+def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path):
+    growth = {"seed": 1, "group": {"kind": "free_abelian", "rank": 2},
+              "window": {"radius": 8}, "output_dir": str(tmp_path / "g")}
+    assert scipy_modules_after(cli_run(tmp_path, "growth", growth)) == set()
+    manifest = json.loads((tmp_path / "g" / "manifest.json").read_text())
+    assert manifest["environment"]["scipy"] is None
+    # the free IDS of a ball solves the whole ball with scipy.linalg
+    free = {"seed": 1, "group": {"kind": "free_abelian", "rank": 2},
+            "window": {"radius": 3}, "output_dir": str(tmp_path / "f"),
+            "spectra": {"energy_grid": {"values": [1.0]}}}
+    assert "scipy" in scipy_modules_after(cli_run(tmp_path, "free-ids", free))
+    manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
+    assert manifest["environment"]["scipy"] == scipy.__version__
 
 
 def test_small_cluster_ids_run_loads_no_scipy_submodule(tmp_path):

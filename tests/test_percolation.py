@@ -1,12 +1,15 @@
 """Sampling determinism, cluster decomposition, and subcritical statistics."""
 
+import concurrent.futures
 import itertools
+import os
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from percospec import _parallel
 from percospec.cayley import GroupSpec, enumerate_ball
 from percospec.cli import write_csv
 from percospec.percolation import (
@@ -288,6 +291,38 @@ def test_workers_do_not_change_results():
     b = cluster_stats(model, w, 120, tail_grid=range(1, 6), workers=4)
     assert np.array_equal(a.tail, b.tail)
     assert a.clusters_per_vertex == b.clusters_per_vertex
+
+
+@pytest.mark.parametrize("workers,tasks,cores,pool,chunk", [
+    (5000, 10, 64, 10, 1), (5000, 100, 4, 4, 6), (3, 100, 8, 3, 8),
+    (2, 1, 8, None, None), (8, 100, 1, None, None), (8, 100, None, None, None)])
+def test_worker_pool_is_clamped_to_tasks_and_cores(monkeypatch, workers, tasks,
+                                                   cores, pool, chunk):
+    """A pool forks all its workers on the first submit, so it gets no more
+    than min(workers, tasks, cores), and one worker runs in process; the
+    chunk size is read off the clamped count.  No process is started."""
+    made = []
+
+    class RecordingPool:
+        def __init__(self, max_workers, initializer, initargs):
+            made.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            made.append(chunksize)
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    out = _parallel.run_indexed(lambda ctx, i: ctx + i, range(tasks), workers, 100)
+    assert out == [100 + i for i in range(tasks)]
+    assert made == ([] if pool is None else [pool, chunk])
 
 
 def test_cluster_stats_export(tmp_path):
