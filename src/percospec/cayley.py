@@ -538,7 +538,7 @@ class CayleyBall:
         On Z^d with the ±unit generators the row sum is the coordinate sum,
         so every edge joins adjacent levels, and a level of the r-ball of
         Z^2 holds at most r + 1 vertices; an operator over the ball orders
-        its band candidates by it (``spectra._band_eigenvalues``).  Ranks
+        its band candidates by it (``spectra._band_tridiagonal``).  Ranks
         restricted to a subset keep their order, so no subset is wider.
         """
         rows = self.rows

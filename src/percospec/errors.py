@@ -7,6 +7,12 @@ class BudgetError(RuntimeError):
     The CLI maps it, and a failed allocation's ``MemoryError``, to exit 2."""
 
 
+class LapackError(RuntimeError):
+    """A LAPACK routine bound from ``scipy.linalg.cython_lapack`` cannot be
+    used: scipy exports it with another signature, or it returned a nonzero
+    ``info``."""
+
+
 class OracleViolationError(RuntimeError):
     """A structural self-check failed, e.g. the tetrahedron facts do not hold."""
 

@@ -43,7 +43,7 @@ class LabeledOperator:
     scipy ``csr_matrix``, else copied to one; ``matrix`` is built on first use,
     as the tests' scipy reference: the package multiplies by :meth:`matvec`.
     ``window`` is the ball whose vertices ``index_set`` indexes, or None; its
-    ``band_rank`` orders the band solves (``spectra._band_eigenvalues``).
+    ``band_rank`` orders the band reductions (``spectra._band_tridiagonal``).
     """
 
     def __init__(self, index_set, matrix, k: int, bc: str | None = None,

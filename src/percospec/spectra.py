@@ -2,6 +2,10 @@
 
 Operators are solved by :func:`block_eigenvalues`, one solve per connected
 component; only :func:`free_ids_ball` takes eigenvectors, from a dense ``eigh``.
+A component in band form is reduced to a tridiagonal matrix (LAPACK
+``dsbtrd``), whose eigenvalues ``dsterf`` computes; the counts (the ``ids``
+rows, :func:`count_below` and :func:`five_operator_counts`) never compute
+them, but read Sturm counts of the tridiagonal off at the shifts they need.
 
 Counting is right continuous: ``count(E)`` is the number of eigenvalues
 lambda <= E + count_tol.  Kernel membership uses |lambda| <= kernel_tol
@@ -11,6 +15,7 @@ so at desk scale true eigenvalue gaps sit far above both tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -24,7 +29,7 @@ from .cayley import (
     is_bipartite,
     tetrahedron,
 )
-from .errors import BudgetError, DegenerateSpectrumError
+from .errors import BudgetError, DegenerateSpectrumError, LapackError
 from .operators import (
     ADJACENCY,
     DIRICHLET,
@@ -44,15 +49,21 @@ MIN_IDS_SAMPLES = 10
 
 # A component of at least _BAND_FLOOR vertices whose band width w (bandwidth
 # plus one) in its window's band order satisfies size >= _BAND_RATIO * w is
-# solved in band form.  Band time over dense time, one BLAS thread, on free
-# Laplacians: 0.32 on a 257-vertex Z segment (w = 2), 0.77 on Z^2 B(11) (265
-# vertices, w = 13), 0.65 on Z^2 B(16) (545, w = 18), 0.42 on Z^2 B(24)
-# (1201, w = 26); but 2.5 on the lamplighter B(5) of Z_3 wr Z (size / w =
-# 3.0), which stays dense.  The ratio was set on reverse Cuthill-McKee's
-# wider orders: Z^3 B(8) (size / w = 13.4) stays dense, though its band
-# solve would take 0.71 of the dense time.
+# solved in band form.  The ratios were measured for the full band solve
+# (scipy's eig_banded, that is dsbtrd then dsterf) against the dense one, one
+# BLAS thread, on free Laplacians: 0.32 on a 257-vertex Z segment (w = 2),
+# 0.77 on Z^2 B(11) (265 vertices, w = 13), 0.65 on Z^2 B(16) (545, w = 18),
+# 0.42 on Z^2 B(24) (1201, w = 26); but 2.5 on the lamplighter B(5) of Z_3 wr
+# Z (size / w = 3.0), which stays dense.  The ratio was set on reverse
+# Cuthill-McKee's wider orders: Z^3 B(8) (size / w = 13.4) stays dense,
+# though its band solve would take 0.71 of the dense time.  A counted band
+# component skips dsterf, so the break-even moved; retuning the ratio moves
+# which components take the band path, so it waits on a check of the pinned
+# bytes (ROADMAP item 2).
 _BAND_FLOOR = 256
 _BAND_RATIO = 16
+# pivot rows a Sturm pass holds at once (see _sturm_counts)
+_STURM_ROWS = 128
 
 
 # ---------------------------------------------------------------------------
@@ -63,17 +74,69 @@ def _kernel_count(eigenvalues: np.ndarray, scale: float) -> int:
     return int((np.abs(eigenvalues) <= KERNEL_TOL * scale).sum())
 
 
-def _band_eigenvalues(op: LabeledOperator, members: np.ndarray) -> np.ndarray | None:
-    """Eigenvalues of one connected component of ``op`` in band form.
+# LAPACK dsbtrd as scipy.linalg.cython_lapack exports it: its capsule's name
+# is the C signature (``d`` is Cython's typedef of double)
+_DSBTRD_SIGNATURE = ("void (char *, char *, int *, int *, d *, int *, d *, d *, "
+                     "d *, int *, d *, int *)").replace(
+    "d *", "__pyx_t_5scipy_6linalg_13cython_lapack_d *")
+
+
+@functools.cache
+def _dsbtrd():
+    """LAPACK ``dsbtrd`` (``vect='N'``, ``uplo='L'``), bound once with ctypes.
+
+    scipy's Python LAPACK API does not wrap it, so it is called through the
+    C function that ``scipy.linalg.cython_lapack`` exports, as numba binds
+    scipy's LAPACK.  Raises :class:`LapackError` when that export's
+    signature is not the expected one.  The returned function takes the
+    lower band of a symmetric matrix of order n as an ``(n, w)`` C-ordered
+    array, ``band[j, r] = A[j + r, j]``, which is LAPACK's column-major
+    ``AB``, overwrites it and returns the tridiagonal form's diagonal and
+    off-diagonal.
+    """
+    import ctypes
+
+    from scipy.linalg import cython_lapack
+
+    capsule = cython_lapack.__pyx_capi__["dsbtrd"]
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", api))(capsule)
+    if name != _DSBTRD_SIGNATURE.encode():
+        raise LapackError(f"scipy.linalg.cython_lapack exports dsbtrd as "
+                          f"{name!r}, not {_DSBTRD_SIGNATURE!r}")
+    address = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))(capsule, name)
+    i, p = ctypes.POINTER(ctypes.c_int), ctypes.c_void_p
+    fn = ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, i, i, p, i,
+                          p, p, p, i, p, i)(address)
+
+    def dsbtrd(band: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        band = np.ascontiguousarray(band, dtype=np.float64)
+        n, width = band.shape
+        d, e, work = np.empty(n), np.empty(n), np.empty(n)
+        n_, kd, ldab, ldq, info = map(ctypes.c_int, (n, width - 1, width, 1, 0))
+        # Q is not referenced with vect 'N'
+        fn(b"N", b"L", n_, kd, band.ctypes.data, ldab, d.ctypes.data,
+           e.ctypes.data, None, ldq, work.ctypes.data, info)
+        if info.value:
+            raise LapackError(f"dsbtrd returned info {info.value}")
+        return d, e[:n - 1]
+
+    return dsbtrd
+
+
+def _band_tridiagonal(op: LabeledOperator,
+                      members: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Tridiagonal form of one connected component of ``op`` in band form.
 
     Orders the component's ``members`` (positions in ``op``) by their
     window's ``band_rank``, or by index on an operator without a window,
-    scatters the lower band straight from the CSR arrays and solves it with
-    ``eig_banded``; returns None, solving nothing, when that band is too
-    wide for the band solve to beat a dense one.
+    scatters the lower band straight from the CSR arrays and reduces it with
+    LAPACK ``dsbtrd`` (:func:`_dsbtrd`); returns the diagonal and
+    off-diagonal ``(d, e)``, or None, reducing nothing, when that band is
+    too wide for the band path to beat a dense solve.
     """
-    from scipy import linalg
-
     n = len(members)
     if op.window is not None:
         members = members[np.argsort(op.window.band_rank[op.index_set[members]])]
@@ -86,32 +149,80 @@ def _band_eigenvalues(op: LabeledOperator, members: np.ndarray) -> np.ndarray | 
     width = int(offset.max()) + 1
     if n < _BAND_RATIO * width:
         return None
-    band = np.zeros((width, n))
-    band[offset, col[lower]] = op.data[lower]
-    return linalg.eig_banded(band, lower=True, eigvals_only=True,
-                             check_finite=False)
+    band = np.zeros((n, width))
+    band[col[lower], offset] = op.data[lower]
+    return _dsbtrd()(band)
 
 
-def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.ndarray:
-    """All eigenvalues via per-connected-component solves.
+def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The sorted eigenvalues of the symmetric tridiagonal matrix (d, e),
+    from LAPACK ``dsterf``: after ``dsbtrd``, bit for bit what scipy's
+    ``eig_banded(..., eigvals_only=True)`` (LAPACK ``dsbevd``) returns."""
+    from scipy.linalg import lapack
+
+    vals, info = lapack.dsterf(d, e)
+    if info:
+        raise LapackError(f"dsterf returned info {info}")
+    return vals
+
+
+def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts) -> np.ndarray:
+    """Number of eigenvalues <= each shift of the symmetric tridiagonal
+    matrix (d, e): the non-positive pivots of the LDL^T factorisation of
+    T - shift, all shifts in one pass.  As in LAPACK ``dlaebz``, a pivot
+    smaller in magnitude than ``pivmin`` is taken as -pivmin, so a shift
+    that hits a pivot exactly is counted once and the recurrence stays
+    finite.  The pivots are held _STURM_ROWS rows at a time, so a long
+    energy grid needs no (n, shifts) array."""
+    e2 = e * e
+    pivmin = np.finfo(np.float64).tiny * max(1.0, float(e2.max(initial=0.0)))
+    count = np.zeros(len(shifts), dtype=np.int64)
+    previous = None
+    for start in range(0, len(d), _STURM_ROWS):
+        # row j: d_j - shifts, then pivot j
+        pivots = np.subtract.outer(d[start:start + _STURM_ROWS], shifts)
+        for j, row in enumerate(pivots, start):
+            if j:
+                row -= e2[j - 1] / previous
+            np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
+            previous = row
+        count += np.count_nonzero(pivots <= 0, axis=0)
+    return count
+
+
+def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP,
+                      shifts=None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """All eigenvalues via per-connected-component solves, or, given
+    ``shifts``, the dense components' eigenvalues and the band components'
+    counts.
 
     Percolation operators decompose over clusters, so in the subcritical
     regime components stay small even when the window is large.  A
     component of at least ``_BAND_FLOOR`` vertices whose members, ordered
     by the window's ``band_rank``, form a band of at most 1/``_BAND_RATIO``
-    of its size (giant clusters on Z and Z^2) is solved in band form by
-    :func:`_band_eigenvalues`.  One pass scatters the other components'
-    stored entries into zero-filled dense blocks, one ``(count, size,
-    size)`` stack per component size, with each vertex at its rank by index
-    inside its component; the canonical form stores each position once, so
-    the scatter is a plain assignment.  Each stack then takes one batched
-    LAPACK call, and a size-1 component is just its diagonal entry.  A
-    component above ``dense_cap`` raises :class:`BudgetError`, whichever
-    solve it would take.
+    of its size (giant clusters on Z and Z^2) takes the band path: it is
+    reduced to tridiagonal form by :func:`_band_tridiagonal`.  One pass
+    scatters the other components' stored entries into zero-filled dense
+    blocks, one ``(count, size, size)`` stack per component size, with each
+    vertex at its rank by index inside its component; the canonical form
+    stores each position once, so the scatter is a plain assignment.  Each
+    stack then takes one batched LAPACK call, and a size-1 component is just
+    its diagonal entry.  A component above ``dense_cap`` raises
+    :class:`BudgetError`, whichever solve it would take.
+
+    Without ``shifts``, returns every eigenvalue, sorted; a band component's
+    are :func:`_tridiagonal_eigenvalues`.  With ``shifts``, returns
+    ``(values, below)``: ``values`` the sorted eigenvalues of the dense
+    components, and ``below`` the number of band-component eigenvalues <=
+    each shift, summed over the band components by :func:`_sturm_counts`.
+    The other ``op.dim - len(values)`` eigenvalues are counted, never
+    computed.
     """
+    counting = shifts is not None
+    below = np.zeros(len(shifts) if counting else 0, dtype=np.int64)
     n = op.dim
     if n == 0:
-        return np.zeros(0)
+        return (np.zeros(0), below) if counting else np.zeros(0)
     ncomp, labels = op.components()
     sizes = np.bincount(labels)
     if sizes.max() > dense_cap:
@@ -121,21 +232,29 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
     out = []
     dense = np.ones(ncomp, dtype=bool)  # components left for the dense solves
     for c in np.flatnonzero(sizes >= _BAND_FLOOR):
-        vals = _band_eigenvalues(op, np.flatnonzero(labels == c))
-        if vals is not None:
-            out.append(vals)
-            dense[c] = False
+        tridiagonal = _band_tridiagonal(op, np.flatnonzero(labels == c))
+        if tridiagonal is None:
+            continue
+        dense[c] = False
+        if counting:
+            below += _sturm_counts(*tridiagonal, shifts)
+        else:
+            out.append(_tridiagonal_eigenvalues(*tridiagonal))
     if ncomp == 1:
         # kept for the pinned sums, as bounds keeps its full tetrahedron
         # solve below _CERTIFICATE_FLOOR: see the README on reproducibility
-        from scipy import linalg
+        if dense[0]:
+            from scipy import linalg
 
-        return out[0] if out else np.sort(linalg.eigvalsh(op.to_dense()))
+            vals = np.sort(linalg.eigvalsh(op.to_dense()))
+        else:
+            vals = np.zeros(0) if counting else out[0]
+        return (vals, below) if counting else vals
     order = np.argsort(labels, kind="stable")
     local = np.empty(n, dtype=np.int64)
     local[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[labels[order]]
     # dense blocks ordered by size, then by component label, in one flat
-    # buffer; a component solved in band form takes no room
+    # buffer; a component on the band path takes no room
     by_size = np.argsort(sizes, kind="stable")
     block_len = np.where(dense, sizes, 0)[by_size] ** 2
     base = np.empty(ncomp, dtype=np.int64)
@@ -152,7 +271,8 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> np.nda
         out.append(stack.ravel() if size == 1
                    else np.linalg.eigvalsh(stack).ravel())
         start = stop
-    return np.sort(np.concatenate(out))
+    vals = np.sort(np.concatenate(out)) if out else np.zeros(0)
+    return (vals, below) if counting else vals
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +296,13 @@ def count_below(op: LabeledOperator, energy: float,
                 dense_cap: int = DENSE_CAP) -> int:
     """Number of eigenvalues <= energy + count_tol.
 
-    Counts the eigenvalues of :func:`block_eigenvalues`, so any operator
+    Counts per component with :func:`block_eigenvalues`, so any operator
     whose connected components all fit under ``dense_cap`` is counted,
     however large its dimension; a larger component raises
     :class:`BudgetError`.
     """
-    return int(_counts(block_eigenvalues(op, dense_cap), energy))
+    vals, below = block_eigenvalues(op, dense_cap, [energy + COUNT_TOL])
+    return int(_counts(vals, energy) + below[0])
 
 
 def lowest_nonzero(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> float:
@@ -221,6 +342,7 @@ def _ids_sample_task(ctx, i):
     dense_cap = ctx["dense_cap"]
     source = ctx["source"]
     k = ctx["ball"].k
+    g = len(grid)
 
     s = sample(ctx["model"], ctx["ball"], i)
     # the window-induced percolation subgraph: the sample with every item
@@ -235,28 +357,48 @@ def _ids_sample_task(ctx, i):
     isolated = full[ctx["window_mask"] & (full > 0)]
 
     # the boundary conditions share sub_int and its labels and differ in the
-    # diagonal; each solve gives both window spectra and the kernel scale
+    # diagonal; each solve gives both window spectra and the kernel scale.
+    # A spectrum is (dense values, band counts at the shifts, band size): the
+    # shifts are the grid + count_tol, its reflection 2k - (grid + count_tol)
+    # and the kernel windows |E| <= t and |2k - E| <= t'
     solved = {}
     for bc in dict.fromkeys(source.values()):
         op_int = subgraph_laplacian(sub_int, bc)
-        vals_int = block_eigenvalues(op_int, dense_cap)
+        scale = op_int.inf_norm()
+        t, t_reflected = KERNEL_TOL * scale, KERNEL_TOL * 2.0 * k
+        shifts = np.concatenate([ctx["shifts"], [-t, t, 2.0 * k - t_reflected,
+                                                 2.0 * k + t_reflected]])
+        vals_int, below_int = block_eigenvalues(op_int, dense_cap, shifts)
         # the adjacency diagonal is k whatever the degrees
-        vals_comp = vals_int if bc == ADJACENCY else block_eigenvalues(
-            subgraph_laplacian(sub_int, bc, degrees), dense_cap)
+        vals_comp, below_comp = (vals_int, below_int) if bc == ADJACENCY else \
+            block_eigenvalues(subgraph_laplacian(sub_int, bc, degrees), dense_cap,
+                              shifts)
+        band_int = sub_int.size - len(vals_int)
+        band_comp = sub_int.size - len(vals_comp)
         # an isolated vertex's eigenvalue is its diagonal entry
         vals_comp = np.sort(np.concatenate(
             [vals_comp, np.broadcast_to(_diag_for(bc, k, isolated), isolated.shape)]))
-        solved[bc] = vals_int, vals_comp, op_int.inf_norm()
+        solved[bc] = ((vals_int, below_int, band_int),
+                      (vals_comp, below_comp, band_comp), scale)
 
     rows = []
     for bc in ctx["bcs"]:
-        vals_int, vals_comp, scale = solved[source[bc]]
-        if source[bc] != bc:
-            vals_int, vals_comp = _reflected(vals_int, k), _reflected(vals_comp, k)
+        spectrum_int, spectrum_comp, scale = solved[source[bc]]
+        vals_int, below_int, _ = spectrum_int
+        if source[bc] == bc:
+            rows += [_counts(vals, grid) + below[:g]
+                     for vals, below, _ in (spectrum_int, spectrum_comp)]
+            kernel = _kernel_count(vals_int, scale) + below_int[-3] - below_int[-4]
+        else:
+            # a band eigenvalue E reflects to 2k - E <= grid + count_tol unless
+            # it lies below the reflected shift 2k - (grid + count_tol)
+            rows += [_counts(_reflected(vals, k), grid) + band - below[g:2 * g]
+                     for vals, below, band in (spectrum_int, spectrum_comp)]
             # each Dirichlet row holds 2k - d on the diagonal and d entries -1
             scale = 2.0 * k if sub_int.size else 0.0
-        rows += [_counts(vals_int, grid), _counts(vals_comp, grid),
-                 [_kernel_count(vals_int, scale)]]
+            kernel = (_kernel_count(_reflected(vals_int, k), scale)
+                      + below_int[-1] - below_int[-2])
+        rows.append([kernel])
     return np.concatenate(rows) / ctx["window_size"]
 
 
@@ -321,9 +463,13 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
     source = {name: NEUMANN if reflect and name == DIRICHLET else name
               for name in bcs}
 
+    # where a band component's eigenvalues are counted (see _ids_sample_task)
+    top = grid + COUNT_TOL
+    shifts = np.concatenate([top, 2.0 * ball.k - top])
     ctx = {"ball": ball, "window_mask": window_mask, "item_mask": item_mask,
            "window_size": int(window_mask.sum()), "model": model, "bcs": bcs,
-           "source": source, "grid": grid, "dense_cap": dense_cap}
+           "source": source, "grid": grid, "shifts": shifts,
+           "dense_cap": dense_cap}
     # one row per sample: the counts of every boundary condition in turn
     rows = np.vstack(run_indexed(_ids_sample_task, range(n_samples), workers,
                                  ctx)).reshape(n_samples, len(bcs), -1)
@@ -368,27 +514,34 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings, free,
     samples solves it once.
     """
     grid = np.asarray(energy_grid, dtype=np.float64)
+    g = len(grid)
     window = s.window
     norm = float(len(window))
     sub = s.subgraph()
+    # a band component's eigenvalues are counted at the grid, and for the
+    # Neumann solve at its reflection too (see _ids_sample_task)
+    top = grid + COUNT_TOL
 
     def counts(op):
-        return _counts(block_eigenvalues(op, dense_cap), grid) / norm
+        vals, below = block_eigenvalues(op, dense_cap, top)
+        return (_counts(vals, grid) + below) / norm
 
     def perc(bc):
         return subgraph_laplacian(sub, bc)
 
-    neumann = block_eigenvalues(perc(NEUMANN), dense_cap)
+    neumann, below = block_eigenvalues(perc(NEUMANN), dense_cap,
+                                       np.concatenate([top, 2.0 * window.k - top]))
     out = {}
     # extend(perc(NEUMANN), window, 0) adds the eigenvalue 0 once per
     # window vertex outside the active set
-    out["neumann_extended"] = (_counts(neumann, grid) + (len(window) - sub.size)
-                               * (grid >= -COUNT_TOL)) / norm
+    out["neumann_extended"] = (_counts(neumann, grid) + below[:g]
+                               + (len(window) - sub.size) * (grid >= -COUNT_TOL)) / norm
     out["free"] = _counts(free, grid) / norm
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))
     out["adjacency"] = counts(perc(ADJACENCY))
-    out["dirichlet"] = (_counts(_reflected(neumann, window.k), grid) / norm
+    out["dirichlet"] = ((_counts(_reflected(neumann, window.k), grid)
+                         + sub.size - len(neumann) - below[g:]) / norm
                         if is_bipartite(window)
                         else counts(perc(DIRICHLET)))
     return out

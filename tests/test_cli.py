@@ -768,11 +768,11 @@ def test_budgets_at_the_ball_and_the_largest_component(tmp_path, monkeypatch):
         sizes["ball"] = len(ball)
         return ball
 
-    def block_spy(op, dense_cap=spectra.DENSE_CAP):
+    def block_spy(op, dense_cap=spectra.DENSE_CAP, shifts=None):
         labels = csgraph.connected_components(op.matrix, directed=False)[1]
         sizes["component"] = max(sizes.get("component", 0),
                                  int(np.bincount(labels, minlength=1).max()))
-        return block_eigenvalues(op, dense_cap)
+        return block_eigenvalues(op, dense_cap, shifts)
 
     for module in (cayley, bounds, percolation, spectra):
         if getattr(module, "enumerate_ball", None) is enumerate_ball:
@@ -1503,17 +1503,17 @@ def test_ids_byte_determinism_across_workers(tmp_path, monkeypatch):
                                              "points": 5}}),
                ["ids_neumann.csv", "ids_adjacency.csv",
                 "ids_neumann_bracket.csv", "ids_report.json"])
-    # Z^2 bond past p_c: giant clusters solved in band form, each worker
+    # Z^2 bond past p_c: giant clusters reduced in band form, each worker
     # ordering them by the band_rank of its own copy of the ball
     banded = []
-    band = spectra._band_eigenvalues
+    band = spectra._band_tridiagonal
 
     def spy(op, members):
-        vals = band(op, members)
-        banded.append(vals is not None)
-        return vals
+        tridiagonal = band(op, members)
+        banded.append(tridiagonal is not None)
+        return tridiagonal
 
-    monkeypatch.setattr(spectra, "_band_eigenvalues", spy)
+    monkeypatch.setattr(spectra, "_band_tridiagonal", spy)
     z2 = tmp_path / "z2"
     z2.mkdir()
     _run_twice(z2, "ids",

@@ -1,12 +1,15 @@
 """Spectra: dense solves, counting, empirical IDS, free IDS, return probability."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
 import pytest
 from scipy import linalg, sparse
+from scipy.linalg import lapack
 from scipy.sparse import csgraph
 
 from percospec import cayley, operators, spectra
@@ -18,7 +21,7 @@ from percospec.cayley import (
     is_bipartite,
     tetrahedron,
 )
-from percospec.errors import BudgetError, DegenerateSpectrumError
+from percospec.errors import BudgetError, DegenerateSpectrumError, LapackError
 from percospec.operators import (
     ADJACENCY,
     DIRICHLET,
@@ -32,6 +35,7 @@ from percospec.operators import (
 from percospec.percolation import PercolationModel, PercolationSample, sample
 from percospec.spectra import (
     COUNT_TOL,
+    KERNEL_TOL,
     block_eigenvalues,
     count_below,
     empirical_ids,
@@ -328,16 +332,16 @@ def _shuffled(op, rng):
 
 
 def _band_spy(monkeypatch):
-    """Record (component size, solved in band form) per band attempt."""
+    """Record (component size, reduced in band form) per band attempt."""
     attempts = []
-    band = spectra._band_eigenvalues
+    band = spectra._band_tridiagonal
 
     def spy(op, members):
-        vals = band(op, members)
-        attempts.append((len(members), vals is not None))
-        return vals
+        tridiagonal = band(op, members)
+        attempts.append((len(members), tridiagonal is not None))
+        return tridiagonal
 
-    monkeypatch.setattr(spectra, "_band_eigenvalues", spy)
+    monkeypatch.setattr(spectra, "_band_tridiagonal", spy)
     return attempts
 
 
@@ -356,10 +360,15 @@ def _giant_operators(rng):
             yield restrict(op, op.index_set[op.index_set < inner])
 
 
+_BAND_TRIDIAGONAL = spectra._band_tridiagonal
+
+
 def _assert_matches_a_dense_solve(vals, op):
     """Eigenvalues within 1e-12 ||H|| of a dense solve, and the same counts
-    on a 1/8 grid, at integer eigenvalues and in the kernel; returns the
-    number of integer eigenvalues checked."""
+    on a 1/8 grid, at integer eigenvalues and in the kernel; with the band
+    components counted at the shifts instead, the same counts there, at
+    their reflections 2k - shift and in both kernel windows, |E| <= t and
+    |2k - E| <= t'.  Returns the number of integer eigenvalues checked."""
     grid = np.arange(-4, 8 * 8 + 5) / 8
     dense = np.linalg.eigvalsh(op.to_dense())
     scale = op.inf_norm()
@@ -369,6 +378,16 @@ def _assert_matches_a_dense_solve(vals, op):
     assert np.array_equal(spectra._counts(vals, shifts),
                           spectra._counts(dense, shifts))
     assert spectra._kernel_count(vals, scale) == spectra._kernel_count(dense, scale)
+    top, two_k = shifts + COUNT_TOL, 2.0 * op.k
+    t, t_reflected = KERNEL_TOL * scale, KERNEL_TOL * two_k
+    at = np.concatenate([top, two_k - top,
+                         [-t, t, two_k - t_reflected, two_k + t_reflected]])
+    with pytest.MonkeyPatch.context() as m:
+        # counted without a caller's band spy, whose attempts stay one a solve
+        m.setattr(spectra, "_band_tridiagonal", _BAND_TRIDIAGONAL)
+        dense_vals, below = block_eigenvalues(op, shifts=at)
+    assert np.array_equal(np.searchsorted(dense_vals, at, side="right") + below,
+                          np.searchsorted(dense, at, side="right"))
     return len(integers)
 
 
@@ -394,15 +413,107 @@ def test_band_path_matches_a_dense_solve(monkeypatch):
     assert sum(banded for _, banded in attempts) > len(attempts) / 2
 
 
-def _component_width(op, members):
-    """Band width of the members ranked among themselves in their window's
-    band order."""
+def _lower_band(op, members):
+    """The members' lower band, ranked among themselves in their window's
+    band order, as eig_banded takes it: row r holds the entries r below the
+    diagonal."""
     rank = np.full(op.dim, -1)
     rank[members[np.argsort(op.window.band_rank[op.index_set[members]])]] = \
         np.arange(len(members))
     row, col = rank[op.entry_rows], rank[op.indices]
-    inside = (row >= 0) & (col >= 0)
-    return int(np.abs(row[inside] - col[inside]).max()) + 1
+    lower = (row >= col) & (col >= 0)
+    offset = row[lower] - col[lower]
+    band = np.zeros((int(offset.max()) + 1, len(members)))
+    band[offset, col[lower]] = op.data[lower]
+    return band
+
+
+def _component_width(op, members):
+    """Band width of the members ranked among themselves in their window's
+    band order."""
+    return len(_lower_band(op, members))
+
+
+def test_band_tridiagonal_eigenvalues_are_eig_banded_bit_for_bit():
+    """dsterf on dsbtrd's tridiagonal form of every giant component in band
+    form gives what eig_banded gives for its band, bit for bit, so a band
+    component's values are those of the full band solve."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([74, 0],
+                                                            dtype=np.uint64)))
+    checked = 0
+    for op in _giant_operators(rng):
+        _, labels = op.components()
+        for c in np.flatnonzero(np.bincount(labels) >= spectra._BAND_FLOOR):
+            members = np.flatnonzero(labels == c)
+            tridiagonal = spectra._band_tridiagonal(op, members)
+            if tridiagonal is None:
+                continue
+            vals, info = lapack.dsterf(*tridiagonal)
+            assert info == 0
+            want = linalg.eig_banded(_lower_band(op, members), lower=True,
+                                     eigvals_only=True)
+            assert vals.tobytes() == want.tobytes()
+            assert block_eigenvalues(restrict(op, op.index_set[members])).tobytes() \
+                == want.tobytes()
+            checked += 1
+    assert checked >= 20
+
+
+def test_sturm_counts_of_a_long_grid_hold_a_block_of_pivots():
+    """A Sturm pass over 40,000 shifts of a 2000-vertex path holds
+    _STURM_ROWS rows of pivots at once (41 MB), not all 2000 (640 MB), and
+    counts what the closed-form spectrum gives."""
+    n, shifts = 2000, np.linspace(-0.5, 4.5, 40_000)
+    neumann = np.full(n, 2.0)
+    neumann[[0, -1]] = 1.0
+    want = np.searchsorted(2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n), shifts,
+                           side="right")
+    tracemalloc.start()
+    try:
+        got = spectra._sturm_counts(neumann, -np.ones(n - 1), shifts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 3 * spectra._STURM_ROWS * len(shifts) * 8
+
+
+def test_dsbtrd_binding_checks_its_signature_and_info(monkeypatch):
+    """dsbtrd is bound only under the C signature it is called with, and a
+    nonzero info raises; neither falls back to another solve."""
+    with pytest.raises(LapackError, match="dsbtrd returned info -4"):
+        spectra._dsbtrd()(np.zeros((5, 0)))  # kd = -1 is illegal
+    monkeypatch.setattr(spectra, "_DSBTRD_SIGNATURE", "void (int *)")
+    spectra._dsbtrd.cache_clear()
+    try:
+        with pytest.raises(LapackError, match="exports dsbtrd as b'void \\(char"):
+            spectra._dsbtrd()
+    finally:
+        spectra._dsbtrd.cache_clear()
+
+
+def test_sturm_counts_when_a_shift_hits_a_pivot():
+    """Path Laplacians at the shifts 0..4, counted right though a shift hits
+    a pivot exactly: the first pivot is 0 at shift 1 on the Neumann path
+    (diagonal 1, 2, ..., 2, 1) and at shift 2 on the adjacency one
+    (diagonal 2), and later pivots are 0 where a shift is an eigenvalue.
+    The eigenvalues are 2 - 2 cos(pi j / m), and 1 - shift / 2 is cos(pi a)
+    for a = 0, 1/3, 1/2, 2/3, 1, so eigenvalue j lies at or below the shift
+    when j / m <= a, exactly.  Without dlaebz's pivot guard a zero pivot is
+    followed by -inf, and both count.  The longer paths span several of the
+    row blocks a Sturm pass holds at once."""
+    shifts = np.arange(5.0)
+    levels = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3),
+              Fraction(1)]
+    for n in [*range(2, 40), 127, 128, 129, 257, 400]:
+        off = -np.ones(n - 1)
+        neumann = np.full(n, 2.0)
+        neumann[[0, -1]] = 1.0
+        # Neumann: j = 0..n-1 over m = n; adjacency: j = 1..n over m = n + 1
+        assert spectra._sturm_counts(neumann, off, shifts).tolist() == \
+            [min(n, int(a * n) + 1) for a in levels]
+        assert spectra._sturm_counts(np.full(n, 2.0), off, shifts).tolist() == \
+            [min(n, int(a * (n + 1))) for a in levels]
 
 
 def test_giant_components_inherit_the_ball_width(monkeypatch):
@@ -1025,6 +1136,78 @@ def test_non_bipartite_generators_solve_dirichlet_directly(monkeypatch):
     est = empirical_ids(group, model, DIRICHLET, radius=30, n_samples=10,
                         energy_grid=[1.0])
     assert est.solve == "direct"
+
+
+@pytest.mark.parametrize("group,window,kind,p,dirichlet_source", [
+    (GroupSpec.free_abelian(2), {"radius": 24}, "site", 0.8, NEUMANN),
+    (GroupSpec.free_abelian(1), {"radius": 400}, "bond", 0.998, NEUMANN),
+    (GroupSpec.free_abelian(1, [(1,), (-1,), (2,), (-2,)]), {"radius": 200},
+     "site", 0.95, DIRICHLET),
+], ids=["Z2-site", "Z-bond", "Z-steps-1-2-site"])
+def test_counted_band_rows_match_a_values_reference(monkeypatch, group, window,
+                                                    kind, p, dirichlet_source):
+    """Sample rows whose giant clusters are counted at the shifts, never
+    diagonalised, equal the reference's, which solves every operator of
+    every boundary condition for its values, over several seeds, on
+    band-heavy configs no digest pins.  On Z with steps +-1 and +-2 the
+    Dirichlet giants are counted directly, not reflected."""
+    for seed in (5, 6):
+        ctx = _ids_context(monkeypatch, group, PercolationModel(kind, p, seed),
+                           window)
+        counted = []
+        band = spectra._band_tridiagonal
+
+        def spy(op, members):
+            tridiagonal = band(op, members)
+            if tridiagonal is not None:
+                counted.append(op.bc)
+            return tridiagonal
+
+        for i in range(3):
+            with monkeypatch.context() as m:
+                m.setattr(spectra, "_band_tridiagonal", spy)
+                rows = spectra._ids_sample_task(ctx, i)
+            assert np.array_equal(rows, _ids_sample_task_reference(ctx, i))
+        assert ctx["source"][DIRICHLET] == dirichlet_source
+        # every boundary condition the task solves had a giant in band form
+        assert set(counted) == set(ctx["source"].values())
+
+
+def _values_only(op, dense_cap=spectra.DENSE_CAP, shifts=None):
+    """block_eigenvalues with every eigenvalue computed and none counted."""
+    vals = block_eigenvalues(op, dense_cap)
+    return vals if shifts is None else (vals, np.zeros(len(shifts), dtype=np.int64))
+
+
+def test_counts_take_no_tridiagonal_eigensolve(monkeypatch):
+    """count_below and five_operator_counts count band components at their
+    shifts and never compute their eigenvalues, and their counts equal
+    those read off every eigenvalue."""
+    ball = enumerate_ball(GroupSpec.free_abelian(1), 300)
+    s = sample(PercolationModel("site", 0.995, 9), ball, 0)
+    grid = np.arange(-4, 4 * 8 + 5) / 8
+    free = block_eigenvalues(free_laplacian(ball))
+    ops = [subgraph_laplacian(s.subgraph(), bc)
+           for bc in (NEUMANN, ADJACENCY, DIRICHLET)]
+    with monkeypatch.context() as m:
+        m.setattr(spectra, "block_eigenvalues", _values_only)
+        want = five_operator_counts(s, grid, [0.5, 2.0], free)
+        want_below = [[count_below(op, e) for e in grid] for op in ops]
+    attempts = _band_spy(monkeypatch)
+
+    def refuse(d, e):
+        raise AssertionError("a count diagonalised a band component")
+
+    monkeypatch.setattr(spectra, "_tridiagonal_eigenvalues", refuse)
+    got = five_operator_counts(s, grid, [0.5, 2.0], free)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key]), key
+    assert [[count_below(op, e) for e in grid] for op in ops] == want_below
+    # a giant in each of the four operators five_operator_counts solves
+    # (Dirichlet is reflected) and in each count_below call
+    assert all(banded for _, banded in attempts)
+    assert len(attempts) >= 4 + 3 * len(grid)
 
 
 @pytest.mark.parametrize("group,radius", [
