@@ -3,9 +3,10 @@
 Operators are solved by :func:`block_eigenvalues`, one solve per connected
 component; only :func:`free_ids_ball` takes eigenvectors, from a dense ``eigh``.
 A component in band form is reduced to a tridiagonal matrix (LAPACK
-``dsbtrd``), whose eigenvalues ``dsterf`` computes; the counts (the ``ids``
-rows, :func:`count_below` and :func:`five_operator_counts`) never compute
-them, but read Sturm counts of the tridiagonal off at the shifts they need.
+``dsbtrd``), whose eigenvalues ``dsterf`` computes.  A count (the ``ids``
+rows, :func:`count_below`, :func:`five_operator_counts`) is one array, read
+off ``block_eigenvalues(op, cap, shifts)`` at the shifts it needs; it takes
+a band component's from Sturm counts of the tridiagonal, never its values.
 
 Counting is right continuous: ``count(E)`` is the number of eigenvalues
 lambda <= E + count_tol.  Kernel membership uses |lambda| <= kernel_tol
@@ -69,10 +70,6 @@ _STURM_ROWS = 128
 # ---------------------------------------------------------------------------
 # per-component spectra
 # ---------------------------------------------------------------------------
-
-def _kernel_count(eigenvalues: np.ndarray, scale: float) -> int:
-    return int((np.abs(eigenvalues) <= KERNEL_TOL * scale).sum())
-
 
 # LAPACK dsbtrd as scipy.linalg.cython_lapack exports it: its capsule's name
 # is the C signature (``d`` is Cython's typedef of double)
@@ -191,10 +188,9 @@ def _sturm_counts(d: np.ndarray, e: np.ndarray, shifts) -> np.ndarray:
 
 
 def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP,
-                      shifts=None) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+                      shifts=None) -> np.ndarray:
     """All eigenvalues via per-connected-component solves, or, given
-    ``shifts``, the dense components' eigenvalues and the band components'
-    counts.
+    ``shifts``, the number of them <= each shift.
 
     Percolation operators decompose over clusters, so in the subcritical
     regime components stay small even when the window is large.  A
@@ -211,18 +207,20 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP,
     :class:`BudgetError`, whichever solve it would take.
 
     Without ``shifts``, returns every eigenvalue, sorted; a band component's
-    are :func:`_tridiagonal_eigenvalues`.  With ``shifts``, returns
-    ``(values, below)``: ``values`` the sorted eigenvalues of the dense
-    components, and ``below`` the number of band-component eigenvalues <=
-    each shift, summed over the band components by :func:`_sturm_counts`.
-    The other ``op.dim - len(values)`` eigenvalues are counted, never
-    computed.
+    are :func:`_tridiagonal_eigenvalues`.  With ``shifts``, returns one int64
+    array, the number of eigenvalues <= each shift over all components: a
+    dense component's are counted by ``searchsorted`` in its values, a band
+    component's by :func:`_sturm_counts`, which computes none.
     """
     counting = shifts is not None
     below = np.zeros(len(shifts) if counting else 0, dtype=np.int64)
+
+    def read_out(vals):
+        return below + np.searchsorted(vals, shifts, side="right") if counting else vals
+
     n = op.dim
     if n == 0:
-        return (np.zeros(0), below) if counting else np.zeros(0)
+        return read_out(np.zeros(0))
     ncomp, labels = op.components()
     sizes = np.bincount(labels)
     if sizes.max() > dense_cap:
@@ -240,16 +238,12 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP,
             below += _sturm_counts(*tridiagonal, shifts)
         else:
             out.append(_tridiagonal_eigenvalues(*tridiagonal))
-    if ncomp == 1:
+    if ncomp == 1 and dense[0]:
         # kept for the pinned sums, as bounds keeps its full tetrahedron
         # solve below _CERTIFICATE_FLOOR: see the README on reproducibility
-        if dense[0]:
-            from scipy import linalg
+        from scipy import linalg
 
-            vals = np.sort(linalg.eigvalsh(op.to_dense()))
-        else:
-            vals = np.zeros(0) if counting else out[0]
-        return (vals, below) if counting else vals
+        return read_out(np.sort(linalg.eigvalsh(op.to_dense())))
     order = np.argsort(labels, kind="stable")
     local = np.empty(n, dtype=np.int64)
     local[order] = np.arange(n) - (np.cumsum(sizes) - sizes)[labels[order]]
@@ -271,8 +265,7 @@ def block_eigenvalues(op: LabeledOperator, dense_cap: int = DENSE_CAP,
         out.append(stack.ravel() if size == 1
                    else np.linalg.eigvalsh(stack).ravel())
         start = stop
-    vals = np.sort(np.concatenate(out)) if out else np.zeros(0)
-    return (vals, below) if counting else vals
+    return read_out(np.sort(np.concatenate(out)) if out else np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +277,10 @@ def _counts(vals: np.ndarray, energies) -> np.ndarray:
     return np.searchsorted(vals, np.asarray(energies) + COUNT_TOL, side="right")
 
 
-def _reflected(vals: np.ndarray, k: int) -> np.ndarray:
-    """The sorted Dirichlet spectrum from the sorted Neumann one, on a
-    subgraph of a bipartite k-regular graph or a principal submatrix of its
-    operators: conjugating by the +-1 colouring turns 2k - D - A into
-    2k - (D - A), so each eigenvalue E becomes 2k - E."""
-    return (2.0 * k - vals)[::-1]
+def _just_below(shifts):
+    """The next double down from each shift: a count there is of eigenvalues
+    < shift, so a count difference counts a closed window."""
+    return np.nextafter(shifts, -np.inf)
 
 
 def count_below(op: LabeledOperator, energy: float,
@@ -301,8 +292,7 @@ def count_below(op: LabeledOperator, energy: float,
     however large its dimension; a larger component raises
     :class:`BudgetError`.
     """
-    vals, below = block_eigenvalues(op, dense_cap, [energy + COUNT_TOL])
-    return int(_counts(vals, energy) + below[0])
+    return int(block_eigenvalues(op, dense_cap, [energy + COUNT_TOL])[0])
 
 
 def lowest_nonzero(op: LabeledOperator, dense_cap: int = DENSE_CAP) -> float:
@@ -334,15 +324,14 @@ class IDSEstimate:
     bracket_high: np.ndarray
     n_at_zero: tuple
     params: dict
-    solve: str  # "direct", or "reflected from neumann" (see _reflected)
+    solve: str  # "direct", or "reflected from neumann" (see empirical_ids)
 
 
 def _ids_sample_task(ctx, i):
-    grid = ctx["grid"]
     dense_cap = ctx["dense_cap"]
     source = ctx["source"]
     k = ctx["ball"].k
-    g = len(grid)
+    g = len(ctx["grid"])
 
     s = sample(ctx["model"], ctx["ball"], i)
     # the window-induced percolation subgraph: the sample with every item
@@ -357,47 +346,38 @@ def _ids_sample_task(ctx, i):
     isolated = full[ctx["window_mask"] & (full > 0)]
 
     # the boundary conditions share sub_int and its labels and differ in the
-    # diagonal; each solve gives both window spectra and the kernel scale.
-    # A spectrum is (dense values, band counts at the shifts, band size): the
-    # shifts are the grid + count_tol, its reflection 2k - (grid + count_tol)
-    # and the kernel windows |E| <= t and |2k - E| <= t'
+    # diagonal; each solve counts both window spectra at the shifts: the
+    # grid + count_tol, just below its reflection 2k - (grid + count_tol), and
+    # the closed kernel windows |E| <= t and |2k - E| <= t'
     solved = {}
     for bc in dict.fromkeys(source.values()):
         op_int = subgraph_laplacian(sub_int, bc)
-        scale = op_int.inf_norm()
-        t, t_reflected = KERNEL_TOL * scale, KERNEL_TOL * 2.0 * k
-        shifts = np.concatenate([ctx["shifts"], [-t, t, 2.0 * k - t_reflected,
-                                                 2.0 * k + t_reflected]])
-        vals_int, below_int = block_eigenvalues(op_int, dense_cap, shifts)
+        t, t_reflected = KERNEL_TOL * op_int.inf_norm(), KERNEL_TOL * 2.0 * k
+        shifts = np.concatenate([ctx["shifts"], _just_below([-t, 2.0 * k - t_reflected]),
+                                 [t, 2.0 * k + t_reflected]])
+        count_int = block_eigenvalues(op_int, dense_cap, shifts)
         # the adjacency diagonal is k whatever the degrees
-        vals_comp, below_comp = (vals_int, below_int) if bc == ADJACENCY else \
+        count_comp = count_int if bc == ADJACENCY else \
             block_eigenvalues(subgraph_laplacian(sub_int, bc, degrees), dense_cap,
                               shifts)
-        band_int = sub_int.size - len(vals_int)
-        band_comp = sub_int.size - len(vals_comp)
         # an isolated vertex's eigenvalue is its diagonal entry
-        vals_comp = np.sort(np.concatenate(
-            [vals_comp, np.broadcast_to(_diag_for(bc, k, isolated), isolated.shape)]))
-        solved[bc] = ((vals_int, below_int, band_int),
-                      (vals_comp, below_comp, band_comp), scale)
+        diagonal = np.sort(np.broadcast_to(_diag_for(bc, k, isolated), isolated.shape))
+        count_comp = count_comp + np.searchsorted(diagonal, shifts, side="right")
+        solved[bc] = (count_int, count_comp)
 
     rows = []
     for bc in ctx["bcs"]:
-        spectrum_int, spectrum_comp, scale = solved[source[bc]]
-        vals_int, below_int, _ = spectrum_int
+        count_int, count_comp = solved[source[bc]]
         if source[bc] == bc:
-            rows += [_counts(vals, grid) + below[:g]
-                     for vals, below, _ in (spectrum_int, spectrum_comp)]
-            kernel = _kernel_count(vals_int, scale) + below_int[-3] - below_int[-4]
+            rows += [count_int[:g], count_comp[:g]]
+            kernel = count_int[-2] - count_int[-4]
         else:
-            # a band eigenvalue E reflects to 2k - E <= grid + count_tol unless
-            # it lies below the reflected shift 2k - (grid + count_tol)
-            rows += [_counts(_reflected(vals, k), grid) + band - below[g:2 * g]
-                     for vals, below, band in (spectrum_int, spectrum_comp)]
-            # each Dirichlet row holds 2k - d on the diagonal and d entries -1
-            scale = 2.0 * k if sub_int.size else 0.0
-            kernel = (_kernel_count(_reflected(vals_int, k), scale)
-                      + below_int[-1] - below_int[-2])
+            # on a bipartite ball the +-1 colouring turns 2k - D - A into
+            # 2k - (D - A), also on principal submatrices, so each Neumann E
+            # is a Dirichlet 2k - E, <= grid + count_tol when E >= 2k - that
+            rows += [sub_int.size - count_int[g:2 * g],
+                     sub_int.size + len(isolated) - count_comp[g:2 * g]]
+            kernel = count_int[-1] - count_int[-3]
         rows.append([kernel])
     return np.concatenate(rows) / ctx["window_size"]
 
@@ -423,9 +403,10 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
     ``bc`` is one boundary condition, which returns an :class:`IDSEstimate`,
     or a sequence of distinct ones, which returns ``{bc: IDSEstimate}`` in
     the given order; each sample is drawn once and serves every one of them.
-    On a bipartite ball the Dirichlet spectra are read off the Neumann
-    solves (see :func:`_reflected`), and Neumann is solved for them even
-    when it is not asked for; ``solve`` on each estimate says which.
+    Every count is one array of :func:`block_eigenvalues` at the shifts.  On
+    a bipartite ball the Dirichlet counts are the Neumann solves' counts at
+    the reflected shifts, and Neumann is solved for them even when it is not
+    asked for; ``solve`` on each estimate says which.
     """
     single = isinstance(bc, str)
     bcs = [bc] if single else list(bc)
@@ -463,9 +444,10 @@ def empirical_ids(group: GroupSpec, model: PercolationModel, bc, *,
     source = {name: NEUMANN if reflect and name == DIRICHLET else name
               for name in bcs}
 
-    # where a band component's eigenvalues are counted (see _ids_sample_task)
+    # where every count is taken: at the grid, and just below its
+    # reflection for a Dirichlet count read off Neumann (see _ids_sample_task)
     top = grid + COUNT_TOL
-    shifts = np.concatenate([top, 2.0 * ball.k - top])
+    shifts = np.concatenate([top, _just_below(2.0 * ball.k - top)])
     ctx = {"ball": ball, "window_mask": window_mask, "item_mask": item_mask,
            "window_size": int(window_mask.sum()), "model": model, "bcs": bcs,
            "source": source, "grid": grid, "shifts": shifts,
@@ -518,31 +500,28 @@ def five_operator_counts(s: PercolationSample, energy_grid, couplings, free,
     window = s.window
     norm = float(len(window))
     sub = s.subgraph()
-    # a band component's eigenvalues are counted at the grid, and for the
-    # Neumann solve at its reflection too (see _ids_sample_task)
+    # every count is taken at the grid, and the Neumann one just below its
+    # reflection too (see _ids_sample_task)
     top = grid + COUNT_TOL
 
     def counts(op):
-        vals, below = block_eigenvalues(op, dense_cap, top)
-        return (_counts(vals, grid) + below) / norm
+        return block_eigenvalues(op, dense_cap, top) / norm
 
     def perc(bc):
         return subgraph_laplacian(sub, bc)
 
-    neumann, below = block_eigenvalues(perc(NEUMANN), dense_cap,
-                                       np.concatenate([top, 2.0 * window.k - top]))
+    neumann = block_eigenvalues(perc(NEUMANN), dense_cap,
+                                np.concatenate([top, _just_below(2.0 * window.k - top)]))
     out = {}
     # extend(perc(NEUMANN), window, 0) adds the eigenvalue 0 once per
     # window vertex outside the active set
-    out["neumann_extended"] = (_counts(neumann, grid) + below[:g]
+    out["neumann_extended"] = (neumann[:g]
                                + (len(window) - sub.size) * (grid >= -COUNT_TOL)) / norm
     out["free"] = _counts(free, grid) / norm
     for lam in couplings:
         out[f"anderson:{lam:g}"] = counts(anderson(s, window, lam))
     out["adjacency"] = counts(perc(ADJACENCY))
-    out["dirichlet"] = ((_counts(_reflected(neumann, window.k), grid)
-                         + sub.size - len(neumann) - below[g:]) / norm
-                        if is_bipartite(window)
+    out["dirichlet"] = ((sub.size - neumann[g:]) / norm if is_bipartite(window)
                         else counts(perc(DIRICHLET)))
     return out
 

@@ -68,6 +68,11 @@ def path_neumann_eigenvalues(n):
     return 2.0 * (1.0 - np.cos(np.pi * np.arange(n) / n))
 
 
+def _kernel_dim(vals, scale):
+    """Eigenvalues within the kernel tolerance relative to ``scale``."""
+    return int(np.count_nonzero(np.abs(vals) <= KERNEL_TOL * scale))
+
+
 def _assert_eigenpairs(vals, op):
     """Each eigenvalue is within a residual of 1e-8 ||H|| of an eigenpair of
     a dense ``eigh``: ||H v - lambda v|| for its eigenvector v."""
@@ -87,7 +92,7 @@ def test_two_site_neumann_spectrum(z_ball):
     vals = block_eigenvalues(op)
     _assert_eigenpairs(vals, op)
     assert np.allclose(vals, [0, 2], atol=1e-12)
-    assert spectra._kernel_count(vals, op.inf_norm()) == 1
+    assert _kernel_dim(vals, op.inf_norm()) == 1
 
 
 def test_path_neumann_closed_form(z_ball):
@@ -365,9 +370,9 @@ _BAND_TRIDIAGONAL = spectra._band_tridiagonal
 
 def _assert_matches_a_dense_solve(vals, op):
     """Eigenvalues within 1e-12 ||H|| of a dense solve, and the same counts
-    on a 1/8 grid, at integer eigenvalues and in the kernel; with the band
-    components counted at the shifts instead, the same counts there, at
-    their reflections 2k - shift and in both kernel windows, |E| <= t and
+    on a 1/8 grid, at integer eigenvalues and in the kernel; counted at the
+    shifts instead, the same counts there, just below their reflections
+    2k - shift and at the ends of both closed kernel windows, |E| <= t and
     |2k - E| <= t'.  Returns the number of integer eigenvalues checked."""
     grid = np.arange(-4, 8 * 8 + 5) / 8
     dense = np.linalg.eigvalsh(op.to_dense())
@@ -377,17 +382,18 @@ def _assert_matches_a_dense_solve(vals, op):
     shifts = np.concatenate([grid, integers])
     assert np.array_equal(spectra._counts(vals, shifts),
                           spectra._counts(dense, shifts))
-    assert spectra._kernel_count(vals, scale) == spectra._kernel_count(dense, scale)
+    assert _kernel_dim(vals, scale) == _kernel_dim(dense, scale)
     top, two_k = shifts + COUNT_TOL, 2.0 * op.k
     t, t_reflected = KERNEL_TOL * scale, KERNEL_TOL * two_k
-    at = np.concatenate([top, two_k - top,
-                         [-t, t, two_k - t_reflected, two_k + t_reflected]])
+    at = np.concatenate([top, np.nextafter(two_k - top, -np.inf),
+                         np.nextafter([-t, two_k - t_reflected], -np.inf),
+                         [t, two_k + t_reflected]])
     with pytest.MonkeyPatch.context() as m:
         # counted without a caller's band spy, whose attempts stay one a solve
         m.setattr(spectra, "_band_tridiagonal", _BAND_TRIDIAGONAL)
-        dense_vals, below = block_eigenvalues(op, shifts=at)
-    assert np.array_equal(np.searchsorted(dense_vals, at, side="right") + below,
-                          np.searchsorted(dense, at, side="right"))
+        counts = block_eigenvalues(op, shifts=at)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, np.searchsorted(dense, at, side="right"))
     return len(integers)
 
 
@@ -628,6 +634,80 @@ def test_counting_function_right_continuous():
     counts = spectra._counts(np.array([0.0, 1.0, 1.0, 3.0]),
                              [-1.0, 0.0, 0.9999, 1.0, 2.0, 3.0])
     assert counts.tolist() == [0, 1, 1, 3, 3, 4]
+
+
+def _segments(radius, sites):
+    """Site sample of Z's B(radius) with the given sites open."""
+    return make_site_sample(enumerate_ball(GroupSpec.free_abelian(1), radius),
+                            [(x,) for x in sites])
+
+
+# (sample, boundary conditions, band attempts): one case per return path of
+# block_eigenvalues.  A segment's Dirichlet spectrum is 2 + 2 cos(pi j / n),
+# so a 257-vertex one has the one integer eigenvalue 4
+_READ_OUT_CASES = {
+    "empty": (_segments(8, []), (NEUMANN, ADJACENCY, DIRICHLET), []),
+    "lone-dense": (_segments(8, [0, 1]), (NEUMANN, ADJACENCY, DIRICHLET), []),
+    "lone-band": (_segments(300, range(-128, 129)), (DIRICHLET,), [(257, True)]),
+    "batched": (_segments(8, [-6, -4, -3, 0, 3, 4]), (NEUMANN, ADJACENCY, DIRICHLET),
+                []),
+    "band-beside-small": (_segments(300, [*range(-128, 129), 140, 142, 143]),
+                          (DIRICHLET,), [(257, True)]),
+    "all-isolated": (_segments(8, [-6, -4, 0, 2, 6]), (NEUMANN,), []),
+}
+
+
+@pytest.mark.parametrize("case", list(_READ_OUT_CASES))
+def test_counts_at_the_shifts_match_a_values_reference(monkeypatch, case):
+    """On every return path, block_eigenvalues at the shifts is one int64
+    array, the number of eigenvalues <= each shift of a dense eigvalsh.  The
+    shifts hit the integer eigenvalues exactly, their neighbouring doubles
+    and +-0.0; every eigenvalue the reference puts near an integer is that
+    integer, so the counts at those shifts are exact."""
+    s, bcs, band = _READ_OUT_CASES[case]
+    integers = np.arange(-1.0, 2 * s.window.k + 2)
+    shifts = np.concatenate([integers, np.nextafter(integers, -np.inf),
+                             np.nextafter(integers, np.inf), [-0.0, 0.0]])
+    for bc in bcs:
+        op = subgraph_laplacian(s.subgraph(), bc)
+        ref = np.sort(np.linalg.eigvalsh(op.to_dense()))
+        near = np.abs(ref - np.round(ref)) < 1e-9
+        assert np.array_equal(ref[near], np.round(ref[near]))
+        attempts = _band_spy(monkeypatch)
+        counts = block_eigenvalues(op, shifts=shifts)
+        monkeypatch.undo()
+        assert attempts == band
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.searchsorted(ref, shifts, side="right")), bc
+
+
+def test_kernel_window_is_closed_when_the_operator_is_zero():
+    """Isolated Neumann vertices make the zero operator, so the kernel
+    tolerance t is 0: the closed window |E| <= 0 holds every eigenvalue,
+    and a half-open one, (-0, 0], none."""
+    op = subgraph_laplacian(_READ_OUT_CASES["all-isolated"][0].subgraph(), NEUMANN)
+    t = KERNEL_TOL * op.inf_norm()
+    assert t == 0.0 and op.dim == 5
+    low, high, half_open = block_eigenvalues(
+        op, shifts=[spectra._just_below(-t), t, -t])
+    assert high - low == op.dim
+    assert high - half_open == 0
+
+
+def test_ids_kernel_of_a_sample_of_isolated_sites(monkeypatch):
+    """Sample 8 of Z site p = 0.3 (seed 17) has only isolated sites in
+    B(40), so its Neumann operator is 0 and so is the kernel tolerance: the
+    kernel row counts every site, as the values reference does."""
+    ctx = _ids_context(monkeypatch, GroupSpec.free_abelian(1),
+                       PercolationModel("site", 0.3, 17), {"radius": 40})
+    s = sample(ctx["model"], ctx["ball"], 8)
+    sub = replace(s, open_marks=s.open_marks & ctx["item_mask"]).subgraph()
+    assert sub.size == 17 and not len(sub.edges)
+    rows = spectra._ids_sample_task(ctx, 8)
+    g = len(ctx["grid"])
+    assert ctx["bcs"][0] == NEUMANN
+    assert rows[2 * g] * ctx["window_size"] == sub.size
+    assert np.array_equal(rows, _ids_sample_task_reference(ctx, 8))
 
 
 def test_lowest_nonzero(z_ball):
@@ -910,9 +990,9 @@ def _ids_sample_task_reference(ctx, i):
         vals_int = block_eigenvalues(op_int, ctx["dense_cap"])
         op_comp = restrict(subgraph_laplacian(sub_big, bc), subset)
         vals_comp = block_eigenvalues(op_comp, ctx["dense_cap"])
-        rows += [spectra._counts(vals_int, ctx["grid"]),
-                 spectra._counts(vals_comp, ctx["grid"]),
-                 [spectra._kernel_count(vals_int, op_int.inf_norm())]]
+        rows += [np.searchsorted(vals_int, ctx["grid"] + COUNT_TOL, side="right"),
+                 np.searchsorted(vals_comp, ctx["grid"] + COUNT_TOL, side="right"),
+                 [_kernel_dim(vals_int, op_int.inf_norm())]]
     return np.concatenate(rows) / ctx["window_size"]
 
 
@@ -1174,9 +1254,10 @@ def test_counted_band_rows_match_a_values_reference(monkeypatch, group, window,
 
 
 def _values_only(op, dense_cap=spectra.DENSE_CAP, shifts=None):
-    """block_eigenvalues with every eigenvalue computed and none counted."""
+    """block_eigenvalues with every eigenvalue computed, and the counts at
+    the shifts read off them."""
     vals = block_eigenvalues(op, dense_cap)
-    return vals if shifts is None else (vals, np.zeros(len(shifts), dtype=np.int64))
+    return vals if shifts is None else np.searchsorted(vals, shifts, side="right")
 
 
 def test_counts_take_no_tridiagonal_eigensolve(monkeypatch):
@@ -1231,7 +1312,7 @@ def test_dirichlet_spectrum_is_the_reflected_neumann_one(group, radius, kind):
             neu, dir_ = (np.linalg.eigvalsh((op if part is None
                                              else restrict(op, part)).to_dense())
                          for op in ops.values())
-            assert np.allclose(dir_, spectra._reflected(neu, group.k),
+            assert np.allclose(dir_, (2.0 * group.k - neu)[::-1],
                                rtol=0, atol=1e-12)
 
 

@@ -1,13 +1,13 @@
 """Every module-level import in the package and its tests is used by its
-module, and every public function and class is used by the package.
+module, and every top-level function and class is used by the package.
 
 A small stand-in for a linter: parse each source file with ``ast`` and
 compare the names its top-level imports bind with the names it reads.
-``__init__.py`` imports are re-exports and exempt.  A top-level public
-function or class must be read somewhere in the package (as a name or an
-attribute); being named in an ``__all__`` does not count, since an export
-that no run reads is what this check is for.  ``UNREAD_ALLOWED`` lists the
-exceptions, each with its reason.
+``__init__.py`` imports are re-exports and exempt.  A top-level function or
+class, public or private, must be read somewhere in the package (as a name
+or an attribute); being named in an ``__all__`` or read only by the tests
+does not count, since code that no run reads is what this check is for.
+``UNREAD_ALLOWED`` lists the exceptions, each with its reason.
 """
 
 import ast
@@ -19,7 +19,7 @@ SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "percospec")
                  .glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
-# public names no package module reads, kept on purpose
+# names no package module reads, kept on purpose
 UNREAD_ALLOWED = {
     # the counting entry point; counting above the dense cap is to come in here
     ("spectra.py", "count_below"),
@@ -56,8 +56,8 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_public_names(sources: dict) -> list:
-    """(module, name) of each top-level public function or class of the
+def unread_names(sources: dict) -> list:
+    """(module, name) of each top-level function or class of the
     ``sources`` (module name -> source text) that none of them reads; an
     ``__all__`` entry or an import is not a read."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
@@ -71,21 +71,22 @@ def unread_public_names(sources: dict) -> list:
     return sorted((module, node.name) for module, tree in trees.items()
                   for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                  and not node.name.startswith("_") and node.name not in read)
+                  and node.name not in read)
 
 
 def test_unread_public_names_detects_leftovers():
-    sources = {"a.py": "def called():\n    pass\ndef attribute():\n    pass\n"
-                       "def unread():\n    pass\ndef _private():\n    pass\n"
-                       "class Exported:\n    pass\n",
+    sources = {"a.py": "def called():\n    return _helper()\ndef attribute():\n"
+                       "    pass\ndef unread():\n    pass\ndef _helper():\n    pass\n"
+                       "def _leftover():\n    pass\nclass Exported:\n    pass\n",
                "b.py": "from . import a\nfrom .a import called, Exported\n"
                        "__all__ = ['Exported']\ncalled(a.attribute)\n"}
-    # exported and imported, but read by no module
-    assert unread_public_names(sources) == [("a.py", "Exported"), ("a.py", "unread")]
+    # exported and imported, or private and left over, but read by no module
+    assert unread_names(sources) == [("a.py", "Exported"), ("a.py", "_leftover"),
+                                     ("a.py", "unread")]
 
 
 def test_every_public_name_is_read():
-    unread = unread_public_names({p.name: p.read_text() for p in SOURCES})
+    unread = unread_names({p.name: p.read_text() for p in SOURCES})
     assert sorted(set(unread) - UNREAD_ALLOWED) == []
     # an allowance whose name is read or gone is stale
     assert sorted(UNREAD_ALLOWED - set(unread)) == []
