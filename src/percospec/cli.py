@@ -441,11 +441,9 @@ def run_free_ids(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, d
     grid = energy_grid(cfg)
     outputs = []
     if _torus_ids(group):
-        rows = []
-        for e in grid:
-            val = spectra.free_ids_zd(group.rank, float(e))
-            rows.append((e, val.value, val.error, val.method))
-        write_csv(out / "free_ids.csv", ["E", "value", "error", "method"], rows)
+        vals = [spectra.free_ids_zd(group.rank, float(e)) for e in grid]
+        write_csv(out / "free_ids.csv", ["E", "value", "error", "method"],
+                  [(e, v.value, v.error, v.method) for e, v in zip(grid, vals)])
         outputs.append("free_ids.csv")
     radius = cfg.get("window", {}).get("radius")
     if radius is not None:
@@ -516,7 +514,7 @@ def _range_fit(key: str, lo: float, hi: float, fit, *args, context: str = ""):
 def run_exponents(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, dict]:
     fits = cfg.get("fits", {})
     digest = config_digest(cfg)
-    reports = []
+    reports, notes = [], {}
 
     radius = cfg.get("window", {}).get("radius", _EXPONENTS_RADIUS)
     line_fits = _line_site_fits(cfg, group)
@@ -542,6 +540,7 @@ def run_exponents(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, 
         reports.append({"kind": fit.kind, "slope": fit.slope,
                         "stderr": fit.stderr, "r2": fit.r2,
                         "range": fit.fit_range, "inputs_digest": digest})
+        notes["van_hove"] = {"n_points": fit.n_points, "flags": list(fit.flags)}
 
     if line_fits:
         p = float(cfg["percolation"]["p"])
@@ -589,7 +588,7 @@ def run_exponents(cfg: dict, group: cayley.GroupSpec, out: Path) -> tuple[list, 
                         "range": fit_a.fit_range, "inputs_digest": digest})
 
     write_json(out / "exponents.json", reports)
-    return ["exponents.json"], {}
+    return ["exponents.json"], notes
 
 
 def _chain_task(ctx, i):

@@ -537,18 +537,32 @@ class FreeIDSValue:
     method: str
 
 
-# the Monte Carlo estimate of free_ids_zd in dimensions 3 and 4
-_MC_SAMPLES = 400_000
-_MC_SEED = 20240
+# Gauss–Legendre nodes a panel in free_ids_zd, whose error (the change from
+# half as many) stays below 1.2e-7 on (0, 4d), largest on Z^2 beside E = 4
+_GAUSS_NODES = 32
+
+
+def _free_ids_rule(d: int, energies: np.ndarray, s, w) -> np.ndarray:
+    """N_d at each of ``energies``, each panel on the Gauss–Legendre nodes
+    ``s`` moved to [0, 1] and their weights ``w`` on [-1, 1] (free_ids_zd)."""
+    if d == 1:
+        return np.arccos(np.clip(1.0 - energies / 2.0, -1.0, 1.0)) / np.pi
+    # the panels end where the inner energy crosses 4j, j = d-1, ..., 0
+    ends = np.arccos(np.clip(1.0 - energies[..., None] / 2.0
+                             + 2.0 * np.arange(d - 1, -1, -1), -1.0, 1.0))
+    width = np.diff(ends, prepend=0.0)
+    theta = ends[..., None] + width[..., None] * (3.0 * s ** 2 - 2.0 * s ** 3 - 1.0)
+    inner = _free_ids_rule(d - 1, energies[..., None, None]
+                           - 2.0 * (1.0 - np.cos(theta)), s, w)
+    return ((inner @ (3.0 * s * (1.0 - s) * w)) * width).sum(axis=-1) / np.pi
 
 
 def free_ids_zd(d: int, energy: float) -> FreeIDSValue:
-    """IDS of the free Laplacian on Z^d at one energy.
-
-    Evaluates the momentum-space volume of { theta : sum_i 2(1 - cos
-    theta_i) <= E } over the torus.  Dimensions 1 and 2 are deterministic
-    (closed form / adaptive quadrature, absolute error <= 1e-6); dimensions
-    3 and 4 use Monte Carlo with a reported standard error.  Energies
+    """IDS of the free Laplacian on Z^d at one energy.  d = 1 is arccos(1 -
+    E/2)/pi; d >= 2 is N_d(E) = (1/pi) int_0^pi N_(d-1)(E - 2(1 - cos t)) dt,
+    by Gauss–Legendre on panels split where the inner energy crosses 4j, each
+    as t = a + (b - a)(3s^2 - 2s^3) to smooth its square-root ends; ``error``
+    is the change from half as many nodes, refused above 1e-6.  Energies
     outside [0, 4d] clamp to 0 or 1, with method ``clamped``.
     """
     if not 1 <= d <= 4:
@@ -560,29 +574,14 @@ def free_ids_zd(d: int, energy: float) -> FreeIDSValue:
     if d == 1:
         return FreeIDSValue(float(np.arccos(1.0 - energy / 2.0) / np.pi),
                             1e-12, "closed-form")
-    if d == 2:
-        from scipy import integrate  # slow to import; only d == 2 needs it
+    from numpy.polynomial import legendre  # only d >= 2 loads it
 
-        theta_max = np.arccos(np.clip(1.0 - energy / 2.0, -1.0, 1.0))
-
-        def slice_measure(t):
-            rest = energy - 2.0 * (1.0 - np.cos(t))
-            return np.arccos(np.clip(1.0 - rest / 2.0, -1.0, 1.0))
-
-        val, err = integrate.quad(slice_measure, 0.0, theta_max,
-                                  epsabs=1e-10, epsrel=1e-10, limit=300)
-        value = val / np.pi ** 2
-        if err / np.pi ** 2 > 1e-6:
-            raise RuntimeError("quadrature error estimate above 1e-6")
-        return FreeIDSValue(float(value), float(err / np.pi ** 2), "quadrature")
-    gen = np.random.Generator(np.random.Philox(key=np.array(
-        [_MC_SEED, d], dtype=np.uint64)))
-    theta = gen.random((_MC_SAMPLES, d)) * np.pi
-    inside = (2.0 * (1.0 - np.cos(theta))).sum(axis=1) <= energy
-    value = inside.mean()
-    return FreeIDSValue(float(value),
-                        float(np.sqrt(value * (1 - value) / _MC_SAMPLES)),
-                        "monte-carlo")
+    rules = map(legendre.leggauss, (_GAUSS_NODES, _GAUSS_NODES // 2))
+    value, half = (float(_free_ids_rule(d, np.array(energy), (s + 1.0) / 2.0, w))
+                   for s, w in rules)
+    if abs(value - half) > 1e-6:
+        raise RuntimeError("quadrature error estimate above 1e-6")
+    return FreeIDSValue(value, abs(value - half), "quadrature")
 
 
 @dataclass

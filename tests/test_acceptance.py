@@ -161,13 +161,12 @@ def test_criterion_05_five_operator_ids_chain():
 
 def test_criterion_06_van_hove_exponents():
     grid = np.geomspace(1e-3, 1e-1, 20)
-    v1 = np.array([free_ids_zd(1, e).value for e in grid])
-    v2 = np.array([free_ids_zd(2, e).value for e in grid])
-    s1 = asymptotics.fit_van_hove(grid, v1).slope
-    s2 = asymptotics.fit_van_hove(grid, v2).slope
-    ok = abs(s1 - 0.5) <= 0.02 and abs(s2 - 1.0) <= 0.05
-    _verdict(6, ok, f"slopes d=1: {s1:.4f} (want 0.50+-0.02), "
-                    f"d=2: {s2:.4f} (want 1.00+-0.05)")
+    slopes = {d: asymptotics.fit_van_hove(
+        grid, np.array([free_ids_zd(d, e).value for e in grid])).slope
+        for d in (1, 2, 3, 4)}
+    ok = all(abs(s - d / 2) <= 0.02 for d, s in slopes.items())
+    _verdict(6, ok, ", ".join(f"d={d}: {s:.4f} (want {d / 2:.2f}+-0.02)"
+                              for d, s in slopes.items()))
 
 
 def test_criterion_07_growth_classification():

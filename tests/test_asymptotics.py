@@ -156,18 +156,13 @@ def test_growth_lamplighter_superpolynomial():
 # van Hove slopes from the free IDS
 # ---------------------------------------------------------------------------
 
-def test_van_hove_z1():
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_van_hove_zd(d):
     e = np.geomspace(1e-3, 1e-1, 20)
-    v = np.array([free_ids_zd(1, x).value for x in e])
+    v = np.array([free_ids_zd(d, x).value for x in e])
     fit = fit_van_hove(e, v)
-    assert fit.slope == pytest.approx(0.5, abs=0.02)
-
-
-def test_van_hove_z2():
-    e = np.geomspace(1e-3, 1e-1, 20)
-    v = np.array([free_ids_zd(2, x).value for x in e])
-    fit = fit_van_hove(e, v)
-    assert fit.slope == pytest.approx(1.0, abs=0.05)
+    assert fit.n_points == 20 and fit.flags == ()
+    assert fit.slope == pytest.approx(d / 2, abs=0.02)
 
 
 # ---------------------------------------------------------------------------

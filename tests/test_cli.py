@@ -310,9 +310,6 @@ _Z1_STEPS_1_2 = {**_Z1, "generators": [[1], [-1], [2], [-2]]}
     ("exponents", {"group": _Z1, "percolation": {"kind": "site", "p": 0.9},
                    "fits": {"lifshitz_range": [10, 20]}},
      "fits.lifshitz_range"),
-    ("exponents", {"group": {"kind": "free_abelian", "rank": 3},
-                   "fits": {"van_hove_range": [0.003, 0.0031]}},
-     "fits.van_hove_range"),
 ])
 def test_user_mistake_is_validation_error(tmp_path, capsys, subcommand, body,
                                           key):
@@ -823,6 +820,30 @@ def test_van_hove_fit_drops_the_clamped_top_of_its_range(tmp_path):
     fit = json.loads((out / "exponents.json").read_text())[1]
     assert fit["kind"] == "van-hove"
     assert fit["range"][0] == 5 and fit["range"][1] < 8
+    # the manifest says which points the fit dropped
+    notes = json.loads((out / "manifest.json").read_text())["van_hove"]
+    assert notes["flags"] == ["range-shrunk-values-at-one"]
+    assert notes["n_points"] < 20
+
+
+@pytest.mark.parametrize("rank,van_hove_range", [
+    (3, None), (4, None), (3, [0.003, 0.0031])], ids=["Z3", "Z4", "Z3-narrow"])
+def test_exponents_van_hove_slope_on_z3_and_z4(tmp_path, rank, van_hove_range):
+    # N_d is of order E^(d/2) near 0: on the default range [1e-3, 0.1], and
+    # on a narrow one, every point is fitted and the slope is d/2
+    out = tmp_path / "o"
+    fits = {"van_hove_range": van_hove_range} if van_hove_range else {}
+    lo, hi = van_hove_range or (1e-3, 0.1)
+    path = write_config(tmp_path, "c.json", base_config(
+        out, group={"kind": "free_abelian", "rank": rank}, window={"radius": 8},
+        fits=fits))
+    assert main(["exponents", "--config", path]) == 0
+    fit = json.loads((out / "exponents.json").read_text())[1]
+    assert fit["kind"] == "van-hove"
+    assert fit["slope"] == pytest.approx(rank / 2, abs=0.02)
+    assert fit["range"] == [lo, pytest.approx(hi)]
+    notes = json.loads((out / "manifest.json").read_text())["van_hove"]
+    assert notes == {"n_points": 20, "flags": []}
 
 
 @pytest.mark.parametrize("generators,torus", [
@@ -936,7 +957,8 @@ def test_rerun_replaces_its_files_and_keeps_the_others(tmp_path):
 def test_cli_import_skips_stats_and_integrate():
     src = str(Path(percospec.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import percospec.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate') "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.integrate', "
+            "'numpy.polynomial') "
             "if m in sys.modules))")
     done = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
                           text=True, timeout=120, check=True)
@@ -1679,7 +1701,7 @@ _GROWTH_SHA256 = {
         "growth_fit.json": "81a1cae0927ef6ca23049d6287c830aa01ada662178eea166a9ee0efe9219580",
     },
     ("exponents", "Z3"): {
-        "exponents.json": "b366150c9e9c18cc0c53eec244e4c5542e4da3bc9fc13b259ff2beb39d8e3f38",
+        "exponents.json": "1c80b650f9481619b6061c5224811ec0628cebb430d71e062e17ea9cf68c5632",
     },
     ("exponents", "heisenberg"): {
         "exponents.json": "2cce7b4c73df6a200f0c5682614296682a93d58e952f83ac7993eba1104f2e2b",

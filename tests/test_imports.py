@@ -4,8 +4,10 @@ The CLI, ball enumeration, the fits, the operators and their products, and
 an ids run whose clusters are small need numpy alone: ``growth`` and
 ``percolate`` load no scipy subpackage, and ``exponents`` and ``bounds``
 load ``scipy.linalg`` for their eigensolves and neither ``scipy.stats`` nor
-``scipy.sparse``.  The tetrahedron checks of ``lamplighter`` and of
-``bounds`` on a lamplighter group solve nothing, so those runs load no
+``scipy.sparse``; the free IDS of Z^d is numpy's, so ``free-ids`` without a
+ball and ``exponents`` on Z^d, d >= 2, load no scipy at all.  The
+tetrahedron checks of ``lamplighter`` and of ``bounds`` on a lamplighter
+group solve nothing, so those runs load no
 scipy subpackage, except that the depth-2 tetrahedron of Z_2 wr Z keeps a
 full ``scipy.linalg`` solve.  ``import percospec.cli`` loads no scipy at
 all, and the manifest records scipy's version only when the run loaded it.
@@ -74,6 +76,19 @@ def test_manifest_records_scipy_only_when_the_run_loaded_it(tmp_path):
     assert "scipy" in scipy_modules_after(cli_run(tmp_path, "free-ids", free))
     manifest = json.loads((tmp_path / "f" / "manifest.json").read_text())
     assert manifest["environment"]["scipy"] == scipy.__version__
+
+
+@pytest.mark.parametrize("subcommand,rank,extra", [
+    ("free-ids", 2, {"spectra": {"energy_grid": {"values": [0.5, 4.0, 7.0]}}}),
+    ("exponents", 3, {"window": {"radius": 8}}),
+], ids=["free-ids-z2", "exponents-z3"])
+def test_free_ids_zd_runs_load_no_scipy(tmp_path, subcommand, rank, extra):
+    # the free IDS of Z^d is numpy's Gauss-Legendre rule, with no ball solve
+    cfg = {"seed": 1, "group": {"kind": "free_abelian", "rank": rank},
+           "output_dir": str(tmp_path / "o"), **extra}
+    assert scipy_modules_after(cli_run(tmp_path, subcommand, cfg)) == set()
+    manifest = json.loads((tmp_path / "o" / "manifest.json").read_text())
+    assert manifest["environment"]["scipy"] is None
 
 
 def test_small_cluster_ids_run_loads_no_scipy_submodule(tmp_path):

@@ -1,5 +1,6 @@
 """Spectra: dense solves, counting, empirical IDS, free IDS, return probability."""
 
+import math
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -1420,9 +1421,61 @@ def test_free_ids_z2_quadrature_accuracy():
 
 def test_free_ids_mc_dims():
     v3 = free_ids_zd(3, 6.0)
-    assert v3.method == "monte-carlo"
+    assert v3.method == "quadrature"
     assert 0.3 < v3.value < 0.7
     assert v3.error < 0.01
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_free_ids_zd_small_energy_law(d):
+    # N_d(E) ~ omega_d E^(d/2) / (2 pi)^d, omega_d the unit ball's volume;
+    # the next term is O(E) relative
+    E = 1e-3
+    omega = np.pi ** (d / 2) / math.gamma(d / 2 + 1)
+    law = omega * E ** (d / 2) / (2 * np.pi) ** d
+    assert free_ids_zd(d, E).value == pytest.approx(law, rel=1e-3)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_free_ids_zd_symmetry_and_error(d):
+    # E -> 4d - E maps the spectrum onto itself (theta -> pi - theta)
+    grid = 4.0 * d * (np.arange(40) + 0.5) / 40
+    vals = [free_ids_zd(d, float(e)) for e in grid]
+    mirror = [free_ids_zd(d, float(4 * d - e)).value for e in grid]
+    assert all(v.method == "quadrature" and v.error <= 1e-6 for v in vals)
+    assert np.allclose([v.value for v in vals], 1.0 - np.array(mirror),
+                       rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_free_ids_zd_beside_its_kinks(d):
+    # the van Hove points 4j, where N_d is not smooth: the value must stay
+    # monotone, below the refusal, and match a rule with twice the nodes
+    eps = np.geomspace(1e-10, 1e-1, 10)
+    grid = np.sort(np.concatenate([4 * j + s * eps for j in range(d + 1)
+                                   for s in (-1, 1)]))
+    grid = grid[(grid > 0) & (grid < 4 * d)]
+    vals = [free_ids_zd(d, float(e)) for e in grid]
+    values = np.array([v.value for v in vals])
+    assert max(v.error for v in vals) <= 1e-6
+    assert np.all(np.diff(values) >= 0)
+    s, w = np.polynomial.legendre.leggauss(2 * spectra._GAUSS_NODES)
+    finer = [float(spectra._free_ids_rule(d, np.array(e), (s + 1) / 2, w))
+             for e in grid]
+    assert np.max(np.abs(values - finer)) <= 1e-8
+
+
+@pytest.mark.parametrize("E", [1.0, 3.0, 6.0, 9.0])
+def test_free_ids_z3_matches_monte_carlo(E):
+    # the fraction of uniform momenta in the torus with
+    # sum_i 2(1 - cos theta_i) <= E, on 400,000 points
+    n = 400_000
+    gen = np.random.Generator(np.random.Philox(key=np.array([20240, 3],
+                                                            dtype=np.uint64)))
+    theta = gen.random((n, 3)) * np.pi
+    mc = np.mean((2.0 * (1.0 - np.cos(theta))).sum(axis=1) <= E)
+    sigma = np.sqrt(mc * (1 - mc) / n)
+    assert abs(free_ids_zd(3, E).value - mc) <= 4 * sigma
 
 
 def test_free_ids_ball_converges_to_torus_value_z():
